@@ -2,28 +2,34 @@
 
 Trill ingests columnar batches (§I-A); the natural evolution of
 Impatience sort in that setting is to partition *run segments* instead of
-single events: each incoming batch is split at its descents into maximal
-ascending segments (a vectorized ``diff``), and each whole segment is
-dealt onto the first sorted run whose tail does not exceed the segment's
-head — the same placement rule, amortized over segments.  Runs are lists
+single events.  Each incoming batch is a bounded reorder buffer: after
+the late policy has seen it in arrival order it is stable-sorted once
+(skipped when already ascending), and the resulting ascending batch is
+dealt onto the sorted runs by the usual placement rule — the prefix that
+fits the first run whose tail does not exceed the head lands there, the
+rest cascades to earlier runs.  That is one Python-level bisect per
+cascade step rather than one per descent in the input.  Runs are lists
 of contiguous numpy chunks, so a punctuation cut pops whole chunks and
 splits at most one per run via ``searchsorted``.
 
 The head-run merge uses numpy's stable sort over the concatenated heads;
 on a concatenation of sorted runs that is a C-speed adaptive merge.  The
-per-punctuation semantics are identical to
+emission at a punctuation is the stable sort by timestamp of the admitted
+arrivals — an equal timestamp arriving later can only land on the same
+or a higher-indexed run, and heads are concatenated run-major — so the
+per-batch sort changes run structure only, never output bytes or tie
+order.  Per-punctuation semantics are identical to
 :class:`~repro.core.impatience.ImpatienceSorter` (equivalence is
-property-tested), and the Propositions 3.1–3.3 run-count bounds still
-hold because a segment lands exactly where its first element would.
+property-tested); the run count never exceeds the scalar sorter's, so
+the Propositions 3.1–3.3 bounds still hold.
 
 ``columns`` extends the sorter from bare timestamps to whole columnar
-rows: payload columns ride along each timestamp through segment
-placement, punctuation cuts, and the head merge (an ``argsort``
+rows: payload columns ride along each timestamp through the batch sort,
+segment placement, punctuation cuts, and the head merge (an ``argsort``
 permutation instead of an in-place sort), so a shard worker can sort an
 entire :class:`~repro.engine.batch.EventBatch` without ever
-materializing per-event objects.  Because segments are contiguous
-slices of the incoming batch, the payload bookkeeping is all views — no
-extra copies on the ingress path.
+materializing per-event objects.  An already-ascending batch is placed
+as views of the caller's arrays — no copies on the ingress path.
 """
 
 from __future__ import annotations
@@ -39,6 +45,59 @@ __all__ = ["ColumnarImpatienceSorter"]
 
 _NEG_INF = float("-inf")
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def admit_batch(sorter, values, columns, string_columns):
+    """Validate, lateness-filter and stable-sort one arrival-order batch.
+
+    The ingress half of ``insert_batch`` shared by both columnar sorters
+    (``sorter`` supplies ``columns``, ``string_columns``, ``late`` and
+    ``watermark``).  Returns the admitted rows as ascending
+    ``(arr, cols, scols)`` — empty when nothing is admitted.  The late
+    policy sees arrival order; only the survivors are reordered, through
+    one stable argsort, so equal timestamps keep their arrival order.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError("insert_batch expects a 1-D array")
+    if len(columns) != sorter.columns:
+        raise ValueError(
+            f"expected {sorter.columns} payload columns, "
+            f"got {len(columns)}"
+        )
+    if len(string_columns) != sorter.string_columns:
+        raise ValueError(
+            f"expected {sorter.string_columns} string columns, "
+            f"got {len(string_columns)}"
+        )
+    cols = tuple(np.asarray(col, dtype=np.int64) for col in columns)
+    if any(col.shape != arr.shape for col in cols):
+        raise ValueError("payload columns must parallel the timestamps")
+    scols = tuple(
+        col if isinstance(col, StringColumn)
+        else StringColumn.from_values(col)
+        for col in string_columns
+    )
+    if any(len(col) != arr.size for col in scols):
+        raise ValueError("string columns must parallel the timestamps")
+    watermark = sorter.watermark  # -inf before the first punctuation
+    late_mask = arr <= watermark
+    if late_mask.any():
+        sorter.late.admit_many(arr[late_mask].tolist(), watermark)
+        if sorter.late.policy is LatePolicy.ADJUST:
+            arr = arr.copy()
+            arr[late_mask] = watermark
+        else:
+            keep = ~late_mask
+            arr = arr[keep]
+            cols = tuple(col[keep] for col in cols)
+            scols = tuple(col.filter(keep) for col in scols)
+    if (arr[1:] < arr[:-1]).any():
+        order = np.argsort(arr, kind="stable")
+        arr = arr[order]
+        cols = tuple(col[order] for col in cols)
+        scols = tuple(col.take(order) for col in scols)
+    return arr, cols, scols
 
 
 class ColumnarImpatienceSorter:
@@ -100,106 +159,58 @@ class ColumnarImpatienceSorter:
 
     def insert_batch(self, values, columns=(), string_columns=()):
         """Ingest one arrival-order batch of timestamps (+ columns)."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("insert_batch expects a 1-D array")
-        if len(columns) != self.columns:
-            raise ValueError(
-                f"expected {self.columns} payload columns, "
-                f"got {len(columns)}"
-            )
-        if len(string_columns) != self.string_columns:
-            raise ValueError(
-                f"expected {self.string_columns} string columns, "
-                f"got {len(string_columns)}"
-            )
-        cols = tuple(np.asarray(col, dtype=np.int64) for col in columns)
-        if any(col.shape != arr.shape for col in cols):
-            raise ValueError("payload columns must parallel the timestamps")
-        scols = tuple(
-            col if isinstance(col, StringColumn)
-            else StringColumn.from_values(col)
-            for col in string_columns
-        )
-        if any(len(col) != arr.size for col in scols):
-            raise ValueError("string columns must parallel the timestamps")
+        arr, cols, scols = admit_batch(self, values, columns, string_columns)
         if arr.size == 0:
             return 0
-        if self._has_watermark:
-            late_mask = arr <= self._watermark
-            n_late = int(late_mask.sum())
-            if n_late:
-                if self.late.policy is LatePolicy.ADJUST:
-                    arr = arr.copy()
-                    for _ in range(n_late):
-                        self.late.admit(None, self._watermark)
-                    arr[late_mask] = self._watermark
-                else:
-                    # DROP counts each; RAISE raises on the first.
-                    for value in arr[late_mask][:1]:
-                        self.late.admit(int(value), self._watermark)
-                    for _ in range(n_late - 1):
-                        self.late.admit(None, self._watermark)
-                    keep = ~late_mask
-                    arr = arr[keep]
-                    cols = tuple(col[keep] for col in cols)
-                    scols = tuple(col.filter(keep) for col in scols)
-                    if arr.size == 0:
-                        return 0
         self._place_segments(arr, cols, scols)
         self.stats.inserted += int(arr.size)
         self.stats.note_buffered()
         return int(arr.size)
 
     def _place_segments(self, arr, cols, scols=()):
-        """Split the batch at descents; deal each ascending segment.
+        """Deal one ascending batch onto the runs, segment by segment.
 
         Placement is the exact chunk-wise equivalent of element-wise
-        Patience dealing: an ascending segment placed on run ``lo`` may
-        only keep the prefix strictly below ``tails[lo-1]`` (further
-        elements would have preferred an earlier run); the suffix cascades
-        to a strictly earlier index, preserving the strictly-descending
-        tails invariant and producing the same runs element dealing would.
+        Patience dealing: the batch placed on run ``lo`` may only keep
+        the prefix strictly below ``tails[lo-1]`` (further elements would
+        have preferred an earlier run); the suffix cascades to a strictly
+        earlier index, preserving the strictly-descending tails invariant
+        and producing the same runs element dealing would.  One Python
+        bisect per cascade step: at most ``run_count + 1`` per batch.
         """
-        if arr.size == 1:
-            bounds = [(0, 1)]
-        else:
-            cuts = np.flatnonzero(np.diff(arr) < 0) + 1
-            edges = [0, *cuts.tolist(), arr.size]
-            bounds = list(zip(edges[:-1], edges[1:]))
         tails = self._tails
         chunks = self._chunks
-        for start, stop in bounds:
-            while start < stop:
-                head = int(arr[start])
-                lo, hi = 0, len(tails)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if tails[mid] <= head:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                self.stats.binary_searches += 1
-                if lo == 0:
-                    split = stop
+        start, stop = 0, arr.size
+        while start < stop:
+            head = int(arr[start])
+            lo, hi = 0, len(tails)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if tails[mid] <= head:
+                    hi = mid
                 else:
-                    bound = tails[lo - 1]
-                    split = start + int(np.searchsorted(
-                        arr[start:stop], bound, side="left"
-                    ))
-                placeable = (
-                    arr[start:split],
-                    tuple(col[start:split] for col in cols),
-                    tuple(col.slice(start, split) for col in scols),
-                )
-                if lo == len(tails):
-                    chunks.append([placeable])
-                    tails.append(int(arr[split - 1]))
-                    self.stats.runs_created += 1
-                else:
-                    chunks[lo].append(placeable)
-                    tails[lo] = int(arr[split - 1])
-                start = split
+                    lo = mid + 1
+            self.stats.binary_searches += 1
+            if lo == 0:
+                split = stop
+            else:
+                bound = tails[lo - 1]
+                split = start + int(np.searchsorted(
+                    arr[start:stop], bound, side="left"
+                ))
+            placeable = (
+                arr[start:split],
+                tuple(col[start:split] for col in cols),
+                tuple(col.slice(start, split) for col in scols),
+            )
+            if lo == len(tails):
+                chunks.append([placeable])
+                tails.append(int(arr[split - 1]))
+                self.stats.runs_created += 1
+            else:
+                chunks[lo].append(placeable)
+                tails[lo] = int(arr[split - 1])
+            start = split
 
     def on_punctuation(self, timestamp):
         """Cut and return every buffered value <= ``timestamp``, sorted."""

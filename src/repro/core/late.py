@@ -74,6 +74,24 @@ class LateEventTracker:
         self.adjusted += 1
         return punctuation_time
 
+    def admit_many(self, event_times, punctuation_time):
+        """:meth:`admit` for one batch's late events, in arrival order.
+
+        DROP and ADJUST are a single counter add.  RAISE raises on the
+        first event — or, with a quarantine ledger attached, records every
+        event under its own time.
+        """
+        if self.policy is LatePolicy.RAISE:
+            for event_time in event_times:
+                self.admit(event_time, punctuation_time)
+            return
+        count = len(event_times)
+        self.total += count
+        if self.policy is LatePolicy.DROP:
+            self.dropped += count
+        else:
+            self.adjusted += count
+
     @property
     def preserved(self) -> int:
         """Number of late events that were kept (after adjustment)."""

@@ -834,20 +834,6 @@ class _Execution:
                 WindowTopKKernel(compiled.window_size, compiled.top_k)
                 if compiled.top_k is not None else None
             )
-        # Pre-sorting each ingress chunk turns it into one ascending
-        # segment, so run placement is a handful of chunk-sized deals
-        # instead of a Python loop over every descent.  Legal because
-        # the lateness mask is order-free within a chunk and every
-        # downstream aggregate kernel re-sorts (lexsort/stable-merge) —
-        # except under RAISE, where "the first late event" must mean
-        # arrival order to keep the row engine's exception args
-        # byte-identical, and under ADJUST for pass-through terminals,
-        # where late events with differing raw syncs collapse onto one
-        # adjusted sort key and must keep their *arrival* tie order.
-        late = compiled.late_policy
-        self.presort = late is not LatePolicy.RAISE and not (
-            self.pass_through and late is LatePolicy.ADJUST
-        )
         self.events = []
         self.punctuations = []
         self.ingress = _KernelMetrics("ingress")
@@ -892,10 +878,6 @@ class _Execution:
                 columns.append(keys)
             if self.compiled.spec.needs_value:
                 columns.append(cols[self.compiled.value_index])
-        if self.presort and sync.size > 1:
-            order = np.argsort(sync, kind="stable")
-            columns = [column[order] for column in columns]
-            sync = columns[0]
         if self.sorter is None:
             self.sorter = self._make_sorter(len(columns))
         self.sorter.insert_batch(sync, tuple(columns))

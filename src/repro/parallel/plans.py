@@ -383,8 +383,6 @@ class _GroupedAggregateExecutor:
     (start, key) runs via the plan's aggregate spec instead of
     per-event folds."""
 
-    _NEG_INF = float("-inf")
-
     def __init__(self, plan, shard):
         self.plan = plan
         self._pre_aligned = plan.align == "pre"
@@ -407,7 +405,6 @@ class _GroupedAggregateExecutor:
         cols = [sync, batch.keys]
         if self._spec.needs_value:
             cols.append(batch.payload_columns[self.plan.value_column])
-        sync, cols = self._presorted(sync, cols)
         self._sorter.insert_batch(sync, tuple(cols))
         self.events_in += len(batch)
 
@@ -427,37 +424,8 @@ class _GroupedAggregateExecutor:
                 (e.payload[column] for e in elements), np.int64,
                 len(elements),
             ))
-        sync, cols = self._presorted(sync, cols)
         self._sorter.insert_batch(sync, tuple(cols))
         self.events_in += len(elements)
-
-    def _presorted(self, sync, cols):
-        """Stable-sort one ingress batch by sync time before dealing it.
-
-        A sorted batch is a single ascending segment, so the sorter's
-        placement runs one C-speed radix argsort plus at most one
-        cascade step per live run, instead of a Python-level binary
-        search per descent — the hot path of the parallel worker.
-        Everything downstream is insensitive to the reordering: the
-        aggregation is commutative, DROP/ADJUST lateness handling is a
-        mask/count over the whole batch, and the stable sort keeps
-        equal-sync rows in arrival order.  Only RAISE observes arrival
-        order (it reports the *first* late event), so a RAISE batch
-        containing a late value is dealt unsorted.
-        """
-        if sync.size < 2:
-            return sync, cols
-        if (
-            self.plan.late_policy is LatePolicy.RAISE
-            and self._sorter.watermark != self._NEG_INF
-            and bool((sync <= self._sorter.watermark).any())
-        ):
-            return sync, cols
-        order = np.argsort(sync, kind="stable")
-        sync = sync[order]
-        permuted = [sync]
-        permuted.extend(col[order] for col in cols[1:])
-        return sync, permuted
 
     def _accumulate(self, released):
         _, cols = released

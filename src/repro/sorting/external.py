@@ -47,6 +47,7 @@ import zlib
 
 import numpy as np
 
+from repro.core.columnar import admit_batch
 from repro.core.errors import PunctuationOrderError, SpillCorruptionError
 from repro.core.late import LateEventTracker, LatePolicy
 from repro.core.stats import SorterStats
@@ -913,57 +914,9 @@ class ExternalColumnarSorter:
 
     def insert_batch(self, values, columns=(), string_columns=()):
         """Ingest one arrival-order batch of timestamps (+ columns)."""
-        arr = np.asarray(values, dtype=np.int64)
-        if arr.ndim != 1:
-            raise ValueError("insert_batch expects a 1-D array")
-        if len(columns) != self.columns:
-            raise ValueError(
-                f"expected {self.columns} payload columns, "
-                f"got {len(columns)}"
-            )
-        if len(string_columns) != self.string_columns:
-            raise ValueError(
-                f"expected {self.string_columns} string columns, "
-                f"got {len(string_columns)}"
-            )
-        cols = tuple(np.asarray(col, dtype=np.int64) for col in columns)
-        if any(col.shape != arr.shape for col in cols):
-            raise ValueError("payload columns must parallel the timestamps")
-        scols = tuple(
-            col if isinstance(col, StringColumn)
-            else StringColumn.from_values(col)
-            for col in string_columns
-        )
-        if any(len(col) != arr.size for col in scols):
-            raise ValueError("string columns must parallel the timestamps")
+        arr, cols, scols = admit_batch(self, values, columns, string_columns)
         if arr.size == 0:
             return 0
-        if self._has_watermark:
-            late_mask = arr <= self._watermark
-            n_late = int(late_mask.sum())
-            if n_late:
-                if self.late.policy is LatePolicy.ADJUST:
-                    arr = arr.copy()
-                    for _ in range(n_late):
-                        self.late.admit(None, self._watermark)
-                    arr[late_mask] = self._watermark
-                else:
-                    # DROP counts each; RAISE raises on the first.
-                    for value in arr[late_mask][:1]:
-                        self.late.admit(int(value), self._watermark)
-                    for _ in range(n_late - 1):
-                        self.late.admit(None, self._watermark)
-                    keep = ~late_mask
-                    arr = arr[keep]
-                    cols = tuple(col[keep] for col in cols)
-                    scols = tuple(col.filter(keep) for col in scols)
-                    if arr.size == 0:
-                        return 0
-        if not _is_ascending(arr):
-            order = np.argsort(arr, kind="stable")
-            arr = arr[order]
-            cols = tuple(col[order] for col in cols)
-            scols = tuple(col.take(order) for col in scols)
         self.pool.insert_sorted(arr, cols, scols=scols)
         self.stats.inserted += int(arr.size)
         self.stats.runs_created = self.pool.metrics.runs_spilled

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from repro.core.columnar import ColumnarImpatienceSorter
 from repro.core.errors import LateEventError, PunctuationOrderError
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
+from repro.sorting.external import ExternalColumnarSorter
 
 
 class TestBasics:
@@ -37,16 +40,26 @@ class TestBasics:
         assert sorter.run_count == 1
         assert sorter.buffered == 100
 
-    def test_descending_batch_one_run_per_element(self):
+    def test_descending_batch_is_one_run(self):
+        """The batch is the reorder buffer: sorted once, dealt once."""
         sorter = ColumnarImpatienceSorter()
         sorter.insert_batch(np.arange(50, 0, -1))
-        assert sorter.run_count == 50
+        assert sorter.run_count == 1
+        assert sorter.stats.binary_searches == 1
+        assert sorter.flush().tolist() == list(range(1, 51))
 
     def test_run_cleanup_on_punctuation(self):
+        """Figure 4's healing behaviour, across two batches: the second
+        batch opens a run below the survivors, the next cut drains it."""
         sorter = ColumnarImpatienceSorter()
         sorter.insert_batch([2, 6, 5, 1])
-        sorter.on_punctuation(2)
-        assert sorter.run_count == 2  # Figure 4's healing behaviour
+        assert sorter.on_punctuation(2).tolist() == [1, 2]
+        assert sorter.run_count == 1           # [5, 6]
+        sorter.insert_batch([4, 3, 7, 8])
+        assert sorter.run_count == 2           # [5, 6, 7, 8] and [3, 4]
+        assert sorter.on_punctuation(4).tolist() == [3, 4]
+        assert sorter.run_count == 1
+        assert sorter.stats.runs_removed == 1
 
     def test_regressing_punctuation_raises(self):
         sorter = ColumnarImpatienceSorter()
@@ -88,8 +101,9 @@ class TestEquivalence:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_impatience(self, batches):
-        """Identical emissions, drop counts, and run counts versus the
-        scalar sorter, batch for batch, punctuation for punctuation."""
+        """Identical emissions and drop counts versus the scalar sorter,
+        batch for batch, punctuation for punctuation — with no more runs
+        (sorting a batch before dealing it can only merge runs)."""
         columnar = ColumnarImpatienceSorter()
         scalar = ImpatienceSorter()
         watermark = None
@@ -106,7 +120,7 @@ class TestEquivalence:
             if scalar.watermark == float("-inf") or ts > scalar.watermark:
                 assert columnar.on_punctuation(ts).tolist() == \
                     scalar.on_punctuation(ts)
-                assert columnar.run_count == scalar.run_count
+                assert columnar.run_count <= scalar.run_count
         assert columnar.flush().tolist() == scalar.flush()
         assert columnar.late.dropped == scalar.late.dropped
 
@@ -117,12 +131,14 @@ class TestEquivalence:
         sorter.insert_batch(values)
         assert sorter.flush().tolist() == sorted(values)
 
-    def test_run_count_equals_interleaved_measure(self, cloudlog_small):
+    def test_run_count_bounded_by_interleaved_measure(self, cloudlog_small):
         from repro.metrics import count_interleaved_runs
 
         sorter = ColumnarImpatienceSorter()
-        sorter.insert_batch(cloudlog_small.timestamps)
-        assert sorter.run_count == count_interleaved_runs(
+        times = np.asarray(cloudlog_small.timestamps)
+        for i in range(0, len(times), 256):
+            sorter.insert_batch(times[i:i + 256])
+        assert 1 < sorter.run_count <= count_interleaved_runs(
             cloudlog_small.timestamps
         )
 
@@ -260,3 +276,169 @@ class TestPayloadColumns:
         lhs = bare.flush()
         rhs, _ = wide.flush()
         assert lhs.tolist() == rhs.tolist()
+
+
+KINDS = ["in-memory", "budgeted"]
+
+
+@contextlib.contextmanager
+def _sorter(kind, policy):
+    """Either columnar sorter, one payload column; the budgeted one's
+    spill directory is released on exit."""
+    if kind == "in-memory":
+        yield ColumnarImpatienceSorter(late_policy=policy, columns=1)
+        return
+    sorter = ExternalColumnarSorter(64, late_policy=policy, columns=1)
+    try:
+        yield sorter
+    finally:
+        sorter.close()
+
+
+class TestBatchSortIsInvisible:
+    """Sorting each batch inside the sorter changes run structure only:
+    every cut is still the stable sort of the admitted arrivals."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("policy", list(LatePolicy))
+    @given(st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 30), max_size=40),  # heavy duplicates
+            st.integers(0, 6),                          # watermark advance
+        ),
+        max_size=8,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_cuts_are_stable_sorts_of_admitted_arrivals(self, kind, policy,
+                                                        rounds):
+        with _sorter(kind, policy) as sorter:
+            self._check_cuts(sorter, policy, rounds)
+
+    @staticmethod
+    def _check_cuts(sorter, policy, rounds):
+        pending = []  # admitted (ts, serial) rows in arrival order
+        serial = 0
+        watermark = None
+
+        def expect_cut(released, bound):
+            nonlocal pending
+            ts, (col,) = released
+            rows = np.asarray(pending, dtype=np.int64).reshape(-1, 2)
+            if bound is not None:
+                due = rows[:, 0] <= bound
+                pending = rows[~due].tolist()
+                rows = rows[due]
+            rows = rows[np.argsort(rows[:, 0], kind="stable")]
+            assert ts.tolist() == rows[:, 0].tolist()
+            assert col.tolist() == rows[:, 1].tolist()  # tie order too
+
+        for batch, advance in rounds:
+            ident = list(range(serial, serial + len(batch)))
+            serial += len(batch)
+            late = [
+                t for t in batch if watermark is not None and t <= watermark
+            ]
+            if late and policy is LatePolicy.RAISE:
+                with pytest.raises(LateEventError) as info:
+                    sorter.insert_batch(batch, (ident,))
+                assert info.value.event_time == late[0]
+                assert info.value.punctuation_time == watermark
+            else:
+                assert sorter.insert_batch(batch, (ident,)) == len(batch) - (
+                    len(late) if policy is LatePolicy.DROP else 0
+                )
+                for t, i in zip(batch, ident):
+                    if watermark is None or t > watermark:
+                        pending.append((t, i))
+                    elif policy is LatePolicy.ADJUST:
+                        pending.append((watermark, i))
+            watermark = advance if watermark is None else watermark + advance
+            expect_cut(sorter.on_punctuation(watermark), watermark)
+        expect_cut(sorter.flush(), None)
+        assert sorter.stats.emitted == sorter.stats.inserted
+
+    def test_raise_names_first_late_arrival_on_both_engines(self):
+        """Two late events in one unsorted chunk, the later arrival the
+        smaller: the error names the first *arrival*, on either engine."""
+        from repro.engine.event import Event
+        from repro.engine.planner import QueryPlan
+
+        events = [
+            Event(t, t + 1, key=0, payload=(t,))
+            for t in [10, 20, 30, 40, 50, 7, 3, 60]
+        ]
+        plan = (
+            QueryPlan().tumbling_window(1)
+            .sort(late_policy=LatePolicy.RAISE).count()
+        )
+        raised = {}
+        for engine in ("row", "columnar"):
+            with pytest.raises(LateEventError) as info:
+                plan.run(list(events), 4, 0, engine=engine)
+            raised[engine] = info.value
+        assert raised["row"].args == raised["columnar"].args
+        assert raised["columnar"].event_time == 7
+        assert raised["columnar"].punctuation_time == 40
+
+    def test_compiled_raise_plan_bisects_per_batch_not_per_event(
+            self, cloudlog_small):
+        """RAISE used to opt out of the caller-side presort and pay one
+        bisect per ascending segment (~n/2 on CloudLog)."""
+        from repro.engine.planner import QueryPlan
+
+        n = len(cloudlog_small)
+        frequency = 250
+        times = cloudlog_small.timestamps
+        high = np.maximum.accumulate(times)
+        latency = int((high - times).max())  # nothing is late
+        plan = (
+            QueryPlan().tumbling_window(100)
+            .sort(late_policy=LatePolicy.RAISE).count()
+        )
+        result = plan.run(
+            cloudlog_small, frequency, latency, engine="columnar",
+        )
+        stats = result.snapshot().operator("sort")["sorter"]
+        assert stats["inserted"] == n
+        batches = -(-n // frequency)
+        # One bisect per cascade step: per batch, at most one per live
+        # run plus the one that opens a new run.
+        assert batches <= stats["binary_searches"] <= batches * (
+            stats["runs_created"] + 1
+        )
+        assert stats["binary_searches"] < n // 20
+
+
+class TestBulkLateAccounting:
+    """``admit_many``: one counter add, or one ledger record per event."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quarantine_records_every_late_event_time(self, kind):
+        from repro.resilience.quarantine import QuarantineLedger, Reason
+
+        with _sorter(kind, LatePolicy.RAISE) as sorter:
+            sorter.late.quarantine = ledger = QuarantineLedger()
+            sorter.insert_batch([10], ([0],))
+            sorter.on_punctuation(5)
+            admitted = sorter.insert_batch([4, 9, 2, 5, 7], (range(5),))
+            ts, (col,) = sorter.flush()
+        assert admitted == 2
+        assert [entry.element for entry in ledger.entries] == [4, 2, 5]
+        assert {entry.reason for entry in ledger.entries} == {
+            Reason.LATE_EVENT
+        }
+        assert all(
+            entry.context == {"watermark": 5} for entry in ledger.entries
+        )
+        assert sorter.late.quarantined == sorter.late.total == 3
+        assert ts.tolist() == [7, 9, 10]
+        assert col.tolist() == [4, 1, 0]
+
+    @pytest.mark.parametrize("policy, counter", [
+        (LatePolicy.DROP, "dropped"), (LatePolicy.ADJUST, "adjusted"),
+    ])
+    def test_counts_whole_batch(self, policy, counter):
+        sorter = ColumnarImpatienceSorter(late_policy=policy)
+        sorter.on_punctuation(100)
+        sorter.insert_batch(np.arange(150, 50, -1))
+        assert getattr(sorter.late, counter) == sorter.late.total == 50

@@ -33,6 +33,22 @@ class TestLateEventTracker:
         assert excinfo.value.event_time == 5
         assert excinfo.value.punctuation_time == 10
 
+    @pytest.mark.parametrize("policy", [LatePolicy.DROP, LatePolicy.ADJUST])
+    def test_admit_many_matches_admit_loop(self, policy):
+        bulk, loop = LateEventTracker(policy), LateEventTracker(policy)
+        bulk.admit_many([5, 3, 9], 10)
+        for time in [5, 3, 9]:
+            loop.admit(time, 10)
+        for name in ("total", "dropped", "adjusted", "quarantined"):
+            assert getattr(bulk, name) == getattr(loop, name)
+
+    def test_admit_many_raises_on_first_arrival(self):
+        tracker = LateEventTracker(LatePolicy.RAISE)
+        with pytest.raises(LateEventError) as excinfo:
+            tracker.admit_many([5, 3, 9], 10)
+        assert excinfo.value.event_time == 5
+        assert tracker.total == 1
+
     def test_completeness(self):
         tracker = LateEventTracker(LatePolicy.DROP)
         for _ in range(3):
