@@ -1,8 +1,7 @@
 """Mini-Trill: the in-order streaming-engine substrate (DESIGN.md §1.2)."""
 
-from repro.engine.batch import EventBatch
+from repro.engine.batch import EventBatch, iter_batches
 from repro.engine.checkpoint import checkpoint_sorter, restore_sorter
-from repro.engine.columnar_pipeline import ColumnarPipeline, iter_batches
 from repro.engine.compiler import (
     CompiledPlan,
     PlanResult,
@@ -34,7 +33,6 @@ from repro.engine.stream import Streamable
 
 __all__ = [
     "AGGREGATE_SPECS",
-    "ColumnarPipeline",
     "CompiledPlan",
     "DisorderedStreamable",
     "GroupedWindowKernel",

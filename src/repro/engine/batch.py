@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.strings import StringColumn
 from repro.engine.event import Event
 
-__all__ = ["EventBatch"]
+__all__ = ["EventBatch", "iter_batches"]
 
 
 class EventBatch:
@@ -77,20 +77,16 @@ class EventBatch:
 
     @classmethod
     def from_dataset(cls, dataset) -> "EventBatch":
-        """Columnarize a workload dataset (arrival order preserved).
+        """A workload dataset as one batch (arrival order preserved).
 
-        Datasets with ``string_payloads`` (string-keyed workload
-        variants) get matching :class:`StringColumn` payloads.
+        The batch's columns are views of the dataset's own.  Datasets
+        with ``string_payloads`` (string-keyed workload variants) get
+        matching :class:`StringColumn` payloads.
         """
-        payload_matrix = np.asarray(dataset.payloads, dtype=np.int64)
-        n_cols = payload_matrix.shape[1] if payload_matrix.size else 0
-        sync = np.asarray(dataset.timestamps, dtype=np.int64)
+        sync, keys, columns = dataset.columns(0, len(dataset))
         return cls(
-            sync_times=sync,
-            other_times=sync + 1,
-            keys=np.asarray(dataset.keys, dtype=np.int64),
-            payload_columns=[payload_matrix[:, c] for c in range(n_cols)],
-            string_columns=getattr(dataset, "string_payloads", None) or (),
+            sync, sync + 1, keys, columns,
+            string_columns=dataset.string_payloads or (),
         )
 
     def __len__(self) -> int:
@@ -223,3 +219,19 @@ class EventBatch:
                 int(self.sync_times[i]), int(self.other_times[i]),
                 int(self.keys[i]), payload,
             )
+
+
+def iter_batches(dataset, batch_size):
+    """Yield a dataset as arrival-order :class:`EventBatch` slices.
+
+    A :class:`~repro.workloads.base.Dataset` already stores int64
+    columns, so each batch is ``batch_size``-row views of them plus a
+    fresh ``other_times`` column (dataset events carry the point
+    interval ``[t, t + 1)``): nothing is re-encoded and no Python object
+    is built per event.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    for start in range(0, len(dataset), batch_size):
+        sync, keys, columns = dataset.columns(start, start + batch_size)
+        yield EventBatch(sync, sync + 1, keys, columns)

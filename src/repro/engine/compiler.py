@@ -732,15 +732,19 @@ class CompiledPlan:
 
     def _drive(self, execution, kind, source, punctuation_frequency,
                reorder_latency, batch_size, reason):
-        if kind == "dataset":
-            n = len(source.timestamps)
-            arity = len(source.payloads[0]) if n else 0
-            chunker = _dataset_chunk
-        else:
-            n = len(source)
-            arity = len(source[0].payload) if n else 0
-            chunker = _events_chunk
+        n = len(source)
         need_other = self.pass_through
+        if kind == "dataset":
+            def chunk(start, stop):
+                sync, keys, cols = source.columns(start, stop)
+                # Dataset ingress events carry the point interval
+                # [t, t + 1).
+                return sync, (sync + 1 if need_other else None), keys, cols
+        else:
+            arity = len(source[0].payload) if n else 0
+
+            def chunk(start, stop):
+                return _events_chunk(source, start, stop, arity, need_other)
         high_watermark = None
         last_punctuation = _NEG_INF
         position = 0
@@ -752,9 +756,7 @@ class CompiledPlan:
                 room = n - position
             stop = min(position + batch_size, position + room, n)
             t0 = perf_counter()
-            sync, other, keys, cols = chunker(
-                source, position, stop, arity, need_other
-            )
+            sync, other, keys, cols = chunk(position, stop)
             execution.ingress.note_batch(
                 stop - position, stop - position, perf_counter() - t0
             )
@@ -774,19 +776,6 @@ class CompiledPlan:
             execution.punctuate(high_watermark)
         execution.flush()
         return execution.result(reason)
-
-
-def _dataset_chunk(dataset, start, stop, arity, need_other=False):
-    sync = np.asarray(dataset.timestamps[start:stop], dtype=np.int64)
-    # Dataset ingress events carry the point interval [t, t + 1).
-    other = sync + 1 if need_other else None
-    keys = np.asarray(dataset.keys[start:stop], dtype=np.int64)
-    if arity:
-        matrix = np.asarray(dataset.payloads[start:stop], dtype=np.int64)
-        cols = [matrix[:, c] for c in range(arity)]
-    else:
-        cols = []
-    return sync, other, keys, cols
 
 
 def _events_chunk(events, start, stop, arity, need_other=False):
@@ -1075,22 +1064,6 @@ def _ingest_reason(events):
     return None
 
 
-def _dataset_reason(dataset):
-    if not len(dataset.timestamps):
-        return None
-    integral = (int, np.integer)
-    if not isinstance(dataset.timestamps[0], integral):
-        return "dataset timestamps are not integers"
-    if not isinstance(dataset.keys[0], integral):
-        return "dataset keys are not integers"
-    payload = dataset.payloads[0]
-    if not isinstance(payload, tuple) or not all(
-        isinstance(value, integral) for value in payload
-    ):
-        return "dataset payloads are not integer columns"
-    return None
-
-
 def _normalize_source(source, punctuation_frequency, reorder_latency):
     """Classify the source: ``(kind, payload, frequency, latency, reason)``.
 
@@ -1099,6 +1072,7 @@ def _normalize_source(source, punctuation_frequency, reorder_latency):
     forces the row path when not ``None``.
     """
     from repro.engine.disordered import DisorderedStreamable
+    from repro.workloads.base import Dataset
 
     if isinstance(source, DisorderedStreamable):
         spec = getattr(source, "_ingress", None)
@@ -1110,7 +1084,7 @@ def _normalize_source(source, punctuation_frequency, reorder_latency):
             )
         kind, payload, frequency, latency = spec
         return kind, payload, frequency, latency, None
-    if hasattr(source, "timestamps") and hasattr(source, "payloads"):
+    if isinstance(source, Dataset):
         return (
             "dataset", source, punctuation_frequency, reorder_latency, None
         )
@@ -1147,11 +1121,9 @@ def execute_plan(plan, source, punctuation_frequency=None, reorder_latency=0,
                 compiled = compile_plan(plan)
             except UnsupportedPlanError as exc:
                 reason = exc.reason
-            if compiled is not None:
-                ingest = (
-                    _dataset_reason(payload) if kind == "dataset"
-                    else _ingest_reason(payload)
-                )
+            if compiled is not None and kind == "events":
+                # A Dataset's columns were validated when it was built.
+                ingest = _ingest_reason(payload)
                 if ingest is not None:
                     compiled = None
                     reason = ingest

@@ -2,7 +2,7 @@
 
 Trill's performance story (§I-A) is that *every* relational operator runs
 as a tight loop over columnar batches; our reproduction grew vectorized
-fragments twice (the ad-hoc ``ColumnarPipeline``, the parallel runtime's
+fragments twice (an ad-hoc columnar pipeline, the parallel runtime's
 grouped count/sum executor) without a shared substrate.  This module is
 that substrate:
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.metrics.disorder import measure_disorder
 
 __all__ = [
@@ -33,8 +35,13 @@ __all__ = [
 def lateness_values(timestamps):
     """Per-event lateness: running high watermark minus event time.
 
-    On-time events (new maxima) have lateness 0.
+    On-time events (new maxima) have lateness 0.  Array-backed input (a
+    numpy array, a ``Dataset.timestamps`` view) is computed vectorized;
+    the result is a list of Python ints either way.
     """
+    if hasattr(timestamps, "__array__"):
+        ts = np.asarray(timestamps)
+        return (np.maximum.accumulate(ts) - ts).tolist()
     out = []
     high = None
     for t in timestamps:

@@ -81,9 +81,9 @@ def generate_androidlog(n, n_phones=227, uploads_per_phone=16,
     payload_cols = rng.integers(0, 2**31 - 1, size=(n, 4), dtype=np.int64)
     return Dataset(
         name="androidlog",
-        timestamps=times.tolist(),
-        payloads=[tuple(int(x) for x in row) for row in payload_cols],
-        keys=keys.tolist(),
+        timestamps=times,
+        payloads=payload_cols,
+        keys=keys,
         params={
             "n": n,
             "n_phones": n_phones,

@@ -32,9 +32,9 @@ def cloudlog_arrays(n, n_servers=387, jitter_ms=4.0,
     Returns ``(timestamps, keys, rng)`` — int64 event times in arrival
     order, the parallel grouping-key column, and the generator's RNG
     positioned exactly where :func:`generate_cloudlog` draws payloads.
-    Large-scale benchmarks use this directly: it sidesteps the
-    per-event Python objects a :class:`Dataset` materializes, which
-    dominate generation cost beyond a few million events.
+    Sorter-only benchmarks use this directly: they need no payload
+    columns, so they skip the ``(n, 4)`` payload draw and the
+    :class:`Dataset` around it (which stores these same arrays).
     """
     if n_servers < 1:
         raise ValueError("n_servers must be >= 1")
@@ -103,9 +103,9 @@ def generate_cloudlog(n, n_servers=387, jitter_ms=4.0, delay_spread_ms=4000.0,
     payload_cols = rng.integers(0, 2**31 - 1, size=(n, 4), dtype=np.int64)
     return Dataset(
         name="cloudlog",
-        timestamps=times.tolist(),
-        payloads=[tuple(int(x) for x in row) for row in payload_cols],
-        keys=keys.tolist(),
+        timestamps=times,
+        payloads=payload_cols,
+        keys=keys,
         params={
             "n": n,
             "n_servers": n_servers,

@@ -14,25 +14,34 @@ from __future__ import annotations
 
 import csv
 
+import numpy as np
+
 from repro.core.errors import DatasetFormatError
 from repro.workloads.base import Dataset
 
 __all__ = ["save_dataset_csv", "load_dataset_csv"]
 
 _HEADER_PREFIX = ["event_time", "key"]
+_INT64 = np.iinfo(np.int64)
+#: Rows converted to Python ints and written at a time.
+_WRITE_CHUNK = 8192
 
 
 def save_dataset_csv(dataset, path):
     """Write a dataset in arrival order as CSV with a header row."""
-    n_fields = len(dataset.payloads[0]) if dataset.payloads else 0
-    header = _HEADER_PREFIX + [f"p{i}" for i in range(n_fields)]
+    _, _, columns = dataset.columns(0, 0)
+    header = _HEADER_PREFIX + [f"p{i}" for i in range(len(columns))]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for ts, key, payload in zip(
-            dataset.timestamps, dataset.keys, dataset.payloads
-        ):
-            writer.writerow([ts, key, *payload])
+        for start in range(0, len(dataset), _WRITE_CHUNK):
+            sync, keys, columns = dataset.columns(
+                start, start + _WRITE_CHUNK
+            )
+            writer.writerows(zip(
+                sync.tolist(), keys.tolist(),
+                *(column.tolist() for column in columns),
+            ))
     return path
 
 
@@ -41,7 +50,9 @@ def load_dataset_csv(path, name=None, lenient=False):
 
     The file must carry an ``event_time`` column; ``key`` and any number
     of payload columns are optional (missing ones are defaulted the same
-    way :class:`~repro.workloads.base.Dataset` defaults them).
+    way :class:`~repro.workloads.base.Dataset` defaults them).  The
+    header fixes the column count: every row must have one 64-bit
+    integer per header field.
 
     A row that fails to parse raises
     :class:`~repro.core.errors.DatasetFormatError` with the path and
@@ -49,9 +60,6 @@ def load_dataset_csv(path, name=None, lenient=False):
     bad rows are skipped instead and counted into the returned dataset's
     ``params["skipped_rows"]``.
     """
-    timestamps = []
-    keys = []
-    payloads = []
     skipped = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -64,32 +72,40 @@ def load_dataset_csv(path, name=None, lenient=False):
                 row=1,
             )
         has_key = len(header) > 1 and header[1] == "key"
-        payload_start = 2 if has_key else 1
+        columns = [[] for _ in header]
         for row_number, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                timestamp = int(row[0])
-                key = int(row[1]) if has_key else None
-                payload = tuple(int(v) for v in row[payload_start:])
-            except (ValueError, IndexError) as exc:
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"expected {len(header)} fields, got {len(row)}"
+                    )
+                values = [int(v) for v in row]
+                if min(values) < _INT64.min or max(values) > _INT64.max:
+                    raise ValueError("value does not fit in 64 bits")
+            except ValueError as exc:
                 if lenient:
                     skipped += 1
                     continue
                 raise DatasetFormatError(
                     path, f"cannot parse row {row!r}: {exc}", row=row_number
                 ) from exc
-            timestamps.append(timestamp)
-            if has_key:
-                keys.append(key)
-            payloads.append(payload)
+            for column, value in zip(columns, values):
+                column.append(value)
     params = {"source": str(path)}
     if lenient:
         params["skipped_rows"] = skipped
+    payload_columns = columns[2 if has_key else 1:]
     return Dataset(
         name=name or "csv",
-        timestamps=timestamps,
-        payloads=payloads if any(payloads) else None,
-        keys=keys if has_key else None,
+        timestamps=columns[0],
+        # One int64 block, a row per payload column: the layout Dataset
+        # keeps, so it is adopted without a copy.
+        payloads=(
+            np.array(payload_columns, dtype=np.int64).T
+            if payload_columns else None
+        ),
+        keys=columns[1] if has_key else None,
         params=params,
     )

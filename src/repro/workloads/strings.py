@@ -76,11 +76,13 @@ def _string_variant(dataset, names, suffix):
         LOG_LEVELS[i] for i in rng.integers(0, len(LOG_LEVELS),
                                             size=len(dataset))
     ]
+    # The row views hand their columns back to the constructor, so the
+    # variant shares timestamps and payloads with ``dataset``.
     out = Dataset(
         name=f"{dataset.name}-{suffix}",
         timestamps=dataset.timestamps,
         payloads=dataset.payloads,
-        keys=codes.tolist(),
+        keys=codes,
         params={**dataset.params, "string_keys": True},
     )
     out.key_dictionary = dictionary

@@ -50,9 +50,9 @@ def generate_synthetic(n, percent_disorder=30.0, amount_disorder=64.0,
     payload_cols = rng.integers(0, 2**31 - 1, size=(n, 4), dtype=np.int64)
     return Dataset(
         name="synthetic",
-        timestamps=times.tolist(),
-        payloads=[tuple(int(x) for x in row) for row in payload_cols],
-        keys=keys.tolist(),
+        timestamps=times,
+        payloads=payload_cols,
+        keys=keys,
         params={
             "n": n,
             "percent_disorder": percent_disorder,

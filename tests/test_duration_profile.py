@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine import DisorderedStreamable, Streamable
@@ -78,8 +79,22 @@ class TestLateness:
     def test_values(self):
         assert lateness_values([1, 5, 3, 7, 2]) == [0, 0, 2, 0, 5]
 
+    def test_column_input_matches_the_loop(self, cloudlog_small):
+        # Array-backed input takes the vectorized path; the per-event
+        # loop over the same values as a list is the reference.
+        view = cloudlog_small.timestamps
+        expected = lateness_values(list(view))
+        for columnar in (view, np.asarray(view)):
+            got = lateness_values(columnar)
+            assert got == expected
+            assert all(type(v) is int for v in got)
+        latency = suggest_reorder_latency(view, 0.95)
+        assert type(latency) is int
+        assert latency == suggest_reorder_latency(list(view), 0.95)
+
     def test_empty(self):
         assert lateness_values([]) == []
+        assert lateness_values(np.empty(0, dtype=np.int64)) == []
         assert lateness_quantiles([])[1.0] == 0
 
     def test_quantiles(self):

@@ -71,6 +71,26 @@ class TestMalformedRows:
         with pytest.raises(DatasetFormatError, match="cannot parse"):
             load_dataset_csv(path)
 
+    def test_field_count_mismatch_carries_row_number(self, tmp_path):
+        # The header fixes the column count; a longer row would make
+        # the payload ragged.
+        path = tmp_path / "long.csv"
+        path.write_text("event_time,key,p0\n1,0,7\n2,1,8,9\n")
+        with pytest.raises(DatasetFormatError, match="expected 3 fields") \
+                as excinfo:
+            load_dataset_csv(path)
+        assert excinfo.value.row == 3
+        loaded = load_dataset_csv(path, lenient=True)
+        assert loaded.payloads == [(7,)]
+        assert loaded.params["skipped_rows"] == 1
+
+    def test_value_beyond_64_bits_carries_row_number(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"event_time,key\n1,0\n{2**63},1\n")
+        with pytest.raises(DatasetFormatError, match="64 bits") as excinfo:
+            load_dataset_csv(path)
+        assert excinfo.value.row == 3
+
     def test_lenient_skips_and_counts(self, tmp_path):
         path = tmp_path / "hostile.csv"
         path.write_text(

@@ -518,9 +518,10 @@ class TestCrashRecovery:
         assert supervised.restarts == 1
         assert supervised.crashes[0].shard == 2
         assert supervised.completed
-        # Rounds delivered before the crash are verified and suppressed,
-        # not re-delivered: exactly-once reaches on_event.
-        assert supervised.duplicates_suppressed > 0
+        # Exactly-once reaches on_event whether or not a round was
+        # delivered before the coordinator noticed the crash (a race, so
+        # ``duplicates_suppressed`` may be 0 here; suppression itself is
+        # pinned by TestDeliveryChannel in test_resilience.py).
         assert list(map(_key, supervised.events)) == \
             list(map(_key, baseline.events))
         assert supervised.punctuations == baseline.punctuations

@@ -18,6 +18,7 @@ from repro.core.errors import (
     ChaosSpecError,
     LateEventError,
     MalformedEventError,
+    ReplayDivergenceError,
     SupervisionExhaustedError,
 )
 from repro.core.late import LatePolicy, LateEventTracker
@@ -37,7 +38,7 @@ from repro.resilience import (
     run_supervised,
 )
 from repro.resilience.degradation import DEGRADE_LATE_POLICY
-from repro.resilience.supervisor import PipelineSupervisor
+from repro.resilience.supervisor import PipelineSupervisor, _DeliveryChannel
 from repro.engine.graph import Pipeline, QueryNode
 from repro.engine.operators.sink import Collector
 
@@ -505,6 +506,48 @@ class TestExactlyOnceDelivery:
                 stream_of(range(100)).to_streamable(),
                 chaos="crash:every=1", seed=0, max_restarts=2,
             )
+
+
+class TestDeliveryChannel:
+    """The exactly-once ledger, driven directly: no process, no race."""
+
+    @staticmethod
+    def stream(n):
+        return [Event(t, t + 1, t % 3, (t,)) for t in range(n)]
+
+    def test_replayed_prefix_is_suppressed_once_each(self):
+        seen = []
+        channel = _DeliveryChannel(seen.append)
+        stream = self.stream(10)
+        prefix = stream[:4]
+        for event in prefix:
+            channel.accept_event(event)
+        channel.accept_punctuation(Punctuation(3))
+        # The attempt dies; the next one replays the whole stream.
+        channel.begin_attempt()
+        for event in stream:
+            channel.accept_event(event)
+        channel.accept_punctuation(Punctuation(3))
+        channel.accept_punctuation(Punctuation(9))
+        channel.accept_flush()
+        assert channel.suppressed == len(prefix)
+        assert seen == stream
+        assert channel.events == stream
+        assert channel.punctuations == [3, 9]
+        assert channel.completed
+
+    def test_diverging_replay_raises(self):
+        channel = _DeliveryChannel()
+        for event in self.stream(3):
+            channel.accept_event(event)
+        channel.accept_punctuation(Punctuation(2))
+        channel.begin_attempt()
+        channel.accept_event(Event(0, 1, 0, (0,)))
+        with pytest.raises(ReplayDivergenceError, match="output #1"):
+            channel.accept_event(Event(1, 2, 1, (99,)))
+        with pytest.raises(ReplayDivergenceError, match="punctuation #0"):
+            channel.accept_punctuation(Punctuation(5))
+        assert channel.suppressed == 1
 
 
 class TestSorterSupervisorUnits:
