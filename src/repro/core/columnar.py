@@ -100,6 +100,46 @@ def admit_batch(sorter, values, columns, string_columns):
     return arr, cols, scols
 
 
+def merge_sorted_parts(parts, ncols, nscols, has_objects=False):
+    """Stable-merge sorted ``(ts, cols, objs, scols)`` parts into one.
+
+    The merge both columnar sorters share: one concatenation, one stable
+    ``argsort`` (a C-speed adaptive merge over a concatenation of sorted
+    parts) and one gather per column — int64 columns, string columns and
+    the optional per-row object list all ride the same permutation.  A
+    stable sort breaks key ties by position in the concatenation, which
+    is ``(part index, row)`` order, so earlier parts win ties.  A single
+    part is returned as is (no copy); ``objs`` is ``None`` unless
+    ``has_objects``.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return (
+            _EMPTY, tuple(_EMPTY for _ in range(ncols)),
+            [] if has_objects else None,
+            tuple(StringColumn.empty() for _ in range(nscols)),
+        )
+    ts = np.concatenate([part[0] for part in parts])
+    if not (ncols or nscols or has_objects):
+        ts.sort(kind="stable")
+        return ts, (), None, ()
+    order = np.argsort(ts, kind="stable")
+    cols = tuple(
+        np.concatenate([part[1][c] for part in parts])[order]
+        for c in range(ncols)
+    )
+    objs = None
+    if has_objects:
+        flat = [obj for part in parts for obj in part[2]]
+        objs = [flat[i] for i in order.tolist()]
+    scols = tuple(
+        StringColumn.concat([part[3][c] for part in parts]).take(order)
+        for c in range(nscols)
+    )
+    return ts[order], cols, objs, scols
+
+
 class ColumnarImpatienceSorter:
     """Punctuation-driven sorter over numpy timestamp batches.
 
@@ -267,46 +307,15 @@ class ColumnarImpatienceSorter:
         return self._merge(heads)
 
     def _merge(self, heads):
-        n_scols = self.string_columns
-        if not heads:
-            empty = _EMPTY
-            if n_scols:
-                return (
-                    empty, tuple(_EMPTY for _ in range(self.columns)),
-                    tuple(StringColumn.empty() for _ in range(n_scols)),
-                )
-            if self.columns:
-                return empty, tuple(_EMPTY for _ in range(self.columns))
-            return empty
-        if len(heads) == 1:
-            merged, cols, scols = heads[0]
-        elif self.columns or n_scols:
-            merged = np.concatenate([ts for ts, _, _ in heads])
-            order = np.argsort(merged, kind="stable")
-            merged = merged[order]
-            cols = tuple(
-                np.concatenate([chunk[c] for _, chunk, _ in heads])[order]
-                for c in range(self.columns)
-            )
-            # String heads share arenas; one concat + permutation gather
-            # per column materializes the sorted bytes.
-            scols = tuple(
-                StringColumn.concat(
-                    [chunk[c] for _, _, chunk in heads]
-                ).take(order)
-                for c in range(n_scols)
-            )
-            self.stats.merges += 1
-            self.stats.merge_events += int(merged.size)
-        else:
-            merged = np.concatenate([ts for ts, _, _ in heads])
-            merged.sort(kind="stable")
-            cols = ()
-            scols = ()
+        merged, cols, _, scols = merge_sorted_parts(
+            [(ts, cols, None, scols) for ts, cols, scols in heads],
+            self.columns, self.string_columns,
+        )
+        if len(heads) > 1:
             self.stats.merges += 1
             self.stats.merge_events += int(merged.size)
         self.stats.emitted += int(merged.size)
-        if n_scols:
+        if self.string_columns:
             return merged, cols, scols
         if self.columns:
             return merged, cols

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 import operator as _op
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -816,50 +817,49 @@ class _HeapReleaseKernel(TerminalKernel):
         bound = timestamp if open_floor is None else min(
             timestamp, open_floor - 1
         )
-        events = []
-        closed = self._closed
-        while closed and closed[0][0] <= bound:
-            start, _, end, key, payload = heapq.heappop(closed)
-            events.append(Event(start, end, key, payload))
+        events = self._pop_closed(bound)
         puncts = []
         if bound != float("inf") and bound > self._out_watermark:
             self._out_watermark = bound
             puncts.append(bound)
         return events, puncts
 
+    def _pop_closed(self, bound):
+        """Closed groups starting at or below ``bound``, as events in
+        ``(start, seq)`` order."""
+        events = []
+        closed = self._closed
+        while closed and closed[0][0] <= bound:
+            start, _, end, key, payload = heapq.heappop(closed)
+            events.append(Event(start, end, key, payload))
+        return events
+
     def buffered(self) -> int:
         return len(self._open) + len(self._closed)
-
-
-#: Scalar fold table for session aggregates: initial state + per-value
-#: fold + finalize, matching the row ``Aggregate`` classes exactly
-#: (``None`` value index means the fold ignores values, e.g. count).
-_SCALAR_FOLDS = {
-    "count": (lambda: 0, lambda state, value: state + 1,
-              lambda state: state),
-    "sum": (lambda: 0, lambda state, value: state + value,
-            lambda state: state),
-    "min": (lambda: None,
-            lambda state, value:
-                value if state is None or value < state else state,
-            lambda state: state),
-    "max": (lambda: None,
-            lambda state, value:
-                value if state is None or value > state else state,
-            lambda state: state),
-    "avg": (lambda: (0, 0),
-            lambda state, value: (state[0] + value, state[1] + 1),
-            lambda state: state[0] / state[1] if state[1] else None),
-}
 
 
 class SessionKernel(_HeapReleaseKernel):
     """``SessionWindow``: per-key gap sessions over the sorted rounds.
 
-    The scalar state machine is the row operator's, run over unpacked
-    rows: dict-insertion order (reopen keeps a key's slot, punctuation
-    retirement pops it) drives the retirement ``seq`` exactly as the row
-    operator's dict iteration does, so heap ties break identically.
+    ``ingest`` cuts a round into *segments* — maximal stretches of one
+    key's rows, in scan order, with every gap below the timeout — by one
+    stable ``argsort`` on the keys, and folds each with ``reduceat``
+    (the grouped kernels' :data:`AGGREGATE_SPECS`).  Only a key's last
+    segment stays open; every earlier one is a closed session, retired
+    by the row that opens the next segment, so a whole round's closed
+    sessions are built from arrays.  What is left for Python is one
+    step per *key* of the round — continue or retire the session the key
+    carried in, store the one it carries out — taken in the scan order
+    of the keys' first rows, which is the order the row operator opens
+    them in: ``_open`` keeps the row operator's dict order (a reopened
+    key keeps its slot, punctuation retirement pops it) and ``seq`` is
+    the scan position of the retiring row, so ties between sessions
+    with one start break as they do there.
+
+    Rounds retire sessions thousands at a time, so the closed store is
+    a list of ``(start, seq, …)`` tuples sorted on release (``ingest``
+    appends runs numpy already ordered) instead of the base class's
+    heap popped one session at a time.
     """
 
     name = "session_window"
@@ -871,43 +871,105 @@ class SessionKernel(_HeapReleaseKernel):
         self.timeout = timeout
         self.fold = fold
         self.value_index = value_index
-        self._initial, self._fold, self._result = _SCALAR_FOLDS[fold]
+        self._spec = AGGREGATE_SPECS[fold]
 
-    def _retire(self, key, session):
+    def _retire(self, key, session, seq):
         start, last, state = session
-        self._push_closed(
-            start, last + self.timeout, key, self._result(state)
-        )
+        self._closed.append((
+            start, seq, last + self.timeout, key, self._spec.result(state)
+        ))
 
     def ingest(self, sync, other, keys, cols):
+        n = int(sync.size)
+        if n == 0:
+            return []
         timeout = self.timeout
-        fold = self._fold
+        spec = self._spec
+        order = np.argsort(keys, kind="stable")
+        k = keys[order]
+        t = sync[order]
+        # A segment opens where the key changes or the gap to the key's
+        # previous row reaches the timeout — the previous *row*, as in
+        # the row operator, so ADJUST-ed rounds (times not ascending)
+        # segment the same way.
+        key_opens = np.empty(n, dtype=bool)
+        key_opens[0] = True
+        np.not_equal(k[1:], k[:-1], out=key_opens[1:])
+        opens = key_opens.copy()
+        opens[1:] |= (t[1:] - t[:-1]) >= timeout
+        first = np.flatnonzero(opens)
+        stops = np.append(first[1:], n)
+        seg_key = k[first]
+        seg_start = t[first]
+        seg_last = t[stops - 1]
+        seg_pos = order[first]          # scan position of the opening row
+        states = spec.fold(
+            cols[self.value_index][order] if spec.needs_value else None,
+            first, stops - first,
+        )
+        heads = np.flatnonzero(key_opens[first])    # per key: first segment
+        tails = np.append(heads[1:], first.size) - 1    # and last segment
+        scan = np.argsort(seg_pos[heads])
+        heads, tails = heads[scan], tails[scan]
+        seq = self._seq
+        self._seq += n
         open_ = self._open
-        vi = self.value_index
-        for t, _, key, payload in _rows(sync, other, keys, cols):
-            value = payload[vi] if vi is not None else None
+        for key, head, tail, start, pos in zip(
+            seg_key[heads].tolist(), heads.tolist(), tails.tolist(),
+            seg_start[heads].tolist(), seg_pos[heads].tolist(),
+        ):
             session = open_.get(key)
-            if session is not None and t - session[1] < timeout:
-                session[1] = t
-                session[2] = fold(session[2], value)
-                continue
             if session is not None:
-                self._retire(key, session)
-            open_[key] = [t, t, fold(self._initial(), value)]
+                if start - session[1] < timeout:
+                    seg_start[head] = session[0]
+                    states[head] = spec.merge(session[2], states[head])
+                else:
+                    self._retire(key, session, seq + pos)
+            open_[key] = [
+                int(seg_start[tail]), int(seg_last[tail]), states[tail]
+            ]
+        closes = np.ones(first.size, dtype=bool)
+        closes[tails] = False
+        inner = np.flatnonzero(closes)      # segments a later one retires
+        if inner.size:
+            retired_at = seq + seg_pos[inner + 1]
+            by_release = np.lexsort((retired_at, seg_start[inner]))
+            inner = inner[by_release]
+            self._closed.extend(zip(
+                seg_start[inner].tolist(),
+                retired_at[by_release].tolist(),
+                (seg_last[inner] + timeout).tolist(),
+                seg_key[inner].tolist(),
+                map(spec.result, map(states.__getitem__, inner.tolist())),
+            ))
         return []
+
+    def _pop_closed(self, bound):
+        closed = self._closed
+        closed.sort()
+        cut = bisect_right(closed, bound, key=_op.itemgetter(0))
+        events = [
+            Event(start, end, key, payload)
+            for start, _, end, key, payload in closed[:cut]
+        ]
+        del closed[:cut]
+        return events
+
+    def _retire_open(self, keys):
+        for key in keys:
+            self._retire(key, self._open.pop(key), self._seq)
+            self._seq += 1
 
     def punctuate(self, timestamp):
         timeout = self.timeout
-        for key in [
+        self._retire_open([
             key for key, session in self._open.items()
             if session[1] + timeout - 1 <= timestamp
-        ]:
-            self._retire(key, self._open.pop(key))
+        ])
         return self._release(timestamp)
 
     def flush(self):
-        for key in list(self._open):
-            self._retire(key, self._open.pop(key))
+        self._retire_open(list(self._open))
         return self._release(float("inf"))
 
     def describe(self):

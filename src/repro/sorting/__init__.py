@@ -4,7 +4,6 @@ from repro.sorting.external import (
     ExternalColumnarSorter,
     ExternalImpatienceSorter,
     ExternalRunPool,
-    LoserTree,
     SpillDirectory,
     SpillMetrics,
     parse_memory_budget,
@@ -31,7 +30,6 @@ __all__ = [
     "IncrementalHeapSorter",
     "KSlackTime",
     "KSlackTuples",
-    "LoserTree",
     "OFFLINE_SORTS",
     "ONLINE_SORTERS",
     "SpillDirectory",

@@ -4,8 +4,10 @@ The in-memory sorters cap stream size at machine RAM.  This module adds
 a memory-budgeted run pool in the spirit of TPIE-style external-memory
 pipelining: buffered bytes are tracked against a configurable budget,
 cold sorted runs spill to disk as compact framed columnar blocks, and a
-punctuation cut streams them back with sequential reads through a k-way
-loser-tree merge.
+punctuation cut reads back, sequentially, the blocks it covers and
+merges them with the resident rows in one concatenate + stable argsort
+— :func:`~repro.core.columnar.merge_sorted_parts`, the merge the
+in-memory sorter uses for its head runs.
 
 Run generation is *replacement selection* in batched form: when the
 buffer overflows, every buffered element whose key is at or above the
@@ -21,8 +23,9 @@ equal keys — chunks are stable-argsorted, a run's equal keys are
 appended in arrival order (an eligible key equal to the tail arrived
 after the spill that set that tail), later runs receive equal keys
 later than earlier runs did, and the in-memory residue loses ties to
-every spilled run.  The k-way merge breaks key ties by source index
-(runs in creation order, then the memory buffer), which therefore
+every spilled run.  The merge is a stable sort, so it breaks key ties
+by position in the concatenation (runs in creation order, each run's
+blocks in file order, then the memory buffer), which therefore
 reproduces arrival order — exactly the tie order of
 :class:`~repro.core.columnar.ColumnarImpatienceSorter`'s stable merge.
 
@@ -47,7 +50,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.columnar import admit_batch
+from repro.core.columnar import admit_batch, merge_sorted_parts
 from repro.core.errors import PunctuationOrderError, SpillCorruptionError
 from repro.core.late import LateEventTracker, LatePolicy
 from repro.core.stats import SorterStats
@@ -57,14 +60,12 @@ __all__ = [
     "ExternalColumnarSorter",
     "ExternalImpatienceSorter",
     "ExternalRunPool",
-    "LoserTree",
     "SpillDirectory",
     "SpillMetrics",
     "parse_memory_budget",
 ]
 
 _NEG_INF = float("-inf")
-_EMPTY = np.empty(0, dtype=np.int64)
 
 # File layout: one header, then a sequence of framed blocks.  Each block
 # holds ``nrows`` int64 keys, the parallel int64 payload columns, then —
@@ -211,165 +212,8 @@ class SpillDirectory:
         return f"SpillDirectory({self.path!r}, {state})"
 
 
-class LoserTree:
-    """Tournament tree of losers for k-way merge winner selection.
-
-    Entries are ``(key, source_index)`` tuples — the index both breaks
-    ties toward earlier sources (arrival stability) and makes every
-    comparison total.  ``advance`` replaces the current winner (the only
-    replay the loser-tree invariant supports) and :meth:`runner_up`
-    returns the true second-smallest entry: the runner-up must have lost
-    directly to the winner, so it sits on the winner's root path.
-    """
-
-    __slots__ = ("_k", "_tree", "_entries", "_winner")
-
-    _SENTINEL = (float("inf"), -1)
-
-    def __init__(self, entries):
-        if not entries:
-            raise ValueError("LoserTree needs at least one source")
-        k = len(entries)
-        self._k = k
-        self._entries = [
-            self._SENTINEL if e is None else e for e in entries
-        ]
-        self._tree = [0] * k  # internal nodes 1..k-1 hold loser leaves
-        winner = [0] * (2 * k)
-        for i in range(k):
-            winner[k + i] = i
-        for node in range(k - 1, 0, -1):
-            a, b = winner[2 * node], winner[2 * node + 1]
-            if self._entries[a] <= self._entries[b]:
-                winner[node], self._tree[node] = a, b
-            else:
-                winner[node], self._tree[node] = b, a
-        self._winner = winner[1]
-
-    @property
-    def winner(self):
-        """Index of the smallest live source, or -1 when all exhausted."""
-        if self._entries[self._winner] is self._SENTINEL:
-            return -1
-        return self._winner
-
-    def winner_entry(self):
-        entry = self._entries[self._winner]
-        return None if entry is self._SENTINEL else entry
-
-    def runner_up(self):
-        """The second-smallest live entry, or None if fewer than two."""
-        node = (self._winner + self._k) >> 1
-        best = None
-        while node >= 1:
-            entry = self._entries[self._tree[node]]
-            if best is None or entry < best:
-                best = entry
-            node >>= 1
-        return None if best is None or best is self._SENTINEL else best
-
-    def advance(self, entry):
-        """Replace the winner's entry (None = exhausted) and replay."""
-        leaf = self._winner
-        self._entries[leaf] = self._SENTINEL if entry is None else entry
-        current = leaf
-        node = (leaf + self._k) >> 1
-        while node >= 1:
-            rival = self._tree[node]
-            if self._entries[rival] < self._entries[current]:
-                self._tree[node], current = current, rival
-            node >>= 1
-        self._winner = current
-
-
 def _is_ascending(arr):
     return arr.size < 2 or bool((np.diff(arr) >= 0).all())
-
-
-def _merge_chunk_list(chunks, ncols, has_objects, nscols=0):
-    """Stable-merge arrival-ordered sorted chunks into one sorted part."""
-    if len(chunks) == 1:
-        return chunks[0]
-    keys = np.concatenate([c[0] for c in chunks])
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    cols = tuple(
-        np.concatenate([c[1][i] for c in chunks])[order]
-        for i in range(ncols)
-    )
-    objs = None
-    if has_objects:
-        flat = [obj for c in chunks for obj in c[2]]
-        objs = [flat[i] for i in order]
-    scols = tuple(
-        StringColumn.concat([c[3][i] for c in chunks]).take(order)
-        for i in range(nscols)
-    )
-    return keys, cols, objs, scols
-
-
-def _kway_merge(parts, ncols, has_objects, nscols=0):
-    """Loser-tree k-way merge of sorted parts, ties won by lower index.
-
-    The winner source emits a galloped slice bounded by the runner-up's
-    head key (``searchsorted`` side chosen by tie priority), so the
-    Python-level loop runs per *interleaving boundary*, not per element.
-    String columns slice with the same boundaries (arena-sharing views)
-    and concatenate once at the end.
-    """
-    empty_objs = [] if has_objects else None
-    empty_scols = tuple(StringColumn.empty() for _ in range(nscols))
-    parts = [p for p in parts if p[0].size]
-    if not parts:
-        return (
-            _EMPTY, tuple(_EMPTY for _ in range(ncols)), empty_objs,
-            empty_scols,
-        )
-    if len(parts) == 1:
-        keys, cols, objs, scols = parts[0]
-        return keys, cols, (list(objs) if has_objects else None), scols
-    tree = LoserTree([(int(p[0][0]), i) for i, p in enumerate(parts)])
-    cursors = [0] * len(parts)
-    key_slices = []
-    col_slices = [[] for _ in range(ncols)]
-    obj_slices = []
-    scol_slices = [[] for _ in range(nscols)]
-    while True:
-        i = tree.winner
-        if i < 0:
-            break
-        keys, cols, objs, scols = parts[i]
-        start = cursors[i]
-        bound = tree.runner_up()
-        if bound is None:
-            stop = int(keys.size)
-        else:
-            bound_key, bound_idx = bound
-            side = "right" if i < bound_idx else "left"
-            stop = int(np.searchsorted(keys, bound_key, side=side))
-            if stop <= start:  # safety net; the winner key always fits
-                stop = start + 1
-        key_slices.append(keys[start:stop])
-        for c in range(ncols):
-            col_slices[c].append(cols[c][start:stop])
-        if has_objects:
-            obj_slices.append(objs[start:stop])
-        for c in range(nscols):
-            scol_slices[c].append(scols[c].slice(start, stop))
-        cursors[i] = stop
-        if stop < keys.size:
-            tree.advance((int(keys[stop]), i))
-        else:
-            tree.advance(None)
-    merged = np.concatenate(key_slices)
-    merged_cols = tuple(np.concatenate(col_slices[c]) for c in range(ncols))
-    merged_objs = None
-    if has_objects:
-        merged_objs = [obj for chunk in obj_slices for obj in chunk]
-    merged_scols = tuple(
-        StringColumn.concat(scol_slices[c]) for c in range(nscols)
-    )
-    return merged, merged_cols, merged_objs, merged_scols
 
 
 class _RunFile:
@@ -709,8 +553,8 @@ class ExternalRunPool:
         self.metrics.note_buffered(self.buffered_bytes)
 
     def _spill(self):
-        keys, cols, objs, scols = _merge_chunk_list(
-            self._chunks, self.columns, self.objects, self.string_columns
+        keys, cols, objs, scols = merge_sorted_parts(
+            self._chunks, self.columns, self.string_columns, self.objects
         )
         self._chunks, self._rows, self._sbytes = [], 0, 0
         run = None
@@ -773,41 +617,24 @@ class ExternalRunPool:
 
         Returns ``(keys, cols, objs, scols)``.  Spilled runs stream back
         with sequential block reads in creation order; exhausted run
-        files are deleted on the spot.
+        files are deleted on the spot.  Every sorted piece — each run's
+        blocks, then the resident chunks' prefixes — goes to one stable
+        merge, so the part order here *is* the tie order.
         """
         parts = []
         sources = 0
         survivors = []
         for run in self._runs:
-            run_parts = run.read_upto(ts, self.injector)
-            if run_parts:
+            blocks = run.read_upto(ts, self.injector)
+            if blocks:
                 sources += 1
-                if len(run_parts) == 1:
-                    parts.append(run_parts[0])
-                else:
-                    # Blocks of one run are jointly ascending: a plain
-                    # concatenation keeps them a single sorted source.
-                    parts.append((
-                        np.concatenate([p[0] for p in run_parts]),
-                        tuple(
-                            np.concatenate([p[1][c] for p in run_parts])
-                            for c in range(self.columns)
-                        ),
-                        [o for p in run_parts for o in p[2]]
-                        if self.objects else None,
-                        tuple(
-                            StringColumn.concat(
-                                [p[3][c] for p in run_parts]
-                            )
-                            for c in range(self.string_columns)
-                        ),
-                    ))
+                parts.extend(blocks)
             if ts is None or run.exhausted:
                 run.delete()
             else:
                 survivors.append(run)
         self._runs = survivors
-        mem_parts = []
+        spilled_parts = len(parts)
         kept = []
         rows = 0
         sbytes = 0
@@ -816,7 +643,7 @@ class ExternalRunPool:
                 np.searchsorted(keys, ts, side="right")
             )
             if split:
-                mem_parts.append((
+                parts.append((
                     keys[:split],
                     tuple(col[:split] for col in cols),
                     objs[:split] if objs is not None else None,
@@ -837,17 +664,14 @@ class ExternalRunPool:
         self._chunks = kept
         self._rows = rows
         self._sbytes = sbytes
-        if mem_parts:
-            sources += 1
-            parts.append(_merge_chunk_list(
-                mem_parts, self.columns, self.objects, self.string_columns
-            ))
+        if len(parts) > spilled_parts:
+            sources += 1  # fan-in counts sources: the resident buffer is one
         if parts:
             self.metrics.merges += 1
             self.metrics.note_fan_in(sources)
         self.metrics.note_buffered(self.buffered_bytes)
-        return _kway_merge(
-            parts, self.columns, self.objects, self.string_columns
+        return merge_sorted_parts(
+            parts, self.columns, self.string_columns, self.objects
         )
 
     def close(self):

@@ -206,9 +206,9 @@ BUDGETS = [1, 64, 512, 8192]
 def run_external_differential(elements, policy, budget, use_extend=False):
     """Drive the spilling sorter and the reference model together.
 
-    The external sorter has no merge-strategy knob (its k-way loser-tree
-    merge is the only schedule), so the differential axis here is the
-    memory budget instead.
+    The external sorter has no merge-strategy knob (one stable-argsort
+    merge over the concatenated pieces is the only schedule), so the
+    differential axis here is the memory budget instead.
     """
     from repro.sorting.external import ExternalImpatienceSorter
 

@@ -14,6 +14,7 @@ randomized differential halves.
 from __future__ import annotations
 
 import glob
+import heapq
 import os
 import pickle
 import random
@@ -21,8 +22,10 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarImpatienceSorter
+from repro.core.columnar import ColumnarImpatienceSorter, merge_sorted_parts
 from repro.core.errors import (
     CheckpointError,
     LateEventError,
@@ -32,6 +35,7 @@ from repro.core.errors import (
 )
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
+from repro.core.strings import StringColumn
 from repro.engine.checkpoint import (
     checkpoint_sorter,
     release_checkpoint,
@@ -41,7 +45,6 @@ from repro.resilience import FaultInjector, SorterSupervisor
 from repro.sorting.external import (
     ExternalColumnarSorter,
     ExternalImpatienceSorter,
-    LoserTree,
     SpillDirectory,
     parse_memory_budget,
 )
@@ -84,55 +87,96 @@ class TestParseMemoryBudget:
             parse_memory_budget(value)
 
 
-# -- loser tree -------------------------------------------------------------
+# -- merge-back -------------------------------------------------------------
 
 
-class TestLoserTree:
-    def merge(self, sources):
-        entries = [
-            (lst[0], i) if lst else None
-            for i, lst in enumerate(sources)
+class TestMergeBack:
+    """The one merge every cut and spill goes through, against a
+    reference that shares none of it: ``heapq.merge`` over
+    ``(key, part_index, row)`` triples, whose tuple order *is* the
+    contract (key, then earlier part, then row)."""
+
+    @given(st.lists(
+        st.lists(st.integers(0, 5), max_size=9).map(sorted),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_heapq_reference(self, part_keys):
+        parts = []
+        for index, keys in enumerate(part_keys):
+            rows = range(len(keys))
+            parts.append((
+                np.asarray(keys, dtype=np.int64),
+                (np.asarray([index * 100 + r for r in rows],
+                            dtype=np.int64),),
+                [(index, r) for r in rows],
+                (StringColumn.from_values(
+                    [b"p%d" % index + b"r" * r for r in rows]
+                ),),
+            ))
+        reference = list(heapq.merge(*(
+            [(key, index, r) for r, key in enumerate(keys)]
+            for index, keys in enumerate(part_keys)
+        )))
+        keys, cols, objs, scols = merge_sorted_parts(parts, 1, 1, True)
+        assert keys.tolist() == [key for key, _, _ in reference]
+        assert cols[0].tolist() == [i * 100 + r for _, i, r in reference]
+        assert objs == [(i, r) for _, i, r in reference]
+        assert scols[0].tolist() == [
+            b"p%d" % i + b"r" * r for _, i, r in reference
         ]
-        cursors = [1 if lst else 0 for lst in sources]
-        tree = LoserTree(entries)
-        out = []
-        while tree.winner >= 0:
-            key, i = tree.winner_entry()
-            out.append(key)
-            if cursors[i] < len(sources[i]):
-                tree.advance((sources[i][cursors[i]], i))
-                cursors[i] += 1
-            else:
-                tree.advance(None)
-        return out
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])
-    def test_merges_sorted_sources(self, k):
-        rng = random.Random(k)
-        sources = [
-            sorted(rng.randrange(1000) for _ in range(rng.randrange(0, 40)))
-            for _ in range(k)
+    def test_no_parts_is_the_typed_empty_cut(self):
+        keys, cols, objs, scols = merge_sorted_parts([], 2, 1, True)
+        assert keys.size == 0 and keys.dtype == np.int64
+        assert [col.size for col in cols] == [0, 0]
+        assert objs == [] and [len(col) for col in scols] == [0]
+
+    def test_cut_merges_blocks_straddle_and_resident_rows(self):
+        """Two runs and the resident buffer meet in one cut: run 0
+        contributes the re-read suffix of a straddled block
+        (``row_skip > 0``), whole blocks and a new straddling prefix;
+        the resident rows sit inside the runs' key range and tie with
+        them.  The serial column proves the tie order."""
+        budget = 1024                       # 64 rows of 16 bytes, 16 a block
+        arrivals = [
+            (np.arange(100) // 2, None),    # spills: run 0, keys 0..49
+            (np.arange(70) // 2, 20),       # below run 0's tail: run 1
+            (np.arange(21, 41), None),      # 20 rows, stays resident
         ]
-        expected = sorted(v for lst in sources for v in lst)
-        assert self.merge(sources) == expected
-
-    def test_ties_break_by_source_index(self):
-        tree = LoserTree([(5, 2), (5, 0), (5, 1)])
-        order = []
-        while tree.winner >= 0:
-            order.append(tree.winner_entry()[1])
-            tree.advance(None)
-        assert order == [0, 1, 2]
-
-    def test_runner_up_bounds_the_winner(self):
-        rng = random.Random(42)
-        for _ in range(50):
-            k = rng.randrange(2, 9)
-            entries = [(rng.randrange(100), i) for i in range(k)]
-            tree = LoserTree(list(entries))
-            keys = sorted(key for key, _ in entries)
-            assert tree.winner_entry()[0] == keys[0]
-            assert tree.runner_up()[0] == keys[1]
+        external = ExternalColumnarSorter(budget, columns=1)
+        reference = ColumnarImpatienceSorter(columns=1)
+        serial = 0
+        try:
+            assert external.pool.block_rows == 16
+            for keys, punct in arrivals:
+                col = np.arange(serial, serial + keys.size)
+                serial += keys.size
+                for sorter in (external, reference):
+                    sorter.insert_batch(keys, (col,))
+                if punct is not None:
+                    assert_columnar_equal(
+                        [external.on_punctuation(punct)],
+                        [reference.on_punctuation(punct)], 1,
+                    )
+            run0, run1 = external.pool.runs
+            assert run0.row_skip > 0 and external.buffered == 20
+            blocks_before = external.spill_doc()["blocks_read"]
+            assert_columnar_equal(
+                [external.on_punctuation(38)],
+                [reference.on_punctuation(38)], 1,
+            )
+            doc = external.spill_doc()
+            # Each run: straddled suffix, a whole block, the next block.
+            assert doc["blocks_read"] - blocks_before == 6
+            assert run0.row_skip > 0 and external.buffered == 2
+            assert external.run_count == 1          # run 1 is exhausted
+            assert doc["max_merge_fan_in"] == 3   # run 0, run 1, resident
+            assert_columnar_equal(
+                [external.flush()], [reference.flush()], 1,
+            )
+        finally:
+            external.close()
 
 
 # -- columnar differential --------------------------------------------------
