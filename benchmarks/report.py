@@ -33,7 +33,6 @@ from benchmarks import (
     bench_external_sort,
     bench_fig9_sort_as_needed,
     bench_fig10_framework,
-    bench_parallel_scaling,
     bench_string_sort,
     bench_table1_disorder,
     bench_table2_latency_completeness,
@@ -63,7 +62,6 @@ SECTIONS = (
     ("Ablation — sorter ingress batching", bench_ablation_ingress.report),
     ("Fused columnar compiler vs row engine",
      bench_columnar_compiler.report),
-    ("Parallel shard-runtime scaling", bench_parallel_scaling.report),
     ("Compiled shard workers vs row pipeline",
      bench_compiled_parallel.report),
     ("Adaptive worker autoscaling vs fixed pools",

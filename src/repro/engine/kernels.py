@@ -27,10 +27,11 @@ that substrate:
   ADJUST-policy subtlety that a late event may re-open an
   already-emitted window.
 
-Both the single-process compiler (:mod:`repro.engine.compiler`) and the
-parallel shard plans (:mod:`repro.parallel.plans`) build on these
-kernels, so an aggregate added here is inherited by every vectorized
-path at once.
+The single-process compiler (:mod:`repro.engine.compiler`) builds on
+these kernels, and the parallel ``CompiledShardPlan``
+(:mod:`repro.parallel.plans`) runs the same compiled pipeline inside
+every shard worker, so an aggregate added here is inherited by every
+vectorized path at once.
 """
 
 from __future__ import annotations
@@ -510,8 +511,8 @@ class _AvgSpec(AggregateSpec):
         return total / count if count else None
 
 
-#: Vectorizable aggregates by name, shared by the compiler and the
-#: parallel ``GroupedAggregatePlan``.
+#: Vectorizable aggregates by name, resolved by the compiler and the
+#: session kernel.
 AGGREGATE_SPECS = {
     spec.name: spec
     for spec in (_CountSpec(), _SumSpec(), _MinSpec(), _MaxSpec(), _AvgSpec())

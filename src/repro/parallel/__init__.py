@@ -4,17 +4,18 @@ Trill's Map/Reduce scale-out (§I-A/§V), made real: the single-process
 sharded plan in :mod:`repro.engine.sharded` becomes a coordinator that
 hash-routes disordered ingress to ``N`` forked shard workers over
 shared-memory ring buffers, each worker runs the per-shard
-``sort → query`` pipeline (row operators or a vectorized columnar
-kernel), and the coordinator k-way merges the shard outputs back into
+``sort → query`` pipeline (row operators or the compiled columnar
+kernels), and the coordinator k-way merges the shard outputs back into
 one ordered stream that is byte-identical to the single-process result.
 
 Public surface:
 
 - :func:`run_parallel` / :class:`ParallelResult` — the runtime.
-- :class:`RowPlan` / :class:`GroupedAggregatePlan` /
-  :class:`CompiledShardPlan` — per-shard plans; the last lowers any
-  compilable :class:`~repro.engine.planner.QueryPlan` onto the fused
-  columnar kernels and runs them inside every worker.
+- :class:`CompiledShardPlan` / :class:`RowPlan` — per-shard plans; the
+  first lowers any compilable :class:`~repro.engine.planner.QueryPlan`
+  onto the fused columnar kernels and runs them inside every worker,
+  the second runs opaque row-operator closures (everything the
+  compiler rejects, e.g. a window above the sort).
 - :class:`AutoscalePolicy` / :func:`parse_parallel_spec` — adaptive
   pool sizing between punctuation rounds (``--parallel auto``),
   byte-identical to any fixed pool.
@@ -36,7 +37,6 @@ from repro.parallel.autoscale import (
 )
 from repro.parallel.plans import (
     CompiledShardPlan,
-    GroupedAggregatePlan,
     RowPlan,
 )
 from repro.parallel.runtime import ParallelResult, run_parallel
@@ -46,7 +46,6 @@ __all__ = [
     "run_parallel",
     "ParallelResult",
     "RowPlan",
-    "GroupedAggregatePlan",
     "CompiledShardPlan",
     "AutoscalePolicy",
     "ScaleDecision",

@@ -11,39 +11,28 @@ two is the runtime's core invariant.
 
 Two plan families:
 
-:class:`RowPlan`
-    Generic: materializes the routed columns back into
-    :class:`~repro.engine.event.Event` rows and drives the *actual*
-    engine operators (``Sort`` + whatever ``query_fn`` composes).  Works
-    for any key-local query — sessions, coalesce, patterns — because the
-    fork start method ships the closure to the worker as-is.
-
-:class:`GroupedAggregatePlan`
-    Vectorized: a :class:`~repro.core.columnar.ColumnarImpatienceSorter`
-    (timestamps + payload columns, no Event objects) feeding the shared
-    :class:`~repro.engine.kernels.GroupedWindowKernel` — any aggregate
-    in :data:`~repro.engine.kernels.AGGREGATE_SPECS`
-    (count/sum/avg/min/max, plus a coordinator-side top-k) — replicating
-    ``Sort → TumblingWindow(w) → GroupedWindowAggregate(agg)``
-    byte-for-byte — including the window-close rule (``end - 1 <= T``),
-    the clamped forwarded punctuation
-    (``min(T', min(open) - 1)``, suppressed unless it advances), and the
-    ADJUST-policy subtlety that a late event keeps its *original* sync
-    time and may re-open an already-emitted window.
-
 :class:`CompiledShardPlan`
-    General and compiled: lowers an arbitrary
-    :class:`~repro.engine.planner.QueryPlan` through
-    :func:`~repro.engine.compiler.compile_plan` and runs the fused
-    kernel pipeline (columnar sort + terminal kernel) inside each shard
-    worker — every shape the single-process compiler lowers (grouped
-    aggregates, sessions, coalesce, joins, patterns, group-apply,
-    distinct, top-k) now runs compiled *and* parallel.  Per-shard
-    byte-equivalence with the row operators is the compiler's proven
-    invariant, so the merged stream is byte-identical to the same plan
-    on :class:`RowPlan` shards.  An optional coordinator-side
+    Vectorized: lowers a :class:`~repro.engine.planner.QueryPlan`
+    through :func:`~repro.engine.compiler.compile_plan` and runs the
+    fused kernel pipeline (columnar sort + terminal kernel) inside each
+    shard worker — every shape the single-process compiler lowers
+    (grouped aggregates, sessions, coalesce, joins, patterns,
+    group-apply, distinct, top-k) runs compiled *and* parallel.
+    Per-shard byte-equivalence with the row operators is the compiler's
+    proven invariant, so the merged stream is byte-identical to the
+    same plan on :class:`RowPlan` shards.  An optional coordinator-side
     ``finalize`` handles non-key-local tails (global counts, top-k of
     shard top-ks).
+
+:class:`RowPlan`
+    Generic fallback: materializes the routed columns back into
+    :class:`~repro.engine.event.Event` rows and drives the *actual*
+    engine operators (``Sort`` + whatever ``query_fn`` composes).  Runs
+    whatever the compiler rejects — opaque Python callables, custom
+    sorters, and a window *above* the sort (``Sort →
+    TumblingWindow → aggregate``; the compiler only lowers the §IV
+    push-down, window below the sort) — because the fork start method
+    ships the closure to the worker as-is.
 
 Output items a round may produce (worker ships them as frames in this
 order): ``("batch", EventBatch)`` for columnar rows,
@@ -52,8 +41,9 @@ order): ``("batch", EventBatch)`` for columnar rows,
 [Event | Punctuation, ...])`` for row-shaped output, and
 ``("punct", ts)`` for an emitted punctuation.
 
-**Rescalability.**  A plan whose per-shard state is a key-partitioned
-columnar sorter plus :class:`GroupedWindowKernel` partials can hand
+**Rescalability.**  A compiled plan whose per-shard state is a
+key-partitioned columnar sorter plus
+:class:`~repro.engine.kernels.GroupedWindowKernel` partials can hand
 that state between pools of different sizes at a punctuation barrier
 (the autoscaler's grow/shrink, :mod:`repro.parallel.autoscale`):
 ``plan.rescalable`` says whether, ``plan.rescale_reason`` says why not,
@@ -72,17 +62,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.columnar import ColumnarImpatienceSorter
-from repro.core.late import LatePolicy
 from repro.engine.batch import EventBatch
-from repro.engine.event import Event, Punctuation, is_punctuation
-from repro.engine.kernels import AGGREGATE_SPECS, GroupedWindowKernel, field
+from repro.engine.event import Punctuation, is_punctuation
 from repro.engine.graph import Pipeline, QueryNode, source_node
 from repro.engine.operators.base import Operator
 from repro.engine.operators.sort import Sort
 from repro.engine.stream import Streamable
 
-__all__ = ["RowPlan", "GroupedAggregatePlan", "CompiledShardPlan"]
+__all__ = ["RowPlan", "CompiledShardPlan"]
 
 
 class _StreamTap(Operator):
@@ -213,304 +200,6 @@ class _RowExecutor:
             ),
             "late_dropped": getattr(late, "dropped", 0),
             "late_adjusted": getattr(late, "adjusted", 0),
-        }
-
-
-class _TopKFinalize:
-    """Picklable coordinator stage: ``top_k(k)`` over the merged stream."""
-
-    def __init__(self, k, score_fn=None):
-        self.k = k
-        self.score_fn = score_fn
-
-    def __call__(self, stream):
-        return stream.top_k(self.k, self.score_fn)
-
-
-class _DecodeKeyFinalize:
-    """Picklable coordinator tail: map int64 group codes on the merged
-    output back to their dictionary strings (``Event.key`` becomes the
-    decoded ``bytes``).  Shards only ever see the codes — int columns on
-    the wire, int sorts and folds throughout — so this is purely a
-    presentation stage.  Wraps an optional inner finalize (the top-k
-    stage) so decoding always runs last."""
-
-    def __init__(self, values, inner=None):
-        self.values = list(values)
-        self.inner = inner
-
-    def __call__(self, stream):
-        if self.inner is not None:
-            stream = self.inner(stream)
-        return _DecodeKeyCollector(stream, self.values)
-
-
-class _DecodeKeyCollector:
-    """Defers to the wrapped stream's ``collect`` and rewrites keys."""
-
-    def __init__(self, stream, values):
-        self._stream = stream
-        self._values = values
-
-    def collect(self):
-        collected = self._stream.collect()
-        values = self._values
-        collected.events = [
-            Event(e.sync_time, e.other_time, values[e.key], e.payload)
-            for e in collected.events
-        ]
-        return collected
-
-
-class GroupedAggregatePlan:
-    """Vectorized ``tumbling_window(w) |> group_aggregate(agg)``.
-
-    ``agg`` is any of :data:`~repro.engine.kernels.AGGREGATE_SPECS`
-    (``"count"``/``"sum"``/``"avg"``/``"min"``/``"max"``) or
-    ``"top-k"``; for value aggregates, ``value_column`` picks the
-    payload column folded (the row-engine equivalent is
-    ``Sum(field(column))``).  ``late_policy`` configures the
-    per-shard columnar sorter exactly like the row path's
-    ``ImpatienceSorter(late_policy=...)``.
-
-    ``avg`` produces float payloads, so its shards ship row-shaped
-    ``("elements", ...)`` output (the pickle frame path) instead of
-    int64 column batches.  ``"top-k"`` is the non-key-local shape: each
-    shard computes the grouped count and the *coordinator* runs
-    ``top_k(k, score_fn)`` over the exact merged interleaving (the
-    ``finalize`` hook), since a per-window top-k cannot be decided
-    inside one key shard.
-
-    ``align`` places the window's timestamp transformation relative to
-    the sort: ``"post"`` (default) replicates
-    ``Sort → TumblingWindow → GroupedWindowAggregate``;  ``"pre"``
-    replicates the §IV push-down
-    ``TumblingWindow → Sort → GroupedWindowAggregate`` — timestamps are
-    floored to window starts *before* the lateness check, so events the
-    post-sort plan drops as late can still land in their (already
-    current) window, exactly like
-    ``DisorderedStreamable.tumbling_window(w).to_streamable()``.
-    """
-
-    def __init__(self, window, agg="count", value_column=0,
-                 late_policy=LatePolicy.DROP, align="post", k=3,
-                 score_fn=None, key_dictionary=None):
-        if window < 1:
-            raise ValueError("window size must be >= 1")
-        if agg != "top-k" and agg not in AGGREGATE_SPECS:
-            raise ValueError(f"unsupported aggregate {agg!r}")
-        if align not in ("post", "pre"):
-            raise ValueError(f"align must be 'post' or 'pre', not {align!r}")
-        self.window = window
-        self.agg = agg
-        self.value_column = value_column
-        self.late_policy = late_policy
-        self.align = align
-        self.key_dictionary = key_dictionary
-        # top-k shards run the grouped count; the coordinator finalizes.
-        self.spec = AGGREGATE_SPECS["count" if agg == "top-k" else agg]
-        finalize = _TopKFinalize(k, score_fn) if agg == "top-k" else None
-        # String-keyed groups: shards aggregate dictionary codes (plain
-        # int64 keys on the wire); the coordinator decodes the merged
-        # output's keys back to the strings as a last presentation pass.
-        if key_dictionary is not None:
-            finalize = _DecodeKeyFinalize(key_dictionary.values,
-                                          inner=finalize)
-        self.finalize = finalize
-
-    #: Per-shard state is exactly (key-partitioned sorter rows, keyed
-    #: kernel partials): always rescalable.  The kernel key *is* the
-    #: routing key even for ``"top-k"`` (shards run the grouped count;
-    #: the coordinator finalizes).
-    rescalable = True
-    rescale_reason = None
-
-    def build_executor(self, shard):
-        return _GroupedAggregateExecutor(self, shard)
-
-    def partition_states(self, states, new_workers, out_watermark):
-        """Re-route retired shard state onto a pool of ``new_workers``."""
-        return _partition_exported(
-            states, new_workers, out_watermark,
-            key_col=1, merge=self.spec.merge,
-        )
-
-    def reference_query(self):
-        """The row-engine query this kernel must match byte-for-byte.
-
-        With ``align="pre"`` the reference's windowing stage sits before
-        the shard sort instead (see :meth:`reference_pre`): the query
-        here is then just the grouped aggregate.  For ``"top-k"`` this
-        is the per-shard stage only (grouped count); the coordinator's
-        ``finalize`` supplies the rest.
-        """
-        from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
-
-        window, agg, column = self.window, self.agg, self.value_column
-        if self.spec.needs_value:
-            cls = {"sum": Sum, "avg": Avg, "min": Min, "max": Max}[agg]
-            aggregate = lambda s: s.group_aggregate(  # noqa: E731
-                cls(field(column))
-            )
-        else:
-            aggregate = lambda s: s.group_aggregate(Count())  # noqa: E731
-        if self.align == "pre":
-            return aggregate
-        return lambda s: aggregate(s.tumbling_window(window))
-
-    def reference_pre(self):
-        """The pre-sort stage of the row-engine reference (``align="pre"``
-        only): apply it to the disordered stream before sorting."""
-        if self.align != "pre":
-            return None
-        window = self.window
-        return lambda d: d.tumbling_window(window)
-
-    def describe(self):
-        return {
-            "plan": "grouped-aggregate",
-            "agg": self.agg,
-            "window": self.window,
-            "late_policy": self.late_policy.name,
-            "align": self.align,
-        }
-
-
-class _GroupedAggregateExecutor:
-    """State machine replicating Sort → TumblingWindow → GroupedWindow-
-    Aggregate on columns: a columnar sorter dealing released batches
-    into the shared :class:`GroupedWindowKernel`, which folds lexsorted
-    (start, key) runs via the plan's aggregate spec instead of
-    per-event folds."""
-
-    def __init__(self, plan, shard):
-        self.plan = plan
-        self._pre_aligned = plan.align == "pre"
-        self._spec = plan.spec
-        columns = 3 if self._spec.needs_value else 2
-        self._sorter = ColumnarImpatienceSorter(
-            late_policy=plan.late_policy, columns=columns
-        )
-        self._kernel = GroupedWindowKernel(plan.window, self._spec)
-        # avg finalizes to floats, which cannot ride int64 column
-        # batches — those rounds ship native float64 FDATA frames.
-        self._float_output = plan.agg == "avg"
-        self.events_in = 0
-
-    def feed_batch(self, batch):
-        batch = batch.compact()
-        sync = batch.sync_times
-        if self._pre_aligned:
-            sync = sync - sync % self.plan.window
-        cols = [sync, batch.keys]
-        if self._spec.needs_value:
-            cols.append(batch.payload_columns[self.plan.value_column])
-        self._sorter.insert_batch(sync, tuple(cols))
-        self.events_in += len(batch)
-
-    def feed_elements(self, elements):
-        sync = np.fromiter(
-            (e.sync_time for e in elements), np.int64, len(elements)
-        )
-        if self._pre_aligned:
-            sync -= sync % self.plan.window
-        keys = np.fromiter(
-            (e.key for e in elements), np.int64, len(elements)
-        )
-        cols = [sync, keys]
-        if self._spec.needs_value:
-            column = self.plan.value_column
-            cols.append(np.fromiter(
-                (e.payload[column] for e in elements), np.int64,
-                len(elements),
-            ))
-        self._sorter.insert_batch(sync, tuple(cols))
-        self.events_in += len(elements)
-
-    def _accumulate(self, released):
-        _, cols = released
-        sync = cols[0]
-        if sync.size == 0:
-            return
-        starts = sync - sync % self.plan.window
-        values = cols[2] if self._spec.needs_value else None
-        self._kernel.accumulate(starts, cols[1], values)
-
-    def _emit(self, rows):
-        """Package closed ``(start, key, result)`` rows: one columnar
-        batch for int aggregates, a float64 column batch for avg."""
-        if not rows:
-            return []
-        window = self.plan.window
-        starts = np.fromiter((r[0] for r in rows), np.int64, len(rows))
-        keys = np.fromiter((r[1] for r in rows), np.int64, len(rows))
-        if self._float_output:
-            values = np.fromiter(
-                (r[2] for r in rows), np.float64, len(rows)
-            )
-            return [("fbatch", (starts, starts + window, keys, values))]
-        out = EventBatch(
-            starts,
-            starts + window,
-            keys,
-            [np.fromiter((r[2] for r in rows), np.int64, len(rows))],
-        )
-        return [("batch", out)]
-
-    def feed_punctuation(self, timestamp):
-        window = self.plan.window
-        if self._pre_aligned:
-            # The pushed-down TumblingWindow aligns the promise *before*
-            # the sorter sees it (idempotent for the re-alignment below).
-            timestamp = (timestamp + 1) - (timestamp + 1) % window - 1
-        self._accumulate(self._sorter.on_punctuation(timestamp))
-        # TumblingWindow aligns the promise to the output time domain.
-        next_raw = timestamp + 1
-        aligned_bound = next_raw - next_raw % window - 1
-        items = self._emit(self._kernel.close(aligned_bound))
-        bound = self._kernel.forward(aligned_bound)
-        if bound is not None:
-            items.append(("punct", bound))
-        return items
-
-    def feed_flush(self):
-        self._accumulate(self._sorter.flush())
-        return self._emit(self._kernel.close(None))
-
-    def buffered(self) -> int:
-        return int(self._sorter.buffered)
-
-    def export_state(self):
-        """Ship this shard's durable state for a rescale handoff."""
-        from repro.engine.checkpoint import checkpoint_sorter
-
-        return {
-            "sorter": checkpoint_sorter(self._sorter),
-            "windows": self._kernel.windows,
-            "events_in": self.events_in,
-        }
-
-    def restore_state(self, state) -> None:
-        """Adopt a re-partitioned slice of a retired pool's state."""
-        from repro.engine.checkpoint import restore_sorter
-
-        self._sorter = restore_sorter(state["sorter"])
-        self._kernel.windows = state["windows"]
-        if state["out_watermark"] is not None:
-            self._kernel.out_watermark = state["out_watermark"]
-        self.events_in = state.get("events_in", 0)
-
-    def stats(self):
-        late = self._sorter.late
-        history = self._sorter.stats.run_count_history
-        return {
-            "plan": "grouped-aggregate",
-            "engine": "vectorized",
-            "events_in": self.events_in,
-            "buffered_peak": self._sorter.stats.max_buffered,
-            "runs_peak": max((runs for _, runs in history), default=0),
-            "late_dropped": late.dropped,
-            "late_adjusted": late.adjusted,
         }
 
 
@@ -771,9 +460,17 @@ class _CompiledShardExecutor:
         self.events_in += n
 
     def feed_elements(self, elements):
+        from repro.engine.compiler import UnsupportedPlanError, _ingest_reason
+
         n = len(elements)
         if not n:
             return
+        # Per-event ingress whose payloads are not uniform int tuples
+        # arrives here pickled; refuse it exactly as the single-process
+        # compiler does instead of truncating it into int64 columns.
+        reason = _ingest_reason(elements)
+        if reason is not None:
+            raise UnsupportedPlanError(reason)
         sync = np.fromiter((e.sync_time for e in elements), np.int64, n)
         other = np.fromiter((e.other_time for e in elements), np.int64, n)
         keys = np.fromiter((e.key for e in elements), np.int64, n)
@@ -867,12 +564,14 @@ class _CompiledShardExecutor:
         sorter = self._execution.sorter
         late = getattr(sorter, "late", None)
         sorter_stats = getattr(sorter, "stats", None)
+        history = getattr(sorter_stats, "run_count_history", ())
         return {
             "plan": "compiled",
             "engine": "columnar",
             "kernels": self.plan.compiled.describe(),
             "events_in": self.events_in,
             "buffered_peak": getattr(sorter_stats, "max_buffered", 0),
+            "runs_peak": max((runs for _, runs in history), default=0),
             "late_dropped": getattr(late, "dropped", 0),
             "late_adjusted": getattr(late, "adjusted", 0),
         }

@@ -339,10 +339,7 @@ class _Coordinator:
         self.epochs = []              # retired pool records
         self.worker_seconds = 0.0
         self.initial_workers = workers
-        self._scalar_payload = bool(getattr(
-            plan, "scalar_output",
-            isinstance(getattr(plan, "agg", None), str),
-        ))
+        self._scalar_payload = getattr(plan, "scalar_output", False)
         # RAISE determinism: which worker's LateEventError reaches the
         # coordinator first is a scheduling race, but lateness itself is
         # a global property of the journal order plus the broadcast

@@ -22,11 +22,10 @@ from repro.core.errors import QueryBuildError
 from repro.core.late import LatePolicy
 from repro.engine import Event, Punctuation, QueryPlan
 from repro.engine.kernels import field
-from repro.engine.operators.aggregates import Sum
+from repro.engine.operators.aggregates import Count, Sum
 from repro.parallel import (
     AutoscalePolicy,
     CompiledShardPlan,
-    GroupedAggregatePlan,
     RowPlan,
     crash_on_rescale,
     parse_parallel_spec,
@@ -67,11 +66,18 @@ def bursty_elements(rounds=24, heavy=range(4, 13), heavy_n=1200,
             t = ts + rng.randrange(0, spread)
             key = rng.randrange(0, keys)
             out.append(Event(
-                t, t + 1, key, payload(t, key) if payload else None
+                t, t + 1, key, payload(t, key) if payload else ()
             ))
         ts += 100
         out.append(Punctuation(ts - 1))
     return out
+
+
+def _grouped_count():
+    """A compiled push-down grouped count: rescalable key-local state."""
+    return CompiledShardPlan(
+        QueryPlan().tumbling_window(100).sort().group_aggregate(Count())
+    )
 
 
 def _test_policy(min_workers=1, max_workers=3, high=700.0, low=200.0,
@@ -208,7 +214,8 @@ class TestTrajectoryEquivalence:
         return fixed, auto, schedule
 
     def test_grouped_plan_grow_shrink_matches_every_fixed_pool(self):
-        plan = GroupedAggregatePlan(window=100)
+        plan = _grouped_count()
+        assert plan.rescalable, plan.rescale_reason
         fixed, auto, schedule = self._run_all(plan, bursty_elements)
         workers_seen = [1] + [entry["workers"] for entry in schedule]
         assert max(workers_seen) > 1, "burst never grew the pool"
@@ -264,7 +271,7 @@ class TestTrajectoryEquivalence:
         assert auto.punctuations == base.punctuations
 
     def test_schedule_replay_is_deterministic(self):
-        plan = GroupedAggregatePlan(window=100)
+        plan = _grouped_count()
         schedule = []
         first = run_parallel(
             bursty_elements(), plan, 1, autoscale=_test_policy(),
@@ -283,7 +290,7 @@ class TestTrajectoryEquivalence:
         assert replay.punctuations == first.punctuations
 
     def test_accounting_records_the_trajectory(self):
-        plan = GroupedAggregatePlan(window=100)
+        plan = _grouped_count()
         _, auto, schedule = self._run_all(plan, bursty_elements)
         doc = auto.parallel["autoscale"]
         assert doc["enabled"] is True
@@ -331,7 +338,7 @@ class TestTrajectoryEquivalence:
 
 class TestSupervisedRescale:
     def test_kill9_mid_rescale_recovers_exactly_once(self):
-        plan = GroupedAggregatePlan(window=100)
+        plan = _grouped_count()
         base = run_parallel(bursty_elements(), plan, 1)
         delivered = []
         outcome = run_parallel_supervised(
@@ -354,7 +361,7 @@ class TestSupervisedRescale:
         assert doc["crashes"][0]["exitcode"] == 43
 
     def test_supervised_rescale_without_faults(self):
-        plan = GroupedAggregatePlan(window=100)
+        plan = _grouped_count()
         base = run_parallel(bursty_elements(), plan, 1)
         outcome = run_parallel_supervised(
             bursty_elements(), plan, 1, autoscale=_test_policy(),

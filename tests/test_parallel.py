@@ -30,11 +30,10 @@ from repro.engine import Event, Punctuation, QueryPlan, Streamable
 from repro.engine.batch import EventBatch
 from repro.engine.compiler import UnsupportedPlanError
 from repro.engine.kernels import field
-from repro.engine.operators.aggregates import Avg, Count, Sum
+from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
 from repro.engine.sharded import shard_disordered
 from repro.parallel import (
     CompiledShardPlan,
-    GroupedAggregatePlan,
     RowPlan,
     ShmRing,
     crash_once,
@@ -75,7 +74,7 @@ def disordered_elements(seed=7, n=800, key_range=12, ts_range=300,
     high = None
     for i, (t, k) in enumerate(pairs):
         event = Event(
-            t, t + 1, key=k, payload=payload(t, k) if payload else None
+            t, t + 1, key=k, payload=payload(t, k) if payload else ()
         )
         if rng.random() < 0.1:
             held.append(event)
@@ -100,6 +99,39 @@ def grouped_count(stream):
 
 def _sync(event):
     return event.sync_time
+
+
+AGGREGATES = {"count": Count, "sum": Sum, "avg": Avg, "min": Min, "max": Max}
+
+
+def _aggregate(agg):
+    return Count() if agg == "count" else AGGREGATES[agg](field(0))
+
+
+def compiled_grouped(window=10, agg="count", policy=LatePolicy.DROP,
+                     finalize=None):
+    """The §IV push-down grouped aggregate as a compiled shard plan:
+    ``TumblingWindow → Sort → GroupedWindowAggregate``."""
+    return CompiledShardPlan(
+        QueryPlan().tumbling_window(window).sort(late_policy=policy)
+        .group_aggregate(_aggregate(agg)),
+        finalize=finalize,
+    )
+
+
+def pushdown_reference(elements, workers, window=10, agg="count",
+                       policy=LatePolicy.DROP):
+    """``shard_disordered`` over the same push-down plan: the window is
+    aligned before routing (it is per-event, so routing commutes with
+    it), then every shard sorts under ``policy`` and aggregates."""
+    sorter = lambda: ImpatienceSorter(  # noqa: E731
+        key=_sync, late_policy=policy
+    )
+    return shard_disordered(
+        Streamable.from_elements(list(elements)).tumbling_window(window),
+        lambda s: s.group_aggregate(_aggregate(agg)), workers,
+        sorter=sorter,
+    ).collect()
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +281,29 @@ class TestEquivalence:
     @pytest.mark.parametrize("workers", WORKER_SWEEP)
     @pytest.mark.parametrize("merge", ["auto", "tree"])
     def test_grouped_kernel_matches_sharded(self, workers, merge):
-        elements = disordered_elements(seed=workers, lag=30)
-        reference = shard_disordered(
-            Streamable.from_elements(list(elements)), grouped_count, workers
-        ).collect()
-        result = run_parallel(
-            list(elements), GroupedAggregatePlan(10), workers,
-            batch_size=64, merge=merge,
+        """Every vectorized aggregate under DROP and ADJUST is
+        byte-identical to the single-process push-down plan."""
+        elements = disordered_elements(
+            seed=workers, lag=30, payload=lambda t, k: (t % 9, 1)
         )
-        _assert_identical(result, reference, f"w={workers} merge={merge}")
-        assert result.completed
-        assert result.parallel["workers"] == workers
-        if merge == "tree":
-            assert result.parallel["fast_merge_rounds"] == 0
+        for agg in AGGREGATES:
+            for policy in (LatePolicy.DROP, LatePolicy.ADJUST):
+                tag = f"{agg}/{policy.name} w={workers} merge={merge}"
+                result = run_parallel(
+                    list(elements), compiled_grouped(agg=agg, policy=policy),
+                    workers, batch_size=64, merge=merge,
+                )
+                _assert_identical(
+                    result,
+                    pushdown_reference(
+                        elements, workers, agg=agg, policy=policy
+                    ),
+                    tag,
+                )
+                assert result.completed, tag
+                assert result.parallel["workers"] == workers, tag
+                if merge == "tree":
+                    assert result.parallel["fast_merge_rounds"] == 0, tag
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_row_plan_matches_sharded(self, workers):
@@ -277,30 +319,14 @@ class TestEquivalence:
     @pytest.mark.parametrize("policy", [LatePolicy.DROP, LatePolicy.ADJUST])
     @pytest.mark.parametrize("agg", ["count", "sum", "avg", "min", "max"])
     def test_late_policies_and_aggregates(self, policy, agg):
-        from repro.engine.kernels import field
-        from repro.engine.operators.aggregates import Avg, Max, Min
-
         elements = disordered_elements(
             seed=23, n=600, lag=10, payload=lambda t, k: (t % 9, 1)
         )
-        if agg == "count":
-            query = grouped_count
-            plan = GroupedAggregatePlan(10, late_policy=policy)
-        else:
-            cls = {"sum": Sum, "avg": Avg, "min": Min, "max": Max}[agg]
-            query = lambda s: s.tumbling_window(10).group_aggregate(  # noqa: E731
-                cls(field(0))
-            )
-            plan = GroupedAggregatePlan(
-                10, agg=agg, value_column=0, late_policy=policy
-            )
-        sorter = lambda: ImpatienceSorter(  # noqa: E731
-            key=_sync, late_policy=policy
+        reference = pushdown_reference(elements, 3, agg=agg, policy=policy)
+        result = run_parallel(
+            list(elements), compiled_grouped(agg=agg, policy=policy), 3,
+            batch_size=64,
         )
-        reference = shard_disordered(
-            Streamable.from_elements(list(elements)), query, 3, sorter=sorter
-        ).collect()
-        result = run_parallel(list(elements), plan, 3, batch_size=64)
         _assert_identical(result, reference, f"{policy.name}/{agg}")
         if policy is LatePolicy.DROP:
             assert sum(
@@ -316,15 +342,14 @@ class TestEquivalence:
             seed=29, n=400, lag=30, payload=lambda t, k: (t % 7, 1)
         )
         result = run_parallel(
-            list(elements), GroupedAggregatePlan(10, agg="avg"), 2,
-            batch_size=64,
+            list(elements), compiled_grouped(agg="avg"), 2, batch_size=64,
         )
         assert result.events
         assert all(isinstance(e.payload, float) for e in result.events)
 
     def test_top_k_plan_finalizes_on_coordinator(self):
-        """agg='top-k' wires the grouped count through a coordinator-side
-        WindowTopK; matches the unsharded single-process plan."""
+        """A compiled grouped count with a coordinator-side top-k
+        ``finalize`` matches the unsharded single-process plan."""
         elements = disordered_elements(seed=4, n=600, lag=40)
         # Tie-free scores (see test_finalize_runs_on_coordinator).
         score = lambda e: (e.payload, e.key)  # noqa: E731
@@ -338,14 +363,10 @@ class TestEquivalence:
             .tumbling_window(10).group_aggregate(Count()).top_k(3, score)
             .collect()
         )
-        plan = GroupedAggregatePlan(10, agg="top-k", k=3, score_fn=score)
+        plan = compiled_grouped(finalize=lambda s: s.top_k(3, score))
         result = run_parallel(list(elements), plan, 3, batch_size=64)
         assert sorted(map(_key, result.events)) == \
             sorted(map(_key, single.events))
-
-    def test_rejects_unknown_aggregate(self):
-        with pytest.raises(ValueError, match="unsupported aggregate"):
-            GroupedAggregatePlan(10, agg="median")
 
     def test_session_window_row_plan(self):
         query = lambda s: s.session_window(15)  # noqa: E731
@@ -361,7 +382,8 @@ class TestEquivalence:
 
     def test_finalize_runs_on_coordinator(self):
         """A non-key-local top-k stage executes over the exact merged
-        interleaving, matching the unsharded single-process plan."""
+        interleaving of row-plan shards, matching the unsharded
+        single-process plan."""
         elements = disordered_elements(seed=4, n=600, lag=40)
         # Scores must be tie-free: WindowTopK breaks score ties by
         # arrival order, which legitimately differs between the merged
@@ -377,8 +399,7 @@ class TestEquivalence:
             .tumbling_window(10).group_aggregate(Count()).top_k(3, score)
             .collect()
         )
-        plan = GroupedAggregatePlan(10)
-        plan.finalize = lambda s: s.top_k(3, score)
+        plan = RowPlan(grouped_count, finalize=lambda s: s.top_k(3, score))
         result = run_parallel(list(elements), plan, 3, batch_size=64)
         assert sorted(map(_key, result.events)) == \
             sorted(map(_key, single.events))
@@ -409,71 +430,44 @@ class TestEquivalence:
                 [e.key for e in rows],
                 [],
             ))
-        stripped = [
-            Event(e.sync_time, e.other_time, e.key)
-            if isinstance(e, Event) else e
-            for e in elements
-        ]
         reference = run_parallel(
-            stripped, GroupedAggregatePlan(10), 3, batch_size=64
+            list(elements), compiled_grouped(), 3, batch_size=64
         )
-        result = run_parallel(blocks, GroupedAggregatePlan(10), 3)
+        result = run_parallel(blocks, compiled_grouped(), 3)
         _assert_identical(result, reference, "columnar ingress")
 
     def test_pre_alignment_matches_pushdown_plan(self):
-        """align='pre' replicates TumblingWindow-before-Sort (§IV):
+        """The compiled plan aligns windows before the sort (§IV):
         identical to the single-process push-down query, and distinct
-        from the post-sort alignment under aggressive lateness."""
+        from the post-sort alignment a ``RowPlan`` runs, under
+        aggressive lateness."""
         from repro.engine import DisorderedStreamable
-        from repro.engine.graph import source_node
 
         elements = disordered_elements(seed=13, n=700, lag=3)
-
-        def pushdown_reference():
-            src = source_node("test")
-            streamable = (
-                DisorderedStreamable(src, None)
-                .tumbling_window(10)
-                .to_streamable()
-                .group_aggregate(Count())
-            )
-            from repro.engine.graph import Pipeline, QueryNode
-            from repro.engine.operators.sink import Collector
-
-            sink = QueryNode(
-                Collector, ((streamable.node, None),), name="sink"
-            )
-            pipeline = Pipeline([sink])
-            pipeline.run(iter(elements))
-            return pipeline.operator_for(sink)
-
-        reference = pushdown_reference()
-        result = run_parallel(
-            list(elements), GroupedAggregatePlan(10, align="pre"), 1,
-            batch_size=64,
+        reference = (
+            DisorderedStreamable.from_elements(list(elements))
+            .tumbling_window(10)
+            .to_streamable()
+            .group_aggregate(Count())
+            .collect()
         )
-        assert list(map(_key, result.events)) == \
-            list(map(_key, reference.events))
+        result = run_parallel(
+            list(elements), compiled_grouped(), 1, batch_size=64,
+        )
+        _assert_identical(result, reference, "push-down")
         post = run_parallel(
-            list(elements), GroupedAggregatePlan(10), 1, batch_size=64
+            list(elements), RowPlan(grouped_count), 1, batch_size=64
         )
         assert sorted(map(_key, post.events)) != \
             sorted(map(_key, result.events))
 
     def test_raise_policy_crosses_process_boundary(self):
         elements = disordered_elements(seed=11, n=600, lag=5)
-        sorter = lambda: ImpatienceSorter(  # noqa: E731
-            key=_sync, late_policy=LatePolicy.RAISE
-        )
         with pytest.raises(LateEventError) as row_err:
-            shard_disordered(
-                Streamable.from_elements(list(elements)), grouped_count, 2,
-                sorter=sorter,
-            ).collect()
+            pushdown_reference(elements, 2, policy=LatePolicy.RAISE)
         with pytest.raises(LateEventError) as par_err:
             run_parallel(
-                list(elements),
-                GroupedAggregatePlan(10, late_policy=LatePolicy.RAISE),
+                list(elements), compiled_grouped(policy=LatePolicy.RAISE),
                 2, batch_size=64,
             )
         assert par_err.value.event_time == row_err.value.event_time
@@ -482,9 +476,9 @@ class TestEquivalence:
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(QueryBuildError):
-            run_parallel([], GroupedAggregatePlan(10), 0)
+            run_parallel([], compiled_grouped(), 0)
         with pytest.raises(QueryBuildError):
-            run_parallel([], GroupedAggregatePlan(10), 2, merge="bogus")
+            run_parallel([], compiled_grouped(), 2, merge="bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +490,7 @@ class TestCrashRecovery:
         elements = disordered_elements(seed=5, n=600, lag=8, punct_every=30)
         with pytest.raises(WorkerCrashError) as err:
             run_parallel(
-                list(elements), GroupedAggregatePlan(20), 3,
+                list(elements), compiled_grouped(20), 3,
                 fault=crash_once(1, 2), batch_size=64,
             )
         crash = err.value
@@ -507,11 +501,11 @@ class TestCrashRecovery:
     def test_supervised_rerun_byte_identical(self):
         elements = disordered_elements(seed=5, n=600, lag=8, punct_every=30)
         baseline = run_parallel(
-            list(elements), GroupedAggregatePlan(20), 3, batch_size=64
+            list(elements), compiled_grouped(20), 3, batch_size=64
         )
         delivered = []
         supervised = run_parallel_supervised(
-            list(elements), GroupedAggregatePlan(20), 3,
+            list(elements), compiled_grouped(20), 3,
             fault=crash_once(2, 12), on_event=delivered.append,
             batch_size=64,
         )
@@ -538,7 +532,7 @@ class TestCrashRecovery:
         elements = disordered_elements(seed=5, n=300, lag=8, punct_every=30)
         with pytest.raises(SupervisionExhaustedError) as err:
             run_parallel_supervised(
-                list(elements), GroupedAggregatePlan(20), 2,
+                list(elements), compiled_grouped(20), 2,
                 fault=crash_once(0, 2), max_restarts=0,
                 batch_size=64,
             )
@@ -581,7 +575,7 @@ class TestGracefulWorkerShutdown:
         import signal as _signal
 
         process, in_ring, out_ring = self._start_worker(
-            GroupedAggregatePlan(10)
+            compiled_grouped()
         )
         try:
             batch = EventBatch(
@@ -621,7 +615,7 @@ class TestGracefulWorkerShutdown:
         import signal as _signal
 
         process, in_ring, out_ring = self._start_worker(
-            GroupedAggregatePlan(10)
+            compiled_grouped()
         )
         try:
             batch = EventBatch([3, 7], [4, 8], [1, 2], [[1, 1]])
@@ -654,7 +648,7 @@ class TestGracefulWorkerShutdown:
 
         elements = disordered_elements(seed=9, n=300, lag=8, punct_every=30)
         coordinator = _Coordinator(
-            GroupedAggregatePlan(10), 2, 64, 1 << 20, None, "auto", None
+            compiled_grouped(), 2, 64, 1 << 20, None, "auto", None
         )
         try:
             for handle in coordinator.handles:
@@ -727,7 +721,7 @@ class TestObservabilitySection:
 
         elements = disordered_elements(seed=1, n=300, lag=30)
         result = run_parallel(
-            list(elements), GroupedAggregatePlan(10), 2, batch_size=64
+            list(elements), compiled_grouped(), 2, batch_size=64
         )
         snapshot = MetricsRegistry(trace=False).snapshot(
             parallel=result.parallel
@@ -735,14 +729,15 @@ class TestObservabilitySection:
         assert snapshot.parallel["workers"] == 2
         assert len(snapshot.parallel["shards"]) == 2
         for stats in snapshot.parallel["shards"]:
-            assert stats["plan"] == "grouped-aggregate"
+            assert stats["plan"] == "compiled"
             assert stats["events_in"] >= 0
+            assert isinstance(stats["runs_peak"], int)
         assert '"parallel"' in snapshot.to_json()
 
     def test_accounting_balances(self):
         elements = disordered_elements(seed=1, n=300, lag=30)
         result = run_parallel(
-            list(elements), GroupedAggregatePlan(10), 2, batch_size=64
+            list(elements), compiled_grouped(), 2, batch_size=64
         )
         doc = result.parallel
         assert doc["journal_elements"] == len(elements)
@@ -967,33 +962,55 @@ class TestCompiledShardPlan:
         assert seen[0] == seen[1] == seen[2]
 
     def test_avg_rides_native_float_frames(self):
-        """Satellite: avg results cross the ring as float64 FDATA
-        frames — no pickled elements anywhere on the aggregate hot
-        path, for both the vectorized plan and the compiled plan."""
+        """avg results cross the ring as float64 FDATA frames — no
+        pickled elements anywhere on the aggregate hot path — and equal
+        the single-process push-down plan's floats."""
         elements = disordered_elements(
             seed=9, n=500, lag=20, payload=_tuple_payload
         )
-        vectorized = run_parallel(
-            list(elements),
-            GroupedAggregatePlan(10, agg="avg", align="pre"), 2,
-            batch_size=64,
+        result = run_parallel(
+            list(elements), compiled_grouped(agg="avg"), 2, batch_size=64,
         )
-        shape = COMPILED_SHAPES[_SHAPE_IDS.index("grouped-avg")]
-        compiled = run_parallel(
-            list(elements),
-            CompiledShardPlan(shape[1](LatePolicy.DROP)), 2,
-            batch_size=64,
+        received = result.parallel["frames_received_by_kind"]
+        sent = result.parallel["frames_sent_by_kind"]
+        assert received.get("FDATA", 0) > 0
+        assert "PICKLE" not in received
+        assert "PICKLE" not in sent
+        assert all(isinstance(e.payload, float) for e in result.events)
+        _assert_identical(
+            result, pushdown_reference(elements, 2, agg="avg"), "avg fdata"
         )
-        for result in (vectorized, compiled):
-            received = result.parallel["frames_received_by_kind"]
-            sent = result.parallel["frames_sent_by_kind"]
-            assert received.get("FDATA", 0) > 0
-            assert "PICKLE" not in received
-            assert "PICKLE" not in sent
-            assert all(
-                isinstance(e.payload, float) for e in result.events
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [((0.5, 1), "event payloads are not integer columns"),
+         (None, "event payloads are not tuples")],
+        ids=["float", "none"],
+    )
+    def test_non_int_payloads_refused_like_single_process(
+        self, payload, reason, workers
+    ):
+        """Per-event ingress the columnar path cannot carry raises the
+        single-process compiler's ``UnsupportedPlanError`` reason on the
+        coordinator instead of truncating floats or crashing."""
+        query = (
+            QueryPlan().tumbling_window(10).sort()
+            .group_aggregate(Sum(field(0)))
+        )
+        elements = []
+        for t in range(40):
+            elements.append(Event(t, t + 1, t % 3, payload))
+            if t % 10 == 9:
+                elements.append(Punctuation(t))
+        events = [e for e in elements if isinstance(e, Event)]
+        with pytest.raises(QueryBuildError, match=reason):
+            query.run(events, engine="columnar")
+        with pytest.raises(UnsupportedPlanError) as err:
+            run_parallel(
+                elements, CompiledShardPlan(query), workers, batch_size=8
             )
-        _assert_identical(vectorized, compiled, "avg fdata")
+        assert err.value.reason == reason
 
     def test_tuple_payloads_ride_columnar_frames(self):
         """distinct emits multi-column int64 DATA frames, not pickles."""

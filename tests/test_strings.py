@@ -333,8 +333,12 @@ class TestParallelStrings:
         )
 
     def test_grouped_plan_decodes_string_keys(self):
-        from repro.parallel import GroupedAggregatePlan, run_parallel
+        """Shards aggregate dictionary codes; the caller decodes the
+        merged output's keys with the dataset's dictionary."""
+        from repro.engine import QueryPlan
         from repro.engine.event import Punctuation
+        from repro.engine.operators.aggregates import Count
+        from repro.parallel import CompiledShardPlan, run_parallel
 
         names = [f"svc.zone-{i}".encode() for i in range(6)]
         d = StringDictionary(names)
@@ -347,15 +351,13 @@ class TestParallelStrings:
             elements.append(Event(t, t + 1, int(d.code(name)), (1, 1)))
             if t % 50 == 49:
                 elements.append(Punctuation(t))
-        result = run_parallel(
-            elements, GroupedAggregatePlan(10, key_dictionary=d), 3,
-            batch_size=64,
+        plan = CompiledShardPlan(
+            QueryPlan().tumbling_window(10).sort().group_aggregate(Count())
         )
-        expected = Counter(raw)
-        got = {(e.sync_time // 10, e.key): e.payload
+        result = run_parallel(elements, plan, 3, batch_size=64)
+        got = {(e.sync_time // 10, d.decode(e.key)): e.payload
                for e in result.events}
-        assert got == dict(expected)
-        assert all(isinstance(e.key, bytes) for e in result.events)
+        assert got == dict(Counter(raw))
 
 
 # -- budgeted spilling ------------------------------------------------------
