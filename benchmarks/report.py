@@ -20,7 +20,6 @@ from benchmarks import (
     bench_ablation_adaptive,
     bench_ablation_ingress,
     bench_ablation_multiquery,
-    bench_autoscale,
     bench_operator_micro,
     bench_ablation_baselines,
     bench_ablation_columnar,
@@ -64,8 +63,6 @@ SECTIONS = (
      bench_columnar_compiler.report),
     ("Compiled shard workers vs row pipeline",
      bench_compiled_parallel.report),
-    ("Adaptive worker autoscaling vs fixed pools",
-     bench_autoscale.report),
     ("Bounded-memory external sort", bench_external_sort.report),
     ("String sort — OVC vs naive merges", bench_string_sort.report),
     ("Operator microbenchmarks", bench_operator_micro.report),

@@ -257,7 +257,7 @@ def _cmd_run(args):
                   "--supervised/--chaos (checkpoint budgeted sorters via "
                   "resilience.SorterSupervisor)", file=sys.stderr)
             return 2
-        if args.parallel:
+        if args.parallel is not None:
             print("error: QueryBuildError: --memory-budget bounds the "
                   "single-process sorter; with --parallel each shard "
                   "buffers independently", file=sys.stderr)
@@ -273,7 +273,7 @@ def _cmd_run(args):
         else suggest_reorder_latency(dataset.timestamps, 0.99)
     )
     window = args.window or max(len(dataset) // 100, 1)
-    if args.parallel:
+    if args.parallel is not None:
         return _run_parallel_cli(args, dataset, latency, window)
     disordered = DisorderedStreamable.from_dataset(
         dataset, args.punctuation_frequency, latency
@@ -399,20 +399,7 @@ def _run_parallel_cli(args, dataset, latency, window):
               "injection; with --parallel use --supervised (worker-crash "
               "recovery)", file=sys.stderr)
         return 2
-
-    from repro.parallel import parse_parallel_spec
-
-    try:
-        workers, policy = parse_parallel_spec(args.parallel)
-    except ValueError as exc:
-        print(f"error: ValueError: {exc}", file=sys.stderr)
-        return 2
-    if policy is not None and args.engine == "row":
-        print("error: QueryBuildError: --parallel auto rescales compiled "
-              "shard state; row-plan operator state cannot be "
-              "re-partitioned — drop --engine row or use a fixed worker "
-              "count", file=sys.stderr)
-        return 2
+    workers = args.parallel
     if workers < 1:
         print("error: QueryBuildError: workers must be >= 1",
               file=sys.stderr)
@@ -429,20 +416,13 @@ def _run_parallel_cli(args, dataset, latency, window):
               f"'{args.query}' shard plan cannot be compiled: {exc.reason}",
               file=sys.stderr)
         return 2
-    if policy is not None and not getattr(plan, "rescalable", False):
-        reason = getattr(plan, "rescale_reason", None) or "not rescalable"
-        print(f"error: QueryBuildError: --parallel auto cannot rescale "
-              f"the '{args.query}' plan: {reason}", file=sys.stderr)
-        return 2
     ingress = ingress_dataset(dataset, args.punctuation_frequency, latency)
     resilience = None
     start = time.perf_counter()
     if args.supervised:
         from repro.resilience.parallel import run_parallel_supervised
 
-        outcome = run_parallel_supervised(
-            ingress, plan, workers, fault=None, autoscale=policy
-        )
+        outcome = run_parallel_supervised(ingress, plan, workers)
         parallel_doc = outcome.parallel
         resilience = outcome.resilience_doc()
         if plan.finalize is not None:
@@ -455,7 +435,7 @@ def _run_parallel_cli(args, dataset, latency, window):
     else:
         from repro.parallel import run_parallel
 
-        result = run_parallel(ingress, plan, workers, autoscale=policy)
+        result = run_parallel(ingress, plan, workers)
         parallel_doc = result.parallel
         n_results = len(result.events)
     elapsed = time.perf_counter() - start
@@ -469,7 +449,6 @@ def _run_parallel_cli(args, dataset, latency, window):
             "punctuation_frequency": args.punctuation_frequency,
             "reorder_latency": latency,
             "workers": workers,
-            "parallel_spec": str(args.parallel),
             "engine": engine_name,
             "engine_reason": engine_reason,
             "elapsed_s": elapsed,
@@ -477,13 +456,9 @@ def _run_parallel_cli(args, dataset, latency, window):
         },
     )
 
-    workers_label = (
-        f"{workers} workers" if policy is None else
-        f"auto workers ({policy.min_workers}-{policy.max_workers})"
-    )
     print(
         f"{args.query} over {dataset.name} (n={len(dataset):,}, "
-        f"reorder latency {latency}, {workers_label}): "
+        f"reorder latency {latency}, {workers} workers): "
         f"{n_results} result events in {elapsed:.3f}s "
         f"({len(dataset) / elapsed / 1e6:.3f} M events/s)"
     )
@@ -564,20 +539,6 @@ def format_parallel_summary(doc) -> str:
          "late drop", "late adj"],
         rows, title="Per-shard workers",
     ))
-    autoscale = doc.get("autoscale")
-    if autoscale:
-        trajectory = [autoscale["initial_workers"]] + [
-            entry["workers"] for entry in autoscale["applied"]
-        ]
-        lines.append(
-            "autoscale: "
-            + "→".join(str(w) for w in trajectory)
-            + f" workers (range {autoscale['policy']['min_workers']}-"
-            f"{autoscale['policy']['max_workers']}), "
-            f"{len(autoscale['applied'])} rescales "
-            f"({autoscale['deferred_rounds']} deferred rounds), "
-            f"{autoscale['worker_seconds']:.2f} worker-seconds"
-        )
     return "\n".join(lines)
 
 
@@ -642,12 +603,10 @@ def main(argv=None) -> int:
                         "output stays byte-identical")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the metrics JSON export here")
-    p.add_argument("--parallel", default=None, metavar="N|auto[:MIN-MAX]",
-                   help="execute on shard worker processes with "
-                        "shared-memory columnar exchange: a fixed count "
-                        "N, or 'auto' / 'auto:2-6' to let the coordinator "
-                        "grow and shrink the pool between punctuation "
-                        "rounds (output stays byte-identical)")
+    p.add_argument("--parallel", type=int, default=None, metavar="N",
+                   help="execute on N shard worker processes with "
+                        "shared-memory columnar exchange (output stays "
+                        "byte-identical)")
     p.add_argument("--supervised", action="store_true",
                    help="run under the fault-tolerant supervisor")
     p.add_argument("--chaos", default=None, metavar="SPEC",

@@ -23,14 +23,13 @@ and its bounded-memory twin
 :class:`~repro.sorting.external.ExternalColumnarSorter`) checkpoint as
 **format 4**: the buffered rows are captured as one sorted columnar
 batch (timestamps + payload columns + string columns) plus the
-watermark, optionally tagged with the shard's ``(index, count)`` when
-the checkpoint is one slice of a sharded pool — the handoff unit of the
-parallel runtime's live rescale (:mod:`repro.parallel.autoscale`).
-Capturing the in-memory sorter is non-destructive (a concatenate +
-stable argsort over chunk views); capturing the external sorter drains
-it via ``flush()`` — it is only checkpointed when the owning worker is
-retiring.  Restore inserts the batch *before* re-arming the watermark,
-so rows ADJUSTed onto the watermark itself survive the round trip.
+watermark.  Capturing the in-memory sorter is non-destructive (a
+concatenate + stable argsort over chunk views); capturing the external
+sorter drains it via ``flush()``, so that sorter must not be fed after
+its checkpoint.  Restore inserts the batch *before* re-arming the
+watermark, so rows ADJUSTed onto the watermark itself survive the round
+trip.  Older format-4 docs also carry a ``shard`` field; restore ignores
+it.
 
 Bounded-memory sorters
 (:class:`~repro.sorting.external.ExternalImpatienceSorter`, keyless)
@@ -73,7 +72,7 @@ _KEYED_MESSAGE = (
 )
 
 
-def checkpoint_sorter(sorter, shard=None) -> dict:
+def checkpoint_sorter(sorter) -> dict:
     """Snapshot a sorter's durable state as a plain dict.
 
     Captures the live runs (head-compacted), the pending ingress batch,
@@ -83,8 +82,7 @@ def checkpoint_sorter(sorter, shard=None) -> dict:
     which drains — see the module docstring).  An
     :class:`~repro.sorting.external.ExternalImpatienceSorter` produces
     a format-3 checkpoint referencing its spilled run files; columnar
-    sorters produce format 4, tagged with ``shard`` (an
-    ``(index, count)`` pair) when they are one slice of a sharded pool.
+    sorters produce format 4.
     """
     from repro.core.columnar import ColumnarImpatienceSorter
     from repro.sorting.external import (
@@ -94,7 +92,7 @@ def checkpoint_sorter(sorter, shard=None) -> dict:
 
     if isinstance(sorter, (ColumnarImpatienceSorter,
                            ExternalColumnarSorter)):
-        return _checkpoint_columnar(sorter, shard)
+        return _checkpoint_columnar(sorter)
     if isinstance(sorter, ExternalImpatienceSorter):
         return _checkpoint_external(sorter)
     if sorter.key is not None:
@@ -172,17 +170,17 @@ def restore_sorter(state: dict, memory_budget=None):
     return sorter
 
 
-# -- format 4: columnar sorters (sharded pools) -------------------------
+# -- format 4: columnar sorters ------------------------------------------
 
 
-def _checkpoint_columnar(sorter, shard) -> dict:
+def _checkpoint_columnar(sorter) -> dict:
     """Format-4 checkpoint: buffered rows as one sorted columnar batch.
 
     The in-memory sorter is captured non-destructively by concatenating
     its chunk views and applying one stable argsort; the external
-    sorter's buffered/spilled rows are drained via ``flush()`` (only a
-    retiring worker checkpoints one).  The batch is always stored
-    fully sorted, so restore re-seeds the run pool with a single run.
+    sorter's buffered/spilled rows are drained via ``flush()``.  The
+    batch is always stored fully sorted, so restore re-seeds the run
+    pool with a single run.
     """
     import numpy as np
 
@@ -211,7 +209,7 @@ def _checkpoint_columnar(sorter, shard) -> dict:
                     for _ in range(sorter.columns)]
             scols = [StringColumn.empty()
                      for _ in range(sorter.string_columns)]
-    else:  # ExternalColumnarSorter — drains (retiring worker only)
+    else:  # ExternalColumnarSorter — drains
         drained = sorter.flush()
         if sorter.string_columns:
             ts, cols, scols = drained
@@ -231,7 +229,6 @@ def _checkpoint_columnar(sorter, shard) -> dict:
         "scols": scols,
         "watermark": None if watermark == float("-inf") else watermark,
         "late_policy": sorter.late.policy.value,
-        "shard": shard,
     }
 
 

@@ -154,15 +154,16 @@ class Streamables:
         replayed across crashes with exactly-once output delivery; the
         supervised outcome rides on ``result.supervised``.
 
-        ``parallel=N`` executes the outputs on up to ``N`` forked worker
-        processes instead of one shared pipeline: outputs are assigned
-        round-robin and each worker materializes *its* sinks plus the
-        (deterministic) partition stage, so every output's stream is
-        identical to the shared single-pass run.  A worker death raises
-        :class:`~repro.core.errors.WorkerCrashError`.  Mutually
-        exclusive with ``supervised`` and ``metrics`` (per-operator
-        instrumentation cannot cross the process boundary); the
-        assignment and per-worker peaks ride on ``result.parallel``.
+        ``parallel=N`` (a positive ``int``) executes the outputs on up to
+        ``N`` forked worker processes instead of one shared pipeline:
+        outputs are assigned round-robin and each worker materializes
+        *its* sinks plus the (deterministic) partition stage, so every
+        output's stream is identical to the shared single-pass run.  A
+        worker death raises :class:`~repro.core.errors.WorkerCrashError`.
+        Mutually exclusive with ``supervised`` and ``metrics``
+        (per-operator instrumentation cannot cross the process
+        boundary); the assignment and per-worker peaks ride on
+        ``result.parallel``.
 
         ``memory_budget`` (bytes, or a string like ``"64MB"``) bounds
         every per-path sorter's resident buffer: cold sorted runs spill
@@ -214,13 +215,13 @@ class Streamables:
                     "execution; checkpoint budgeted runs through "
                     "resilience.SorterSupervisor instead"
                 )
-            if parallel:
+            if parallel is not None:
                 raise QueryBuildError(
                     "memory_budget cannot be combined with parallel "
                     "workers; each fork would buffer independently"
                 )
         meter = MemoryMeter() if memory_meter is None else memory_meter
-        if parallel:
+        if parallel is not None:
             if supervised:
                 raise QueryBuildError(
                     "parallel framework runs cannot be supervised; use "
@@ -231,9 +232,7 @@ class Streamables:
                     "metrics instrument a single-process pipeline; "
                     "parallel runs report result.parallel instead"
                 )
-            result = self._run_parallel(
-                self._resolve_parallel(parallel), meter
-            )
+            result = self._run_parallel(parallel, meter)
             result.engine_reason = reason
             return result
         clock = {}
@@ -321,30 +320,6 @@ class Streamables:
 
     # -- parallel (multi-process) execution --------------------------------
 
-    def _resolve_parallel(self, parallel) -> int:
-        """Resolve a ``run(parallel=...)`` value to a worker count.
-
-        Accepts the same spec grammar as ``repro run --parallel``: an
-        integer, ``"auto"``, or ``"auto:MIN-MAX"``.  Framework workers
-        partition *outputs* (not keys), so there is nothing to resize at
-        runtime — ``auto`` simply picks ``clamp(#outputs, MIN, MAX)``,
-        which is deterministic and already the effective ceiling
-        (``_run_parallel`` never forks more workers than outputs).
-        """
-        from repro.core.errors import QueryBuildError
-        from repro.parallel.autoscale import parse_parallel_spec
-
-        try:
-            workers, policy = parse_parallel_spec(parallel)
-        except ValueError as exc:
-            raise QueryBuildError(str(exc)) from None
-        if policy is None:
-            return workers
-        return max(
-            policy.min_workers,
-            min(policy.max_workers, len(self._outputs)),
-        )
-
     def _run_parallel(self, workers, meter):
         """One forked worker per output subset; see :meth:`run`.
 
@@ -362,8 +337,11 @@ class Streamables:
 
         from repro.core.errors import QueryBuildError, WorkerCrashError
 
-        if workers < 1:
-            raise QueryBuildError("parallel worker count must be >= 1")
+        if isinstance(workers, bool) or not isinstance(workers, int) \
+                or workers < 1:
+            raise QueryBuildError(
+                f"parallel must be a positive int, not {workers!r}"
+            )
         n_outputs = len(self._outputs)
         workers = min(workers, n_outputs)
         assignment = [

@@ -87,19 +87,6 @@ class PipelineSnapshot:
         return self._doc["parallel"]
 
     @property
-    def autoscale(self):
-        """Adaptive worker-pool accounting (None unless the run used
-        ``--parallel auto``): policy knobs, every emitted decision, the
-        applied rescale schedule, the per-round signal trace, retired
-        pool epochs, and total worker-seconds.  Rides inside the
-        ``parallel`` section (``parallel.autoscale``) — this accessor
-        just surfaces it."""
-        parallel = self._doc["parallel"]
-        if not isinstance(parallel, dict):
-            return None
-        return parallel.get("autoscale")
-
-    @property
     def spill(self):
         """Bounded-memory spill metrics (None for unbudgeted runs):
         runs spilled, bytes written/read, merge fan-in, and the peak

@@ -2,8 +2,8 @@
 
 Trill's Map/Reduce scale-out (§I-A/§V), made real: the single-process
 sharded plan in :mod:`repro.engine.sharded` becomes a coordinator that
-hash-routes disordered ingress to ``N`` forked shard workers over
-shared-memory ring buffers, each worker runs the per-shard
+hash-routes disordered ingress to a fixed pool of ``N`` forked shard
+workers over shared-memory ring buffers, each worker runs the per-shard
 ``sort → query`` pipeline (row operators or the compiled columnar
 kernels), and the coordinator k-way merges the shard outputs back into
 one ordered stream that is byte-identical to the single-process result.
@@ -16,11 +16,7 @@ Public surface:
   onto the fused columnar kernels and runs them inside every worker,
   the second runs opaque row-operator closures (everything the
   compiler rejects, e.g. a window above the sort).
-- :class:`AutoscalePolicy` / :func:`parse_parallel_spec` — adaptive
-  pool sizing between punctuation rounds (``--parallel auto``),
-  byte-identical to any fixed pool.
-- :func:`crash_once` / :func:`crash_on_rescale` — one-shot fault
-  injection for crash tests.
+- :func:`crash_once` — one-shot fault injection for crash tests.
 - :class:`ShmRing` — the SPSC shared-memory ring (exchange transport).
 
 See ``docs/parallelism.md`` for the architecture walk-through.
@@ -30,11 +26,6 @@ from __future__ import annotations
 
 from multiprocessing import get_context
 
-from repro.parallel.autoscale import (
-    AutoscalePolicy,
-    ScaleDecision,
-    parse_parallel_spec,
-)
 from repro.parallel.plans import (
     CompiledShardPlan,
     RowPlan,
@@ -47,12 +38,8 @@ __all__ = [
     "ParallelResult",
     "RowPlan",
     "CompiledShardPlan",
-    "AutoscalePolicy",
-    "ScaleDecision",
-    "parse_parallel_spec",
     "ShmRing",
     "crash_once",
-    "crash_on_rescale",
 ]
 
 
@@ -64,13 +51,3 @@ def crash_once(shard, after_rounds=1):
     prove byte-identical recovery."""
     flag = get_context("fork").Value("i", 1)
     return (shard, after_rounds, flag)
-
-
-def crash_on_rescale(shard):
-    """Build a ``fault`` spec that kills the worker for ``shard`` the
-    moment it receives an EXPORT frame — i.e. mid-rescale, after the
-    barrier drained but before its state ships.  One-shot, like
-    :func:`crash_once`: the supervised rerun replays cleanly and must
-    still produce exactly-once output."""
-    flag = get_context("fork").Value("i", 1)
-    return (shard, -1, flag)

@@ -9,26 +9,13 @@ fixed structs; the escape hatches (``PICKLE``, ``STATS``, ``ERROR``)
 carry pickled python objects for row-shaped outputs, metrics
 dictionaries, and forwarded exceptions.
 
-Coordinator -> worker:   DATA* (PUNCT | FLUSH | EXPORT | HANDOFF)  …  DONE
+Coordinator -> worker:   DATA* (PUNCT | FLUSH)  …  DONE
 Worker -> coordinator:   (DATA | PICKLE | OUTPUNCT)* ACK  …  STATS DONE
                          ERROR at any point (fatal, pickled exception)
-                         STATE DONE after EXPORT (rescale retirement)
-                         STATE after HANDOFF, then IMPORT resumes it
 
 The ``ACK`` after each input punctuation round carries the ingress
 journal offset the round closed at — the coordinator's crash-recovery
-watermark (see :class:`~repro.core.errors.WorkerCrashError`) — plus the
-worker's post-round buffered row count, the autoscaler's per-shard
-backlog signal.
-
-``EXPORT``/``HANDOFF``/``STATE``/``IMPORT`` implement the rescale
-barrier: workers that survive the pool change get HANDOFF — ship state
-as one pickled STATE frame, stay alive, and receive their re-partitioned
-slice back as an IMPORT frame — while workers being retired get EXPORT
-and exit cleanly with DONE after their STATE.  Keeping survivors warm
-(same process, same rings) makes a rescale cost one state round-trip
-plus forks for the *net new* workers only, instead of a full pool
-restart (see :mod:`repro.parallel.autoscale`).
+watermark (see :class:`~repro.core.errors.WorkerCrashError`).
 """
 
 from __future__ import annotations
@@ -43,8 +30,7 @@ from repro.engine.batch import EventBatch
 
 __all__ = [
     "DATA", "PUNCT", "OUTPUNCT", "ACK", "FLUSH", "PICKLE", "STATS",
-    "DONE", "ERROR", "FDATA", "SDATA", "EXPORT", "STATE", "HANDOFF",
-    "IMPORT", "KIND_NAMES",
+    "DONE", "ERROR", "FDATA", "SDATA", "KIND_NAMES",
     "write_batch", "read_batch", "write_pickled", "read_pickled",
     "write_float_batch", "read_float_batch",
     "write_string_batch", "read_string_batch",
@@ -54,7 +40,6 @@ DATA = 1        # packed EventBatch:  u32 n | u32 n_payload_cols | columns
 PUNCT = 2       # ingress punctuation: i64 ts | i64 round | i64 journal_off
 OUTPUNCT = 3    # worker-emitted punctuation: i64 ts
 ACK = 4         # round processed:    i64 round | i64 journal_off
-                #                     | i64 buffered_rows
 FLUSH = 5       # end of ingress stream (no payload)
 PICKLE = 6      # pickled list of output elements (row-shaped plans)
 STATS = 7       # pickled worker metrics dict
@@ -68,23 +53,18 @@ SDATA = 11      # EventBatch with string columns:
                 #   | per string column: u64 arena_len
                 #                        | offsets u32[n+1] | arena bytes
                 # Arena + offsets travel as raw bytes — no pickling.
-EXPORT = 12     # retire for rescale: ship state, then DONE (no payload)
-STATE = 13      # pickled executor state export (rescale handoff)
-HANDOFF = 14    # ship state for rescale, stay warm for IMPORT (no payload)
-IMPORT = 15     # pickled re-partitioned state slice: restore and resume
 
 KIND_NAMES = {
     DATA: "DATA", PUNCT: "PUNCT", OUTPUNCT: "OUTPUNCT", ACK: "ACK",
     FLUSH: "FLUSH", PICKLE: "PICKLE", STATS: "STATS", DONE: "DONE",
-    ERROR: "ERROR", FDATA: "FDATA", SDATA: "SDATA", EXPORT: "EXPORT",
-    STATE: "STATE", HANDOFF: "HANDOFF", IMPORT: "IMPORT",
+    ERROR: "ERROR", FDATA: "FDATA", SDATA: "SDATA",
 }
 
 _BATCH_HEAD = struct.Struct("<II")
 _SBATCH_HEAD = struct.Struct("<III")
 _FBATCH_HEAD = struct.Struct("<I")
 PUNCT_STRUCT = struct.Struct("<qqq")
-ACK_STRUCT = struct.Struct("<qqq")
+ACK_STRUCT = struct.Struct("<qq")
 OUTPUNCT_STRUCT = struct.Struct("<q")
 
 

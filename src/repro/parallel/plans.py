@@ -40,22 +40,6 @@ order): ``("batch", EventBatch)`` for columnar rows,
 (native float64 columns — the avg hot path), ``("elements",
 [Event | Punctuation, ...])`` for row-shaped output, and
 ``("punct", ts)`` for an emitted punctuation.
-
-**Rescalability.**  A compiled plan whose per-shard state is a
-key-partitioned columnar sorter plus
-:class:`~repro.engine.kernels.GroupedWindowKernel` partials can hand
-that state between pools of different sizes at a punctuation barrier
-(the autoscaler's grow/shrink, :mod:`repro.parallel.autoscale`):
-``plan.rescalable`` says whether, ``plan.rescale_reason`` says why not,
-``executor.export_state()`` / ``executor.restore_state()`` move the
-state, and ``plan.partition_states()`` re-routes it with the same
-``stable_key_hash`` modulo the new worker count.  :class:`RowPlan` is
-never rescalable (opaque operator state inside arbitrary queries);
-compiled pass-through terminals and per-shard top-k are excluded
-(order-sensitive, lossily trimmed state); ungrouped aggregates are
-rescalable only under a coordinator ``finalize`` (their per-shard
-partials merge, so the per-event stream is pool-shaped — only the
-finalized output is pool-invariant).
 """
 
 from __future__ import annotations
@@ -107,12 +91,6 @@ class RowPlan:
     reduces disorder inside each worker and changes which events count
     as late exactly like it does in the single-process plan.
     """
-
-    rescalable = False
-    rescale_reason = (
-        "row plans run arbitrary operator graphs whose state cannot be "
-        "key-partitioned"
-    )
 
     def __init__(self, query_fn, sorter=None, finalize=None, pre=None):
         self.query_fn = query_fn
@@ -185,9 +163,6 @@ class _RowExecutor:
             items.append(("elements", run))
         return items
 
-    def buffered(self) -> int:
-        return int(getattr(self._sort.sorter, "buffered", 0) or 0)
-
     def stats(self):
         sorter = self._sort.sorter
         late = getattr(sorter, "late", None)
@@ -201,103 +176,6 @@ class _RowExecutor:
             "late_dropped": getattr(late, "dropped", 0),
             "late_adjusted": getattr(late, "adjusted", 0),
         }
-
-
-def _partition_exported(states, new_workers, out_watermark, key_col,
-                        merge):
-    """Split retired shards' exported state across a new pool.
-
-    ``states`` are ``export_state()`` docs (format-4 sorter checkpoint
-    + kernel window partials); rows and partials are re-routed with the
-    exact routing hash (``stable_key_hash`` of the key column modulo
-    ``new_workers``), so every key lands on the shard that will receive
-    its future events.  ``key_col=None`` is the ungrouped case: there is
-    no key column to split on, so all rows and all partials (merged via
-    the aggregate spec's ``merge``) land on shard 0 — sound only under a
-    coordinator ``finalize``, which :attr:`CompiledShardPlan.rescalable`
-    enforces.  Returns one ``restore_state()`` doc per new shard.
-    """
-    from repro.engine.sharded import (
-        stable_key_hash,
-        stable_key_hash_array,
-    )
-
-    base = states[0]["sorter"]
-    n_cols = base["columns"]
-    late_policy = base["late_policy"]
-    split_keys = key_col is not None and new_workers > 1
-    ts_parts = [[] for _ in range(new_workers)]
-    col_parts = [
-        [[] for _ in range(n_cols)] for _ in range(new_workers)
-    ]
-    windows = [{} for _ in range(new_workers)]
-    watermark = None
-    for state in states:
-        doc = state["sorter"]
-        if doc["watermark"] is not None:
-            watermark = (
-                doc["watermark"] if watermark is None
-                else max(watermark, doc["watermark"])
-            )
-        ts = np.asarray(doc["ts"], dtype=np.int64)
-        if ts.size:
-            if split_keys:
-                shards = stable_key_hash_array(
-                    doc["cols"][key_col]
-                ) % np.uint64(new_workers)
-            else:
-                shards = np.zeros(ts.size, dtype=np.uint64)
-            for w in range(new_workers):
-                mask = shards == w
-                if not mask.any():
-                    continue
-                ts_parts[w].append(ts[mask])
-                for c in range(n_cols):
-                    col_parts[w][c].append(doc["cols"][c][mask])
-        for start, groups in state["windows"].items():
-            for key, partial in groups.items():
-                w = (
-                    stable_key_hash(key) % new_workers
-                    if split_keys else 0
-                )
-                target = windows[w].setdefault(start, {})
-                if key in target:
-                    # Only the ungrouped all-to-one route can collide:
-                    # key-split partials were disjoint by construction.
-                    target[key] = merge(target[key], partial)
-                else:
-                    target[key] = partial
-    out = []
-    for w in range(new_workers):
-        if ts_parts[w]:
-            ts = np.concatenate(ts_parts[w])
-            order = np.argsort(ts, kind="stable")
-            ts = ts[order]
-            cols = [
-                np.concatenate(col_parts[w][c])[order]
-                for c in range(n_cols)
-            ]
-        else:
-            ts = np.empty(0, dtype=np.int64)
-            cols = [
-                np.empty(0, dtype=np.int64) for _ in range(n_cols)
-            ]
-        out.append({
-            "sorter": {
-                "format": 4,
-                "columns": n_cols,
-                "string_columns": 0,
-                "ts": ts,
-                "cols": cols,
-                "scols": [],
-                "watermark": watermark,
-                "late_policy": late_policy,
-                "shard": {"index": w, "count": new_workers},
-            },
-            "windows": windows[w],
-            "out_watermark": out_watermark,
-        })
-    return out
 
 
 def _wire_mode(compiled):
@@ -386,39 +264,9 @@ class CompiledShardPlan:
         # The coordinator decodes this plan's DATA frames as scalar
         # payloads (single int64 value column) in "int" mode.
         self.scalar_output = self.wire_mode == "int"
-        compiled = self.compiled
-        if compiled.pass_through:
-            self.rescalable = False
-            self.rescale_reason = (
-                "pass-through terminal kernels hold order-sensitive "
-                "per-shard state"
-            )
-        elif compiled.top_k is not None:
-            self.rescalable = False
-            self.rescale_reason = (
-                "per-shard top-k state is lossily trimmed and cannot be "
-                "re-partitioned"
-            )
-        elif not compiled.grouped and finalize is None:
-            self.rescalable = False
-            self.rescale_reason = (
-                "ungrouped aggregate shards are only pool-invariant "
-                "after a coordinator finalize"
-            )
-        else:
-            self.rescalable = True
-            self.rescale_reason = None
 
     def build_executor(self, shard):
         return _CompiledShardExecutor(self, shard)
-
-    def partition_states(self, states, new_workers, out_watermark):
-        """Re-route retired shard state onto a pool of ``new_workers``."""
-        return _partition_exported(
-            states, new_workers, out_watermark,
-            key_col=1 if self.compiled.grouped else None,
-            merge=self.compiled.spec.merge,
-        )
 
     def describe(self):
         return {
@@ -494,38 +342,6 @@ class _CompiledShardExecutor:
         items = self._round_items()
         self._execution.close()
         return items
-
-    def buffered(self) -> int:
-        sorter = self._execution.sorter
-        return int(sorter.buffered) if sorter is not None else 0
-
-    def export_state(self):
-        """Ship this shard's durable state for a rescale handoff.
-
-        Only reachable for rescalable plans (non-pass-through, no
-        top-k), where the execution always owns a sorter and a grouped
-        kernel.
-        """
-        from repro.engine.checkpoint import checkpoint_sorter
-
-        return {
-            "sorter": checkpoint_sorter(self._execution.sorter),
-            "windows": self._execution.aggregate.windows,
-            "events_in": self.events_in,
-        }
-
-    def restore_state(self, state) -> None:
-        """Adopt a re-partitioned slice of a retired pool's state."""
-        from repro.engine.checkpoint import restore_sorter
-
-        execution = self._execution
-        execution.sorter = restore_sorter(
-            state["sorter"], self.plan.memory_budget
-        )
-        execution.aggregate.windows = state["windows"]
-        if state["out_watermark"] is not None:
-            execution.aggregate.out_watermark = state["out_watermark"]
-        self.events_in = state.get("events_in", 0)
 
     def _round_items(self):
         execution = self._execution

@@ -120,24 +120,14 @@ class _OutputSink:
     def on_flush(self):
         self.completed = True
 
-    @property
-    def watermark(self):
-        """The output stream's watermark: the last merged punctuation
-        (``-inf`` before the first) — the restore point a rescaled
-        pool's kernels and merge tree are re-armed at."""
-        return self.punctuations[-1] if self.punctuations else _NEG_INF
-
 
 class _MergeTree:
     """Balanced tree of live Union operators + symmetric-round fast path."""
 
-    def __init__(self, shards, deliver=None, sink=None):
+    def __init__(self, shards, deliver=None):
         self.shards = shards
         self.leaves = [PassThrough() for _ in range(shards)]
-        # A rescale rebuilds the tree for the new pool width but keeps
-        # feeding the same sink: the output stream is continuous across
-        # pool generations.
-        self.sink = _OutputSink(deliver) if sink is None else sink
+        self.sink = _OutputSink(deliver)
         self.unions = []
         if shards == 1:
             self.leaves[0].add_downstream(self.sink)
@@ -255,30 +245,24 @@ class _MergeTree:
 
 
 class _WorkerHandle:
-    def __init__(self, ctx, shard, plan, ring_capacity, fault,
-                 initial_state=None):
+    def __init__(self, ctx, shard, plan, ring_capacity, fault):
         self.shard = shard
         self.in_ring = ShmRing(ring_capacity)
         self.out_ring = ShmRing(ring_capacity)
         worker_fault = None
         if fault is not None and fault[0] == shard:
             worker_fault = (fault[2], fault[1])
-        # initial_state rides the fork, not a pickle: numpy views and
-        # kernel partials arrive by inheritance like the plan itself.
         self.process = ctx.Process(
             target=worker_main,
-            args=(shard, plan, self.in_ring, self.out_ring, worker_fault,
-                  initial_state),
+            args=(shard, plan, self.in_ring, self.out_ring, worker_fault),
             daemon=True,
         )
         self.acked_offset = -1
         self.acked_rounds = 0
-        self.buffered = 0       # sorter backlog from the last ACK
         self.pending = []       # frames since the last ACK
         self.rounds = []        # per-round element lists, ACK-delimited
         self.tail = None        # post-FLUSH elements
         self.stats = None
-        self.state = None       # STATE payload (rescale retirement)
         self.done = False
 
     def crash_error(self) -> WorkerCrashError:
@@ -289,56 +273,24 @@ class _WorkerHandle:
 
 class _Coordinator:
     def __init__(self, plan, workers, batch_size, ring_capacity, fault,
-                 merge, deliver, autoscale=None, rescale_schedule=None):
+                 merge, deliver):
         if workers < 1:
             raise QueryBuildError("workers must be >= 1")
         if merge not in ("auto", "tree"):
             raise QueryBuildError("merge must be 'auto' or 'tree'")
-        if autoscale is not None and not getattr(
-            plan, "rescalable", False
-        ):
-            raise QueryBuildError(
-                "plan is not rescalable: "
-                + (getattr(plan, "rescale_reason", None)
-                   or "no rescale support")
-            )
         self.plan = plan
         self.workers = workers
         self.batch_size = batch_size
-        self.ring_capacity = ring_capacity
-        self.fault = fault
         self.allow_fast = merge == "auto"
-        self.deliver = deliver
-        self._ctx = get_context("fork")
-        ctx = self._ctx
+        ctx = get_context("fork")
         self.handles = [
             _WorkerHandle(ctx, shard, plan, ring_capacity, fault)
             for shard in range(workers)
         ]
         self.tree = _MergeTree(workers, deliver)
-        self.rounds_sent = 0     # epoch-local (resets at each rescale)
-        self.total_rounds = 0    # cumulative across pool generations
+        self.rounds_sent = 0
         self.offset = 0          # ingress journal offset (elements seen)
         self._buffers = [[] for _ in range(workers)]
-        # -- autoscale state -------------------------------------------
-        self.policy = autoscale
-        # The supervisor shares one mutable schedule across attempts:
-        # the prefix recorded before a crash replays verbatim (no policy
-        # consultation), live decisions append past the horizon.
-        self.schedule = rescale_schedule if rescale_schedule is not None \
-            else []
-        self._replay_until = len(self.schedule)
-        self._replay_idx = 0
-        self._pending_target = None   # deferred decision's worker count
-        self._routed = [0] * workers  # events routed this round, by shard
-        self._stall_prev = 0.0
-        self._round_t0 = time.monotonic()
-        self.signals = []             # RoundSignals trace (capped)
-        self.signals_dropped = 0
-        self.deferred_rounds = 0
-        self.epochs = []              # retired pool records
-        self.worker_seconds = 0.0
-        self.initial_workers = workers
         self._scalar_payload = getattr(plan, "scalar_output", False)
         # RAISE determinism: which worker's LateEventError reaches the
         # coordinator first is a scheduling race, but lateness itself is
@@ -358,8 +310,7 @@ class _Coordinator:
         self.frames_received = 0
         self.frames_sent_by_kind = {}
         self.frames_received_by_kind = {}
-        self.merged_rounds = 0        # epoch-local, like rounds_sent
-        self.total_merged_rounds = 0  # cumulative across generations
+        self.merged_rounds = 0
         self.fast_rounds = 0
 
     def _note_sent(self, kind) -> None:
@@ -420,7 +371,7 @@ class _Coordinator:
             )
             handle.pending.append(Punctuation(ts))
         elif kind == exchange.ACK:
-            round_no, offset, buffered = exchange.ACK_STRUCT.unpack(
+            round_no, offset = exchange.ACK_STRUCT.unpack(
                 payload[: exchange.ACK_STRUCT.size]
             )
             if round_no != handle.acked_rounds:  # pragma: no cover
@@ -430,11 +381,8 @@ class _Coordinator:
                 )
             handle.acked_rounds += 1
             handle.acked_offset = offset
-            handle.buffered = buffered
             handle.rounds.append(handle.pending)
             handle.pending = []
-        elif kind == exchange.STATE:
-            handle.state = exchange.read_pickled(payload)
         elif kind == exchange.FLUSH:
             handle.tail = handle.pending
             handle.pending = []
@@ -543,7 +491,6 @@ class _Coordinator:
         buffer.append(
             (event.sync_time, event.other_time, event.key, event.payload)
         )
-        self._routed[shard] += 1
         self.offset += 1
         if len(buffer) >= self.batch_size:
             self._flush_buffer(shard)
@@ -559,7 +506,6 @@ class _Coordinator:
         if self.workers == 1:
             self._flush_buffer(0)
             self._send_batch(0, batch)
-            self._routed[0] += n
         else:
             shards = stable_key_hash_array(batch.keys) % np.uint64(
                 self.workers
@@ -589,7 +535,6 @@ class _Coordinator:
                 lo, hi = int(bounds[shard]), int(bounds[shard + 1])
                 if lo == hi:
                     continue
-                self._routed[shard] += hi - lo
                 self._flush_buffer(shard)
                 self._send_batch(shard, EventBatch(
                     sync[lo:hi], other[lo:hi], keys[lo:hi],
@@ -616,7 +561,6 @@ class _Coordinator:
                 alive=handle.process.is_alive,
             )
         self.rounds_sent += 1
-        self.total_rounds += 1
         self.pump()
 
     def broadcast_flush(self) -> None:
@@ -643,219 +587,6 @@ class _Coordinator:
             for handle in self.handles:
                 handle.rounds[self.merged_rounds] = None  # free memory
             self.merged_rounds += 1
-            self.total_merged_rounds += 1
-
-    # -- autoscale ---------------------------------------------------------
-
-    def _collect_signals(self):
-        """One round's telemetry, observed right after the punctuation
-        broadcast.  ``buffered`` carries each shard's backlog from its
-        latest ACK (the precise post-round value once the barrier
-        drains); ``stall_s`` is the coordinator's input-ring write-stall
-        delta — the backpressure the idle-spin counters expose."""
-        from repro.parallel.autoscale import RoundSignals
-
-        now = time.monotonic()
-        stall = sum(handle.in_ring.stall_s for handle in self.handles)
-        signals = RoundSignals(
-            round=self.total_rounds - 1,
-            workers=self.workers,
-            events=sum(self._routed),
-            per_shard=tuple(self._routed),
-            buffered=tuple(
-                handle.buffered for handle in self.handles
-            ),
-            stall_s=max(0.0, stall - self._stall_prev),
-            wall_s=max(0.0, now - self._round_t0),
-        )
-        self._stall_prev = stall
-        self._round_t0 = now
-        self._routed = [0] * self.workers
-        self.worker_seconds += signals.wall_s * self.workers
-        if len(self.signals) < 2048:
-            self.signals.append(signals)
-        else:
-            self.signals_dropped += 1
-        return signals
-
-    def maybe_rescale(self) -> None:
-        """Autoscale decision point, once per punctuation round.
-
-        Replays the journaled schedule prefix verbatim (crash recovery:
-        the supervisor re-runs the same rescales at the same rounds
-        without consulting the policy), then hands live signals to the
-        policy.  An emitted decision executes at this barrier when the
-        merge tree is symmetric, otherwise it stays pending and retries
-        next round (``deferred_rounds`` counts the waits).
-        """
-        if self.policy is None:
-            return
-        signals = self._collect_signals()
-        round_no = self.total_rounds - 1
-        from repro.parallel.autoscale import ScaleDecision
-
-        if self._replay_idx < self._replay_until:
-            entry = self.schedule[self._replay_idx]
-            if round_no >= entry["round"]:
-                self._replay_idx += 1
-                self._execute_rescale(entry["workers"])
-                self.policy.notify_applied(ScaleDecision(
-                    round=entry["round"], workers=entry["workers"],
-                    reason="replayed",
-                ))
-            return
-        if self._pending_target is None:
-            decision = self.policy.observe(signals)
-            if decision is None:
-                return
-            self._pending_target = decision.workers
-        if self._pending_target == self.workers:
-            self._pending_target = None
-            return
-        if not self._barrier_ready():
-            self.deferred_rounds += 1
-            return
-        target = self._pending_target
-        self._pending_target = None
-        self._execute_rescale(target)
-        self.schedule.append(
-            {"round": round_no, "workers": target}
-        )
-        self.policy.notify_applied(ScaleDecision(
-            round=round_no, workers=target, reason="applied",
-        ))
-
-    def _barrier_drain(self) -> None:
-        """Block until every sent round is acked *and* merged."""
-        spins = 0
-        delay = shm._SPIN_SLEEP
-        while not (
-            all(
-                handle.acked_rounds == self.rounds_sent
-                for handle in self.handles
-            )
-            and self.merged_rounds == self.rounds_sent
-        ):
-            drained = self.pump()
-            self.merge_ready_rounds()
-            if drained:
-                spins = 0
-                delay = shm._SPIN_SLEEP
-                continue
-            spins += 1
-            if spins >= shm._SPIN_FAST:
-                time.sleep(delay)
-                delay = min(delay * 2, shm._SPIN_SLEEP_MAX)
-
-    def _barrier_ready(self) -> bool:
-        """Drain to the punctuation barrier; ``True`` when the merge
-        tree is symmetric there (safe to swap pools)."""
-        self._barrier_drain()
-        return self.tree.symmetric()
-
-    def _execute_rescale(self, new_workers) -> None:
-        """Swap the worker pool at a punctuation barrier — warm.
-
-        Protocol: drain every in-flight round, then split the pool.
-        Shards that exist in both pools (``0..min(old,new)-1``) get
-        HANDOFF — they ship their sorter + kernel state as a STATE
-        frame and *stay alive* on their existing rings; shards past the
-        new pool size get EXPORT and retire with DONE.  The coordinator
-        re-partitions the exported state by ``stable_key_hash`` modulo
-        the new pool size, sends each survivor its slice back as an
-        IMPORT frame, forks only the net-new shards (their slice rides
-        the fork), and rebuilds the merge tree — feeding the same sink —
-        synced at the output watermark.  Nothing is reprocessed: state
-        moves by checkpoint handoff, and keeping survivors warm makes a
-        rescale cost one state round-trip instead of a full pool
-        restart.  A worker that dies mid-barrier surfaces as a
-        :class:`WorkerCrashError` exactly like any other crash, and
-        supervised replay re-executes the recorded rescale.
-        """
-        self._barrier_drain()
-        old = self.handles
-        keep = min(self.workers, new_workers)
-        survivors, retirees = old[:keep], old[keep:]
-        for handle in survivors:
-            handle.state = None
-            handle.in_ring.write(
-                exchange.HANDOFF, pump=self.pump,
-                alive=handle.process.is_alive,
-            )
-            self._note_sent(exchange.HANDOFF)
-        for handle in retirees:
-            handle.in_ring.write(
-                exchange.EXPORT, pump=self.pump,
-                alive=handle.process.is_alive,
-            )
-            self._note_sent(exchange.EXPORT)
-        spins = 0
-        delay = shm._SPIN_SLEEP
-        while not (
-            all(handle.state is not None for handle in old)
-            and all(handle.done for handle in retirees)
-        ):
-            drained = self.pump()
-            if drained:
-                spins = 0
-                delay = shm._SPIN_SLEEP
-                continue
-            spins += 1
-            if spins >= shm._SPIN_FAST:
-                time.sleep(delay)
-                delay = min(delay * 2, shm._SPIN_SLEEP_MAX)
-        self.epochs.append({
-            "round": self.total_rounds - 1,
-            "from_workers": self.workers,
-            "to_workers": new_workers,
-            "shards": [handle.state["stats"] for handle in old],
-        })
-        watermark = self.tree.sink.watermark
-        out_watermark = None if watermark == _NEG_INF else watermark
-        states = self.plan.partition_states(
-            [handle.state["state"] for handle in old],
-            new_workers, out_watermark,
-        )
-        for shard, handle in enumerate(survivors):
-            exchange.write_pickled(
-                handle.in_ring, exchange.IMPORT, states[shard],
-                pump=self.pump, alive=handle.process.is_alive,
-            )
-            self._note_sent(exchange.IMPORT)
-            # Round numbering (and the merged-round cursor into
-            # ``rounds``) restarts with the epoch; the old epoch's
-            # entries were merged — and nulled — before the barrier.
-            handle.acked_rounds = 0
-            handle.buffered = 0
-            handle.state = None
-            handle.rounds = []
-            handle.pending = []
-        grown = [
-            _WorkerHandle(
-                self._ctx, shard, self.plan, self.ring_capacity,
-                self.fault, initial_state=states[shard],
-            )
-            for shard in range(keep, new_workers)
-        ]
-        for handle in grown:
-            handle.process.start()
-        # Retirees exit concurrently with the new shards' startup; the
-        # joins land after the forks so neither serializes the other.
-        for handle in retirees:
-            handle.process.join(timeout=5)
-            handle.in_ring.unlink()
-            handle.out_ring.unlink()
-        self.handles = survivors + grown
-        self.workers = new_workers
-        self._buffers = [[] for _ in range(new_workers)]
-        self._routed = [0] * new_workers
-        self._stall_prev = 0.0
-        self.rounds_sent = 0
-        self.merged_rounds = 0
-        self.tree = _MergeTree(
-            new_workers, self.deliver, sink=self.tree.sink
-        )
-        self.tree._sync_state(watermark)
 
     def finish(self):
         # Same hot-then-backoff cadence as the ring poll loops: during
@@ -892,15 +623,13 @@ class _Coordinator:
             handle.out_ring.unlink()
 
     def accounting(self) -> dict:
-        doc = {
+        return {
             "workers": self.workers,
             "batch_size": self.batch_size,
             "plan": self.plan.describe(),
-            "rounds": self.total_rounds,
+            "rounds": self.rounds_sent,
             "fast_merge_rounds": self.fast_rounds,
-            "tree_merge_rounds": (
-                self.total_merged_rounds - self.fast_rounds
-            ),
+            "tree_merge_rounds": self.merged_rounds - self.fast_rounds,
             "frames_sent": self.frames_sent,
             "frames_received": self.frames_received,
             "frames_sent_by_kind": dict(
@@ -912,30 +641,11 @@ class _Coordinator:
             "journal_elements": self.offset,
             "shards": [handle.stats for handle in self.handles],
         }
-        if self.policy is not None:
-            doc["autoscale"] = {
-                "enabled": True,
-                "policy": self.policy.spec(),
-                "initial_workers": self.initial_workers,
-                "final_workers": self.workers,
-                "decisions": [
-                    d.as_doc() for d in self.policy.decisions
-                ],
-                "applied": list(self.schedule),
-                "replayed": self._replay_until,
-                "deferred_rounds": self.deferred_rounds,
-                "worker_seconds": round(self.worker_seconds, 6),
-                "signals": [s.as_doc() for s in self.signals],
-                "signals_dropped": self.signals_dropped,
-                "epochs": self.epochs,
-            }
-        return doc
 
 
 def run_parallel(ingress, plan, workers, *, batch_size=8192,
                  ring_capacity=1 << 20, merge="auto", fault=None,
-                 deliver=None, autoscale=None,
-                 rescale_schedule=None) -> ParallelResult:
+                 deliver=None) -> ParallelResult:
     """Execute ``plan`` over ``ingress`` on ``workers`` shard processes.
 
     ``ingress`` yields :class:`Event` / :class:`Punctuation` elements
@@ -951,18 +661,9 @@ def run_parallel(ingress, plan, workers, *, batch_size=8192,
     given, receives every merged output element as soon as its round
     merges — the hook supervised execution uses for exactly-once
     delivery.
-
-    ``autoscale``, an :class:`~repro.parallel.autoscale.AutoscalePolicy`,
-    lets the coordinator grow and shrink the pool between punctuation
-    rounds (``workers`` is then the initial size); output is
-    byte-identical to any fixed pool.  ``rescale_schedule``, a mutable
-    list shared by the supervisor across attempts, records applied
-    rescales as ``{"round", "workers"}`` docs — a pre-populated prefix
-    replays verbatim before the policy takes over (crash recovery).
     """
     coordinator = _Coordinator(
         plan, workers, batch_size, ring_capacity, fault, merge, deliver,
-        autoscale=autoscale, rescale_schedule=rescale_schedule,
     )
     try:
         for handle in coordinator.handles:
@@ -973,7 +674,6 @@ def run_parallel(ingress, plan, workers, *, batch_size=8192,
             elif is_punctuation(element):
                 coordinator.broadcast_punctuation(element.timestamp)
                 coordinator.merge_ready_rounds()
-                coordinator.maybe_rescale()
             else:
                 coordinator.route_event(element)
         coordinator.broadcast_flush()

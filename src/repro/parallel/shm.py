@@ -35,8 +35,7 @@ therefore wakes ~100 times a second instead of ~500+, which is what
 keeps a drained shard from burning a core while the coordinator routes
 other shards' traffic.  Every ring counts its waits (``spins``,
 ``parks``, ``stall_s``, ``park_s``; process-local after fork) — workers
-report them in their STATS frames and the coordinator reads its own
-input rings' stall time as the autoscaler's backpressure signal.
+report them in their STATS frames.
 """
 
 from __future__ import annotations

@@ -85,8 +85,7 @@ def _worker_stats(executor, in_ring, out_ring, t0, cpu0) -> dict:
 
     Ring wait counters (both directions, this process's side only — the
     counters are process-local after fork), CPU seconds, and wall
-    seconds: the numbers the idle-spin fix is measured by, and part of
-    the telemetry the autoscaler's snapshot records per epoch.
+    seconds: the numbers the idle-spin fix is measured by.
     """
     stats = executor.stats()
     stats["ring_wait"] = {
@@ -118,22 +117,13 @@ def _drain(executor, out_ring, stats) -> None:
         pass
 
 
-def worker_main(shard, plan, in_ring, out_ring, fault=None,
-                initial_state=None) -> None:
+def worker_main(shard, plan, in_ring, out_ring, fault=None) -> None:
     """Process entry point; returns (exits) after DONE or a fatal error.
 
     ``fault`` is a test-only ``(crash_flag, after_rounds)`` pair: when
     the shared flag is still set after processing ``after_rounds``
     punctuation rounds, the worker clears it and dies abruptly via
     ``os._exit`` — simulating a hard crash exactly once across restarts.
-    ``after_rounds == -1`` is the rescale sentinel: the worker dies on
-    EXPORT/HANDOFF receipt instead, mid-barrier.
-
-    ``initial_state`` is a rescale handoff doc (a re-partitioned slice
-    of the retired pool's exported state, see
-    :func:`repro.parallel.plans._partition_exported`): restored into
-    the executor before the first frame, so the new pool picks up
-    exactly where the old one stopped without reprocessing anything.
     """
     state = {"drain": False, "interruptible": False}
 
@@ -146,8 +136,6 @@ def worker_main(shard, plan, in_ring, out_ring, fault=None,
     # startup must still drain, not die with the default action.
     signal.signal(signal.SIGTERM, _on_sigterm)
     executor = plan.build_executor(shard)
-    if initial_state is not None:
-        executor.restore_state(initial_state)
     t0, cpu0 = time.monotonic(), time.process_time()
 
     def stats():
@@ -181,46 +169,16 @@ def worker_main(shard, plan, in_ring, out_ring, fault=None,
                 rounds += 1
                 if fault is not None:
                     flag, after_rounds = fault
-                    if (after_rounds >= 0 and rounds >= after_rounds
-                            and flag.value):
+                    if rounds >= after_rounds and flag.value:
                         with flag.get_lock():
                             if flag.value:
                                 flag.value = 0
                                 os._exit(43)
                 out_ring.write(
                     exchange.ACK,
-                    exchange.ACK_STRUCT.pack(
-                        round_no, offset, executor.buffered()
-                    ),
+                    exchange.ACK_STRUCT.pack(round_no, offset),
                     alive=_parent_alive,
                 )
-            elif kind in (exchange.EXPORT, exchange.HANDOFF):
-                # Rescale barrier: ship state + stats, then either exit
-                # (EXPORT — this shard is being retired) or stay warm
-                # for the re-partitioned slice (HANDOFF — same process,
-                # same rings, no fork on the coordinator's side).
-                if fault is not None:
-                    flag, after_rounds = fault
-                    if after_rounds == -1 and flag.value:
-                        with flag.get_lock():
-                            if flag.value:
-                                flag.value = 0
-                                os._exit(43)
-                exchange.write_pickled(
-                    out_ring, exchange.STATE,
-                    {"state": executor.export_state(), "stats": stats()},
-                    alive=_parent_alive,
-                )
-                if kind == exchange.EXPORT:
-                    out_ring.write(exchange.DONE, alive=_parent_alive)
-                    return
-            elif kind == exchange.IMPORT:
-                # The coordinator's answer to HANDOFF: a fresh executor
-                # seeded with this shard's slice of the re-partitioned
-                # pool state.  Round numbering restarts with the epoch.
-                executor = plan.build_executor(shard)
-                executor.restore_state(exchange.read_pickled(payload))
-                rounds = 0
             elif kind == exchange.FLUSH:
                 _ship(out_ring, executor.feed_flush())
                 out_ring.write(exchange.FLUSH, alive=_parent_alive)

@@ -21,15 +21,6 @@ recovery loop on top, honoring the PR 2 supervisor semantics:
 - **Budget**: ``max_restarts`` crashes are absorbed; the next one
   raises :class:`~repro.core.errors.SupervisionExhaustedError` with the
   final ``WorkerCrashError`` as ``__cause__``.
-- **Rescale journal**: when an ``autoscale`` policy is active, applied
-  pool resizes are recorded in one schedule list shared across
-  attempts.  A replay re-executes the recorded rescales at the same
-  punctuation rounds *without* consulting the policy, so a crash
-  mid-rescale (or anywhere after one) recovers onto the same pool
-  trajectory; the policy resumes live past the recorded horizon.
-  Output identity never depends on this — rescales are output-invariant
-  — but replaying them keeps the attempt's round/epoch accounting
-  coherent and exercises the same code path that crashed.
 
 Semantic failures (``ReproError``: late events under RAISE, punctuation
 regressions) are *not* retried — replaying deterministic input cannot
@@ -72,9 +63,6 @@ class SupervisedParallelResult:
     def resilience_doc(self) -> dict:
         """Summary in the shape of ``SupervisedResult.resilience_doc``,
         for the observability snapshot's ``resilience`` section."""
-        autoscale = None
-        if isinstance(self.parallel, dict):
-            autoscale = self.parallel.get("autoscale")
         return {
             "mode": "parallel",
             "restarts": self.restarts,
@@ -87,9 +75,6 @@ class SupervisedParallelResult:
                 }
                 for crash in self.crashes
             ],
-            "rescales": (
-                len(autoscale["applied"]) if autoscale else 0
-            ),
             "completed": self.completed,
         }
 
@@ -115,10 +100,6 @@ def run_parallel_supervised(ingress, plan, workers, *, max_restarts=2,
     from repro.parallel.runtime import run_parallel
 
     journal = list(ingress)
-    if run_kwargs.get("autoscale") is not None:
-        # One schedule list across every attempt: entries recorded
-        # before a crash replay verbatim on the next one.
-        run_kwargs.setdefault("rescale_schedule", [])
     channel = _DeliveryChannel(on_event)
     crashes = []
     attempt_elements = []

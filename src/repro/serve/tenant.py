@@ -13,9 +13,8 @@ do to a tenant lands here as an explicit, counted decision:
 * **Buffer-quota breaches** consult a per-tenant
   :class:`~repro.resilience.degradation.LoadSheddingGuard`.  With
   ``max_slots > 1`` the tenant is *elastic*: a breach first grows the
-  quota by one slot (``counters["scale_ups"]``) — mirroring the
-  parallel runtime's autoscaler, capacity before data loss — and only
-  sheds once every slot is consumed.  A forced early punctuation is
+  quota by one slot (``counters["scale_ups"]``) — capacity before data
+  loss — and only sheds once every slot is consumed.  A forced early punctuation is
   journaled as a ``"g"`` line so crash-recovery replay reproduces the
   shed deterministically — ``counters["shed"]``.  Slots retire
   (``counters["scale_downs"]``) once occupancy drains back under the

@@ -750,6 +750,28 @@ class TestObservabilitySection:
             1 for e in elements if isinstance(e, Event)
         )
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("plan_kind", ["compiled", "row"])
+    def test_accounting_surface_of_fixed_pools(self, plan_kind, workers):
+        # The accounting keys the end-to-end benchmark reads.
+        elements = disordered_elements(seed=3, n=300, lag=30)
+        plan = compiled_grouped() if plan_kind == "compiled" \
+            else RowPlan(grouped_count)
+        doc = run_parallel(list(elements), plan, workers).parallel
+        assert len(doc["shards"]) == workers
+        for stats in doc["shards"]:
+            assert set(stats["ring_wait"]) == {
+                "spins", "parks", "stall_s", "park_s"}
+            assert set(stats) >= {"cpu_s", "wall_s", "events_in",
+                                  "buffered_peak", "late_dropped"}
+        rounds = sum(isinstance(e, Punctuation) for e in elements)
+        assert doc["rounds"] == rounds == \
+            doc["fast_merge_rounds"] + doc["tree_merge_rounds"]
+        known = {name for kind, name in exchange.KIND_NAMES.items()
+                 if kind <= exchange.SDATA}
+        assert set(doc["frames_sent_by_kind"]) <= known
+        assert set(doc["frames_received_by_kind"]) <= known
+
 
 class TestCliParallel:
     def test_run_parallel_flag(self, capsys):
@@ -789,6 +811,16 @@ class TestCliParallel:
             "--query", "grouped-count", "--parallel", "2",
             "--chaos", "0.5",
         ])
+        assert code == 2
+
+    @pytest.mark.parametrize("spec", ["0", "auto"])
+    def test_bad_worker_count_exits_2(self, spec):
+        from repro.cli import main
+
+        try:
+            code = main(["run", "--n", "2000", "--parallel", spec])
+        except SystemExit as exc:  # argparse rejects a non-integer
+            code = exc.code
         assert code == 2
 
 

@@ -249,6 +249,25 @@ class TestCheckpoint:
         restored = restore_sorter(state)
         assert restored.merge == "pairwise"
 
+    @pytest.mark.parametrize("shard", [None, {"index": 1, "count": 2}])
+    def test_columnar_format4_roundtrip(self, shard):
+        # Format-4 docs that earlier writers tagged with a shard restore.
+        import numpy as np
+
+        from repro.core.columnar import ColumnarImpatienceSorter
+
+        sorter = ColumnarImpatienceSorter(columns=1)
+        sorter.insert_batch(np.array([5, 1, 9, 3]), (np.array([5, 1, 9, 3]),))
+        sorter.on_punctuation(2)
+        state = checkpoint_sorter(sorter)
+        assert state["format"] == 4 and "shard" not in state
+        if shard is not None:
+            state["shard"] = shard
+        restored = restore_sorter(state)
+        assert restored.watermark == 2
+        ts, (col,) = restored.flush()
+        assert ts.tolist() == col.tolist() == [3, 5, 9]
+
     @given(
         st.lists(st.integers(0, 500), max_size=200),
         st.lists(st.integers(0, 500), max_size=200),

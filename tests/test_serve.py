@@ -353,6 +353,76 @@ class TestTenantRuntime:
             recovered.recover(state)
 
 
+class TestServeElasticity:
+    def _runtime(self, tmp_path, **kwargs):
+        from repro.resilience.quarantine import QuarantineLedger
+        from repro.serve.tenant import TenantRuntime
+
+        ledger = QuarantineLedger(
+            sidecar=os.path.join(tmp_path, "quarantine.jsonl")
+        )
+        return TenantRuntime("t1", str(tmp_path), ledger, **kwargs)
+
+    def _flood(self, runtime, n, start=0):
+        for i in range(start, start + n):
+            runtime.accept_event(
+                runtime.journal.length, Event(i, i + 1, 0, (i,))
+            )
+
+    def test_breach_scales_up_before_shedding(self, tmp_path):
+        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
+        runtime.subscribe("q", "window=100|sort|count")
+        self._flood(runtime, 20)
+        assert runtime.counters["scale_ups"] >= 1
+        assert runtime.counters["shed"] == 0
+        assert runtime.slots > 1
+
+    def test_sheds_only_after_every_slot_is_consumed(self, tmp_path):
+        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
+        runtime.subscribe("q", "window=100|sort|count")
+        self._flood(runtime, 200)
+        assert runtime.slots == 3
+        assert runtime.counters["scale_ups"] == 2
+        assert runtime.counters["shed"] >= 1
+
+    def test_elastic_tenant_sheds_less_than_rigid(self, tmp_path):
+        elastic = self._runtime(
+            os.path.join(tmp_path, "a"), quota=8, max_slots=3
+        )
+        rigid = self._runtime(os.path.join(tmp_path, "b"), quota=8)
+        for runtime in (elastic, rigid):
+            os.makedirs(os.path.dirname(runtime.journal.path),
+                        exist_ok=True)
+            runtime.subscribe("q", "window=100|sort|count")
+            self._flood(runtime, 200)
+        assert elastic.counters["shed"] < rigid.counters["shed"]
+
+    def test_slots_retire_as_buffers_drain(self, tmp_path):
+        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
+        runtime.subscribe("q", "window=100|sort|count")
+        self._flood(runtime, 200)
+        assert runtime.slots == 3
+        runtime.accept_punctuation(runtime.journal.length, 500)
+        assert runtime.slots == 1
+        assert runtime.counters["scale_downs"] == 2
+
+    def test_state_roundtrips_slots(self, tmp_path):
+        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
+        runtime.subscribe("q", "window=100|sort|count")
+        self._flood(runtime, 20)
+        assert runtime.slots > 1
+        state = runtime.as_state()
+        assert state["slots"] == runtime.slots
+        runtime.close()
+        recovered = self._runtime(tmp_path, quota=8, max_slots=3)
+        recovered.recover(state)
+        assert recovered.slots == runtime.slots
+
+    def test_max_slots_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            self._runtime(tmp_path, quota=8, max_slots=0)
+
+
 # -- live-server helpers ----------------------------------------------------
 
 _READY = re.compile(r"serving on ([\d.]+):(\d+) http=[\d.]+:(\d+)")
