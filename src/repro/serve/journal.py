@@ -21,11 +21,35 @@ Journal line grammar (one JSON array per line)::
                                                during replay)
     ["f", offset]                              END flush marker
 
-Appends are ``write() + flush()`` per line: the payload reaches the OS
-page cache, which survives ``kill -9`` of the process (the chaos soak
-relies on exactly this).  A crash mid-append can leave one torn trailing
-line; the loader tolerates — and truncates — a torn *final* line, but a
-torn line mid-file means real corruption and raises.
+Lines are written compact (``["e",0,1,2,0,[1]]``); the loader reads any
+JSON spacing, so journals written with spaced ``json.dumps`` lines
+recover unchanged.  An event line built from a wire frame embeds the
+frame's key and payload JSON text as received (it was just validated by
+:func:`~repro.serve.protocol.decode_data_frame`), so the event is never
+re-encoded — unless that text is not ASCII, in which case the fragments
+are rendered with non-ASCII escaped.  Every journal line is ASCII.
+
+Appends are group-committed: :meth:`TenantJournal.append_event` and
+friends only buffer, and :meth:`TenantJournal.commit` moves every
+buffered line into the OS page cache with one ``flush()``, which
+survives ``kill -9`` of the process (the chaos soak relies on exactly
+this).  The server commits once per socket read, and three invariants
+keep every promise made to a client on disk first:
+
+1. ``TenantRuntime.accept_punctuation``/``accept_end`` commit before
+   returning, so no ``IOFF`` is acked before its line is durable.
+2. The server's result pump commits before any ``RESULT`` leaves, so no
+   result is derived from an element a restart could lose.
+3. The server's state save commits every journal before ``state.json``
+   is written, so a persisted journal length or result digest never
+   runs ahead of the journal.
+
+Anything appended after the last commit was neither acked nor answered,
+so losing it to a crash is indistinguishable from losing it on the wire:
+the client resumes from the ``HELLO journal=`` length.  A crash
+mid-write can leave one torn trailing line; the loader tolerates — and
+truncates, at its byte offset — a torn *final* line, but a torn line
+mid-file means real corruption and raises.
 
 The state file (``state.json``) is written atomically (tmp + rename) and
 holds what replay cannot reconstruct: per-tenant counters and the
@@ -40,7 +64,7 @@ import os
 
 from repro.core.errors import ServeProtocolError
 from repro.engine.event import Event, Punctuation
-from repro.serve.protocol import _jsoned, _tupled
+from repro.serve.protocol import _dumps, _jsoned, _tupled
 
 __all__ = ["TenantJournal", "load_state", "save_state"]
 
@@ -50,12 +74,15 @@ class TenantJournal:
 
     ``length`` is the journal's element count and doubles as the
     tenant's next expected ingress offset — the dedup line for
-    exactly-once ingress.
+    exactly-once ingress.  ``commits`` counts the commits that wrote at
+    least one line since this object was created; it is not persisted.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self.length = 0
+        self.commits = 0
+        self._pending = 0  # lines appended since the last commit
         self._fh = None
 
     # -- recovery ----------------------------------------------------------
@@ -70,9 +97,11 @@ class TenantJournal:
         """
         if not os.path.exists(self.path):
             return
-        with open(self.path, "r+", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-            if lines and lines[-1] == "":
+        # Bytes, not text: the truncation offset below is a byte count,
+        # and a torn line may end inside a multi-byte character.
+        with open(self.path, "r+b") as fh:
+            lines = fh.read().split(b"\n")
+            if lines and lines[-1] == b"":
                 lines.pop()
             for index, line in enumerate(lines):
                 try:
@@ -102,36 +131,53 @@ class TenantJournal:
 
     # -- append ------------------------------------------------------------
 
-    def _handle(self):
-        if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
-        return self._fh
+    def append_event(self, event, wire=None) -> int:
+        """Buffer one event line; returns its offset.
 
-    def append_event(self, event) -> int:
-        line = json.dumps(["e", self.length, event.sync_time,
-                           event.other_time, _jsoned(event.key),
-                           _jsoned(event.payload)])
-        return self._append(line)
+        ``wire`` is the ``(key_json, payload_json)`` text of the ``EVENT``
+        frame ``event`` was decoded from.  Without it the same fragments
+        are rendered from the event.
+        """
+        if wire is not None:
+            fields = f"{wire[0]},{wire[1]}"
+        if wire is None or not fields.isascii():
+            # "<key-json>,<payload-json>" from one encoder call; it
+            # escapes non-ASCII, so every journal line is ASCII.
+            fields = _dumps([_jsoned(event.key), _jsoned(event.payload)])
+            fields = fields[1:-1]
+        return self._append(
+            f'["e",{self.length},{event.sync_time},{event.other_time},'
+            f"{fields}]\n"
+        )
 
     def append_punctuation(self, timestamp, forced=False) -> int:
         tag = "g" if forced else "p"
-        return self._append(json.dumps([tag, self.length, timestamp]))
+        return self._append(f'["{tag}",{self.length},{timestamp}]\n')
 
     def append_flush(self) -> int:
-        return self._append(json.dumps(["f", self.length]))
+        return self._append(f'["f",{self.length}]\n')
 
     def _append(self, line) -> int:
-        fh = self._handle()
-        fh.write(line + "\n")
-        fh.flush()
+        if self._fh is None:
+            self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh.write(line)
+        self._pending += 1
         offset = self.length
         self.length += 1
         return offset
 
+    def commit(self) -> None:
+        """Flush every buffered line to the OS page cache."""
+        if self._pending:
+            self._fh.flush()
+            self._pending = 0
+            self.commits += 1
+
     def close(self):
         if self._fh is not None:
-            self._fh.close()
+            self._fh.close()  # writes any lines not yet committed
             self._fh = None
+            self._pending = 0
 
 
 def save_state(data_dir, doc):

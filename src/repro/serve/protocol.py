@@ -78,9 +78,14 @@ _LATE_POLICIES = {
 }
 
 
+#: One encoder for every call: ``json.dumps`` with non-default arguments
+#: builds a new encoder each time.
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def _dumps(value) -> str:
     """Compact JSON — no spaces, so frames stay space-splittable."""
-    return json.dumps(value, separators=(",", ":"))
+    return _COMPACT.encode(value)
 
 
 def decode_payload(text):
@@ -93,8 +98,8 @@ def decode_payload(text):
 
 
 def _tupled(value):
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
+    if type(value) is list:
+        return tuple([_tupled(v) if type(v) is list else v for v in value])
     return value
 
 

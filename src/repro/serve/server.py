@@ -8,11 +8,14 @@ has a bounded, counted, observable response rather than an exception
 path.
 
 * **Bounded ingress queues** — each tenant owns one
-  ``asyncio.Queue(maxsize=queue_capacity)``; connection readers block in
-  ``put()`` when it fills, which propagates as TCP backpressure to the
-  producer.  A single consumer task per tenant serializes frame
-  processing across every connection (TCP and HTTP) touching that
-  tenant.
+  ``asyncio.Queue(maxsize=queue_capacity)``.  A queue item is one socket
+  read's tenant-scoped lines (a read is at most 4 KiB, so the queue
+  holds at most ``queue_capacity × 4 KiB`` of TCP frames) or one HTTP
+  body.  Connection readers block in ``put()`` when it fills, which
+  propagates as TCP backpressure to the producer.  A single consumer
+  task per tenant serializes frame processing across every connection
+  (TCP and HTTP) touching that tenant; it applies an item's lines in
+  order, group-commits the journal and pumps results once per item.
 * **Slow-writer eviction** — reads are chunked through a per-connection
   buffer with a deadline; a peer that stalls mid-frame (slowloris) is
   evicted and counted, while an idle connection with *no* partial frame
@@ -32,7 +35,8 @@ path.
   (:class:`~repro.core.errors.ReplayDivergenceError` on divergence).
 
 State is saved at punctuation boundaries (before the ``IOFF`` ack goes
-out) and on evictions, so an acked round is always durable.
+out) and on evictions, so an acked round is always durable.  The journal
+commit invariants are listed in :mod:`repro.serve.journal`.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.framework.streamables import lag_stats
 from repro.observability.snapshot import PipelineSnapshot
 from repro.resilience.quarantine import QuarantineLedger
 from repro.serve.journal import load_state, save_state
-from repro.serve.protocol import decode_data_frame, result_line
+from repro.serve.protocol import _dumps, decode_data_frame, result_line
 from repro.serve.tenant import TenantRuntime
 
 __all__ = ["ReproServer"]
@@ -90,7 +94,7 @@ class ReproServer:
             sidecar=os.path.join(self.data_dir, "quarantine.jsonl"),
         )
         self.tenants = {}      # name -> TenantRuntime
-        self.queues = {}       # name -> asyncio.Queue of (line, writer)
+        self.queues = {}       # name -> asyncio.Queue of ([line], writer)
         self.subs = {}         # name -> [_Subscriber]
         self._consumers = {}   # name -> Task
         self._writers = set()  # every open StreamWriter (for drain BYE)
@@ -190,6 +194,8 @@ class ReproServer:
         self._stopped.set()
 
     def _save(self):
+        for runtime in self.tenants.values():
+            runtime.journal.commit()
         save_state(self.data_dir, {
             "tenants": {
                 name: runtime.as_state()
@@ -208,6 +214,7 @@ class ReproServer:
                 "queue_depth": self.queues[name].qsize(),
                 "queue_capacity": self.queue_capacity,
                 "journal": runtime.journal.length,
+                "journal_commits": runtime.journal.commits,
                 "watermark": runtime.watermark,
                 "slots": runtime.slots,
                 "max_slots": runtime.max_slots,
@@ -238,19 +245,15 @@ class ReproServer:
 
     # -- shared read path --------------------------------------------------
 
-    async def _read_line(self, reader, buf):
-        """Deadline-guarded line read through a connection-owned buffer.
+    async def _read_lines(self, reader, buf):
+        """Deadline-guarded read through a connection-owned buffer.
 
-        Returns the decoded line, or ``None`` on EOF.  Raises
-        :class:`_SlowWriter` when the peer stalls *mid-frame*; a peer
-        that is merely idle between frames waits forever.
+        Returns every complete line the next read(s) brought in, or
+        ``None`` on EOF.  Raises :class:`_SlowWriter` when the peer
+        stalls *mid-frame*; a peer that is merely idle between frames
+        waits forever.
         """
         while True:
-            nl = buf.find(b"\n")
-            if nl >= 0:
-                line = buf[:nl].decode("utf-8", "replace")
-                del buf[:nl + 1]
-                return line.rstrip("\r")
             try:
                 chunk = await asyncio.wait_for(
                     reader.read(4096), self.read_deadline
@@ -262,6 +265,14 @@ class ReproServer:
             if not chunk:
                 return None
             buf.extend(chunk)
+            end = buf.rfind(b"\n")
+            if end >= 0:
+                text = buf[:end].decode("utf-8", "replace")
+                del buf[:end + 1]
+                lines = text.split("\n")
+                if "\r" in text:
+                    lines = [line.rstrip("\r") for line in lines]
+                return lines
 
     # -- TCP protocol ------------------------------------------------------
 
@@ -270,48 +281,50 @@ class ReproServer:
         buf = bytearray()
         tenant = None
         try:
-            while True:
+            closing = False
+            while not closing:
                 try:
-                    line = await self._read_line(reader, buf)
+                    lines = await self._read_lines(reader, buf)
                 except _SlowWriter:
                     self._evict(tenant, "stalled mid-frame")
                     break
-                if line is None or self.draining:
+                if lines is None:
                     break
-                if not line.strip():
-                    continue
-                parts = line.split(" ")
-                cmd = parts[0]
-                if cmd == "HELLO" and len(parts) >= 2:
-                    name = parts[1]
-                    role = parts[2] if len(parts) > 2 else "ingest"
-                    existed = name in self.tenants
-                    runtime = self._tenant(name)
-                    if existed:
-                        # Quiesce: frames queued by previous connections
-                        # must land before we report the resume offset,
-                        # or the reconnecting client would resend them.
-                        await self.queues[name].join()
-                    if role == "ingest":
-                        if runtime.had_ingest:
-                            runtime.counters["reconnects"] += 1
-                        runtime.had_ingest = True
-                    tenant = name
-                    self._reply(
-                        writer,
-                        f"OK tenant={name} journal={runtime.journal.length}",
+                # Tenant-scoped lines flow through the bounded queue, one
+                # item per run between connection-scoped commands:
+                # backpressure + serialized processing.
+                run = []
+                for line in lines:
+                    if not line.strip():
+                        continue
+                    cmd = line.partition(" ")[0]
+                    inline = cmd in ("SNAPSHOT", "QUIT") or (
+                        cmd == "HELLO" and " " in line
                     )
-                elif cmd == "SNAPSHOT":
-                    self._reply(writer, self.snapshot().to_json(indent=None))
-                elif cmd == "QUIT":
-                    self._reply(writer, "BYE")
-                    break
-                elif tenant is None:
-                    self._reply(writer, "ERR no-tenant say HELLO first")
-                else:
-                    # Everything tenant-scoped flows through the bounded
-                    # queue: backpressure + serialized processing.
-                    await self.queues[tenant].put((line, writer))
+                    if inline and run:
+                        await self.queues[tenant].put((run, writer))
+                        run = []
+                    if self.draining:
+                        closing = True
+                        break
+                    if not inline:
+                        if tenant is not None:
+                            run.append(line)
+                        else:
+                            self._reply(
+                                writer, "ERR no-tenant say HELLO first"
+                            )
+                    elif cmd == "HELLO":
+                        tenant = await self._hello(line.split(" "), writer)
+                    elif cmd == "SNAPSHOT":
+                        snap = self.snapshot().to_json(indent=None)
+                        self._reply(writer, snap)
+                    else:  # QUIT
+                        self._reply(writer, "BYE")
+                        closing = True
+                        break
+                if run:
+                    await self.queues[tenant].put((run, writer))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -324,6 +337,26 @@ class ReproServer:
                 writer.close()
             except RuntimeError:
                 pass
+
+    async def _hello(self, parts, writer):
+        """Bind the connection to tenant ``parts[1]``; returns its name."""
+        name = parts[1]
+        role = parts[2] if len(parts) > 2 else "ingest"
+        existed = name in self.tenants
+        runtime = self._tenant(name)
+        if existed:
+            # Quiesce: frames queued by previous connections must land
+            # before we report the resume offset, or the reconnecting
+            # client would resend them.
+            await self.queues[name].join()
+        if role == "ingest":
+            if runtime.had_ingest:
+                runtime.counters["reconnects"] += 1
+            runtime.had_ingest = True
+        self._reply(
+            writer, f"OK tenant={name} journal={runtime.journal.length}"
+        )
+        return name
 
     def _evict(self, tenant, why) -> None:
         if tenant is not None:
@@ -343,16 +376,44 @@ class ReproServer:
     async def _consume(self, name):
         queue = self.queues[name]
         while True:
-            line, writer = await queue.get()
+            lines, writer = await queue.get()
             try:
-                await self._process(name, line, writer)
-            except Exception:
-                # The consumer must survive anything one frame can do.
-                pass
+                await self._apply(name, lines, writer)
             finally:
                 queue.task_done()
 
+    async def _apply(self, name, lines, writer):
+        """Apply one queue item's lines in order, then pump once.
+
+        Results of the events accepted so far are pumped before any
+        other command runs, so every connection sees its lines in the
+        same order as a pump after every event would give.
+        """
+        pending = False  # events accepted since the last pump
+        for line in lines:
+            if pending and not line.startswith("EVENT "):
+                pending = False
+                await self._pump_guarded(name)
+            try:
+                if await self._process(name, line, writer):
+                    pending = True
+            except Exception:
+                # The consumer must survive anything one frame can do.
+                pass
+        if pending:
+            await self._pump_guarded(name)
+
+    async def _pump_guarded(self, name):
+        """:meth:`_pump` for pumps owed by earlier lines: a failed one
+        must not drop the line that follows it."""
+        try:
+            await self._pump(name)
+        except Exception:
+            pass
+
     async def _process(self, name, line, writer):
+        """Apply one tenant-scoped line; True when it accepted an event
+        whose results the caller still has to pump."""
         runtime = self.tenants[name]
         parts = line.split(" ", 5)
         cmd = parts[0]
@@ -362,13 +423,13 @@ class ReproServer:
                 event = decode_data_frame(parts[2:])
             except (ServeProtocolError, IndexError) as exc:
                 runtime.quarantine(runtime.journal.length, line, str(exc))
-                return
+                return False
             try:
-                runtime.accept_event(offset, event)
+                return runtime.accept_event(offset, event, parts[4:])
             except ServeProtocolError as exc:
+                await self._pump_guarded(name)
                 self._reply(writer, f"ERR gap {exc}")
-                return
-            await self._pump(name)
+                return False
         elif cmd == "PUNCT":
             try:
                 offset = self._offset(runtime, parts[1])
@@ -459,9 +520,11 @@ class ReproServer:
 
         A subscriber whose transport cannot drain within the deadline is
         evicted — one wedged consumer must not hold a tenant's results
-        hostage.
+        hostage.  The journal is committed first: no result leaves
+        before the ingress it was derived from is durable.
         """
         runtime = self.tenants[name]
+        runtime.journal.commit()
         for sub in list(self.subs[name]):
             query = runtime.queries.get(sub.qid)
             if query is None:
@@ -550,19 +613,19 @@ class ReproServer:
                 return "404 Not Found", {"error": "bad tenant"}
             if self.draining:
                 return "503 Service Unavailable", {"error": "draining"}
-            self._tenant(name)
+            runtime = self._tenant(name)
             queue = self.queues[name]
-            accepted = 0
-            for raw in body.decode("utf-8", "replace").splitlines():
-                if not raw.strip():
-                    continue
-                await queue.put((self._http_frame(raw), None))
-                accepted += 1
+            frames = [
+                self._http_frame(raw)
+                for raw in body.decode("utf-8", "replace").splitlines()
+                if raw.strip()
+            ]
+            if frames:
+                await queue.put((frames, None))
             await queue.join()
-            runtime = self.tenants[name]
             self._save()
             return "200 OK", {
-                "accepted": accepted,
+                "accepted": len(frames),
                 "journal": runtime.journal.length,
                 "counters": dict(runtime.counters),
             }
@@ -572,8 +635,9 @@ class ReproServer:
     def _http_frame(raw) -> str:
         """One NDJSON ingest document -> an equivalent protocol line.
 
-        Unparseable documents pass through verbatim so the consumer
-        quarantines them with the same machinery as TCP frames.
+        Unparseable documents, and event documents whose ``sync`` is not
+        an integer, pass through verbatim so the consumer quarantines
+        them with the same machinery as TCP frames.
         """
         try:
             doc = json.loads(raw)
@@ -586,13 +650,14 @@ class ReproServer:
             return f"END {offset}"
         if "punct" in doc:
             return f"PUNCT {offset} {doc['punct']}"
-        key = json.dumps(doc.get("key", 0), separators=(",", ":"))
-        payload = json.dumps(
-            doc.get("payload"), separators=(",", ":")
-        )
+        sync = doc.get("sync")
+        if not isinstance(sync, int):
+            return raw
+        key = _dumps(doc.get("key", 0))
+        payload = _dumps(doc.get("payload"))
         return (
-            f"EVENT {offset} {doc.get('sync')} "
-            f"{doc.get('other', doc.get('sync', 0) + 1)} {key} {payload}"
+            f"EVENT {offset} {sync} {doc.get('other', sync + 1)} "
+            f"{key} {payload}"
         )
 
     def __repr__(self):

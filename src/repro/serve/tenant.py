@@ -111,11 +111,16 @@ class TenantRuntime:
             )
         return False
 
-    def accept_event(self, offset, event) -> bool:
-        """Journal + push one event; False when it was a duplicate."""
+    def accept_event(self, offset, event, wire=None) -> bool:
+        """Journal + push one event; False when it was a duplicate.
+
+        The journal line is buffered, not committed: the caller commits
+        before anything derived from it leaves the process.  ``wire`` is
+        passed to :meth:`TenantJournal.append_event`.
+        """
         if self._dedup(offset):
             return False
-        self.journal.append_event(event)
+        self.journal.append_event(event, wire)
         if event.sync_time > self._high:
             self._high = event.sync_time
         for query in self.queries.values():
@@ -124,9 +129,12 @@ class TenantRuntime:
         return True
 
     def accept_punctuation(self, offset, timestamp) -> bool:
+        """Journal + commit + push one punctuation; the commit makes
+        the journal durable up to here before the caller acks."""
         if self._dedup(offset):
             return False
         self.journal.append_punctuation(timestamp)
+        self.journal.commit()
         self.watermark = timestamp
         for query in self.queries.values():
             query.push_punctuation(timestamp)
@@ -134,10 +142,12 @@ class TenantRuntime:
         return True
 
     def accept_end(self, offset) -> bool:
-        """END frame: journal the flush marker and complete all queries."""
+        """END frame: journal + commit the flush marker and complete all
+        queries."""
         if self._dedup(offset):
             return False
         self.journal.append_flush()
+        self.journal.commit()
         for query in self.queries.values():
             query.flush()
         return True

@@ -1,7 +1,9 @@
 """Tests for the always-on serve layer (repro.serve).
 
-Covers the wire protocol and standing-query spec grammar, the durable
-ingress journal (torn-tail tolerance included), standing-query /
+Covers the wire protocol and standing-query spec grammar (with a
+decode + journal differential against the line-at-a-time decoder), the
+durable ingress journal (torn-tail tolerance, group commit, spaced
+legacy lines), standing-query /
 batch-run byte-identity, the tenant state machine (dedup, quarantine,
 quota shedding, journal-replay recovery), the live server end to end
 (TCP + HTTP framings, snapshot ``serve`` section, SIGTERM drain), and —
@@ -16,16 +18,21 @@ Extra soak seeds can be exercised from CI via ``REPRO_CHAOS_SEED=<n>``.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import (
     ReplayDivergenceError,
@@ -35,6 +42,7 @@ from repro.engine import DisorderedStreamable, Event, Punctuation
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.quarantine import QuarantineLedger
 from repro.serve import (
+    ReproServer,
     ServeClient,
     StandingQuery,
     TenantJournal,
@@ -148,6 +156,146 @@ class TestProtocol:
             decode_data_frame(parts)
 
 
+# -- decode + journal differential --------------------------------------------
+
+def _oracle_tupled(value):
+    if isinstance(value, list):
+        return tuple(_oracle_tupled(v) for v in value)
+    return value
+
+
+def _oracle_decode(parts):
+    """The line-at-a-time ``decode_data_frame``, kept verbatim as the
+    reference the decoder must agree with."""
+    if len(parts) == 1:  # PUNCT <ts>
+        try:
+            return Punctuation(int(parts[0]))
+        except ValueError:
+            raise ServeProtocolError(
+                f"punctuation timestamp {parts[0]!r} is not an integer"
+            ) from None
+    if len(parts) != 4:
+        raise ServeProtocolError(
+            f"event frame needs sync/other/key/payload, got {len(parts)} "
+            "fields"
+        )
+    try:
+        sync, other = int(parts[0]), int(parts[1])
+        key = _oracle_tupled(json.loads(parts[2]))
+        payload = _oracle_tupled(json.loads(parts[3]))
+    except (ValueError, json.JSONDecodeError) as exc:
+        raise ServeProtocolError(f"unparseable event frame: {exc}") from None
+    return Event(sync, other, key, payload)
+
+
+def _outcome(decode, parts):
+    """``(repr, None)`` for an accepted tail, ``(None, message)`` for a
+    rejected one."""
+    try:
+        return repr(decode(list(parts))), None
+    except ServeProtocolError as exc:
+        return None, str(exc)
+
+
+_WS = st.sampled_from(["", " ", "\t", "\r", " \t "])
+_INT_TEXT = st.one_of(
+    st.integers(-10**12, 10**12).map(str),
+    st.sampled_from([
+        "007", "+5", "1_0", " 5", "\t5", "5\t", "-0", "1.5", "1e3", "0x10",
+        "NaN", "x", "", "\u0663", "\u00b2",
+    ]),
+)
+# No lone surrogates: the server decodes wire bytes with "replace".
+_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=4)
+_JSON_VALUE = st.recursive(
+    st.one_of(
+        st.integers(-10**9, 10**9),
+        st.none(), st.booleans(), st.floats(), _TEXT,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(_TEXT, inner, max_size=2),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _json_text(draw):
+    """JSON text as a shipper might write it — spaced, tabbed, CR-laden,
+    torn, or not JSON at all."""
+    value = draw(_JSON_VALUE)
+    sep = draw(st.sampled_from([(",", ":"), (", ", ": "), (",\t", ":")]))
+    body = json.dumps(value, separators=sep, ensure_ascii=draw(st.booleans()))
+    text = draw(_WS) + body + draw(_WS)
+    mutation = draw(st.sampled_from(["none"] * 6 + ["torn", "swap"]))
+    if mutation == "torn":
+        text = text[:draw(st.integers(0, max(len(text) - 1, 0)))]
+    elif mutation == "swap":
+        text = draw(st.sampled_from([
+            "NaN", "Infinity", "-Infinity", "01", "+5", "1_0", "[1,]",
+            "[1] x", "[1]]", "\ufeff1", "'a'", "[NaN, 1]",
+        ]))
+    return text
+
+
+_TAILS = st.one_of(
+    st.tuples(_INT_TEXT),                                      # PUNCT
+    st.tuples(_INT_TEXT, _INT_TEXT, _json_text(), _json_text()),  # EVENT
+    st.lists(st.one_of(_INT_TEXT, _json_text()), max_size=6),  # any arity
+)
+
+
+class TestDecodeJournalDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(parts=_TAILS)
+    def test_decode_and_journal_agree_with_the_oracle(self, parts):
+        want = _outcome(_oracle_decode, parts)
+        assert _outcome(decode_data_frame, parts) == want
+        if want[0] is None:
+            return
+        element = decode_data_frame(list(parts))
+        with tempfile.TemporaryDirectory() as tmp:
+            journal = TenantJournal(os.path.join(tmp, "journal-t.jsonl"))
+            if isinstance(element, Punctuation):
+                journal.append_punctuation(element.timestamp)
+            else:
+                journal.append_event(element, list(parts[2:]))  # wire text
+                journal.append_event(element)                   # rendered
+            journal.commit()
+            loaded = [repr(e) for _, e in TenantJournal(journal.path).load()]
+            journal.close()
+            with open(journal.path, "rb") as fh:
+                assert fh.read().isascii()
+        assert loaded and loaded == [want[0]] * len(loaded)
+
+    def test_spaced_journal_lines_still_recover(self, tmp_path):
+        """A journal written one spaced ``json.dumps`` line per element
+        replays byte-identically, and compact appends continue it."""
+        spec = "window=10|sort|group-sum=0"
+        elements = make_stream(n=30, payload=lambda i: (i, (i % 2, i)))
+        with open(tmp_path / "journal-t1.jsonl", "w") as fh:
+            for offset, element in enumerate(elements):
+                if isinstance(element, Punctuation):
+                    doc = ["p", offset, element.timestamp]
+                else:
+                    doc = ["e", offset, element.sync_time,
+                           element.other_time, element.key, element.payload]
+                fh.write(json.dumps(doc) + "\n")
+        before = StandingQuery("q", spec)
+        drive(before, elements, flush=False)
+
+        runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
+        runtime.recover({"queries": {"q": before.as_state()}})
+        assert runtime.journal.length == len(elements)
+        assert runtime.accept_end(len(elements))
+        runtime.close()
+        assert_byte_identical(spec, elements, runtime.queries["q"].results)
+        kinds = [kind for kind, _ in
+                 TenantJournal(tmp_path / "journal-t1.jsonl").load()]
+        assert kinds[-1] == "f" and len(kinds) == len(elements) + 1
+
+
 class TestJournal:
     def test_append_and_load_round_trip(self, tmp_path):
         journal = TenantJournal(tmp_path / "journal-t.jsonl")
@@ -181,6 +329,36 @@ class TestJournal:
         fresh.close()
         again = TenantJournal(path)
         assert [kind for kind, _ in again.load()] == ["e", "p", "e"]
+
+    @pytest.mark.parametrize("torn", [
+        b'["e", 2, 9, 10',
+        '["e",2,9,10,"é'.encode()[:-1],  # cut inside the character
+    ], ids=["ascii", "mid-character"])
+    def test_non_ascii_wire_text_and_a_torn_tail(self, tmp_path, torn):
+        """Wire text carrying raw UTF-8 is journaled as ASCII, and a torn
+        tail — even one cut inside a UTF-8 sequence — is truncated at
+        its byte offset, leaving every committed line intact."""
+        path = tmp_path / "journal-t.jsonl"
+        journal = TenantJournal(path)
+        journal.append_event(Event(1, 2, "é", ("è",)),
+                             ['"é"', '["è"]'])
+        journal.append_punctuation(1)
+        journal.close()
+        with open(path, "rb") as fh:
+            assert fh.read().isascii()
+        with open(path, "ab") as fh:
+            fh.write(torn)
+
+        fresh = TenantJournal(path)
+        assert [kind for kind, _ in fresh.load()] == ["e", "p"]
+        fresh.append_event(Event(9, 10, "é", (9,)), ['"é"', "[9]"])
+        fresh.close()
+        replay = [element for _, element in TenantJournal(path).load()]
+        assert [repr(e) for e in replay] == [
+            repr(Event(1, 2, "é", ("è",))),
+            repr(Punctuation(1)),
+            repr(Event(9, 10, "é", (9,))),
+        ]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "journal-t.jsonl"
@@ -275,6 +453,23 @@ class TestTenantRuntime:
         assert not runtime.accept_event(0, event)
         assert runtime.counters["duplicates"] == 1
         assert runtime.journal.length == 1
+
+    def test_events_are_group_committed_by_the_punctuation(self, tmp_path):
+        runtime = self._runtime(tmp_path)
+        runtime.subscribe("q", "window=10|sort|count")
+        n = 25
+        for i in range(n):
+            assert runtime.accept_event(i, Event(i, i + 1, 0, (i,)))
+
+        def on_disk():  # a second handle: what a kill -9 would leave
+            with open(runtime.journal.path, encoding="utf-8") as fh:
+                return fh.read().splitlines()
+
+        assert on_disk() == []
+        assert runtime.accept_punctuation(n, n - 1)
+        assert len(on_disk()) == n + 1
+        assert runtime.journal.commits == 1
+        runtime.close()
 
     def test_offset_gap_raises(self, tmp_path):
         runtime = self._runtime(tmp_path)
@@ -501,6 +696,8 @@ class TestServeEndToEnd:
             assert serve["draining"] is False
             tenant = serve["tenants"]["tenant-a"]
             assert tenant["queue_capacity"] == 256
+            # PUNCT and END each commit; events ride on some commit.
+            assert 4 <= tenant["journal_commits"] <= tenant["journal"] == 34
             assert set(tenant["counters"]) == {
                 "quarantined", "duplicates", "reconnects", "evictions",
                 "shed", "scale_ups", "scale_downs",
@@ -568,6 +765,136 @@ class TestServeEndToEnd:
             reply = json.loads(conn.getresponse().read())
             assert reply["counters"]["quarantined"] == 1
             conn.close()
+        finally:
+            assert stop_server(proc) == 0
+
+    @pytest.mark.parametrize(
+        "doc", [{"sync": "x"}, {"sync": None, "other": 5}]
+    )
+    def test_http_frame_passes_non_integer_sync_through(self, doc):
+        raw = json.dumps(doc)
+        assert ReproServer._http_frame(raw) == raw
+
+    def test_http_non_integer_sync_is_quarantined(self, tmp_path):
+        proc, host, port, http_port = start_server(tmp_path)
+        try:
+            body = "\n".join([
+                json.dumps({"sync": 1, "other": 2, "key": 0, "payload": [1]}),
+                json.dumps({"sync": "x"}),
+                json.dumps({"sync": 2, "other": 3, "key": 0, "payload": [2]}),
+            ])
+            conn = http.client.HTTPConnection(host, http_port, timeout=10)
+            conn.request("POST", "/ingest/web", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            reply = json.loads(response.read())
+            conn.close()
+            assert reply["accepted"] == 3
+            assert reply["journal"] == 2
+            assert reply["counters"]["quarantined"] == 1
+        finally:
+            assert stop_server(proc) == 0
+
+    def test_one_read_with_a_malformed_line_and_a_gap(self, tmp_path):
+        """Every other line of the read still applies, in order."""
+        proc, host, port, _ = start_server(tmp_path)
+        try:
+            spec = "window=10|sort|count"
+            events = [Event(i, i + 1, i % 3, (i,)) for i in range(10)]
+            client = ServeClient(host, port, "t")
+            client.subscribe("q1", spec)
+
+            def frame(offset, event):
+                return (f"EVENT {offset} {event.sync_time} "
+                        f"{event.other_time} {event.key} [{event.payload[0]}]")
+
+            frames = [frame(i, e) for i, e in enumerate(events[:5])]
+            frames.append("EVENT 5 not-a-sync-time !! {")
+            frames.append(frame(9, events[9]))                    # a gap
+            frames += [frame(i, e) for i, e in enumerate(events[5:], 5)]
+            frames += ["PUNCT 10 9", "END 11"]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(b"HELLO t\n")
+                assert replies.readline() == b"OK tenant=t journal=0\n"
+                sock.sendall("".join(f"{f}\n" for f in frames).encode())
+                assert [replies.readline() for _ in range(3)] == [
+                    b"ERR gap ingress gap: got offset 9, expected 5\n",
+                    b"IOFF 11\n",
+                    b"IOFF 12\n",
+                ]
+            served = client.await_complete("q1", deadline=30)
+            assert_byte_identical(spec, events + [Punctuation(9)], served)
+            counters = client.snapshot()["serve"]["tenants"]["t"]["counters"]
+            assert counters["quarantined"] == 1
+            assert counters["duplicates"] == 0
+            client.close()
+        finally:
+            assert stop_server(proc) == 0
+
+    def test_a_failed_pump_does_not_drop_the_next_line(self, tmp_path):
+        """A pump owed by earlier events that raises (say, an OSError
+        while saving state) is contained: the line after it applies."""
+        pumps = []
+
+        async def failing_pump(name):
+            pumps.append(name)
+            raise OSError("no space left on device")
+
+        async def scenario():
+            server = ReproServer(tmp_path)
+            runtime = server._tenant("t")
+            server._consumers["t"].cancel()
+            server._pump = failing_pump
+            await server._apply("t", [
+                "EVENT 0 1 2 0 [1]", "EVENT 1 2 3 0 [2]", "PUNCT 2 2",
+                "EVENT 3 3 4 0 [3]",
+            ], None)
+            runtime.close()
+            return runtime
+
+        runtime = asyncio.run(scenario())
+        assert runtime.journal.length == 4
+        assert runtime.watermark == 2
+        # Owed before PUNCT, PUNCT's own, owed at the end of the item.
+        assert len(pumps) == 3
+
+    def test_kill9_after_an_event_burst_resumes_at_the_hello_offset(
+            self, tmp_path):
+        spec = "window=10|sort|group-count"
+        elements = make_stream()
+        burst = 16  # ten events, PUNCT, then five events with no PUNCT
+        assert not isinstance(elements[burst - 1], Punctuation)
+        client = ServeClient("127.0.0.1", 0, "t")
+        proc, client.host, client.port, _ = start_server(tmp_path)
+        try:
+            client.subscribe("q1", spec)
+            client.feed(elements)
+            client.send_until(burst)
+            deadline = time.monotonic() + 20
+            while client.snapshot()["serve"]["tenants"]["t"]["journal"] \
+                    < burst:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait()
+        client._drop_connections()
+
+        proc, client.host, client.port, _ = start_server(tmp_path)
+        try:
+            with socket.create_connection(
+                    (client.host, client.port), timeout=10) as sock:
+                sock.sendall(b"HELLO t sub\n")
+                hello = sock.makefile("rb").readline().decode()
+            with open(tmp_path / "journal-t.jsonl", encoding="utf-8") as fh:
+                on_disk = len(fh.read().splitlines())
+            assert hello == f"OK tenant=t journal={burst}\n"
+            assert on_disk == burst
+            client.finish()
+            served = client.await_complete("q1", deadline=30)
+            assert_byte_identical(spec, elements, served)
+            client.close()
         finally:
             assert stop_server(proc) == 0
 
