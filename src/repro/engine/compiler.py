@@ -778,7 +778,8 @@ class CompiledPlan:
         return execution.result(reason)
 
 
-def _events_chunk(events, start, stop, arity, need_other=False):
+def _events_chunk(events, start, stop, arity, need_other=False,
+                  need_keys=True):
     count = stop - start
     chunk = events[start:stop]
     sync = np.fromiter(
@@ -788,7 +789,11 @@ def _events_chunk(events, start, stop, arity, need_other=False):
         np.fromiter((event.other_time for event in chunk), np.int64, count)
         if need_other else None
     )
-    keys = np.fromiter((event.key for event in chunk), np.int64, count)
+    # A caller whose plan never reads the key skips its column.
+    keys = (
+        np.fromiter((event.key for event in chunk), np.int64, count)
+        if need_keys else None
+    )
     if arity:
         matrix = np.asarray(
             [event.payload for event in chunk], dtype=np.int64

@@ -87,13 +87,14 @@ class TenantJournal:
 
     # -- recovery ----------------------------------------------------------
 
-    def load(self):
+    def load(self, start=0):
         """Replay generator: yields ``(kind, element_or_None)`` tuples.
 
         ``kind`` is the journal line tag (``e``/``p``/``g``/``f``).  A
         torn final line (the only kind of damage a crashed append can
         cause) is truncated away; earlier damage raises
-        :class:`ServeProtocolError`.
+        :class:`ServeProtocolError`.  Lines before ``start`` are skipped
+        undecoded.
         """
         if not os.path.exists(self.path):
             return
@@ -103,7 +104,8 @@ class TenantJournal:
             lines = fh.read().split(b"\n")
             if lines and lines[-1] == b"":
                 lines.pop()
-            for index, line in enumerate(lines):
+            for index in range(start, len(lines)):
+                line = lines[index]
                 try:
                     doc = json.loads(line)
                     kind = doc[0]
@@ -185,8 +187,9 @@ def save_state(data_dir, doc):
     path = os.path.join(data_dir, "state.json")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        # One C-encoded string and one write: ``indent`` would force the
+        # pure-Python encoder on every punctuation's save.
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

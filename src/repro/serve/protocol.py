@@ -88,13 +88,34 @@ def _dumps(value) -> str:
     return _COMPACT.encode(value)
 
 
+#: The C scanner ``json.loads`` runs underneath its Python wrapper.
+_SCAN = json.JSONDecoder().scan_once
+
+
+def _loads(text):
+    """``json.loads(text)``, through the C scanner when it can.
+
+    The scanner alone handles a value that fills the whole text, which
+    is every well-formed frame field.  Anything else — surrounding
+    whitespace, trailing data, no value at all — goes to ``json.loads``
+    itself, so every value and every error is the one it gives.
+    """
+    try:
+        value, end = _SCAN(text, 0)
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    if end == len(text):
+        return value
+    return json.loads(text)
+
+
 def decode_payload(text):
     """JSON payload text -> engine payload value.
 
     Lists become tuples (recursively) so served events compare equal —
     and ``repr()`` byte-identical — to batch-engine events.
     """
-    return _tupled(json.loads(text))
+    return _tupled(_loads(text))
 
 
 def _tupled(value):
@@ -150,7 +171,7 @@ def decode_data_frame(parts):
         )
     try:
         sync, other = int(parts[0]), int(parts[1])
-        key = _tupled(json.loads(parts[2]))
+        key = _tupled(_loads(parts[2]))
         payload = decode_payload(parts[3])
     except (ValueError, json.JSONDecodeError) as exc:
         raise ServeProtocolError(f"unparseable event frame: {exc}") from None
@@ -182,7 +203,7 @@ def parse_result_line(line):
     if parts[0] == "RESULT" and len(parts) == 7:
         return parts[1], int(parts[2]), Event(
             int(parts[3]), int(parts[4]),
-            _tupled(json.loads(parts[5])), _tupled(json.loads(parts[6])),
+            _tupled(_loads(parts[5])), _tupled(_loads(parts[6])),
         )
     raise ServeProtocolError(f"unparseable result line: {line!r}")
 

@@ -223,6 +223,8 @@ class ReproServer:
                 "queries": {
                     qid: {
                         "spec": query.spec,
+                        "engine": query.engine,
+                        "row_reason": query.row_reason,
                         "delivered": query.delivered,
                         "completed": query.completed,
                         "buffered": query.buffered_events(),

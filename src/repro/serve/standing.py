@@ -1,13 +1,41 @@
 """Standing queries: long-lived incremental pipelines over tenant streams.
 
-A :class:`StandingQuery` binds a compiled
-:class:`~repro.engine.planner.QueryPlan` into a push
-:class:`~repro.engine.graph.Pipeline` whose sink appends every emitted
-element to an in-order result log.  The service pushes ingress elements
-into every standing pipeline of the owning tenant as they arrive;
-results materialize incrementally at punctuation boundaries exactly as
-they would in a batch ``QueryPlan.run`` — the chaos soak asserts
-byte-identity between the two.
+A :class:`StandingQuery` runs its spec's
+:class:`~repro.engine.planner.QueryPlan` on one of two engines and
+appends every emitted element to an in-order result log:
+
+* **compiled** — when :func:`~repro.engine.compiler.compile_plan` lowers
+  the plan (``window=``/``hop=``, then ``sort[=drop|adjust]``, then
+  ``count`` or ``group-count``).  Pushed events wait in a pending list
+  and reach the fused columnar executor as one chunk per punctuation,
+  so per-event dispatch is paid once per chunk (Trill's columnar
+  batches);
+* **row** — otherwise.  ``where=`` and ``group-sum`` carry opaque Python
+  callables, and ``sort=raise`` must raise at the late event's push,
+  where a buffered chunk would raise only at the next punctuation.  The
+  plan is bound into a push :class:`~repro.engine.graph.Pipeline`.
+
+Results materialize at punctuation boundaries exactly as they would in a
+batch ``QueryPlan.run`` — the chaos soak asserts byte-identity between
+the two — and the results, lags, digest and buffered census are the same
+on either engine after every element.
+
+Serve ingress has no schema, while the compiled columns hold plain
+``int`` values of magnitude below 2**63: the sync time and its window
+floor, the key when the plan groups, and every punctuation and the
+promise its window derives from it.  The first element outside that
+*demotes* the query.  So does a punctuation pattern the compiled engine
+runs slower than the row engine: fewer than 48 events per punctuation,
+on average, over the query's first 16 punctuations (each chunk pays a
+fixed numpy cost).  A demoting query replays its input into a fresh row
+pipeline — the tenant journal from the line the query subscribed at
+through the current line, or its own input log when no tenant owns it —
+checks the regenerated results against the compiled prefix with
+:meth:`StandingQuery.verify_replay`, and stays on the row engine.  The
+replay costs the row engine's time for that whole input, so a late
+demotion on a long history stalls the tenant.  Crash-recovery replay
+meets the same element and demotes at the same point, so neither the
+journal nor the state file records the engine.
 
 Each query keeps a running SHA-256 digest over ``repr(element)`` lines
 of its result log.  The digest is persisted in the service state file
@@ -20,8 +48,16 @@ serving a forked result stream.
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
-from repro.core.errors import ReplayDivergenceError
+from repro.core.errors import PunctuationOrderError, ReplayDivergenceError
+from repro.core.late import LatePolicy
+from repro.engine.compiler import (
+    UnsupportedPlanError,
+    _events_chunk,
+    _Execution,
+    compile_plan,
+)
 from repro.engine.disordered import DisorderedStreamable
 from repro.engine.event import Punctuation
 from repro.engine.graph import Pipeline, QueryNode
@@ -30,6 +66,18 @@ from repro.serve.protocol import parse_query_spec
 
 __all__ = ["StandingQuery"]
 
+#: Compiled columns carry ints of magnitude below this (int64).
+_INT64 = 2 ** 63
+
+#: The density trial.  A chunk pays ≈45 µs of fixed numpy cost per
+#: punctuation and saves ≈1.2 µs per event, so below ≈45 events per
+#: punctuation the row engine is the faster one.  A compiled query whose
+#: first ``_TRIAL_ROUNDS`` punctuations followed fewer than
+#: ``_MIN_CHUNK`` events each, on average, demotes at the last of them;
+#: that replay is at most ``_TRIAL_ROUNDS * (_MIN_CHUNK + 1)`` lines.
+_TRIAL_ROUNDS = 16
+_MIN_CHUNK = 48
+
 
 def _digest_of(elements) -> str:
     digest = hashlib.sha256()
@@ -37,6 +85,154 @@ def _digest_of(elements) -> str:
         digest.update(repr(element).encode())
         digest.update(b"\n")
     return digest.hexdigest()
+
+
+def _lower(plan):
+    """``(compiled, None)`` when ``plan`` runs compiled, else
+    ``(None, reason)``."""
+    try:
+        compiled = compile_plan(plan)
+    except UnsupportedPlanError as exc:
+        return None, exc.reason
+    if compiled.late_policy is LatePolicy.RAISE:
+        return None, "sort=raise"
+    return compiled, None
+
+
+class _Demotion(Exception):
+    """The compiled engine gives the query up; the text says why."""
+
+
+def _unfit(field, value):
+    return _Demotion(
+        f"{field} {value!r} ({type(value).__name__}) does not fit the "
+        f"int64 columns"
+    )
+
+
+def _least(fits):
+    """The least ``t`` in ``(-2**63, 2**63)`` with ``fits(t)``, for a
+    ``fits`` that is false below some point and true from it on."""
+    lo, hi = -_INT64 + 1, _INT64 - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _CompiledPipeline:
+    """The push-``Pipeline`` face of a lowered plan.
+
+    Events wait in a pending list and reach the fused executor as one
+    columnar chunk when a punctuation, a flush or an exact census needs
+    them.  No serve spec that reads a payload value lowers
+    (``group-sum``'s selector is opaque), so chunks carry no value
+    column, and the key column only when the count groups.
+    """
+
+    def __init__(self, compiled, on_event, on_punctuation, on_flush):
+        self._execution = _Execution(compiled)
+        self._grouped = compiled.grouped
+        self._on_event = on_event
+        self._on_punctuation = on_punctuation
+        self._on_flush = on_flush
+        self._pending = []
+        #: The executor's census, ``None`` until recounted after it
+        #: last changed.
+        self._census = 0
+        #: Events and punctuations pushed, for the density trial.
+        self._events = self._rounds = 0
+        # The window stages floor syncs in int64 numpy arithmetic, which
+        # wraps silently, and the sorter keeps the promise they derive
+        # from a punctuation as an int64.  These are the least sync and
+        # punctuation whose floors stay in range (in exact Python ints).
+        stages = compiled.stages
+
+        def aligned(sync):
+            for stage in stages:
+                sync = stage.apply(sync, None, None, ())[0]
+            return sync
+
+        def promised(timestamp):
+            for stage in stages:
+                timestamp = stage.transform_punct(timestamp)
+            return timestamp
+
+        self._low_sync = _least(lambda t: aligned(t) > -_INT64)
+        self._low_punct = _least(lambda t: promised(t) > -_INT64)
+
+    def push_event(self, event):
+        sync = event.sync_time
+        if not (type(sync) is int and self._low_sync <= sync < _INT64):
+            raise _unfit("sync", sync)
+        if self._grouped:
+            key = event.key
+            if not (type(key) is int and -_INT64 < key < _INT64):
+                raise _unfit("key", key)
+        self._pending.append(event)
+        self._events += 1
+
+    def push_punctuation(self, timestamp):
+        if not (type(timestamp) is int
+                and self._low_punct <= timestamp < _INT64):
+            raise _unfit("punctuation", timestamp)
+        self._drain()
+        self._census = None
+        self._execution.punctuate(timestamp)
+        self._deliver()
+        self._rounds += 1
+        if (self._rounds == _TRIAL_ROUNDS
+                and self._events < _TRIAL_ROUNDS * _MIN_CHUNK):
+            raise _Demotion(
+                f"{self._events} events in the first {_TRIAL_ROUNDS} "
+                f"punctuations, fewer than {_MIN_CHUNK} per punctuation"
+            )
+
+    def flush(self):
+        self._drain()
+        self._census = None
+        self._execution.flush()
+        self._deliver()
+        self._on_flush()
+
+    def buffered_events(self) -> int:
+        self._drain()
+        return self._settled()
+
+    def buffered_bound(self) -> int:
+        """Census upper bound without a drain: a pending event is
+        buffered or late-dropped, never more."""
+        return self._settled() + len(self._pending)
+
+    def _settled(self) -> int:
+        if self._census is None:
+            execution = self._execution
+            self._census = (
+                execution.sorter.buffered + execution.aggregate.buffered()
+            )
+        return self._census
+
+    def _drain(self):
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self._census = None
+            self._execution.process_chunk(*_events_chunk(
+                pending, 0, len(pending), 0, need_keys=self._grouped
+            ))
+
+    def _deliver(self):
+        # One round: its events, then its punctuation (the row order).
+        execution = self._execution
+        events, execution.events = execution.events, []
+        puncts, execution.punctuations = execution.punctuations, []
+        for event in events:
+            self._on_event(event)
+        for timestamp in puncts:
+            self._on_punctuation(timestamp)
 
 
 class StandingQuery:
@@ -56,15 +252,38 @@ class StandingQuery:
         self.lags = []
         self._digest = hashlib.sha256()
         self._watermark = None
-        self.pipeline = self._build()
+        #: Demotion replays this journal from line ``_origin`` on (see
+        #: :meth:`attach`), or, while no tenant owns a compiled query,
+        #: ``_log``: its input as ``(tag, element)`` journal records.
+        self._journal = None
+        self._origin = 0
+        self._log = None
+        compiled, self.row_reason = _lower(self.plan)
+        if compiled is None:
+            self.engine = "row"
+            self.pipeline = self._row_pipeline()
+        else:
+            self.engine = "compiled"
+            self._log = []
+            self.pipeline = _CompiledPipeline(
+                compiled, self._on_event, self._on_punctuation,
+                self._on_flush,
+            )
 
-    def _build(self) -> Pipeline:
+    def _row_pipeline(self) -> Pipeline:
         stream = self.plan.bind(DisorderedStreamable.from_elements([]))
         sink = CallbackSink(self._on_event, self._on_punctuation,
                             self._on_flush)
         node = QueryNode(lambda: sink, ((stream.node, None),),
                          name=f"serve[{self.qid}]")
         return Pipeline([node])
+
+    def attach(self, journal) -> None:
+        """Take this query's input history from ``journal``: its lines
+        from the current length on.  Call before the first push."""
+        self._journal = journal
+        self._origin = journal.length
+        self._log = None
 
     # -- delivery ----------------------------------------------------------
 
@@ -87,17 +306,72 @@ class StandingQuery:
     # -- ingress -----------------------------------------------------------
 
     def push_event(self, event):
-        self.pipeline.push_event(event)
+        if self._log is not None:
+            self._log.append(("e", event))
+        try:
+            self.pipeline.push_event(event)
+        except _Demotion as why:
+            self._demote(why)
 
     def push_punctuation(self, timestamp):
+        if self._log is not None:
+            self._log.append(("p", Punctuation(timestamp)))
         self._watermark = timestamp
-        self.pipeline.push_punctuation(timestamp)
+        try:
+            self.pipeline.push_punctuation(timestamp)
+        except _Demotion as why:
+            self._demote(why)
 
     def flush(self):
+        if self._log is not None:
+            self._log.append(("f", None))
         self.pipeline.flush()
+
+    def apply(self, kind, element):
+        """Push one journal record — the step of every replay."""
+        if kind == "e":
+            self.push_event(element)
+        elif kind == "f":
+            self.flush()
+        else:  # "p" or "g"
+            self.push_punctuation(element.timestamp)
 
     def buffered_events(self) -> int:
         return self.pipeline.buffered_events()
+
+    def buffered_bound(self) -> int:
+        """An upper bound on :meth:`buffered_events` that never drains
+        the compiled executor (exact on the row engine)."""
+        if self.engine == "row":
+            return self.pipeline.buffered_events()
+        return self.pipeline.buffered_bound()
+
+    def _demote(self, why):
+        """Move to the row engine by replaying this query's input, the
+        demoting element included."""
+        if self._journal is None:
+            records, self._log = self._log, None
+            offset = len(records) - 1
+        else:
+            journal = self._journal
+            journal.commit()  # the replay reads the file
+            offset = journal.length - 1
+            records = islice(
+                journal.load(start=self._origin), offset + 1 - self._origin
+            )
+        self.row_reason = f"offset {offset}: {why}"
+        expected = self.as_state()
+        self.results, self.lags, self.completed = [], [], False
+        self._digest = hashlib.sha256()
+        self._watermark = None
+        self.engine = "row"
+        self.pipeline = self._row_pipeline()
+        for kind, element in records:
+            try:
+                self.apply(kind, element)
+            except PunctuationOrderError:
+                pass  # it raised on arrival too, and changed nothing
+        self.verify_replay(expected)
 
     # -- durability --------------------------------------------------------
 

@@ -89,6 +89,7 @@ class TenantRuntime:
                 )
             return self.queries[qid]
         query = StandingQuery(qid, spec)
+        query.attach(self.journal)
         self.queries[qid] = query
         return query
 
@@ -172,10 +173,16 @@ class TenantRuntime:
         re-applies the shed without re-consulting the guard
         (deterministic recovery).
         """
-        if self._guard is None:
+        guard = self._guard
+        if guard is None:
             return
         for query in self.queries.values():
-            forced = self._guard.check(query.pipeline, self._high)
+            # The bound never undercounts, so skipping the guard while it
+            # is within the guard's bound decides exactly what the guard
+            # would, without draining a compiled query per event.
+            if query.buffered_bound() <= guard.max_buffered_events:
+                continue
+            forced = guard.check(query, self._high)
             if forced is not None:
                 if self.slots < self.max_slots:
                     self.slots += 1
@@ -196,8 +203,7 @@ class TenantRuntime:
         if self._guard is None or self.slots <= 1:
             return
         buffered = sum(
-            query.pipeline.buffered_events()
-            for query in self.queries.values()
+            query.buffered_events() for query in self.queries.values()
         )
         changed = False
         while (
@@ -236,15 +242,10 @@ class TenantRuntime:
             if kind == "e":
                 if element.sync_time > self._high:
                     self._high = element.sync_time
-                for query in self.queries.values():
-                    query.push_event(element)
-            elif kind in ("p", "g"):
+            elif kind != "f":
                 self.watermark = element.timestamp
-                for query in self.queries.values():
-                    query.push_punctuation(element.timestamp)
-            else:  # "f"
-                for query in self.queries.values():
-                    query.flush()
+            for query in self.queries.values():
+                query.apply(kind, element)
         for qid, qstate in expected.items():
             self.queries[qid].verify_replay(qstate)
 

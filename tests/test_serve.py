@@ -4,8 +4,11 @@ Covers the wire protocol and standing-query spec grammar (with a
 decode + journal differential against the line-at-a-time decoder), the
 durable ingress journal (torn-tail tolerance, group commit, spaced
 legacy lines), standing-query /
-batch-run byte-identity, the tenant state machine (dedup, quarantine,
-quota shedding, journal-replay recovery), the live server end to end
+batch-run byte-identity, compiled standing queries against the row
+pipeline (element-by-element differential, demotion on values the
+compiled columns cannot carry, quota decisions), the tenant state
+machine (dedup, quarantine, quota shedding, journal-replay recovery),
+the live server end to end
 (TCP + HTTP framings, snapshot ``serve`` section, SIGTERM drain), and —
 the acceptance centerpiece — a chaos soak: three tenants under seeded
 net faults (disconnect, slowloris, malform, dup, split) with the server
@@ -19,6 +22,7 @@ Extra soak seeds can be exercised from CI via ``REPRO_CHAOS_SEED=<n>``.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import http.client
 import json
 import os
@@ -29,16 +33,21 @@ import subprocess
 import sys
 import tempfile
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import (
+    PunctuationOrderError,
     ReplayDivergenceError,
     ServeProtocolError,
 )
 from repro.engine import DisorderedStreamable, Event, Punctuation
+from repro.engine.compiler import UnsupportedPlanError, _Execution
+from repro.engine.graph import Pipeline, QueryNode
+from repro.engine.operators.sink import CallbackSink
 from repro.resilience.chaos import FaultInjector
 from repro.resilience.quarantine import QuarantineLedger
 from repro.serve import (
@@ -51,6 +60,7 @@ from repro.serve import (
     parse_query_spec,
     save_state,
 )
+from repro.serve import standing
 from repro.serve.protocol import (
     decode_data_frame,
     decode_element,
@@ -311,6 +321,15 @@ class TestJournal:
         assert repr(replay[0][1]) == repr(Event(1, 2, 0, (5,)))
         assert replay[2][1].timestamp == 3
         assert fresh.length == 4
+
+    def test_load_from_a_start_line_skips_earlier_lines_undecoded(
+            self, tmp_path):
+        path = tmp_path / "journal-t.jsonl"
+        with open(path, "w") as fh:
+            fh.write('not json\n["p",1,5]\n["f",2]\n')
+        journal = TenantJournal(path)
+        assert [kind for kind, _ in journal.load(start=1)] == ["p", "f"]
+        assert journal.length == 3
 
     def test_torn_trailing_line_is_truncated(self, tmp_path):
         path = tmp_path / "journal-t.jsonl"
@@ -618,6 +637,348 @@ class TestServeElasticity:
             self._runtime(tmp_path, quota=8, max_slots=0)
 
 
+# -- compiled standing queries ------------------------------------------------
+
+#: Every shape the compiler lowers from a serve spec, under both
+#: non-raising late policies.
+LOWERED = [
+    f"{window}|sort={policy}|{terminal}"
+    for window in ("window=4", "hop=6/2")
+    for policy in ("drop", "adjust")
+    for terminal in ("count", "group-count")
+]
+
+
+class RowOracle:
+    """The row pipeline every standing query ran on before specs could
+    lower, with the query's delivery bookkeeping, built here from the
+    engine's public pieces."""
+
+    def __init__(self, spec):
+        self.results, self.lags = [], []
+        self.watermark = None
+        self.completed = False
+        self.digest = hashlib.sha256()
+        stream = parse_query_spec(spec).bind(
+            DisorderedStreamable.from_elements([])
+        )
+        sink = CallbackSink(
+            self._on_event, lambda ts: self._record(Punctuation(ts)),
+            lambda: setattr(self, "completed", True),
+        )
+        self.pipeline = Pipeline(
+            [QueryNode(lambda: sink, ((stream.node, None),))]
+        )
+
+    def _record(self, element):
+        self.results.append(element)
+        self.digest.update(repr(element).encode() + b"\n")
+
+    def _on_event(self, event):
+        self._record(event)
+        if self.watermark is not None:
+            self.lags.append(max(0, self.watermark - (event.other_time - 1)))
+
+    def push_event(self, event):
+        self.pipeline.push_event(event)
+
+    def push_punctuation(self, timestamp):
+        self.watermark = timestamp
+        self.pipeline.push_punctuation(timestamp)
+
+    def flush(self):
+        self.pipeline.flush()
+
+
+def _raised(push, *args):
+    """The exception type ``push(*args)`` raised, or ``None``."""
+    try:
+        push(*args)
+    except PunctuationOrderError as exc:
+        return type(exc)
+    return None
+
+
+# A disordered stream: events with clustered (often equal) timestamps and
+# small keys; punctuations relative to the highest one so far, so they
+# advance, repeat, or regress (which both engines must refuse alike).
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("e"), st.integers(0, 40), st.integers(0, 3)),
+        st.tuples(st.just("p"), st.integers(-3, 8)),
+    ),
+    max_size=60,
+)
+
+
+class TestCompiledDifferential:
+    """Compiled standing queries against the row pipeline, element by
+    element."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from(LOWERED), steps=_STEPS, flush=st.booleans(),
+           trial=st.sampled_from([None, (3, 3)]))
+    def test_compiled_equals_row_after_every_element(self, spec, steps,
+                                                     flush, trial):
+        # ``None`` turns the density trial off; ``(3, 3)`` demotes a
+        # query whose first 3 punctuations followed fewer than 9 events.
+        rounds, min_chunk = trial or (standing._TRIAL_ROUNDS, 0)
+        with mock.patch.multiple(standing, _TRIAL_ROUNDS=rounds,
+                                 _MIN_CHUNK=min_chunk):
+            self._differential(spec, steps, flush, trial is None)
+
+    def _differential(self, spec, steps, flush, stays_compiled):
+        oracle = RowOracle(spec)
+        census = StandingQuery("q", spec)    # exact census every element
+        chunked = StandingQuery("q", spec)   # one chunk per punctuation
+        queries = (oracle, census, chunked)
+        high = 0
+
+        def check():
+            want = [repr(e) for e in oracle.results]
+            for query in (census, chunked):
+                assert [repr(e) for e in query.results] == want
+                assert query.digest() == oracle.digest.hexdigest()
+                assert query.lags == oracle.lags
+                assert query.completed == oracle.completed
+
+        for step in steps:
+            if step[0] == "e":
+                event = Event(step[1], step[1] + 1, step[2], (step[1],))
+                for query in queries:
+                    query.push_event(event)
+            else:
+                timestamp = high + step[1]
+                high = max(high, timestamp)
+                outcomes = {
+                    _raised(query.push_punctuation, timestamp)
+                    for query in queries
+                }
+                assert len(outcomes) == 1
+            check()
+            exact = oracle.pipeline.buffered_events()
+            assert census.buffered_events() == exact
+            assert chunked.buffered_bound() >= exact  # without a drain
+        if flush:
+            for query in queries:
+                query.flush()
+            check()
+        assert chunked.buffered_events() == oracle.pipeline.buffered_events()
+        assert census.engine == chunked.engine
+        assert census.row_reason == chunked.row_reason
+        if stays_compiled:
+            assert chunked.engine == "compiled"
+
+    @pytest.mark.parametrize("spec", LOWERED)
+    def test_lowered_specs_run_compiled(self, spec):
+        query = StandingQuery("q", spec)
+        assert (query.engine, query.row_reason) == ("compiled", None)
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("window=4|sort=raise|count", "sort=raise"),
+        ("where=key<2|window=4|sort|count", "where() predicate"),
+        ("window=4|sort|group-sum=0", "Sum selector"),
+        ("window=4|sort|group-sum", "Sum selector"),
+    ])
+    def test_opaque_and_raising_specs_stay_on_the_row_engine(self, spec,
+                                                             reason):
+        query = StandingQuery("q", spec)
+        assert query.engine == "row"
+        assert reason in query.row_reason
+
+
+def _feed(runtime, elements, start=0):
+    """Accept ``elements`` at journal offsets ``start``, ``start + 1``…"""
+    for offset, element in enumerate(elements, start):
+        if isinstance(element, Punctuation):
+            runtime.accept_punctuation(offset, element.timestamp)
+        else:
+            runtime.accept_event(offset, element)
+
+
+#: Elements compiled columns cannot carry; the str and 2**63 syncs sit
+#: in windows of their own (a str key beside int keys fails the row
+#: engine's sorted() close), the bool key shares key 1's group.  The
+#: last sync fits int64, but its window floor, -2**63 - 2 on a window of
+#: 10, does not: int64 arithmetic would wrap it to a far-future window,
+#: where the row engine drops it as late.
+MISFITS = {
+    "str key": Event(1005, 1006, "x", (0,)),
+    "bool key": Event(34, 35, True, (0,)),
+    "key 2**63": Event(33, 34, 2 ** 63, (0,)),
+    "sync 2**63": Event(2 ** 63, 2 ** 63 + 1, 0, (0,)),
+    "sync -2**63+1": Event(-2 ** 63 + 1, -2 ** 63 + 2, 0, (0,)),
+}
+
+
+class TestDemotion:
+    SPEC = "window=10|sort|group-count"
+
+    def _runtime(self, path):
+        return TenantRuntime("t1", str(path), QuarantineLedger())
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_demotes_mid_stream_and_recovers(self, tmp_path, misfit):
+        elements = make_stream()
+        elements.insert(40, MISFITS[misfit])
+        runtime = self._runtime(tmp_path)
+        query = runtime.subscribe("q", self.SPEC)
+        _feed(runtime, elements[:50])
+        assert query.engine == "row"
+        assert query.row_reason.startswith("offset 40: ")
+        runtime.journal.commit()
+        state = runtime.as_state()
+        runtime.close()
+
+        # A restart after the demotion (the journal and state a kill -9
+        # leaves): replay demotes at the same element and verifies.
+        recovered = self._runtime(tmp_path)
+        recovered.recover(state)
+        again = recovered.queries["q"]
+        assert (again.engine, again.row_reason) == ("row", query.row_reason)
+        _feed(recovered, elements[50:], 50)
+        recovered.accept_end(len(elements))
+        recovered.close()
+        assert_byte_identical(self.SPEC, elements, again.results)
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_a_query_without_a_tenant_demotes_from_its_own_log(self,
+                                                               misfit):
+        elements = make_stream()
+        elements.insert(40, MISFITS[misfit])
+        query = StandingQuery("q", self.SPEC)
+        drive(query, elements)
+        assert query.row_reason.startswith("offset 40: ")
+        assert_byte_identical(self.SPEC, elements, query.results)
+
+    def test_an_ungrouped_count_ignores_the_key(self):
+        query = StandingQuery("q", "window=10|sort|count")
+        drive(query, [MISFITS["str key"], Punctuation(2000)])
+        assert query.engine == "compiled"
+
+    @pytest.mark.parametrize("timestamp, at", [
+        (2 ** 63, 22),
+        # The window's promise for it, -2**63 - 3, is below int64.
+        (-2 ** 63 + 1, 0),
+    ])
+    def test_an_out_of_range_punctuation_demotes(self, timestamp, at):
+        elements = make_stream(n=20)
+        elements.insert(at, Punctuation(timestamp))
+        query = StandingQuery("q", self.SPEC)
+        drive(query, elements)
+        assert query.row_reason.startswith(f"offset {at}: punctuation ")
+        assert_byte_identical(self.SPEC, elements, query.results)
+
+    def test_a_late_subscriber_replays_only_its_own_lines(self, tmp_path):
+        elements = make_stream()
+        elements.insert(40, MISFITS["str key"])
+        runtime = self._runtime(tmp_path)
+        _feed(runtime, elements[:22])
+        query = runtime.subscribe("q", self.SPEC)
+        _feed(runtime, elements[22:], 22)
+        runtime.accept_end(len(elements))
+        runtime.close()
+        assert query.row_reason.startswith("offset 40: ")
+        assert_byte_identical(self.SPEC, elements[22:], query.results)
+
+
+class TestDensityTrial:
+    SPEC = "window=10|sort|group-count"
+
+    def test_dense_punctuations_demote_at_the_trial_end(self, tmp_path):
+        elements = make_stream(n=60, punct_every=1)
+        runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
+        query = runtime.subscribe("q", self.SPEC)
+        _feed(runtime, elements[:40])
+        # Event, punctuation, event…: the 16th punctuation is line 31.
+        assert (query.engine, query.row_reason) == (
+            "row", "offset 31: 16 events in the first 16 punctuations, "
+                   "fewer than 48 per punctuation")
+        runtime.journal.commit()
+        state = runtime.as_state()
+        runtime.close()
+
+        recovered = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
+        recovered.recover(state)
+        again = recovered.queries["q"]
+        assert (again.engine, again.row_reason) == ("row", query.row_reason)
+        _feed(recovered, elements[40:], 40)
+        recovered.accept_end(len(elements))
+        recovered.close()
+        assert_byte_identical(self.SPEC, elements, again.results)
+
+    def test_sparse_punctuations_stay_compiled(self):
+        rounds, chunk = standing._TRIAL_ROUNDS, standing._MIN_CHUNK
+        elements = make_stream(n=rounds * chunk * 2, punct_every=chunk)
+        query = StandingQuery("q", self.SPEC)
+        drive(query, elements)
+        assert query.engine == "compiled"
+        assert_byte_identical(self.SPEC, elements, query.results)
+
+
+class TestCompiledQuota:
+    SPEC = "window=100|sort|count"
+
+    def _run(self, path, quota, slots, n):
+        """The quota and elasticity floods, then a draining punctuation."""
+        os.makedirs(path)
+        runtime = TenantRuntime("t1", str(path), QuarantineLedger(),
+                                quota=quota, max_slots=slots)
+        query = runtime.subscribe("q", self.SPEC)
+        for i in range(n):
+            runtime.accept_event(runtime.journal.length,
+                                 Event(i, i + 1, 0, (i,)))
+        runtime.accept_punctuation(runtime.journal.length, 500)
+        runtime.accept_end(runtime.journal.length)
+        runtime.close()
+        with open(runtime.journal.path) as fh:
+            journal = fh.read()
+        return query.engine, (journal, runtime.counters,
+                              [repr(e) for e in query.results])
+
+    @pytest.mark.parametrize("quota, slots, n", [(8, 1, 40), (8, 3, 20),
+                                                 (8, 3, 200)])
+    def test_sheds_and_scales_exactly_as_the_row_engine(
+            self, tmp_path, monkeypatch, quota, slots, n):
+        # The floods shed at nearly every event; the density trial is off
+        # so that every decision is the compiled query's.
+        monkeypatch.setattr(standing, "_MIN_CHUNK", 0)
+        engine, compiled = self._run(tmp_path / "c", quota, slots, n)
+        assert engine == "compiled"
+
+        def no_lowering(plan):
+            raise UnsupportedPlanError("row engine forced")
+
+        monkeypatch.setattr(standing, "compile_plan", no_lowering)
+        engine, row = self._run(tmp_path / "r", quota, slots, n)
+        assert engine == "row"
+        assert compiled == row
+        counters = row[1]
+        assert counters["shed"] + counters["scale_ups"] > 0
+
+    def test_no_drain_between_punctuations_under_the_bound(
+            self, tmp_path, monkeypatch):
+        runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger(),
+                                quota=1000)
+        drains = []
+        process_chunk = _Execution.process_chunk
+
+        def spy(execution, *chunk):
+            drains.append(runtime.journal.length)
+            return process_chunk(execution, *chunk)
+
+        monkeypatch.setattr(_Execution, "process_chunk", spy)
+        runtime.subscribe("q", "window=10|sort|group-count")
+        elements = make_stream()
+        _feed(runtime, elements)
+        runtime.close()
+        # One drain per punctuation, made by the punctuation itself.
+        assert drains == [
+            offset + 1 for offset, element in enumerate(elements)
+            if isinstance(element, Punctuation)
+        ]
+
+
 # -- live-server helpers ----------------------------------------------------
 
 _READY = re.compile(r"serving on ([\d.]+):(\d+) http=[\d.]+:(\d+)")
@@ -704,6 +1065,8 @@ class TestServeEndToEnd:
             }
             query = tenant["queries"]["q1"]
             assert query["spec"] == spec
+            assert (query["engine"], query["row_reason"]) == \
+                ("compiled", None)
             assert query["completed"] is True
             assert set(query["lag"]) == {"mean", "p95", "max", "samples"}
             client.close()
@@ -894,6 +1257,47 @@ class TestServeEndToEnd:
             client.finish()
             served = client.await_complete("q1", deadline=30)
             assert_byte_identical(spec, elements, served)
+            client.close()
+        finally:
+            assert stop_server(proc) == 0
+
+    def test_live_demotion_survives_kill9(self, tmp_path):
+        """Two compiled queries demote mid-stream at different elements,
+        the server is killed after both, and the restart replays into
+        the same demotions with results byte-identical to the batch."""
+        specs = {"grouped": "window=10|sort|group-count",
+                 "counted": "window=10|sort|count"}
+        elements = make_stream()
+        elements.insert(20, MISFITS["str key"])       # demotes "grouped"
+        elements.insert(35, MISFITS["sync 2**63"])    # demotes "counted"
+        burst = 50
+        client = ServeClient("127.0.0.1", 0, "t")
+        proc, client.host, client.port, _ = start_server(tmp_path)
+        try:
+            for qid, spec in specs.items():
+                client.subscribe(qid, spec)
+            client.feed(elements)
+            client.send_until(burst)
+            deadline = time.monotonic() + 20
+            while client.snapshot()["serve"]["tenants"]["t"]["journal"] \
+                    < burst:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait()
+        client._drop_connections()
+
+        proc, client.host, client.port, _ = start_server(tmp_path)
+        try:
+            client.finish()
+            for qid, spec in specs.items():
+                served = client.await_complete(qid, deadline=30)
+                assert_byte_identical(spec, elements, served)
+            queries = client.snapshot()["serve"]["tenants"]["t"]["queries"]
+            assert queries["grouped"]["engine"] == "row"
+            assert queries["grouped"]["row_reason"].startswith("offset 20: ")
+            assert queries["counted"]["row_reason"].startswith("offset 35: ")
             client.close()
         finally:
             assert stop_server(proc) == 0
