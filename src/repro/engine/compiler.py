@@ -7,10 +7,12 @@ a fused pipeline of :mod:`repro.engine.kernels` stages around a
 :class:`~repro.core.columnar.ColumnarImpatienceSorter`:
 
 * pre-sort (pushed-down, §IV sort-as-needed): bitmap ``where`` over
-  structured predicates, ``select_columns`` projection, and
-  tumbling/hopping window alignment — all *below* the sort point, so
-  selection shrinks the sorted volume and windowing reduces disorder,
-  visible in the sorter's :class:`~repro.core.stats.SorterStats`.
+  structured predicates (a run of consecutive ``where``s is one filter
+  pass that compacts only the columns read later), ``select_columns``
+  projection, and tumbling/hopping window alignment — all *below* the
+  sort point, so selection shrinks the sorted volume and windowing
+  reduces disorder, visible in the sorter's
+  :class:`~repro.core.stats.SorterStats`.
   String where-clauses lower here too: order-preserving dictionary
   encoding (:mod:`repro.core.strings`) turns string equality into one
   int64 code comparison (``key_str_eq`` / ``field_str_eq``) and string
@@ -50,7 +52,6 @@ from repro.core.columnar import ColumnarImpatienceSorter
 from repro.sorting.external import ExternalColumnarSorter
 from repro.core.errors import QueryBuildError
 from repro.core.late import LatePolicy
-from repro.engine.event import Event
 from repro.engine.kernels import (
     AGGREGATE_SPECS,
     CoalesceKernel,
@@ -63,8 +64,15 @@ from repro.engine.kernels import (
     SelfJoinKernel,
     SessionKernel,
     WindowTopKKernel,
+    _BinOp,
+    _BoolOp,
+    _Compare,
+    _Const,
     _KeyField,
+    _Not,
     _PayloadField,
+    _SyncField,
+    _window_events,
 )
 from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
 from repro.observability.snapshot import PipelineSnapshot
@@ -102,27 +110,59 @@ def _resolve(step, names):
 
 
 class _WhereStage:
+    """A run of consecutive ``where`` steps as one filter pass.
+
+    Predicates are row-local and numpy never raises on them, so the run
+    masks the same input rows with every predicate, ANDs the masks and
+    compacts once: one ``flatnonzero``, then one gather per column in
+    ``keep`` (payload indices plus ``"key"``; ``None`` keeps every
+    column).  A column nothing downstream reads leaves as ``None``, so
+    payload positions stay stable.
+    """
+
     name = "where"
 
-    def __init__(self, predicate):
-        self.predicate = predicate
+    def __init__(self, predicates, keep=None):
+        self.predicates = tuple(predicates)
+        self.keep = keep
 
-    def apply(self, sync, other, keys, cols):
-        mask = self.predicate.mask(sync, keys, cols)
-        if mask.all():
+    def apply(self, sync, other, keys, cols, metrics=None):
+        """Filter one chunk; ``metrics`` (one per predicate) get the
+        running AND's in/out counts, as if each predicate ran alone."""
+        n = kept = sync.size
+        mask = None
+        for i, predicate in enumerate(self.predicates):
+            t0 = perf_counter()
+            step = predicate.mask(sync, keys, cols)
+            mask = step if mask is None else mask & step
+            n_in, kept = kept, int(np.count_nonzero(mask))
+            if metrics is not None:
+                metrics[i].note_batch(n_in, kept, perf_counter() - t0)
+        if kept == n:
             return sync, other, keys, cols
-        return (
-            sync[mask],
-            None if other is None else other[mask],
-            keys[mask],
-            [col[mask] for col in cols],
+        t0 = perf_counter()
+        rows = np.flatnonzero(mask)
+        keep = self.keep
+        out = (
+            sync[rows],
+            None if other is None else other[rows],
+            None if keys is None or (keep is not None and "key" not in keep)
+            else keys[rows],
+            [
+                None if col is None or (keep is not None and i not in keep)
+                else col[rows]
+                for i, col in enumerate(cols)
+            ],
         )
+        if metrics is not None:
+            metrics[-1].busy_s += perf_counter() - t0
+        return out
 
     def transform_punct(self, timestamp):
         return timestamp
 
-    def describe(self):
-        return f"where[{self.predicate!r}]"
+    def labels(self):
+        return [f"where[{predicate!r}]" for predicate in self.predicates]
 
 
 class _ProjectStage:
@@ -137,8 +177,8 @@ class _ProjectStage:
     def transform_punct(self, timestamp):
         return timestamp
 
-    def describe(self):
-        return f"select_columns{self.columns}"
+    def labels(self):
+        return [f"select_columns{self.columns}"]
 
 
 class _WindowStage:
@@ -166,10 +206,70 @@ class _WindowStage:
         next_raw = timestamp + 1
         return next_raw - next_raw % self.hop - 1
 
-    def describe(self):
+    def labels(self):
         if self.hop == self.size:
-            return f"tumbling_window[{self.size}]"
-        return f"hopping_window[{self.size},{self.hop}]"
+            return [f"tumbling_window[{self.size}]"]
+        return [f"hopping_window[{self.size},{self.hop}]"]
+
+
+def _columns_read(node):
+    """Payload indices (plus ``"key"``) a structured predicate reads, or
+    ``None`` for a node this compiler does not know."""
+    if isinstance(node, _PayloadField):
+        return {node.index}
+    if isinstance(node, _KeyField):
+        return {"key"}
+    if isinstance(node, (_SyncField, _Const)):
+        return set()
+    if isinstance(node, (_BinOp, _Compare, _BoolOp)):
+        children = (node.lhs, node.rhs)
+    elif isinstance(node, _Not):
+        children = (node.inner,)
+    else:
+        return None
+    found = set()
+    for child in children:
+        reads = _columns_read(child)
+        if reads is None:
+            return None
+        found |= reads
+    return found
+
+
+def _fuse_filters(stages, reads):
+    """Lower each run of consecutive ``where`` stages to one filter pass
+    that keeps only the columns the stages after it read.
+
+    ``reads`` is what the terminal reads: payload indices plus
+    ``"key"``, or ``None`` for every column.  A window or projection
+    between two ``where``s splits the run.
+    """
+    fused = []
+    for stage in reversed(stages):
+        if isinstance(stage, _WhereStage):
+            if fused and isinstance(fused[-1], _WhereStage):
+                later = fused.pop()
+                stage = _WhereStage(
+                    stage.predicates + later.predicates, later.keep
+                )
+            else:
+                keep = None if reads is None else frozenset(reads)
+                stage = _WhereStage(stage.predicates, keep)
+            for predicate in stage.predicates:
+                found = _columns_read(predicate)
+                reads = None if reads is None or found is None \
+                    else reads | found
+        elif isinstance(stage, _ProjectStage) and reads is not None:
+            columns = stage.columns
+            if any(i != "key" and i >= len(columns) for i in reads):
+                reads = None    # the projection raises at run time
+            else:
+                reads = {
+                    "key" if i == "key" else columns[i] for i in reads
+                }
+        fused.append(stage)
+    fused.reverse()
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +334,7 @@ class _BodyProbe:
                 "group_apply() body where() predicate is an opaque Python "
                 "callable"
             )
-        self.stages.append(_WhereStage(predicate))
+        self.stages.append(_WhereStage((predicate,)))
         return self
 
     def tumbling_window(self, size):
@@ -294,7 +394,8 @@ def _probe_group_apply(query_fn):
             "group_apply() body is an opaque Python callable (it does not "
             "return the traced operator chain)"
         )
-    return tuple(probe.stages), probe.window, probe.spec, probe.value_index
+    stages = _fuse_filters(probe.stages, None)
+    return tuple(stages), probe.window, probe.spec, probe.value_index
 
 
 def compile_plan(plan) -> "CompiledPlan":
@@ -345,7 +446,7 @@ def compile_plan(plan) -> "CompiledPlan":
                     "(use repro.engine.kernels field/key_field/sync_field "
                     "expressions)"
                 )
-            stages.append(_WhereStage(predicate))
+            stages.append(_WhereStage((predicate,)))
         elif method == "select_columns":
             values = _resolve(step, ("columns",))
             columns = values.get("columns")
@@ -512,8 +613,8 @@ def compile_plan(plan) -> "CompiledPlan":
                 f"{rest[0].method}() after {method}() is not vectorized"
             )
         return CompiledPlan(
-            stages, late_policy, window_size, None, None, False, None,
-            method, kernel_factory=kernel_factory,
+            _fuse_filters(stages, None), late_policy, window_size, None,
+            None, False, None, method, kernel_factory=kernel_factory,
         )
 
     top_k = None
@@ -537,9 +638,12 @@ def compile_plan(plan) -> "CompiledPlan":
             "windowed aggregates need a tumbling/hopping window ahead of "
             "the sort"
         )
+    reads = {"key"} if grouped else set()
+    if spec.needs_value:
+        reads.add(value_index)
     return CompiledPlan(
-        stages, late_policy, window_size, spec, value_index, grouped,
-        top_k, terminal.method,
+        _fuse_filters(stages, reads), late_policy, window_size, spec,
+        value_index, grouped, top_k, terminal.method,
     )
 
 
@@ -703,7 +807,9 @@ class CompiledPlan:
 
     def describe(self):
         """Kernel stage labels in pipeline order (for EXPLAIN output)."""
-        labels = [stage.describe() for stage in self.stages]
+        labels = [
+            label for stage in self.stages for label in stage.labels()
+        ]
         labels.append(f"columnar_sort[{self.late_policy.name}]")
         if self.pass_through:
             labels.append(self.terminal_label)
@@ -831,8 +937,11 @@ class _Execution:
         self.events = []
         self.punctuations = []
         self.ingress = _KernelMetrics("ingress")
+        # One snapshot entry per row operator: a fused where run gets
+        # one per predicate.
         self.stage_metrics = [
-            _KernelMetrics(stage.name) for stage in compiled.stages
+            [_KernelMetrics(stage.name) for _ in stage.labels()]
+            for stage in compiled.stages
         ]
         self.sort_metrics = _KernelMetrics("sort")
         kind = "group_aggregate" if compiled.grouped else compiled.terminal
@@ -859,10 +968,15 @@ class _Execution:
         for stage, metrics in zip(
             self.compiled.stages, self.stage_metrics
         ):
+            if stage.name == "where":
+                sync, other, keys, cols = stage.apply(
+                    sync, other, keys, cols, metrics
+                )
+                continue
             t0 = perf_counter()
             n_in = sync.size
             sync, other, keys, cols = stage.apply(sync, other, keys, cols)
-            metrics.note_batch(n_in, sync.size, perf_counter() - t0)
+            metrics[0].note_batch(n_in, sync.size, perf_counter() - t0)
         t0 = perf_counter()
         if self.pass_through:
             columns = [sync, other, keys, *cols]
@@ -884,7 +998,8 @@ class _Execution:
             self.compiled.stages, self.stage_metrics
         ):
             timestamp = stage.transform_punct(timestamp)
-            metrics.note_punct(True)
+            for metric in metrics:
+                metric.note_punct(True)
         t0 = perf_counter()
         released = (
             self.sorter.on_punctuation(timestamp)
@@ -942,10 +1057,7 @@ class _Execution:
         _, columns = released
         starts = columns[0]
         keys = columns[1] if compiled.grouped else None
-        values = (
-            columns[1 + (1 if compiled.grouped else 0)]
-            if compiled.spec.needs_value else None
-        )
+        values = columns[-1] if compiled.spec.needs_value else None
         t0 = perf_counter()
         self.aggregate.accumulate(starts, keys, values)
         rows = self.aggregate.close(timestamp)
@@ -953,47 +1065,47 @@ class _Execution:
             self.aggregate.forward(timestamp)
             if timestamp is not None else None
         )
-        self.agg_metrics.note_batch(
-            starts.size, len(rows), perf_counter() - t0
-        )
+        n_rows = len(rows[2])
+        self.agg_metrics.note_batch(starts.size, n_rows, perf_counter() - t0)
         if timestamp is not None:
             self.agg_metrics.note_punct(bound is not None)
         self.agg_metrics.peak = max(
-            self.agg_metrics.peak, self.aggregate.buffered() + len(rows)
+            self.agg_metrics.peak, self.aggregate.buffered() + n_rows
         )
         if self.topk is None:
-            self._emit(rows)
+            if n_rows:
+                self._emit(*rows)
             if bound is not None:
                 self.punctuations.append(bound)
             return
         t0 = perf_counter()
-        for start, key, value in rows:
-            self.topk.add(start, key, value)
+        self.topk.extend(*rows)
+        forwarded = None
         if timestamp is None:
             out = self.topk.close(None)
-            forwarded = None
         elif bound is not None:
             out = self.topk.close(bound)
             forwarded = self.topk.forward(bound)
         else:
-            out = []
-            forwarded = None
-        self.topk_metrics.note_batch(len(rows), len(out), perf_counter() - t0)
+            out = None
+        n_out = len(out[2]) if out is not None else 0
+        self.topk_metrics.note_batch(n_rows, n_out, perf_counter() - t0)
         if bound is not None:
             self.topk_metrics.note_punct(forwarded is not None)
         self.topk_metrics.peak = max(
-            self.topk_metrics.peak, self.topk.buffered() + len(out)
+            self.topk_metrics.peak, self.topk.buffered() + n_out
         )
-        self._emit(out)
+        if n_out:
+            self._emit(*out)
         if forwarded is not None:
             self.punctuations.append(forwarded)
 
-    def _emit(self, rows):
-        size = self.compiled.window_size
-        self.events.extend(
-            Event(start, start + size, key, value)
-            for start, key, value in rows
-        )
+    def _emit(self, starts, keys, values):
+        # One boxing pass per round; the list stays complete when the
+        # run returns (callers time and check it as a list).
+        self.events.extend(_window_events(
+            starts, keys, values, self.compiled.window_size
+        ))
 
     # -- result -----------------------------------------------------------
 
@@ -1016,7 +1128,10 @@ class _Execution:
             spill = self.sorter.spill_doc()
             sorter_doc["spill"] = spill
         docs = [self.ingress.doc()]
-        docs.extend(metrics.doc() for metrics in self.stage_metrics)
+        docs.extend(
+            metric.doc() for metrics in self.stage_metrics
+            for metric in metrics
+        )
         docs.append(sorter_doc)
         docs.append(self.agg_metrics.doc())
         if self.topk_metrics is not None:

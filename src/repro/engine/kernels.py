@@ -13,11 +13,14 @@ that substrate:
   whole numpy arrays.  A query written against the DSL is eligible for
   the fused columnar path; a query written with opaque lambdas falls
   back to the row engine (the compiler cannot introspect Python code).
-* an **aggregate spec table** (:data:`AGGREGATE_SPECS`) mapping
-  ``count``/``sum``/``avg``/``min``/``max`` onto ``reduceat`` folds with
-  explicit partial-state merge and finalization, replicating the row
-  aggregates' fold interface (``initial``/``accumulate``/``result``)
-  batch-wise.
+* an **aggregate spec table** (:data:`AGGREGATE_SPECS`): each of
+  ``count``/``sum``/``avg``/``min``/``max`` is one definition — lifted
+  state columns, one ufunc per column and a result.  The ufunc's
+  ``reduceat`` folds rows into groups and the same ufunc merges
+  partial states, replicating the row aggregates' fold interface
+  (``initial``/``accumulate``/``result``) batch-wise.  Folds are exact
+  like the row aggregates' Python ints: a sum whose float64 shadow
+  reaches 2**62 is redone in ``dtype=object``.
 * the **windowed kernel state machines**
   (:class:`GroupedWindowKernel`, :class:`WindowTopKKernel`) that
   replicate ``TumblingWindow -> (Grouped)WindowAggregate [-> WindowTopK]``
@@ -25,7 +28,11 @@ that substrate:
   forwarded punctuation (``min(T, min(open) - 1)``, suppressed unless it
   advances), emission in ascending (window, key) order, and the
   ADJUST-policy subtlety that a late event may re-open an
-  already-emitted window.
+  already-emitted window.  The grouped kernel keeps its open windows as
+  columns sorted by ``(start, key)``: a round costs one ``argsort`` of
+  an int64 composite key and one ``reduceat`` per state column, a close
+  one ``searchsorted`` cut, and closed rows leave as columns that are
+  boxed into ``Event`` objects in one pass.
 
 The single-process compiler (:mod:`repro.engine.compiler`) builds on
 these kernels, and the parallel ``CompiledShardPlan``
@@ -427,88 +434,127 @@ def field_str_prefix(index, dictionary, prefix) -> Predicate:
 # ---------------------------------------------------------------------------
 
 
-class AggregateSpec:
-    """One windowed aggregate as a batch fold.
+_INT64_MAX = 2 ** 63 - 1
+_EMPTY = np.empty(0, dtype=np.int64)
 
-    ``fold`` turns one lexsorted released batch into per-group partial
-    states (``group_idx`` are the run starts, ``sizes`` the run
-    lengths); ``merge`` combines partials for a group that spans
-    multiple punctuation rounds; ``result`` finalizes the state into the
-    output payload, matching the row aggregate's ``result`` exactly
-    (ints for count/sum/min/max, a Python float for avg).
+#: A float64 shadow sum below this magnitude proves the int64 sum exact:
+#: its rounding error stays far below the 2**62 of headroom left.
+_EXACT_LIMIT = 2.0 ** 62
+
+#: The Python operation each fold ufunc applies to one pair of states.
+_SCALAR = {np.add: _op.add, np.minimum: min, np.maximum: max}
+
+
+def _narrow(column):
+    """An object state column back as int64 once every value fits."""
+    if column.dtype == object:
+        try:
+            return column.astype(np.int64)
+        except OverflowError:
+            pass
+    return column
+
+
+class AggregateSpec:
+    """One windowed aggregate as a columnar fold.
+
+    ``lift`` turns released rows into state columns, and ``ufuncs``
+    holds one associative, commutative ufunc per column.  The ufunc
+    folds rows into groups and merges partial states alike, so
+    :meth:`fold` (``reduceat`` over sorted groups) and :meth:`merge`
+    (one pair of states) are the same definition.  ``result`` finalizes
+    one state into the output payload and ``results`` does so for whole
+    state columns, matching the row aggregate's ``result`` exactly (ints
+    for count/sum/min/max, a Python float for avg).
+
+    The row aggregates add in Python ints, so folds are exact: a sum
+    whose float64 shadow reaches 2**62 is redone in ``dtype=object``,
+    and its state column stays object until every value fits int64
+    again.
     """
 
     name = None
     needs_value = False
+    ufuncs = ()
 
-    def fold(self, values, group_idx, sizes):
+    def lift(self, values, n):
+        """State columns for ``n`` released rows (``values`` or None)."""
         raise NotImplementedError
 
-    def merge(self, state, partial):
-        raise NotImplementedError
+    def fold(self, columns, heads):
+        """Reduce sorted state columns over the groups opening at
+        ``heads``; exact on ints."""
+        out = []
+        for ufunc, column in zip(self.ufuncs, columns):
+            folded = ufunc.reduceat(column, heads)
+            if ufunc is np.add and column.dtype != object:
+                shadow = np.add.reduceat(column.astype(np.float64), heads)
+                if np.abs(shadow).max() >= _EXACT_LIMIT:
+                    folded = _narrow(
+                        np.add.reduceat(column.astype(object), heads)
+                    )
+            out.append(folded)
+        return tuple(out)
 
-    def result(self, state):
-        return state
+    def merge(self, state, other):
+        """Combine two states of one group (tuples of Python values)."""
+        return tuple(
+            _SCALAR[ufunc](a, b)
+            for ufunc, a, b in zip(self.ufuncs, state, other)
+        )
+
+    def result(self, *state):
+        return state[0]
+
+    def results(self, columns):
+        """:meth:`result` of every row of the state columns, as a list."""
+        return columns[0].tolist()
 
 
 class _CountSpec(AggregateSpec):
     name = "count"
-    needs_value = False
+    ufuncs = (np.add,)
 
-    def fold(self, values, group_idx, sizes):
-        return sizes.tolist()
-
-    def merge(self, state, partial):
-        return state + partial
+    def lift(self, values, n):
+        return (np.ones(n, dtype=np.int64),)
 
 
-class _SumSpec(AggregateSpec):
+class _ValueSpec(AggregateSpec):
+    needs_value = True
+
+    def lift(self, values, n):
+        return (values,)
+
+
+class _SumSpec(_ValueSpec):
     name = "sum"
-    needs_value = True
-
-    def fold(self, values, group_idx, sizes):
-        return np.add.reduceat(values, group_idx).tolist()
-
-    def merge(self, state, partial):
-        return state + partial
+    ufuncs = (np.add,)
 
 
-class _MinSpec(AggregateSpec):
+class _MinSpec(_ValueSpec):
     name = "min"
-    needs_value = True
-
-    def fold(self, values, group_idx, sizes):
-        return np.minimum.reduceat(values, group_idx).tolist()
-
-    def merge(self, state, partial):
-        return partial if partial < state else state
+    ufuncs = (np.minimum,)
 
 
-class _MaxSpec(AggregateSpec):
+class _MaxSpec(_ValueSpec):
     name = "max"
-    needs_value = True
-
-    def fold(self, values, group_idx, sizes):
-        return np.maximum.reduceat(values, group_idx).tolist()
-
-    def merge(self, state, partial):
-        return partial if partial > state else state
+    ufuncs = (np.maximum,)
 
 
 class _AvgSpec(AggregateSpec):
     name = "avg"
     needs_value = True
+    ufuncs = (np.add, np.add)
 
-    def fold(self, values, group_idx, sizes):
-        totals = np.add.reduceat(values, group_idx)
-        return list(zip(totals.tolist(), sizes.tolist()))
+    def lift(self, values, n):
+        return (values, np.ones(n, dtype=np.int64))
 
-    def merge(self, state, partial):
-        return (state[0] + partial[0], state[1] + partial[1])
+    def result(self, total, count):
+        return total / count
 
-    def result(self, state):
-        total, count = state
-        return total / count if count else None
+    def results(self, columns):
+        totals, counts = columns
+        return list(map(_op.truediv, totals.tolist(), counts.tolist()))
 
 
 #: Vectorizable aggregates by name, resolved by the compiler and the
@@ -537,15 +583,11 @@ class _WindowedKernelBase:
         if window < 1:
             raise ValueError("window size must be >= 1")
         self.window = window
-        self.windows = {}
         self.out_watermark = _NEG_INF
 
-    def _due(self, up_to):
-        window = self.window
-        return sorted(
-            start for start in self.windows
-            if up_to is None or start + window - 1 <= up_to
-        )
+    def _earliest(self):
+        """Start of the earliest open window, or ``None``."""
+        raise NotImplementedError
 
     def forward(self, bound):
         """Clamped output punctuation for input promise ``bound``.
@@ -554,80 +596,115 @@ class _WindowedKernelBase:
         the promise would not advance the output watermark (the row
         operators' suppression rule).
         """
-        if self.windows:
-            bound = min(bound, min(self.windows) - 1)
+        earliest = self._earliest()
+        if earliest is not None:
+            bound = min(bound, earliest - 1)
         if bound > self.out_watermark:
             self.out_watermark = bound
             return bound
         return None
 
 
+def _cut(ascending, bound):
+    """How many values of ``ascending`` are ``<= bound`` (any int)."""
+    if not ascending.size or bound < int(ascending[0]):
+        return 0
+    if bound >= int(ascending[-1]):
+        return int(ascending.size)
+    return int(np.searchsorted(ascending, bound, side="right"))
+
+
+def _group_runs(starts, keys):
+    """Sort rows by ``(start, key)``: ``(order, heads)``, ``heads``
+    indexing the first sorted row of every group.
+
+    The sort key is one int64 composite, start offset times key span
+    plus key offset, under an unstable ``argsort`` (every fold is
+    commutative, so ties may land in any order); ``lexsort`` only when
+    the composite would not fit int64.
+    """
+    low, high = int(starts.min()), int(starts.max())
+    key_low = int(keys.min())
+    span = int(keys.max()) - key_low + 1
+    if (high - low + 1) * span - 1 <= _INT64_MAX:
+        composite = (starts - low) * span + (keys - key_low)
+        order = composite.argsort()
+        ordered = composite[order]
+        change = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort((keys, starts))
+        ordered_starts, ordered_keys = starts[order], keys[order]
+        change = ordered_starts[1:] != ordered_starts[:-1]
+        change |= ordered_keys[1:] != ordered_keys[:-1]
+    heads = np.flatnonzero(change)
+    heads += 1
+    return order, np.concatenate(([0], heads))
+
+
 class GroupedWindowKernel(_WindowedKernelBase):
     """Vectorized ``(Grouped)WindowAggregate`` over window-aligned rows.
 
-    ``accumulate`` folds one released batch (``starts`` already floored
-    to window starts) into per-``(start, key)`` partial states via one
-    lexsort + ``reduceat``; ``close`` pops due windows and emits
-    ``(start, key, result)`` rows ascending by start then key — exactly
-    the row operators' emission order.  With ``grouped=False`` (or
-    ``keys=None``) every row folds into group key ``0``, replicating the
-    ungrouped ``WindowAggregate``.
+    Open windows live as parallel arrays sorted by ``(start, key)``:
+    ``starts``, ``keys`` and the spec's ``state`` columns.
+    ``accumulate`` concatenates them with one released batch's lifted
+    rows (``starts`` already floored to window starts, in any order —
+    ADJUST may re-open an emitted window), sorts once and folds each
+    state column with one ``reduceat``.  ``close`` is one
+    ``searchsorted`` cut returning the due rows as columns, ascending by
+    start then key — exactly the row operators' emission order.  With
+    ``grouped=False`` (or ``keys=None``) every row folds into group key
+    ``0``, replicating the ungrouped ``WindowAggregate``.
     """
 
     def __init__(self, window, spec, grouped=True):
         super().__init__(window)
         self.spec = spec
         self.grouped = grouped
+        self.starts = _EMPTY
+        self.keys = _EMPTY
+        self.state = tuple(_EMPTY for _ in spec.ufuncs)
+
+    def _earliest(self):
+        return int(self.starts[0]) if self.starts.size else None
 
     def accumulate(self, starts, keys=None, values=None):
-        if starts.size == 0:
+        n = starts.size
+        if n == 0:
             return
         if not self.grouped or keys is None:
-            order = np.argsort(starts, kind="stable")
-            starts = starts[order]
-            keys = None
-            change = np.diff(starts) != 0
-        else:
-            order = np.lexsort((keys, starts))
-            starts = starts[order]
-            keys = keys[order]
-            change = (np.diff(starts) != 0) | (np.diff(keys) != 0)
-        boundaries = np.flatnonzero(change) + 1
-        group_idx = np.concatenate(([0], boundaries))
-        sizes = np.diff(np.append(group_idx, starts.size))
-        vals = values[order] if values is not None else None
-        partials = self.spec.fold(vals, group_idx, sizes)
-        start_list = starts[group_idx].tolist()
-        if keys is None:
-            key_list = [0] * len(start_list)
-        else:
-            key_list = keys[group_idx].tolist()
-        merge = self.spec.merge
-        windows = self.windows
-        for start, key, partial in zip(start_list, key_list, partials):
-            groups = windows.get(start)
-            if groups is None:
-                groups = windows[start] = {}
-            if key in groups:
-                groups[key] = merge(groups[key], partial)
-            else:
-                groups[key] = partial
+            keys = np.zeros(n, dtype=np.int64)
+        state = self.spec.lift(values, n)
+        if self.starts.size:
+            starts = np.concatenate((self.starts, starts))
+            keys = np.concatenate((self.keys, keys))
+            state = [
+                np.concatenate(pair) for pair in zip(self.state, state)
+            ]
+        order, heads = _group_runs(starts, keys)
+        firsts = order[heads]
+        self.starts = starts[firsts]
+        self.keys = keys[firsts]
+        self.state = self.spec.fold(
+            [column[order] for column in state], heads
+        )
 
     def close(self, up_to):
         """Pop windows due at ``up_to`` (all when ``None``) and return
-        ``(start, key, result)`` rows in emission order."""
-        if not self.windows:
-            return []
-        rows = []
-        result = self.spec.result
-        for start in self._due(up_to):
-            groups = self.windows.pop(start)
-            for key in sorted(groups):
-                rows.append((start, key, result(groups[key])))
-        return rows
+        their rows as ``(starts, keys, results)`` in emission order."""
+        cut = (
+            self.starts.size if up_to is None
+            else _cut(self.starts, up_to - self.window + 1)
+        )
+        if not cut:
+            return _EMPTY, _EMPTY, []
+        starts, self.starts = self.starts[:cut], self.starts[cut:]
+        keys, self.keys = self.keys[:cut], self.keys[cut:]
+        state = tuple(column[:cut] for column in self.state)
+        self.state = tuple(_narrow(column[cut:]) for column in self.state)
+        return starts, keys, self.spec.results(state)
 
     def buffered(self) -> int:
-        return sum(len(groups) for groups in self.windows.values())
+        return int(self.starts.size)
 
 
 class WindowTopKKernel(_WindowedKernelBase):
@@ -644,29 +721,45 @@ class WindowTopKKernel(_WindowedKernelBase):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
+        self.windows = {}
 
-    def add(self, start, key, value):
-        rows = self.windows.get(start)
-        if rows is None:
-            rows = self.windows[start] = []
-        rows.append((key, value))
-        if len(rows) > 4 * self.k:
-            rows.sort(key=_row_value, reverse=True)
-            del rows[self.k:]
+    def _earliest(self):
+        return min(self.windows) if self.windows else None
+
+    def extend(self, starts, keys, values):
+        """Add closed ``(starts, keys, results)`` rows."""
+        windows = self.windows
+        trim = 4 * self.k
+        for start, key, value in zip(starts.tolist(), keys.tolist(), values):
+            rows = windows.get(start)
+            if rows is None:
+                rows = windows[start] = []
+            rows.append((key, value))
+            if len(rows) > trim:
+                rows.sort(key=_row_value, reverse=True)
+                del rows[self.k:]
 
     def close(self, up_to):
-        """Pop due windows; return their top-k ``(start, key, value)``
-        rows, score-descending with ties in insertion (key) order."""
-        if not self.windows:
-            return []
-        out = []
-        for start in self._due(up_to):
+        """Pop due windows; return their top-k rows as ``(starts, keys,
+        values)``, score-descending with ties in insertion (key) order."""
+        window = self.window
+        due = sorted(
+            start for start in self.windows
+            if up_to is None or start + window - 1 <= up_to
+        )
+        starts, keys, values = [], [], []
+        for start in due:
             rows = self.windows.pop(start)
             rows.sort(key=_row_value, reverse=True)
-            out.extend(
-                (start, key, value) for key, value in rows[: self.k]
-            )
-        return out
+            for key, value in rows[: self.k]:
+                starts.append(start)
+                keys.append(key)
+                values.append(value)
+        return (
+            np.array(starts, dtype=np.int64),
+            np.array(keys, dtype=np.int64),
+            values,
+        )
 
     def buffered(self) -> int:
         return sum(len(rows) for rows in self.windows.values())
@@ -674,6 +767,18 @@ class WindowTopKKernel(_WindowedKernelBase):
 
 def _row_value(row):
     return row[1]
+
+
+def _window_events(starts, keys, values, window):
+    """Box closed window rows into ``Event(start, start + window, key,
+    value)`` objects in one pass (ends in Python ints if int64 would
+    wrap)."""
+    start_list = starts.tolist()
+    if starts.size and int(starts.max()) > _INT64_MAX - window:
+        ends = [start + window for start in start_list]
+    else:
+        ends = (starts + window).tolist()
+    return map(Event, start_list, ends, keys.tolist(), values)
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +950,9 @@ class SessionKernel(_HeapReleaseKernel):
     ``ingest`` cuts a round into *segments* — maximal stretches of one
     key's rows, in scan order, with every gap below the timeout — by one
     stable ``argsort`` on the keys, and folds each with ``reduceat``
-    (the grouped kernels' :data:`AGGREGATE_SPECS`).  Only a key's last
+    (:meth:`AggregateSpec.fold`, exact as in the grouped kernels;
+    a carried-in session merges through :meth:`AggregateSpec.merge`,
+    the same ufuncs on Python values).  Only a key's last
     segment stays open; every earlier one is a closed session, retired
     by the row that opens the next segment, so a whole round's closed
     sessions are built from arrays.  What is left for Python is one
@@ -877,7 +984,7 @@ class SessionKernel(_HeapReleaseKernel):
     def _retire(self, key, session, seq):
         start, last, state = session
         self._closed.append((
-            start, seq, last + self.timeout, key, self._spec.result(state)
+            start, seq, last + self.timeout, key, self._spec.result(*state)
         ))
 
     def ingest(self, sync, other, keys, cols):
@@ -904,10 +1011,11 @@ class SessionKernel(_HeapReleaseKernel):
         seg_start = t[first]
         seg_last = t[stops - 1]
         seg_pos = order[first]          # scan position of the opening row
-        states = spec.fold(
-            cols[self.value_index][order] if spec.needs_value else None,
-            first, stops - first,
+        lifted = spec.lift(
+            cols[self.value_index][order] if spec.needs_value else None, n
         )
+        folded = spec.fold(lifted, first)
+        columns = [column.tolist() for column in folded]
         heads = np.flatnonzero(key_opens[first])    # per key: first segment
         tails = np.append(heads[1:], first.size) - 1    # and last segment
         scan = np.argsort(seg_pos[heads])
@@ -915,6 +1023,7 @@ class SessionKernel(_HeapReleaseKernel):
         seq = self._seq
         self._seq += n
         open_ = self._open
+        merged = {}     # segment -> state with the carried session merged
         for key, head, tail, start, pos in zip(
             seg_key[heads].tolist(), heads.tolist(), tails.tolist(),
             seg_start[heads].tolist(), seg_pos[heads].tolist(),
@@ -923,12 +1032,15 @@ class SessionKernel(_HeapReleaseKernel):
             if session is not None:
                 if start - session[1] < timeout:
                     seg_start[head] = session[0]
-                    states[head] = spec.merge(session[2], states[head])
+                    merged[head] = spec.merge(
+                        session[2], [column[head] for column in columns]
+                    )
                 else:
                     self._retire(key, session, seq + pos)
-            open_[key] = [
-                int(seg_start[tail]), int(seg_last[tail]), states[tail]
-            ]
+            state = merged.pop(tail, None)
+            if state is None:
+                state = tuple(column[tail] for column in columns)
+            open_[key] = [int(seg_start[tail]), int(seg_last[tail]), state]
         closes = np.ones(first.size, dtype=bool)
         closes[tails] = False
         inner = np.flatnonzero(closes)      # segments a later one retires
@@ -936,12 +1048,18 @@ class SessionKernel(_HeapReleaseKernel):
             retired_at = seq + seg_pos[inner + 1]
             by_release = np.lexsort((retired_at, seg_start[inner]))
             inner = inner[by_release]
+            values = spec.results([column[inner] for column in folded])
+            if merged:      # heads that merged a session and retire here
+                slot = np.empty(first.size, dtype=np.int64)
+                slot[inner] = np.arange(inner.size)
+                for segment, state in merged.items():
+                    values[int(slot[segment])] = spec.result(*state)
             self._closed.extend(zip(
                 seg_start[inner].tolist(),
                 retired_at[by_release].tolist(),
                 (seg_last[inner] + timeout).tolist(),
                 seg_key[inner].tolist(),
-                map(spec.result, map(states.__getitem__, inner.tolist())),
+                values,
             ))
         return []
 
@@ -1173,7 +1291,8 @@ class GroupApplyKernel(TerminalKernel):
     order*: closed windows with equal starts emit in key-first-seen
     order (sub-pipelines materialize on a key's first raw event, before
     any body filtering), not key-ascending order — ``_ranks`` replays
-    that.  Stage-only bodies pass transformed rows through immediately.
+    that by re-sorting the fold's closed columns on ``(start, rank)``.
+    Stage-only bodies pass transformed rows through immediately.
     """
 
     name = "group_apply"
@@ -1226,24 +1345,17 @@ class GroupApplyKernel(TerminalKernel):
     def _close(self, bound):
         if self._fold is None:
             return []
-        windows = self._fold.windows
-        if not windows:
+        starts, keys, values = self._fold.close(bound)
+        if not starts.size:
             return []
-        window = self.window
-        due = sorted(
-            start for start in windows
-            if bound is None or start + window - 1 <= bound
+        ranks = np.fromiter(
+            map(self._ranks.__getitem__, keys.tolist()), np.int64, keys.size
         )
-        ranks = self._ranks
-        result = self.spec.result
-        events = []
-        for start in due:
-            groups = windows.pop(start)
-            for key in sorted(groups, key=ranks.__getitem__):
-                events.append(Event(
-                    start, start + window, key, result(groups[key])
-                ))
-        return events
+        order = np.lexsort((ranks, starts))
+        return list(_window_events(
+            starts[order], keys[order],
+            [values[i] for i in order.tolist()], self.window,
+        ))
 
     def punctuate(self, timestamp):
         # GroupApply broadcasts the promise into each sub-pipeline
@@ -1261,7 +1373,7 @@ class GroupApplyKernel(TerminalKernel):
         return self._fold.buffered() if self._fold is not None else 0
 
     def describe(self):
-        inner = [stage.describe() for stage in self.stages]
+        inner = [label for stage in self.stages for label in stage.labels()]
         if self.spec is not None:
             inner.append(f"aggregate[{self.spec.name}]")
         return f"group_apply[{' -> '.join(inner)}]"

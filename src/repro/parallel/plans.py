@@ -367,7 +367,13 @@ class _CompiledShardExecutor:
             )
             return [("fbatch", (sync, other, keys, values))]
         if mode == "int":
-            cols = [np.fromiter((e.payload for e in events), np.int64, n)]
+            try:
+                cols = [
+                    np.fromiter((e.payload for e in events), np.int64, n)
+                ]
+            except OverflowError:
+                # An exact sum beyond int64 rides as row-shaped output.
+                return [("elements", events)]
         else:                  # "tuple": one int64 column per field
             arity = len(events[0].payload)
             cols = [

@@ -69,12 +69,13 @@ __all__ = ["StandingQuery"]
 #: Compiled columns carry ints of magnitude below this (int64).
 _INT64 = 2 ** 63
 
-#: The density trial.  A chunk pays ≈45 µs of fixed numpy cost per
-#: punctuation and saves ≈1.2 µs per event, so below ≈45 events per
-#: punctuation the row engine is the faster one.  A compiled query whose
-#: first ``_TRIAL_ROUNDS`` punctuations followed fewer than
-#: ``_MIN_CHUNK`` events each, on average, demotes at the last of them;
-#: that replay is at most ``_TRIAL_ROUNDS * (_MIN_CHUNK + 1)`` lines.
+#: The density trial.  A chunk pays ≈70 µs of fixed cost per
+#: punctuation and saves ≈1.5 µs per event (docs/serve.md), so below
+#: ≈46 events per punctuation the row engine is the faster one.  A
+#: compiled query whose first ``_TRIAL_ROUNDS`` punctuations followed
+#: fewer than ``_MIN_CHUNK`` events each, on average, demotes at the
+#: last of them; that replay is at most
+#: ``_TRIAL_ROUNDS * (_MIN_CHUNK + 1)`` lines.
 _TRIAL_ROUNDS = 16
 _MIN_CHUNK = 48
 

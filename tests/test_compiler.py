@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.errors import QueryBuildError
@@ -24,7 +25,7 @@ from repro.engine.compiler import (
     execute_plan,
 )
 from repro.engine.event import Event
-from repro.engine.kernels import field, key_field
+from repro.engine.kernels import field, key_field, sync_field
 from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
 from repro.observability.snapshot import PipelineSnapshot
 
@@ -317,3 +318,139 @@ class TestSnapshot:
     def test_row_run_without_registry_has_no_snapshot(self):
         result = _plan().run(_events(50), 16, 20, engine="row")
         assert result.snapshot() is None
+
+    def test_fused_where_run_reports_each_predicate(self):
+        """Consecutive wheres run as one filter pass, but the snapshot
+        keeps one ``where`` entry per predicate with the in/out counts
+        each predicate would see running alone."""
+        predicates = [
+            (field(0) > 5, lambda e: e.payload[0] > 5),
+            (key_field() < 3, lambda e: e.key < 3),
+            (sync_field() % 2 == 0, lambda e: e.sync_time % 2 == 0),
+        ]
+        plan = QueryPlan()
+        for predicate, _ in predicates:
+            plan = plan.where(predicate)
+        plan = (plan.tumbling_window(16).where(field(1) < 7).sort()
+                .group_aggregate(Sum(field(1))))
+        compiled = compile_plan(plan)
+        assert [stage.name for stage in compiled.stages] == [
+            "where", "window", "where",
+        ]
+        assert compiled.describe()[:5] == [
+            "where[field(0) > 5]", "where[key() < 3]",
+            "where[(sync() % 2) == 0]", "tumbling_window[16]",
+            "where[field(1) < 7]",
+        ]
+        events = _events()
+        result = plan.run(events, 32, 40)
+        operators = result.snapshot().operators
+        assert [op["name"] for op in operators[:6]] == [
+            "ingress", "where", "where", "where", "window", "where",
+        ]
+        survivors = events
+        for (_, keep), op in zip(predicates, operators[1:4]):
+            kept = [e for e in survivors if keep(e)]
+            assert op["events"] == {"in": len(survivors), "out": len(kept)}
+            survivors = kept
+        row = plan.run(events, 32, 40, engine="row")
+        assert result.events == row.events
+        assert result.punctuations == row.punctuations
+
+    def test_fused_where_gathers_only_the_columns_read_later(self):
+        compiled = compile_plan(
+            QueryPlan().where(field(0) > 1).where(field(1) < 5)
+            .tumbling_window(8).sort().group_aggregate(Sum(field(2)))
+        )
+        stage = compiled.stages[0]
+        sync = np.arange(6, dtype=np.int64)
+        cols = [np.arange(6, dtype=np.int64) for _ in range(4)]
+        out_sync, _, keys, out_cols = stage.apply(sync, None, sync, cols)
+        assert out_sync.tolist() == [2, 3, 4]
+        assert keys.tolist() == [2, 3, 4]
+        assert out_cols[2].tolist() == [2, 3, 4]
+        assert out_cols[0] is out_cols[1] is out_cols[3] is None
+
+
+_BIG = 2 ** 62
+
+
+def _cross_round_events(first, second, third):
+    """Arrival order for ``hopping_window(20, 10)`` under ADJUST with
+    ``punctuation_frequency=2``: ``first`` and ``second`` fold into the
+    window at 0 in one round, then ``third`` arrives late, is adjusted
+    to the watermark and folds into the still-open window one round
+    later."""
+    return [
+        Event(9, payload=(first,)), Event(8, payload=(second,)),
+        Event(3, payload=(third,)), Event(12, payload=(1,)),
+    ]
+
+
+class TestExactFolds:
+    """Compiled folds add like the row aggregates' Python ints: a sum
+    beyond int64 is exact, never wrapped."""
+
+    def test_grouped_sum_of_two_payloads_beyond_int64(self):
+        events = [Event(1, payload=(_BIG + 2,)), Event(4, payload=(_BIG + 3,))]
+        plan = (QueryPlan().tumbling_window(10).sort()
+                .group_aggregate(Sum(field(0))))
+        result = plan.run(events, 2, 0, engine="columnar")
+        assert result.payloads == [2 ** 63 + 5]
+        assert result.events == plan.run(events, 2, 0, engine="row").events
+
+    @pytest.mark.parametrize("terminal", [
+        lambda p: p.group_aggregate(Sum(field(0))),
+        lambda p: p.aggregate(Sum(field(0))),
+        lambda p: p.group_aggregate(Avg(field(0))),
+        lambda p: p.aggregate(Avg(field(0))),
+        lambda p: p.group_aggregate(Sum(field(0))).top_k(2),
+    ], ids=["group-sum", "sum", "group-avg", "avg", "top-k"])
+    @pytest.mark.parametrize("values", [
+        [_BIG, _BIG, _BIG + 7],
+        [-_BIG, -_BIG, -_BIG - 1, -_BIG],
+        [_BIG, _BIG, -_BIG, 5],            # leaves int64 and comes back
+        [2 ** 63 - 1, 2 ** 63 - 1, -(2 ** 63), 1],
+    ], ids=["positive", "negative", "returns", "extremes"])
+    def test_within_round(self, terminal, values):
+        events = [
+            Event(t, key=t % 2, payload=(v,)) for t, v in enumerate(values)
+        ]
+        plan = terminal(QueryPlan().tumbling_window(10).sort())
+        compiled = plan.run(events, 3, 0, engine="columnar")
+        row = plan.run(events, 3, 0, engine="row")
+        assert compiled.events == row.events
+        assert compiled.punctuations == row.punctuations
+
+    @pytest.mark.parametrize("values, total", [
+        ((_BIG, _BIG // 2, _BIG), 2 ** 63 + _BIG // 2),
+        ((_BIG, _BIG, -_BIG), _BIG),
+        ((-_BIG, -_BIG, -_BIG), -3 * _BIG),
+    ], ids=["leaves-int64-next-round", "object-state-returns",
+            "negative"])
+    def test_cross_round(self, values, total):
+        plan = (QueryPlan().hopping_window(20, 10)
+                .sort(late_policy=LatePolicy.ADJUST)
+                .group_aggregate(Sum(field(0))))
+        events = _cross_round_events(*values)
+        compiled = plan.run(events, 2, 0, engine="columnar")
+        row = plan.run(events, 2, 0, engine="row")
+        assert compiled.payloads == [total, 1]
+        assert compiled.events == row.events
+        assert compiled.punctuations == row.punctuations
+
+    def test_window_end_beyond_int64(self):
+        top = 2 ** 63 - 1
+        events = [Event(top - t, top, payload=(t,)) for t in (0, 3, 12, 1)]
+        plan = (QueryPlan().tumbling_window(10).sort()
+                .group_aggregate(Sum(field(0))))
+        compiled = plan.run(events, 2, 0, engine="columnar")
+        assert compiled.events[-1].other_time == top - 7 + 10
+        assert compiled.events == plan.run(events, 2, 0, engine="row").events
+
+    def test_session_sum_beyond_int64(self):
+        events = [Event(t, key=1, payload=(_BIG + t,)) for t in range(3)]
+        plan = QueryPlan().sort().session_window(4, Sum(field(0)))
+        compiled = plan.run(events, 3, 0, engine="columnar")
+        assert compiled.payloads == [3 * _BIG + 3]
+        assert compiled.events == plan.run(events, 3, 0, engine="row").events

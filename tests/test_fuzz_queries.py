@@ -19,7 +19,7 @@ must silently fall back to the row engine with identical output.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import LateEventError
@@ -209,6 +209,10 @@ def _p_project(plan):
     return plan.select_columns((0, 1))
 
 
+def _p_project_swap(plan):
+    return plan.select_columns((1, 0))
+
+
 def _p_where_str_key(plan):
     return plan.where(key_str_eq(_SERVICES, b"billing.core"))
 
@@ -220,9 +224,9 @@ def _p_where_str_prefix(plan):
 PLAN_PRE = st.lists(
     st.sampled_from([
         _p_where_payload, _p_where_key, _p_where_sync, _p_project,
-        _p_where_str_key, _p_where_str_prefix,
+        _p_project_swap, _p_where_str_key, _p_where_str_prefix,
     ]),
-    max_size=2,
+    max_size=3,
 )
 
 
@@ -347,6 +351,30 @@ def _opaque_where(event):
     return event.key < 4
 
 
+#: Keys spread over ±2**40 and ±2**62: a round holding both extremes
+#: cannot pack ``(start, key)`` into one int64 sort key.
+_WIDE_KEYS = (-(2 ** 62), -(2 ** 40), -3, 0, 2, 2 ** 40 + 1, 2 ** 62)
+
+
+def _small_shape(t):
+    return t % 6, (t % 50, t % 9)
+
+
+def _wide_keys_shape(t):
+    return _WIDE_KEYS[t % 7], (t % 50, t % 9)
+
+
+def _huge_values_shape(t):
+    """Payloads near ±2**62: a window's sum leaves int64."""
+    sign = 1 if t % 3 else -1
+    return t % 6, (sign * (2 ** 62 + t % 50), 2 ** 62 - t % 9)
+
+
+EVENT_SHAPES = st.sampled_from(
+    [_small_shape, _wide_keys_shape, _huge_values_shape]
+)
+
+
 class TestRowVsCompiled:
     """Differential fuzz: ``engine="row"`` versus ``engine="auto"``.
 
@@ -370,14 +398,25 @@ class TestRowVsCompiled:
         PLAN_POLICY,
         st.integers(5, 60),
         st.integers(0, 100),
+        EVENT_SHAPES,
+    )
+    # A fused run of three wheres on payload, key and sync over keys
+    # that force the lexsort fallback; and a where after a projection
+    # that reorders the payload, with sums leaving int64 across rounds.
+    @example(
+        list(range(120)), [_p_where_payload, _p_where_key, _p_where_sync],
+        _w_tumbling_small, _t_group_sum, LatePolicy.DROP, 40, 0,
+        _wide_keys_shape,
+    )
+    @example(
+        list(range(0, 120, 3)) + list(range(1, 120, 5)),
+        [_p_project_swap, _p_where_payload], _w_hopping, _t_group_avg,
+        LatePolicy.ADJUST, 7, 20, _huge_values_shape,
     )
     @settings(max_examples=100, deadline=None)
     def test_compiled_matches_row(self, times, pre, window, terminal,
-                                  policy, frequency, latency):
-        events = [
-            Event(t, t + 1, key=t % 6, payload=(t % 50, t % 9))
-            for t in times
-        ]
+                                  policy, frequency, latency, shape):
+        events = [Event(t, t + 1, *shape(t)) for t in times]
         plan = QueryPlan()
         for stage in pre:
             plan = stage(plan)

@@ -1044,6 +1044,31 @@ class TestCompiledShardPlan:
             )
         assert err.value.reason == reason
 
+    def test_sum_beyond_int64_ships_as_elements(self):
+        """A round whose exact sum does not fit int64 leaves the shard as
+        row-shaped elements; the next round rides DATA frames again."""
+        plan = CompiledShardPlan(
+            QueryPlan().tumbling_window(10).sort()
+            .group_aggregate(Sum(field(0)))
+        )
+        elements = [Event(t, t + 1, 0, (2 ** 62,)) for t in range(3)]
+        elements += [Event(t, t + 1, 0, (1,)) for t in (12, 13)]
+        executor = plan.build_executor(0)
+        executor.feed_elements(elements)
+        assert executor.feed_punctuation(9) == [
+            ("elements", [Event(0, 10, 0, 3 * 2 ** 62)]), ("punct", 9),
+        ]
+        [(kind, batch)] = executor.feed_flush()
+        assert kind == "batch"
+        assert batch.sync_times.tolist() == [10]
+        assert batch.payload_columns[0].tolist() == [2]
+        result = run_parallel(
+            elements + [Punctuation(9)], plan, 1, batch_size=8
+        )
+        assert result.events == [
+            Event(0, 10, 0, 3 * 2 ** 62), Event(10, 20, 0, 2),
+        ]
+
     def test_tuple_payloads_ride_columnar_frames(self):
         """distinct emits multi-column int64 DATA frames, not pickles."""
         shape = COMPILED_SHAPES[_SHAPE_IDS.index("distinct")]

@@ -147,6 +147,15 @@ class TestSessionKernel:
         ],
         timeout=1,
     )
+    # Sums beyond int64: inside one round, and carried across rounds.
+    @example(
+        rounds=[([(0, 1, 2**62), (1, 1, 2**62), (2, 1, 2**62 + 1)], 0)],
+        timeout=4,
+    )
+    @example(
+        rounds=[([(0, 1, 2**62 + 1)], 0), ([(1, 1, 2**62)], 2)],
+        timeout=4,
+    )
     @settings(max_examples=120, deadline=None)
     def test_rounds_equal_the_row_operator(
         self, fold, value_index, aggregate, rounds, timeout
