@@ -19,18 +19,24 @@ a fused pipeline of :mod:`repro.engine.kernels` stages around a
   prefix match into one code-range test (``key_str_prefix`` /
   ``field_str_prefix``), so string-keyed plans compile to the exact
   same fused int masks — no byte comparisons, no row-path fallback;
-* the columnar sorter itself, carrying the post-stage sync time, the
-  grouping key, and the aggregated value as parallel ``int64`` columns
-  (the original window start rides as column 0 so the ADJUST late
-  policy keeps row-engine semantics: adjusted sort position, original
-  window);
-* post-sort: either the grouped/ungrouped windowed-aggregate kernel
-  (``count``/``sum``/``avg``/``min``/``max``) with an optional chained
-  ``top_k`` kernel, or one of the pass-through terminal kernels —
-  ``distinct``, ``session_window``, ``coalesce``, ``self_join``,
-  ``pattern_match``, ``group_apply`` (over a traceable straight-line
-  body), and raw ``top_k`` — consuming full ``(sync, other, key,
-  payload…)`` rows in the sorter's deterministic emission order.
+* the columnar sorter itself, carrying the post-stage sync time plus
+  exactly the columns the terminal kernel ``reads`` as parallel
+  ``int64`` columns (the original sync rides as column 0 so the ADJUST
+  late policy keeps row-engine semantics: adjusted sort position,
+  original window);
+* post-sort: one :class:`~repro.engine.kernels.TerminalKernel` — the
+  grouped/ungrouped windowed aggregate
+  (``count``/``sum``/``avg``/``min``/``max``, reading the key and the
+  value) with an optional chained ``top_k``, or ``distinct``,
+  ``session_window``, ``coalesce``, ``self_join``, ``pattern_match``,
+  ``group_apply`` (over a traceable straight-line body) and raw
+  ``top_k``, reading full ``(sync, other, key, payload…)`` rows — fed
+  in the sorter's deterministic emission order.
+
+:meth:`CompiledPlan.open` returns the one executor behind every driver:
+``feed``/``feed_events`` push ingress, ``punctuate``/``flush`` return
+each round's ``(events, punctuations)``.  ``QueryPlan.run``, the
+parallel shard workers and serve's standing queries all drive it.
 
 Anything else — duration rewrites, opaque Python lambdas, custom
 sorters — raises :class:`UnsupportedPlanError` with a human-readable
@@ -57,13 +63,12 @@ from repro.engine.kernels import (
     CoalesceKernel,
     DistinctKernel,
     GroupApplyKernel,
-    GroupedWindowKernel,
     PatternKernel,
     Predicate,
     RawTopKKernel,
     SelfJoinKernel,
     SessionKernel,
-    WindowTopKKernel,
+    WindowAggregateKernel,
     _BinOp,
     _BoolOp,
     _Compare,
@@ -72,7 +77,6 @@ from repro.engine.kernels import (
     _Not,
     _PayloadField,
     _SyncField,
-    _window_events,
 )
 from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
 from repro.observability.snapshot import PipelineSnapshot
@@ -84,9 +88,13 @@ __all__ = [
     "analyze_plan",
     "compile_plan",
     "execute_plan",
+    "ingest_reason",
 ]
 
 _NEG_INF = float("-inf")
+
+#: Compiled columns hold ints of magnitude below this (int64).
+_INT64 = 2 ** 63
 
 
 class UnsupportedPlanError(Exception):
@@ -242,7 +250,9 @@ def _fuse_filters(stages, reads):
 
     ``reads`` is what the terminal reads: payload indices plus
     ``"key"``, or ``None`` for every column.  A window or projection
-    between two ``where``s splits the run.
+    between two ``where``s splits the run; a ``where`` ahead of a
+    projection keeps every column.  Returns the fused stages and what
+    they read of an ingress chunk, in the same form.
     """
     fused = []
     for stage in reversed(stages):
@@ -259,17 +269,11 @@ def _fuse_filters(stages, reads):
                 found = _columns_read(predicate)
                 reads = None if reads is None or found is None \
                     else reads | found
-        elif isinstance(stage, _ProjectStage) and reads is not None:
-            columns = stage.columns
-            if any(i != "key" and i >= len(columns) for i in reads):
-                reads = None    # the projection raises at run time
-            else:
-                reads = {
-                    "key" if i == "key" else columns[i] for i in reads
-                }
+        elif isinstance(stage, _ProjectStage):
+            reads = None        # it indexes every payload column
         fused.append(stage)
     fused.reverse()
-    return fused
+    return fused, reads
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +297,19 @@ def _lower_aggregate(aggregate):
     raise UnsupportedPlanError(
         f"aggregate {type(aggregate).__name__} has no columnar kernel"
     )
+
+
+def _lower_top_k(step):
+    """``k`` of a ``top_k`` step with the default score."""
+    values = _resolve(step, ("k", "score_fn"))
+    if values.get("score_fn") is not None:
+        raise UnsupportedPlanError(
+            "top_k() score_fn is an opaque Python callable"
+        )
+    k = values.get("k")
+    if not isinstance(k, int) or k < 1:
+        raise UnsupportedPlanError("top_k() k must be a positive int")
+    return k
 
 
 def _require_key_field(key_fn, method):
@@ -394,7 +411,7 @@ def _probe_group_apply(query_fn):
             "group_apply() body is an opaque Python callable (it does not "
             "return the traced operator chain)"
         )
-    stages = _fuse_filters(probe.stages, None)
+    stages, _ = _fuse_filters(probe.stages, None)
     return tuple(stages), probe.window, probe.spec, probe.value_index
 
 
@@ -464,14 +481,10 @@ def compile_plan(plan) -> "CompiledPlan":
                 )
             stages.append(_ProjectStage(columns))
         elif method in ("tumbling_window", "hopping_window"):
-            if method == "tumbling_window":
-                values = _resolve(step, ("size",))
-                size = values.get("size")
-                hop = size
-            else:
-                values = _resolve(step, ("size", "hop"))
-                size = values.get("size")
-                hop = values.get("hop", size)
+            values = _resolve(step, ("size", "hop"))
+            size = values.get("size")
+            hop = size if method == "tumbling_window" \
+                else values.get("hop", size)
             if not isinstance(size, int) or not isinstance(hop, int) \
                     or size < 1 or hop < 1:
                 raise UnsupportedPlanError(
@@ -502,21 +515,30 @@ def compile_plan(plan) -> "CompiledPlan":
             "plan.optimized() to push it down for the columnar path"
         )
     rest = list(post[1:])
-    grouped = False
-    spec = None
-    value_index = None
-    kernel_factory = None
     method = terminal.method
-    if method == "count":
-        spec, value_index = AGGREGATE_SPECS["count"], None
-    elif method == "aggregate":
-        values = _resolve(terminal, ("aggregate",))
-        spec, value_index = _lower_aggregate(values.get("aggregate"))
-    elif method == "group_aggregate":
+    if method in ("count", "aggregate", "group_aggregate"):
         values = _resolve(terminal, ("aggregate", "key_fn"))
-        _require_key_field(values.get("key_fn"), "group_aggregate")
-        spec, value_index = _lower_aggregate(values.get("aggregate"))
-        grouped = True
+        _require_key_field(values.get("key_fn"), method)
+        spec, value_index = _lower_aggregate(
+            Count() if method == "count" else values.get("aggregate")
+        )
+        top_k = None
+        if rest and rest[0].method == "top_k":
+            top_k = _lower_top_k(rest.pop(0))
+        if rest:
+            raise UnsupportedPlanError(
+                f"{rest[0].method}() after the aggregate is not vectorized"
+            )
+        if window_size is None:
+            raise UnsupportedPlanError(
+                "windowed aggregates need a tumbling/hopping window ahead "
+                "of the sort"
+            )
+        kernel_factory = (  # noqa: E731
+            lambda: WindowAggregateKernel(
+                method, window_size, spec, value_index, top_k
+            )
+        )
     elif method == "distinct":
         values = _resolve(terminal, ("selector",))
         selector = values.get("selector")
@@ -595,56 +617,15 @@ def compile_plan(plan) -> "CompiledPlan":
     elif method == "top_k":
         # Raw top-k became lowerable once every sorter resolved
         # equal-sync ties by arrival order (tie_break="arrival").
-        values = _resolve(terminal, ("k", "score_fn"))
-        if values.get("score_fn") is not None:
-            raise UnsupportedPlanError(
-                "top_k() score_fn is an opaque Python callable"
-            )
-        raw_k = values.get("k")
-        if not isinstance(raw_k, int) or raw_k < 1:
-            raise UnsupportedPlanError("top_k() k must be a positive int")
+        raw_k = _lower_top_k(terminal)
         kernel_factory = lambda: RawTopKKernel(raw_k)  # noqa: E731
     else:
         raise UnsupportedPlanError(f"{method}() is not vectorized")
-
-    if kernel_factory is not None:
-        if rest:
-            raise UnsupportedPlanError(
-                f"{rest[0].method}() after {method}() is not vectorized"
-            )
-        return CompiledPlan(
-            _fuse_filters(stages, None), late_policy, window_size, None,
-            None, False, None, method, kernel_factory=kernel_factory,
-        )
-
-    top_k = None
-    if rest and rest[0].method == "top_k":
-        values = _resolve(rest[0], ("k", "score_fn"))
-        if values.get("score_fn") is not None:
-            raise UnsupportedPlanError(
-                "top_k() score_fn is an opaque Python callable"
-            )
-        k = values.get("k")
-        if not isinstance(k, int) or k < 1:
-            raise UnsupportedPlanError("top_k() k must be a positive int")
-        top_k = k
-        rest = rest[1:]
     if rest:
         raise UnsupportedPlanError(
-            f"{rest[0].method}() after the aggregate is not vectorized"
+            f"{rest[0].method}() after {method}() is not vectorized"
         )
-    if window_size is None:
-        raise UnsupportedPlanError(
-            "windowed aggregates need a tumbling/hopping window ahead of "
-            "the sort"
-        )
-    reads = {"key"} if grouped else set()
-    if spec.needs_value:
-        reads.add(value_index)
-    return CompiledPlan(
-        _fuse_filters(stages, reads), late_policy, window_size, spec,
-        value_index, grouped, top_k, terminal.method,
-    )
+    return CompiledPlan(stages, late_policy, kernel_factory)
 
 
 def analyze_plan(plan):
@@ -778,32 +759,20 @@ class PlanResult:
 
 
 class CompiledPlan:
-    """An executable fused pipeline produced by :func:`compile_plan`."""
+    """An executable fused pipeline produced by :func:`compile_plan`:
+    pre-sort ``stages``, the sort's ``late_policy`` and the terminal's
+    ``kernel_factory``.  ``reads`` is what the stages read of an ingress
+    chunk (payload indices plus ``"key"``; ``None`` for every column),
+    ``wire`` the terminal kernel's shard wire mode.
+    """
 
-    def __init__(self, stages, late_policy, window_size, spec, value_index,
-                 grouped, top_k, terminal, kernel_factory=None):
-        self.stages = stages
+    def __init__(self, stages, late_policy, kernel_factory):
         self.late_policy = late_policy
-        self.window_size = window_size
-        self.spec = spec
-        self.value_index = value_index
-        self.grouped = grouped
-        self.top_k = top_k
-        self.terminal = terminal
-        # Pass-through terminals consume full rows, so the sorter carries
-        # (sync, other, key, *payload) — column count known only once the
-        # post-stage payload arity is (at the first chunk).  The aggregate
-        # path carries exactly the columns its fold needs.
         self.kernel_factory = kernel_factory
-        self.pass_through = kernel_factory is not None
-        if self.pass_through:
-            self.columns = None
-            self.terminal_label = kernel_factory().describe()
-        else:
-            self.terminal_label = None
-            self.columns = 1 + (1 if grouped else 0) + (
-                1 if spec.needs_value else 0
-            )
+        probe = kernel_factory()
+        self.wire = probe.wire
+        self._kernel_labels = [label for _, label in probe.entries()]
+        self.stages, self.reads = _fuse_filters(stages, probe.reads)
 
     def describe(self):
         """Kernel stage labels in pipeline order (for EXPLAIN output)."""
@@ -811,14 +780,12 @@ class CompiledPlan:
             label for stage in self.stages for label in stage.labels()
         ]
         labels.append(f"columnar_sort[{self.late_policy.name}]")
-        if self.pass_through:
-            labels.append(self.terminal_label)
-            return labels
-        kind = "group_aggregate" if self.grouped else "aggregate"
-        labels.append(f"{kind}[{self.spec.name}]")
-        if self.top_k is not None:
-            labels.append(f"top_k[{self.top_k}]")
-        return labels
+        return labels + self._kernel_labels
+
+    def open(self, memory_budget=None):
+        """A fresh executor for one stream (see :class:`_Execution`);
+        ``memory_budget`` (bytes) spills the sorter's cold runs."""
+        return _Execution(self, memory_budget)
 
     def run(self, kind, source, punctuation_frequency=None,
             reorder_latency=0, batch_size=8192, reason=None,
@@ -827,128 +794,99 @@ class CompiledPlan:
         source, replicating the row ingress punctuation policy."""
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        execution = _Execution(self, memory_budget=memory_budget)
-        try:
-            return self._drive(
-                execution, kind, source, punctuation_frequency,
-                reorder_latency, batch_size, reason,
-            )
-        finally:
-            execution.close()
-
-    def _drive(self, execution, kind, source, punctuation_frequency,
-               reorder_latency, batch_size, reason):
+        execution = self.open(memory_budget)
         n = len(source)
-        need_other = self.pass_through
         if kind == "dataset":
+            full = self.reads is None
+
             def chunk(start, stop):
                 sync, keys, cols = source.columns(start, stop)
                 # Dataset ingress events carry the point interval
                 # [t, t + 1).
-                return sync, (sync + 1 if need_other else None), keys, cols
+                return sync, (sync + 1 if full else None), keys, cols
         else:
-            arity = len(source[0].payload) if n else 0
-
             def chunk(start, stop):
-                return _events_chunk(source, start, stop, arity, need_other)
+                return execution._columns(source[start:stop])
+        events, punctuations = [], []
+
+        def collect(round_):
+            events.extend(round_[0])
+            punctuations.extend(round_[1])
         high_watermark = None
         last_punctuation = _NEG_INF
         position = 0
         frequency = punctuation_frequency
-        while position < n:
-            if frequency:
-                room = frequency - (position % frequency)
-            else:
-                room = n - position
-            stop = min(position + batch_size, position + room, n)
-            t0 = perf_counter()
-            sync, other, keys, cols = chunk(position, stop)
-            execution.ingress.note_batch(
-                stop - position, stop - position, perf_counter() - t0
-            )
-            chunk_max = int(sync.max())
-            if high_watermark is None or chunk_max > high_watermark:
-                high_watermark = chunk_max
-            execution.process_chunk(sync, other, keys, cols)
-            position = stop
-            if frequency and position % frequency == 0:
-                candidate = high_watermark - reorder_latency
-                if candidate > last_punctuation:
-                    last_punctuation = candidate
-                    execution.punctuate(candidate)
-        if high_watermark is not None:
-            # Ingress appends a final end-of-data punctuation at the high
-            # watermark unconditionally (ingress_events).
-            execution.punctuate(high_watermark)
-        execution.flush()
-        return execution.result(reason)
-
-
-def _events_chunk(events, start, stop, arity, need_other=False,
-                  need_keys=True):
-    count = stop - start
-    chunk = events[start:stop]
-    sync = np.fromiter(
-        (event.sync_time for event in chunk), np.int64, count
-    )
-    other = (
-        np.fromiter((event.other_time for event in chunk), np.int64, count)
-        if need_other else None
-    )
-    # A caller whose plan never reads the key skips its column.
-    keys = (
-        np.fromiter((event.key for event in chunk), np.int64, count)
-        if need_keys else None
-    )
-    if arity:
-        matrix = np.asarray(
-            [event.payload for event in chunk], dtype=np.int64
-        )
-        cols = [matrix[:, c] for c in range(arity)]
-    else:
-        cols = []
-    return sync, other, keys, cols
+        try:
+            while position < n:
+                if frequency:
+                    room = frequency - (position % frequency)
+                else:
+                    room = n - position
+                stop = min(position + batch_size, position + room, n)
+                t0 = perf_counter()
+                sync, other, keys, cols = chunk(position, stop)
+                execution.ingress.note_batch(
+                    stop - position, stop - position, perf_counter() - t0
+                )
+                chunk_max = int(sync.max())
+                if high_watermark is None or chunk_max > high_watermark:
+                    high_watermark = chunk_max
+                execution.feed(sync, other, keys, cols)
+                position = stop
+                if frequency and position % frequency == 0:
+                    candidate = high_watermark - reorder_latency
+                    if candidate > last_punctuation:
+                        last_punctuation = candidate
+                        collect(execution.punctuate(candidate))
+            if high_watermark is not None:
+                # Ingress appends a final end-of-data punctuation at the
+                # high watermark unconditionally (ingress_events).
+                collect(execution.punctuate(high_watermark))
+            collect(execution.flush())
+        finally:
+            execution.close()
+        return execution.result(events, punctuations, reason)
 
 
 class _Execution:
-    """One run's mutable state: sorter, kernels, sinks, metrics."""
+    """The push executor of a compiled plan (:meth:`CompiledPlan.open`).
+
+    Ingress chunks run through the pre-sort stages into the sorter,
+    which carries the post-stage sync plus exactly the columns the
+    terminal kernel ``reads`` (the full ``(sync, other, key, payload…)``
+    row for ``None``); each punctuation or the flush releases one
+    sorted round into the kernel and returns what it emitted.
+    """
 
     def __init__(self, compiled, memory_budget=None):
         self.compiled = compiled
         self.memory_budget = memory_budget
-        self.pass_through = compiled.pass_through
-        if self.pass_through:
-            # Sorter columns = 3 + post-stage payload arity, known only
-            # at the first chunk (select_columns changes the arity).
-            self.sorter = None
-            self.terminal = compiled.kernel_factory()
-            self.aggregate = None
-            self.topk = None
-        else:
-            self.sorter = self._make_sorter(compiled.columns)
-            self.terminal = None
-            self.aggregate = GroupedWindowKernel(
-                compiled.window_size, compiled.spec, grouped=compiled.grouped
-            )
-            self.topk = (
-                WindowTopKKernel(compiled.window_size, compiled.top_k)
-                if compiled.top_k is not None else None
-            )
-        self.events = []
-        self.punctuations = []
+        self.kernel = kernel = compiled.kernel_factory()
+        reads = kernel.reads
+        self._full = reads is None
+        self._keyed = not self._full and "key" in reads
+        self._slots = [] if self._full else sorted(
+            i for i in reads if i != "key"
+        )
+        ingress = compiled.reads
+        self._ingress_keys = ingress is None or "key" in ingress
+        self._ingress_payload = ingress is None or ingress - {"key"}
+        # A full row's width is the payload arity, known at the first
+        # chunk (``_widen``); until then the row has no payload.
+        self.sorter = self._make_sorter(
+            3 if self._full else 1 + self._keyed + len(self._slots)
+        )
         self.ingress = _KernelMetrics("ingress")
         # One snapshot entry per row operator: a fused where run gets
-        # one per predicate.
+        # one per predicate, the aggregate + top-k chain one per kernel.
         self.stage_metrics = [
             [_KernelMetrics(stage.name) for _ in stage.labels()]
             for stage in compiled.stages
         ]
         self.sort_metrics = _KernelMetrics("sort")
-        kind = "group_aggregate" if compiled.grouped else compiled.terminal
-        self.agg_metrics = _KernelMetrics(kind)
-        self.topk_metrics = (
-            _KernelMetrics("top_k") if self.topk is not None else None
-        )
+        self.kernel_metrics = [
+            _KernelMetrics(name) for name, _ in kernel.entries()
+        ]
 
     def _make_sorter(self, columns):
         if self.memory_budget is None:
@@ -962,9 +900,45 @@ class _Execution:
             columns=columns,
         )
 
+    def _widen(self, width):
+        """Rebuild the still-empty sorter ``width`` columns wide, keeping
+        the watermark of every punctuation it has seen."""
+        old, self.sorter = self.sorter, self._make_sorter(width)
+        if old.watermark != _NEG_INF:
+            self.sorter.on_punctuation(old.watermark)
+        if self.memory_budget is not None:
+            old.close()
+        return self.sorter
+
     # -- dataflow ---------------------------------------------------------
 
-    def process_chunk(self, sync, other, keys, cols):
+    def _columns(self, events):
+        """A non-empty event list as ingress columns: only those the
+        stages and the kernel read."""
+        n = len(events)
+        sync = np.fromiter((event.sync_time for event in events), np.int64, n)
+        other = keys = None
+        if self._full:
+            other = np.fromiter(
+                (event.other_time for event in events), np.int64, n
+            )
+        if self._ingress_keys:
+            keys = np.fromiter((event.key for event in events), np.int64, n)
+        cols = list(np.asarray(
+            [event.payload for event in events], np.int64
+        ).T) if self._ingress_payload else []
+        return sync, other, keys, cols
+
+    def feed_events(self, events):
+        """:meth:`feed` a list of events (validated by
+        :func:`ingest_reason`)."""
+        if events:
+            self.feed(*self._columns(events))
+
+    def feed(self, sync, other, keys, cols):
+        """Push one arrival-order chunk of int64 ingress columns."""
+        if not self._full:
+            other = None
         for stage, metrics in zip(
             self.compiled.stages, self.stage_metrics
         ):
@@ -978,22 +952,21 @@ class _Execution:
             sync, other, keys, cols = stage.apply(sync, other, keys, cols)
             metrics[0].note_batch(n_in, sync.size, perf_counter() - t0)
         t0 = perf_counter()
-        if self.pass_through:
-            columns = [sync, other, keys, *cols]
+        if self._full:
+            columns = (sync, other, keys, *cols)
         else:
-            columns = [sync]
-            if self.compiled.grouped:
-                columns.append(keys)
-            if self.compiled.spec.needs_value:
-                columns.append(cols[self.compiled.value_index])
-        if self.sorter is None:
-            self.sorter = self._make_sorter(len(columns))
-        self.sorter.insert_batch(sync, tuple(columns))
+            columns = (sync, *((keys,) if self._keyed else ()),
+                       *(cols[i] for i in self._slots))
+        sorter = self.sorter
+        if sorter.columns != len(columns) and not sorter.stats.inserted:
+            sorter = self._widen(len(columns))
+        sorter.insert_batch(sync, columns)
         self.sort_metrics.note_batch(sync.size, 0, perf_counter() - t0)
-        self.sort_metrics.peak = self.sorter.stats.max_buffered
+        self.sort_metrics.peak = sorter.stats.max_buffered
 
-    def punctuate(self, raw_timestamp):
-        timestamp = raw_timestamp
+    def punctuate(self, timestamp):
+        """Advance to punctuation ``timestamp``; returns the round's
+        ``(events, punctuations)``."""
         for stage, metrics in zip(
             self.compiled.stages, self.stage_metrics
         ):
@@ -1001,118 +974,73 @@ class _Execution:
             for metric in metrics:
                 metric.note_punct(True)
         t0 = perf_counter()
-        released = (
-            self.sorter.on_punctuation(timestamp)
-            if self.sorter is not None else None
-        )
+        released = self.sorter.on_punctuation(timestamp)
         self.sort_metrics.note_punct(True, perf_counter() - t0)
-        if released is not None:
-            self.sort_metrics.events_out += int(released[0].size)
-            self.sort_metrics.peak = self.sorter.stats.max_buffered
-        if self.pass_through:
-            self._downstream_pass(released, timestamp)
-        else:
-            self._downstream(released, timestamp)
+        self.sort_metrics.events_out += int(released[0].size)
+        self.sort_metrics.peak = self.sorter.stats.max_buffered
+        return self._downstream(released[1], timestamp)
 
     def flush(self):
+        """End of stream: the last round's ``(events, punctuations)``;
+        spill files are released."""
         t0 = perf_counter()
-        released = self.sorter.flush() if self.sorter is not None else None
+        released = self.sorter.flush()
         self.sort_metrics.busy_s += perf_counter() - t0
-        if released is not None:
-            self.sort_metrics.events_out += int(released[0].size)
-        if self.pass_through:
-            self._downstream_pass(released, None)
-        else:
-            self._downstream(released, None)
+        self.sort_metrics.events_out += int(released[0].size)
+        out = self._downstream(released[1], None)
+        self.close()
+        return out
 
-    def _downstream_pass(self, released, timestamp):
-        """Feed one sorter round to the pass-through terminal kernel."""
-        terminal = self.terminal
+    def _downstream(self, columns, timestamp):
+        """Feed one released round's sorter columns to the terminal
+        kernel; every terminal takes this one path."""
+        kernel = self.kernel
         t0 = perf_counter()
-        out = []
-        n_in = 0
-        if released is not None:
-            _, columns = released
-            n_in = int(columns[0].size)
-            if n_in:
-                out.extend(terminal.ingest(
-                    columns[0], columns[1], columns[2], list(columns[3:])
-                ))
-        if timestamp is not None:
-            closed, puncts = terminal.punctuate(timestamp)
-        else:
-            closed, puncts = terminal.flush()
-        out.extend(closed)
-        self.agg_metrics.note_batch(n_in, len(out), perf_counter() - t0)
-        if timestamp is not None:
-            self.agg_metrics.note_punct(bool(puncts))
-        self.agg_metrics.peak = max(
-            self.agg_metrics.peak, terminal.buffered() + len(out)
-        )
-        self.events.extend(out)
-        self.punctuations.extend(puncts)
-
-    def _downstream(self, released, timestamp):
-        compiled = self.compiled
-        _, columns = released
-        starts = columns[0]
-        keys = columns[1] if compiled.grouped else None
-        values = columns[-1] if compiled.spec.needs_value else None
-        t0 = perf_counter()
-        self.aggregate.accumulate(starts, keys, values)
-        rows = self.aggregate.close(timestamp)
-        bound = (
-            self.aggregate.forward(timestamp)
-            if timestamp is not None else None
-        )
-        n_rows = len(rows[2])
-        self.agg_metrics.note_batch(starts.size, n_rows, perf_counter() - t0)
-        if timestamp is not None:
-            self.agg_metrics.note_punct(bound is not None)
-        self.agg_metrics.peak = max(
-            self.agg_metrics.peak, self.aggregate.buffered() + n_rows
-        )
-        if self.topk is None:
-            if n_rows:
-                self._emit(*rows)
-            if bound is not None:
-                self.punctuations.append(bound)
-            return
-        t0 = perf_counter()
-        self.topk.extend(*rows)
-        forwarded = None
+        n_in = int(columns[0].size)
+        out = kernel.ingest(*self._unpack(columns)) if n_in else []
         if timestamp is None:
-            out = self.topk.close(None)
-        elif bound is not None:
-            out = self.topk.close(bound)
-            forwarded = self.topk.forward(bound)
+            closed, puncts = kernel.flush()
         else:
-            out = None
-        n_out = len(out[2]) if out is not None else 0
-        self.topk_metrics.note_batch(n_rows, n_out, perf_counter() - t0)
-        if bound is not None:
-            self.topk_metrics.note_punct(forwarded is not None)
-        self.topk_metrics.peak = max(
-            self.topk_metrics.peak, self.topk.buffered() + n_out
+            closed, puncts = kernel.punctuate(timestamp)
+        seconds = perf_counter() - t0
+        # Closed windows box into events here, outside the kernel's time.
+        out.extend(closed)
+        kernel.note(
+            self.kernel_metrics, n_in, len(out), timestamp is not None,
+            bool(puncts), seconds,
         )
-        if n_out:
-            self._emit(*out)
-        if forwarded is not None:
-            self.punctuations.append(forwarded)
+        return out, puncts
 
-    def _emit(self, starts, keys, values):
-        # One boxing pass per round; the list stays complete when the
-        # run returns (callers time and check it as a list).
-        self.events.extend(_window_events(
-            starts, keys, values, self.compiled.window_size
-        ))
+    def _unpack(self, columns):
+        """A released round's sorter columns as ``ingest`` arguments:
+        unread columns are ``None``, payload columns keep their index."""
+        if self._full:
+            return columns[0], columns[1], columns[2], list(columns[3:])
+        slots = self._slots
+        cols = [None] * (slots[-1] + 1 if slots else 0)
+        for slot, column in zip(slots, columns[1 + self._keyed:]):
+            cols[slot] = column
+        return columns[0], None, columns[1] if self._keyed else None, cols
+
+    def buffered(self) -> int:
+        """Events held in the sorter plus the kernel's open state."""
+        return self.sorter.buffered + self.kernel.buffered()
+
+    def stats(self) -> dict:
+        """The sorter's high-water marks and late-event accounting."""
+        sorter = self.sorter
+        history = sorter.stats.run_count_history
+        return {
+            "buffered_peak": sorter.stats.max_buffered,
+            "runs_peak": max((runs for _, runs in history), default=0),
+            "late_dropped": sorter.late.dropped,
+            "late_adjusted": sorter.late.adjusted,
+        }
 
     # -- result -----------------------------------------------------------
 
-    def result(self, reason):
-        if self.sorter is None:
-            # Empty pass-through run: no chunk ever fixed the arity.
-            self.sorter = self._make_sorter(3)
+    def result(self, events, punctuations, reason):
+        """A flushed run's collected rounds as a :class:`PlanResult`."""
         sorter_doc = self.sort_metrics.doc()
         sorter_doc["sorter"] = self.sorter.stats.as_dict()
         late = self.sorter.late
@@ -1133,9 +1061,7 @@ class _Execution:
             for metric in metrics
         )
         docs.append(sorter_doc)
-        docs.append(self.agg_metrics.doc())
-        if self.topk_metrics is not None:
-            docs.append(self.topk_metrics.doc())
+        docs.extend(metric.doc() for metric in self.kernel_metrics)
         meta = {
             "engine": "columnar",
             "kernels": self.compiled.describe(),
@@ -1143,12 +1069,13 @@ class _Execution:
         if self.memory_budget is not None:
             meta["memory_budget"] = self.memory_budget
         return PlanResult(
-            self.events, self.punctuations, True, "columnar",
+            events, punctuations, True, "columnar",
             reason=reason, operator_docs=docs, meta=meta, spill=spill,
         )
 
     def close(self):
-        if self.memory_budget is not None and self.sorter is not None:
+        """Release spill files (idempotent)."""
+        if self.memory_budget is not None:
             self.sorter.close()
 
 
@@ -1157,8 +1084,9 @@ class _Execution:
 # ---------------------------------------------------------------------------
 
 
-def _ingest_reason(events):
-    """Why a raw event list cannot be columnarized (``None`` if it can)."""
+def ingest_reason(events):
+    """Why a raw event list cannot be columnarized (``None`` if it can):
+    every time, key and payload field must be an integer in int64."""
     if not events:
         return None
     first = events[0]
@@ -1174,13 +1102,15 @@ def _ingest_reason(events):
         payload = event.payload
         if not isinstance(payload, tuple) or len(payload) != arity:
             return "event payload arity is not uniform"
-        if not isinstance(event.sync_time, integral) \
-                or not isinstance(event.other_time, integral) \
-                or not isinstance(event.key, integral):
+        fields = (("sync_time", event.sync_time),
+                  ("other_time", event.other_time), ("key", event.key))
+        if not all(isinstance(value, integral) for _, value in fields):
             return "event times/keys are not integers"
-        for value in payload:
-            if not isinstance(value, integral):
-                return "event payloads are not integer columns"
+        if not all(isinstance(value, integral) for value in payload):
+            return "event payloads are not integer columns"
+        for name, value in (*fields, *(("payload field", v) for v in payload)):
+            if not -_INT64 <= value < _INT64:
+                return f"event {name} {value} does not fit int64"
     return None
 
 
@@ -1243,7 +1173,7 @@ def execute_plan(plan, source, punctuation_frequency=None, reorder_latency=0,
                 reason = exc.reason
             if compiled is not None and kind == "events":
                 # A Dataset's columns were validated when it was built.
-                ingest = _ingest_reason(payload)
+                ingest = ingest_reason(payload)
                 if ingest is not None:
                     compiled = None
                     reason = ingest

@@ -47,6 +47,7 @@ import heapq
 import operator as _op
 from bisect import bisect_right
 from collections import deque
+from time import perf_counter
 
 import numpy as np
 
@@ -73,6 +74,7 @@ __all__ = [
     "SelfJoinKernel",
     "PatternKernel",
     "GroupApplyKernel",
+    "WindowAggregateKernel",
     "RawTopKKernel",
 ]
 
@@ -811,9 +813,18 @@ class TerminalKernel:
     operator state and return ``(events, punctuations)`` — the exact
     elements (and order) the row operator would emit for the same
     punctuation or flush signal.
+
+    ``reads`` names the columns ``ingest`` reads — ``None`` for the full
+    ``(sync, other, key, payload…)`` row, else payload indices plus
+    ``"key"``; unread arguments arrive as ``None``.  ``wire`` is how the
+    output rides a shard exchange: one int64 (``"int"``) or float64
+    (``"float"``) value column, one int64 column per payload field
+    (``"tuple"``), or pickled rows (``"pickle"``).
     """
 
     name = None
+    reads = None
+    wire = "pickle"
 
     def ingest(self, sync, other, keys, cols):
         raise NotImplementedError
@@ -830,6 +841,18 @@ class TerminalKernel:
     def describe(self):
         return self.name
 
+    def entries(self):
+        """``(snapshot name, EXPLAIN label)`` per row operator reported."""
+        return [(self.name, self.describe())]
+
+    def note(self, metrics, n_in, n_out, punctuated, forwarded, seconds):
+        """Record one executor round in ``metrics``, one per entry."""
+        metric = metrics[0]
+        metric.note_batch(n_in, n_out, seconds)
+        if punctuated:
+            metric.note_punct(forwarded)
+        metric.peak = max(metric.peak, self.buffered() + n_out)
+
 
 class DistinctKernel(TerminalKernel):
     """``DistinctWindow``: first event per (window start, selector value).
@@ -842,6 +865,7 @@ class DistinctKernel(TerminalKernel):
     """
 
     name = "distinct"
+    wire = "tuple"
 
     def __init__(self, selector_index=None):
         self.selector_index = selector_index
@@ -980,6 +1004,7 @@ class SessionKernel(_HeapReleaseKernel):
         self.fold = fold
         self.value_index = value_index
         self._spec = AGGREGATE_SPECS[fold]
+        self.wire = "float" if fold == "avg" else "int"
 
     def _retire(self, key, session, seq):
         start, last, state = session
@@ -1099,6 +1124,7 @@ class CoalesceKernel(_HeapReleaseKernel):
     """``Coalesce`` with the default count combiner (``combine=None``)."""
 
     name = "coalesce"
+    wire = "int"
 
     def ingest(self, sync, other, keys, cols):
         open_ = self._open
@@ -1215,6 +1241,7 @@ class PatternKernel(TerminalKernel):
     """
 
     name = "pattern_match"
+    wire = "tuple"
 
     def __init__(self, first, second, within):
         if within < 1:
@@ -1270,6 +1297,8 @@ class PatternKernel(TerminalKernel):
         return [], [timestamp]
 
     def flush(self):
+        # Nothing after the flush can complete a match.
+        self._pending.clear()
         return [], []
 
     def buffered(self) -> int:
@@ -1306,6 +1335,9 @@ class GroupApplyKernel(TerminalKernel):
         self._fold = (
             GroupedWindowKernel(window, spec) if spec is not None else None
         )
+        self.wire = "tuple" if spec is None else (
+            "float" if spec.name == "avg" else "int"
+        )
 
     def _register(self, keys):
         ranks = self._ranks
@@ -1325,16 +1357,7 @@ class GroupApplyKernel(TerminalKernel):
         for stage in self.stages:
             sync, other, keys, cols = stage.apply(sync, other, keys, cols)
         if self._fold is None:
-            payloads = (
-                list(zip(*(col.tolist() for col in cols))) if cols
-                else [()] * sync.size
-            )
-            return [
-                Event(t, o, key, payload)
-                for t, o, key, payload in zip(
-                    sync.tolist(), other.tolist(), keys.tolist(), payloads
-                )
-            ]
+            return [Event(*row) for row in _rows(sync, other, keys, cols)]
         values = (
             cols[self.value_index]
             if self.spec.needs_value else None
@@ -1379,6 +1402,91 @@ class GroupApplyKernel(TerminalKernel):
         return f"group_apply[{' -> '.join(inner)}]"
 
 
+class WindowAggregateKernel(TerminalKernel):
+    """``(Grouped)WindowAggregate [-> WindowTopK]`` over aligned rows.
+
+    ``name`` is the plan step: ``count``, ``aggregate`` or
+    ``group_aggregate`` (the one that groups).  A round folds into a
+    :class:`GroupedWindowKernel`, whose closed windows and clamped
+    promise pass a chained :class:`WindowTopKKernel` when ``top_k`` is
+    set, and leave as one lazy boxing pass.  The chain reports one
+    snapshot entry per row operator, the fold and ``top_k``.
+    """
+
+    def __init__(self, name, window, spec, value_index=None, top_k=None):
+        self.name = name
+        self.window = window
+        self.spec = spec
+        self.value_index = value_index
+        grouped = name == "group_aggregate"
+        self.fold = GroupedWindowKernel(window, spec, grouped=grouped)
+        self.topk = None if top_k is None else WindowTopKKernel(window, top_k)
+        self.reads = frozenset(
+            ({"key"} if grouped else set())
+            | ({value_index} if spec.needs_value else set())
+        )
+        self.wire = "float" if spec.name == "avg" else "int"
+        # The last round through top-k, for note: (rows the fold closed,
+        # the fold's forwarded bound, seconds spent in top-k).
+        self._round = None
+
+    def ingest(self, sync, other, keys, cols):
+        values = cols[self.value_index] if self.spec.needs_value else None
+        self.fold.accumulate(sync, keys, values)
+        return []
+
+    def punctuate(self, timestamp):
+        return self._close(timestamp)
+
+    def flush(self):
+        return self._close(None)
+
+    def _close(self, timestamp):
+        rows = self.fold.close(timestamp)
+        bound = None if timestamp is None else self.fold.forward(timestamp)
+        topk = self.topk
+        if topk is None:
+            puncts = [] if bound is None else [bound]
+            return _window_events(*rows, self.window), puncts
+        t0 = perf_counter()
+        topk.extend(*rows)
+        out, forwarded = (_EMPTY, _EMPTY, []), None
+        if timestamp is None:
+            out = topk.close(None)
+        elif bound is not None:
+            out = topk.close(bound)
+            forwarded = topk.forward(bound)
+        self._round = (len(rows[2]), bound, perf_counter() - t0)
+        puncts = [] if forwarded is None else [forwarded]
+        return _window_events(*out, self.window), puncts
+
+    def buffered(self) -> int:
+        held = self.fold.buffered()
+        return held if self.topk is None else held + self.topk.buffered()
+
+    def entries(self):
+        kind = "group_aggregate" if self.fold.grouped else "aggregate"
+        entries = [(self.name, f"{kind}[{self.spec.name}]")]
+        if self.topk is not None:
+            entries.append(("top_k", f"top_k[{self.topk.k}]"))
+        return entries
+
+    def note(self, metrics, n_in, n_out, punctuated, forwarded, seconds):
+        if self.topk is None:
+            super().note(metrics, n_in, n_out, punctuated, forwarded, seconds)
+            return
+        closed, bound, topk_s = self._round
+        fold, topk = metrics
+        fold.note_batch(n_in, closed, seconds - topk_s)
+        if punctuated:
+            fold.note_punct(bound is not None)
+        fold.peak = max(fold.peak, self.fold.buffered() + closed)
+        topk.note_batch(closed, n_out, topk_s)
+        if bound is not None:
+            topk.note_punct(forwarded)
+        topk.peak = max(topk.peak, self.topk.buffered() + n_out)
+
+
 def _event_payload(event):
     return event.payload
 
@@ -1392,6 +1500,7 @@ class RawTopKKernel(TerminalKernel):
     """
 
     name = "top_k"
+    wire = "tuple"
 
     def __init__(self, k):
         if k < 1:

@@ -178,43 +178,6 @@ class _RowExecutor:
         }
 
 
-def _wire_mode(compiled):
-    """How a compiled terminal's output rows ride the exchange.
-
-    ``"int"`` — one int64 value column (DATA frames, scalar payloads);
-    ``"float"`` — native float64 value column (FDATA frames, the avg
-    path); ``"tuple"`` — int64 column batch, one column per payload
-    field (DATA frames, tuple payloads); ``"pickle"`` — row-shaped
-    element lists (nested payloads the column formats cannot carry).
-    """
-    from repro.engine.kernels import (
-        CoalesceKernel,
-        DistinctKernel,
-        GroupApplyKernel,
-        PatternKernel,
-        RawTopKKernel,
-        SelfJoinKernel,
-        SessionKernel,
-    )
-
-    if not compiled.pass_through:
-        return "float" if compiled.spec.name == "avg" else "int"
-    kernel = compiled.kernel_factory()
-    if isinstance(kernel, SelfJoinKernel):
-        return "pickle"        # nested (left, right) payload tuples
-    if isinstance(kernel, (DistinctKernel, PatternKernel, RawTopKKernel)):
-        return "tuple"
-    if isinstance(kernel, SessionKernel):
-        return "float" if kernel.fold == "avg" else "int"
-    if isinstance(kernel, CoalesceKernel):
-        return "int"
-    if isinstance(kernel, GroupApplyKernel):
-        if kernel.spec is None:
-            return "tuple"
-        return "float" if kernel.spec.name == "avg" else "int"
-    return "pickle"            # unknown kernel: rows are always correct
-
-
 class CompiledShardPlan:
     """Run a compiled fused kernel pipeline inside each shard worker.
 
@@ -223,10 +186,12 @@ class CompiledShardPlan:
     construction time and raises
     :class:`~repro.engine.compiler.UnsupportedPlanError` for shapes it
     cannot — callers fall back to :class:`RowPlan` with that reason).
-    Each worker drives its own ``_Execution`` — columnar sort plus the
-    plan's terminal kernel — over the routed columns, so the per-shard
-    pipeline is byte-identical to the same plan on a :class:`RowPlan`
-    shard, and therefore so is the merged stream.
+    Each worker drives its own compiled executor
+    (:meth:`~repro.engine.compiler.CompiledPlan.open`) — columnar sort
+    plus the plan's terminal kernel — over the routed columns, so the
+    per-shard pipeline is byte-identical to the same plan on a
+    :class:`RowPlan` shard, and therefore so is the merged stream.  The
+    output wire mode is the terminal kernel's ``wire``.
 
     ``finalize`` is the coordinator-side tail for non-key-local stages
     (e.g. summing per-shard window counts, top-k of shard top-ks),
@@ -243,7 +208,7 @@ class CompiledShardPlan:
     """
 
     def __init__(self, plan, finalize=None, memory_budget=None):
-        from repro.engine.compiler import _WindowStage, compile_plan
+        from repro.engine.compiler import compile_plan
 
         self.query_plan = plan
         self.compiled = compile_plan(plan)
@@ -254,13 +219,13 @@ class CompiledShardPlan:
         if not stages:
             self.window = 1
             self.align = "post"
-        elif len(stages) == 1 and isinstance(stages[0], _WindowStage):
+        elif len(stages) == 1 and stages[0].name == "window":
             self.window = stages[0].hop
             self.align = "pre"
         else:
             self.window = None     # disables the coordinator RAISE guard
             self.align = "post"
-        self.wire_mode = _wire_mode(self.compiled)
+        self.wire_mode = self.compiled.wire
         # The coordinator decodes this plan's DATA frames as scalar
         # payloads (single int64 value column) in "int" mode.
         self.scalar_output = self.wire_mode == "int"
@@ -278,22 +243,17 @@ class CompiledShardPlan:
 
 
 class _CompiledShardExecutor:
-    """Drive one shard's fused ``_Execution`` with the push protocol.
+    """Drive one shard's compiled executor with the push protocol.
 
-    The execution object accumulates output ``events`` /
-    ``punctuations`` lists; each round drains both (events first, then
-    the round's punctuation — the order the wire protocol requires,
-    which every terminal kernel already guarantees within a round) and
-    packages them per the plan's wire mode.
+    Each round's ``(events, punctuations)`` leaves as wire items, events
+    first, then the round's punctuation — the order the wire protocol
+    requires, which every terminal kernel guarantees within a round —
+    with the events packaged per the plan's wire mode.
     """
 
     def __init__(self, plan, shard):
-        from repro.engine.compiler import _Execution
-
         self.plan = plan
-        self._execution = _Execution(
-            plan.compiled, memory_budget=plan.memory_budget
-        )
+        self._executor = plan.compiled.open(plan.memory_budget)
         self._mode = plan.wire_mode
         self.events_in = 0
 
@@ -301,59 +261,36 @@ class _CompiledShardExecutor:
         batch = batch.compact()
         n = len(batch)
         if n:
-            self._execution.process_chunk(
+            self._executor.feed(
                 batch.sync_times, batch.other_times, batch.keys,
                 list(batch.payload_columns),
             )
         self.events_in += n
 
     def feed_elements(self, elements):
-        from repro.engine.compiler import UnsupportedPlanError, _ingest_reason
+        from repro.engine.compiler import UnsupportedPlanError, ingest_reason
 
-        n = len(elements)
-        if not n:
-            return
-        # Per-event ingress whose payloads are not uniform int tuples
-        # arrives here pickled; refuse it exactly as the single-process
-        # compiler does instead of truncating it into int64 columns.
-        reason = _ingest_reason(elements)
+        # Per-event ingress the int64 columns cannot carry arrives here
+        # pickled; refuse it exactly as the single-process compiler does
+        # instead of truncating it.
+        reason = ingest_reason(elements)
         if reason is not None:
             raise UnsupportedPlanError(reason)
-        sync = np.fromiter((e.sync_time for e in elements), np.int64, n)
-        other = np.fromiter((e.other_time for e in elements), np.int64, n)
-        keys = np.fromiter((e.key for e in elements), np.int64, n)
-        arity = len(elements[0].payload)
-        if arity:
-            matrix = np.asarray(
-                [e.payload for e in elements], dtype=np.int64
-            )
-            cols = [matrix[:, c] for c in range(arity)]
-        else:
-            cols = []
-        self._execution.process_chunk(sync, other, keys, cols)
-        self.events_in += n
+        self._executor.feed_events(elements)
+        self.events_in += len(elements)
 
     def feed_punctuation(self, timestamp):
-        self._execution.punctuate(timestamp)
-        return self._round_items()
+        return self._package(*self._executor.punctuate(timestamp))
 
     def feed_flush(self):
-        self._execution.flush()
-        items = self._round_items()
-        self._execution.close()
-        return items
+        return self._package(*self._executor.flush())
 
-    def _round_items(self):
-        execution = self._execution
-        events, execution.events = execution.events, []
-        puncts, execution.punctuations = execution.punctuations, []
-        items = self._package(events)
+    def _package(self, events, puncts):
+        items = self._rows(events) if events else []
         items.extend(("punct", int(ts)) for ts in puncts)
         return items
 
-    def _package(self, events):
-        if not events:
-            return []
+    def _rows(self, events):
         mode = self._mode
         if mode == "pickle":
             return [("elements", events)]
@@ -361,39 +298,23 @@ class _CompiledShardExecutor:
         sync = np.fromiter((e.sync_time for e in events), np.int64, n)
         other = np.fromiter((e.other_time for e in events), np.int64, n)
         keys = np.fromiter((e.key for e in events), np.int64, n)
+        dtype = np.float64 if mode == "float" else np.int64
+        try:
+            values = np.asarray([e.payload for e in events], dtype)
+        except OverflowError:
+            # An exact sum beyond int64 rides as row-shaped output.
+            return [("elements", events)]
         if mode == "float":
-            values = np.fromiter(
-                (e.payload for e in events), np.float64, n
-            )
             return [("fbatch", (sync, other, keys, values))]
-        if mode == "int":
-            try:
-                cols = [
-                    np.fromiter((e.payload for e in events), np.int64, n)
-                ]
-            except OverflowError:
-                # An exact sum beyond int64 rides as row-shaped output.
-                return [("elements", events)]
-        else:                  # "tuple": one int64 column per field
-            arity = len(events[0].payload)
-            cols = [
-                np.fromiter((e.payload[c] for e in events), np.int64, n)
-                for c in range(arity)
-            ]
+        # "int": one value column; "tuple": one column per field.
+        cols = [values] if mode == "int" else list(values.T.copy())
         return [("batch", EventBatch(sync, other, keys, cols))]
 
     def stats(self):
-        sorter = self._execution.sorter
-        late = getattr(sorter, "late", None)
-        sorter_stats = getattr(sorter, "stats", None)
-        history = getattr(sorter_stats, "run_count_history", ())
         return {
             "plan": "compiled",
             "engine": "columnar",
             "kernels": self.plan.compiled.describe(),
             "events_in": self.events_in,
-            "buffered_peak": getattr(sorter_stats, "max_buffered", 0),
-            "runs_peak": max((runs for _, runs in history), default=0),
-            "late_dropped": getattr(late, "dropped", 0),
-            "late_adjusted": getattr(late, "adjusted", 0),
+            **self._executor.stats(),
         }

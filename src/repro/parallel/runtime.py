@@ -31,6 +31,7 @@ which :mod:`repro.resilience.parallel` uses for supervised replay.
 
 from __future__ import annotations
 
+import signal
 import time
 from multiprocessing import get_context
 
@@ -59,6 +60,9 @@ from repro.parallel.worker import worker_main
 __all__ = ["run_parallel", "ParallelResult"]
 
 _NEG_INF = float("-inf")
+
+#: Columnar frames carry ints of magnitude below this (int64).
+_INT64 = 2 ** 63
 
 
 class ParallelResult:
@@ -265,6 +269,16 @@ class _WorkerHandle:
         self.stats = None
         self.done = False
 
+    def start(self) -> None:
+        """Fork the worker with SIGTERM blocked; ``worker_main`` unblocks
+        it once its drain handler is installed, so a ``terminate()``
+        racing start-up drains instead of killing the worker."""
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            self.process.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
     def crash_error(self) -> WorkerCrashError:
         return WorkerCrashError(
             self.shard, self.acked_offset, self.process.exitcode
@@ -439,10 +453,14 @@ class _Coordinator:
         self._buffers[shard] = []
         first = rows[0][3]
         arity = len(first) if isinstance(first, tuple) else -1
+        # Rows whose ints do not fit int64 columns ride pickled.
         uniform = arity >= 0 and all(
             type(payload) is tuple and len(payload) == arity
-            and all(type(v) is int for v in payload)
-            for _, _, _, payload in rows
+            and all(type(v) is int and -_INT64 <= v < _INT64
+                    for v in payload)
+            and all(type(v) is not int or -_INT64 <= v < _INT64
+                    for v in (sync, other, key))
+            for sync, other, key, payload in rows
         )
         if uniform:
             self._send_batch(shard, EventBatch(
@@ -667,7 +685,7 @@ def run_parallel(ingress, plan, workers, *, batch_size=8192,
     )
     try:
         for handle in coordinator.handles:
-            handle.process.start()
+            handle.start()
         for element in ingress:
             if isinstance(element, EventBatch):
                 coordinator.route_batch(element)

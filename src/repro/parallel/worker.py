@@ -133,8 +133,11 @@ def worker_main(shard, plan, in_ring, out_ring, fault=None) -> None:
             raise _DrainRequested
 
     # Installed before the executor builds: a terminate() racing worker
-    # startup must still drain, not die with the default action.
+    # startup must still drain, not die with the default action.  The
+    # coordinator forks with SIGTERM blocked, so one sent before this
+    # point waits and is delivered to the handler on unblocking.
     signal.signal(signal.SIGTERM, _on_sigterm)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     executor = plan.build_executor(shard)
     t0, cpu0 = time.monotonic(), time.process_time()
 

@@ -52,12 +52,7 @@ from itertools import islice
 
 from repro.core.errors import PunctuationOrderError, ReplayDivergenceError
 from repro.core.late import LatePolicy
-from repro.engine.compiler import (
-    UnsupportedPlanError,
-    _events_chunk,
-    _Execution,
-    compile_plan,
-)
+from repro.engine.compiler import UnsupportedPlanError, compile_plan
 from repro.engine.disordered import DisorderedStreamable
 from repro.engine.event import Punctuation
 from repro.engine.graph import Pipeline, QueryNode
@@ -127,16 +122,16 @@ def _least(fits):
 class _CompiledPipeline:
     """The push-``Pipeline`` face of a lowered plan.
 
-    Events wait in a pending list and reach the fused executor as one
-    columnar chunk when a punctuation, a flush or an exact census needs
-    them.  No serve spec that reads a payload value lowers
-    (``group-sum``'s selector is opaque), so chunks carry no value
-    column, and the key column only when the count groups.
+    Events wait in a pending list and reach the compiled executor as one
+    chunk when a punctuation, a flush or an exact census needs them.  No
+    serve spec that reads a payload value lowers (``group-sum``'s
+    selector is opaque), so chunks carry no value column, and the key
+    column only when the count groups.
     """
 
     def __init__(self, compiled, on_event, on_punctuation, on_flush):
-        self._execution = _Execution(compiled)
-        self._grouped = compiled.grouped
+        self._executor = compiled.open()
+        self._keyed = compiled.reads is None or "key" in compiled.reads
         self._on_event = on_event
         self._on_punctuation = on_punctuation
         self._on_flush = on_flush
@@ -169,7 +164,7 @@ class _CompiledPipeline:
         sync = event.sync_time
         if not (type(sync) is int and self._low_sync <= sync < _INT64):
             raise _unfit("sync", sync)
-        if self._grouped:
+        if self._keyed:
             key = event.key
             if not (type(key) is int and -_INT64 < key < _INT64):
                 raise _unfit("key", key)
@@ -182,8 +177,7 @@ class _CompiledPipeline:
             raise _unfit("punctuation", timestamp)
         self._drain()
         self._census = None
-        self._execution.punctuate(timestamp)
-        self._deliver()
+        self._deliver(*self._executor.punctuate(timestamp))
         self._rounds += 1
         if (self._rounds == _TRIAL_ROUNDS
                 and self._events < _TRIAL_ROUNDS * _MIN_CHUNK):
@@ -195,8 +189,7 @@ class _CompiledPipeline:
     def flush(self):
         self._drain()
         self._census = None
-        self._execution.flush()
-        self._deliver()
+        self._deliver(*self._executor.flush())
         self._on_flush()
 
     def buffered_events(self) -> int:
@@ -210,10 +203,7 @@ class _CompiledPipeline:
 
     def _settled(self) -> int:
         if self._census is None:
-            execution = self._execution
-            self._census = (
-                execution.sorter.buffered + execution.aggregate.buffered()
-            )
+            self._census = self._executor.buffered()
         return self._census
 
     def _drain(self):
@@ -221,15 +211,10 @@ class _CompiledPipeline:
         if pending:
             self._pending = []
             self._census = None
-            self._execution.process_chunk(*_events_chunk(
-                pending, 0, len(pending), 0, need_keys=self._grouped
-            ))
+            self._executor.feed_events(pending)
 
-    def _deliver(self):
+    def _deliver(self, events, puncts):
         # One round: its events, then its punctuation (the row order).
-        execution = self._execution
-        events, execution.events = execution.events, []
-        puncts, execution.punctuations = execution.punctuations, []
         for event in events:
             self._on_event(event)
         for timestamp in puncts:

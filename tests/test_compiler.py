@@ -243,6 +243,21 @@ class TestExecution:
         result = plan.run(events, 8, 0)
         assert result.engine == "row"
         assert "integer" in result.reason
+        # Ints beyond int64 are refused the same way, naming the field.
+        top = 2 ** 63
+        for plan, events, name in (
+            (plan, [Event(t, payload=(top,)) for t in range(20)],
+             "payload field"),
+            (plan, [Event(t, key=top) for t in range(20)], "key"),
+            (QueryPlan().sort().coalesce(),
+             [Event(t, top) for t in range(20)], "other_time"),
+        ):
+            result = plan.run(events, 8, 0)
+            assert result.engine == "row"
+            assert result.reason == f"event {name} {top} does not fit int64"
+            assert result.events == plan.run(events, 8, 0, engine="row").events
+            with pytest.raises(QueryBuildError, match="does not fit int64"):
+                plan.run(events, 8, 0, engine="columnar")
 
     def test_batch_size_does_not_change_results(self):
         events = _events(seed=23)

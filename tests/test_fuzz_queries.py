@@ -18,15 +18,20 @@ must silently fall back to the row engine with identical output.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import LateEventError
 from repro.core.late import LatePolicy
-from repro.engine import DisorderedStreamable, QueryPlan
-from repro.engine.event import Event
+from repro.engine import DisorderedStreamable, QueryPlan, compile_plan
+from repro.engine.event import Event, is_punctuation
+from repro.engine.ingress import ingress_events
 from repro.core.strings import StringDictionary
+from repro.parallel import CompiledShardPlan
+from tests import item_events
 from repro.engine.kernels import (
     field,
     field_str_eq,
@@ -374,6 +379,39 @@ EVENT_SHAPES = st.sampled_from(
     [_small_shape, _wide_keys_shape, _huge_values_shape]
 )
 
+#: Chunk sizes the push legs cycle through between punctuations; 1-event
+#: chunks are common, so a ``where`` often empties one.
+CHUNK_SIZES = st.lists(
+    st.one_of(st.just(1), st.integers(1, 50)), min_size=1, max_size=4
+)
+
+
+def _push(elements, sizes, feed, punctuate, flush):
+    """Drive a push executor over ingress ``elements``: the events
+    between two punctuations in chunks of ``sizes`` (cycled), each
+    punctuation, then the flush.  Returns an ``outcomes`` entry."""
+    sizes = itertools.cycle(sizes)
+    events, puncts, run = [], [], []
+
+    def collect(round_):
+        events.extend(round_[0])
+        puncts.extend(round_[1])
+    try:
+        for element in elements + [None]:
+            if element is not None and not is_punctuation(element):
+                run.append(element)
+                continue
+            while run:
+                size = next(sizes)
+                feed(run[:size])
+                run = run[size:]
+            if element is not None:
+                collect(punctuate(element.timestamp))
+        collect(flush())
+    except LateEventError as exc:
+        return "late", exc.args
+    return "ok", events, puncts, "push"
+
 
 class TestRowVsCompiled:
     """Differential fuzz: ``engine="row"`` versus ``engine="auto"``.
@@ -399,6 +437,7 @@ class TestRowVsCompiled:
         st.integers(5, 60),
         st.integers(0, 100),
         EVENT_SHAPES,
+        CHUNK_SIZES,
     )
     # A fused run of three wheres on payload, key and sync over keys
     # that force the lexsort fallback; and a where after a projection
@@ -406,16 +445,16 @@ class TestRowVsCompiled:
     @example(
         list(range(120)), [_p_where_payload, _p_where_key, _p_where_sync],
         _w_tumbling_small, _t_group_sum, LatePolicy.DROP, 40, 0,
-        _wide_keys_shape,
+        _wide_keys_shape, [1, 7],
     )
     @example(
         list(range(0, 120, 3)) + list(range(1, 120, 5)),
         [_p_project_swap, _p_where_payload], _w_hopping, _t_group_avg,
-        LatePolicy.ADJUST, 7, 20, _huge_values_shape,
+        LatePolicy.ADJUST, 7, 20, _huge_values_shape, [3],
     )
     @settings(max_examples=100, deadline=None)
     def test_compiled_matches_row(self, times, pre, window, terminal,
-                                  policy, frequency, latency, shape):
+                                  policy, frequency, latency, shape, sizes):
         events = [Event(t, t + 1, *shape(t)) for t in times]
         plan = QueryPlan()
         for stage in pre:
@@ -439,6 +478,27 @@ class TestRowVsCompiled:
                     assert result.spill["peak_buffered_bytes"] <= budget
             except LateEventError as exc:
                 outcomes.append(("late", exc.args))
+        # The push face itself, fed chunks of the hypothesis sizes, and
+        # the shard executor that drives it, with its items decoded.
+        elements = list(ingress_events(events, frequency, latency))
+        executor = compile_plan(plan).open()
+        outcomes.append(_push(
+            elements, sizes, executor.feed_events, executor.punctuate,
+            executor.flush,
+        ))
+        if outcomes[-1][0] == "ok":
+            assert executor.buffered() == 0
+        shard_plan = CompiledShardPlan(plan)
+        shard = shard_plan.build_executor(0)
+
+        def decoded(call):
+            return lambda *args: item_events(
+                call(*args), shard_plan.wire_mode
+            )
+        outcomes.append(_push(
+            elements, sizes, shard.feed_elements,
+            decoded(shard.feed_punctuation), decoded(shard.feed_flush),
+        ))
         first = outcomes[0]
         for other in outcomes[1:]:
             assert other[0] == first[0]

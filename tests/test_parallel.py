@@ -26,7 +26,13 @@ from repro.core.errors import (
 )
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
-from repro.engine import Event, Punctuation, QueryPlan, Streamable
+from repro.engine import (
+    DisorderedStreamable,
+    Event,
+    Punctuation,
+    QueryPlan,
+    Streamable,
+)
 from repro.engine.batch import EventBatch
 from repro.engine.compiler import UnsupportedPlanError
 from repro.engine.kernels import field
@@ -42,6 +48,7 @@ from repro.parallel import (
 from repro.parallel import exchange
 from repro.parallel.shm import RingClosedError
 from repro.resilience.parallel import run_parallel_supervised
+from tests import item_events
 
 
 def _key(event):
@@ -652,7 +659,7 @@ class TestGracefulWorkerShutdown:
         )
         try:
             for handle in coordinator.handles:
-                handle.process.start()
+                handle.start()
             for element in elements[:120]:
                 if isinstance(element, Punctuation):
                     coordinator.broadcast_punctuation(element.timestamp)
@@ -666,6 +673,30 @@ class TestGracefulWorkerShutdown:
             coordinator.shutdown()
         for handle in coordinator.handles:
             assert not handle.process.is_alive()
+            assert handle.process.exitcode == 0, handle.shard
+
+    def test_terminate_before_the_drain_handler_drains(self, monkeypatch):
+        """A ``terminate()`` that lands before the worker installs its
+        drain handler waits, blocked, and then drains: exit 0."""
+        import time
+
+        from repro.parallel import runtime
+        from repro.parallel.worker import worker_main
+
+        def slow_start(*args):
+            time.sleep(0.5)
+            worker_main(*args)
+
+        monkeypatch.setattr(runtime, "worker_main", slow_start)
+        coordinator = runtime._Coordinator(
+            compiled_grouped(), 2, 64, 1 << 20, None, "auto", None
+        )
+        try:
+            for handle in coordinator.handles:
+                handle.start()
+        finally:
+            coordinator.shutdown()      # terminates during the delay
+        for handle in coordinator.handles:
             assert handle.process.exitcode == 0, handle.shard
 
 
@@ -931,7 +962,83 @@ def _run_compiled_pair(shape, policy, workers, n=450, memory_budget=None):
     return result, reference
 
 
+#: Key 0's events, then a punctuation that reaches the other shard of
+#: two before any of key 1's events, then key 1's events — one late.
+_HEAD = [Event(t, t + 1, 0, (t,)) for t in range(100)]
+_TAIL = [
+    Punctuation(99), Event(50, 51, 1, (1,)), Event(150, 151, 1, (2,)),
+    Punctuation(200),
+]
+_LATE_SHAPES = [
+    (lambda p: QueryPlan().tumbling_window(10).sort(late_policy=p)
+     .distinct(),
+     lambda s: s.distinct(), lambda d: d.tumbling_window(10)),
+    (lambda p: QueryPlan().sort(late_policy=p).session_window(5),
+     lambda s: s.session_window(5), None),
+]
+
+
 class TestCompiledShardPlan:
+    @pytest.mark.parametrize(
+        "policy", [LatePolicy.DROP, LatePolicy.ADJUST],
+        ids=["drop", "adjust"],
+    )
+    @pytest.mark.parametrize(
+        "shape", _LATE_SHAPES, ids=["distinct", "session"]
+    )
+    def test_punctuation_before_first_event_reaches_the_sorter(
+        self, shape, policy
+    ):
+        """A broadcast punctuation may reach a shard before any of its
+        events; the shard's sorter still applies it, so a later event at
+        or below it is late there too."""
+        build, row_q, row_pre = shape
+        plan = build(policy)
+        shard_plan = CompiledShardPlan(plan)
+        executor = shard_plan.build_executor(0)
+        items = executor.feed_punctuation(99)
+        executor.feed_elements(_TAIL[1:3])
+        items += executor.feed_punctuation(200)
+        items += executor.feed_flush()
+        row = plan.bind(DisorderedStreamable.from_elements(_TAIL)).collect()
+        assert item_events(items, shard_plan.wire_mode) == (
+            row.events, row.punctuations
+        )
+        sorter = lambda: ImpatienceSorter(  # noqa: E731
+            key=_sync, late_policy=policy
+        )
+        for workers in (1, 2):
+            result = run_parallel(
+                _HEAD + _TAIL, CompiledShardPlan(plan), workers,
+                batch_size=8,
+            )
+            reference = run_parallel(
+                _HEAD + _TAIL, RowPlan(row_q, sorter=sorter, pre=row_pre),
+                workers, batch_size=8,
+            )
+            _assert_identical(result, reference, f"w={workers}")
+
+    def test_punctuation_before_first_event_raises_in_the_worker(self):
+        """Under RAISE with the coordinator guard off (a ``where`` runs
+        before the sorter), the shard that saw only the punctuation
+        raises the row engine's ``LateEventError``."""
+        plan = (
+            QueryPlan().where(field(0) >= 0).tumbling_window(10)
+            .sort(late_policy=LatePolicy.RAISE).distinct()
+        )
+        assert CompiledShardPlan(plan).window is None
+        with pytest.raises(LateEventError) as expected:
+            plan.bind(
+                DisorderedStreamable.from_elements(_HEAD + _TAIL)
+            ).collect()
+        for workers in (1, 2):
+            with pytest.raises(LateEventError) as err:
+                run_parallel(
+                    _HEAD + _TAIL, CompiledShardPlan(plan), workers,
+                    batch_size=8,
+                )
+            assert err.value.args == expected.value.args
+
     @pytest.mark.parametrize(
         "policy", [LatePolicy.DROP, LatePolicy.ADJUST],
         ids=["drop", "adjust"],
@@ -1015,13 +1122,21 @@ class TestCompiledShardPlan:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "payload, reason",
-        [((0.5, 1), "event payloads are not integer columns"),
-         (None, "event payloads are not tuples")],
-        ids=["float", "none"],
+        "event, reason",
+        [(lambda t: Event(t, t + 1, t % 3, (0.5, 1)),
+          "event payloads are not integer columns"),
+         (lambda t: Event(t, t + 1, t % 3, None),
+          "event payloads are not tuples"),
+         (lambda t: Event(t, t + 1, t % 3, (2 ** 63,)),
+          f"event payload field {2 ** 63} does not fit int64"),
+         (lambda t: Event(t, t + 1, 2 ** 63, (1,)),
+          f"event key {2 ** 63} does not fit int64"),
+         (lambda t: Event(t, 2 ** 63, t % 3, (1,)),
+          f"event other_time {2 ** 63} does not fit int64")],
+        ids=["float", "none", "int64-payload", "int64-key", "int64-other"],
     )
     def test_non_int_payloads_refused_like_single_process(
-        self, payload, reason, workers
+        self, event, reason, workers
     ):
         """Per-event ingress the columnar path cannot carry raises the
         single-process compiler's ``UnsupportedPlanError`` reason on the
@@ -1032,7 +1147,7 @@ class TestCompiledShardPlan:
         )
         elements = []
         for t in range(40):
-            elements.append(Event(t, t + 1, t % 3, payload))
+            elements.append(event(t))
             if t % 10 == 9:
                 elements.append(Punctuation(t))
         events = [e for e in elements if isinstance(e, Event)]

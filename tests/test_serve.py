@@ -961,13 +961,13 @@ class TestCompiledQuota:
         runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger(),
                                 quota=1000)
         drains = []
-        process_chunk = _Execution.process_chunk
+        feed = _Execution.feed
 
         def spy(execution, *chunk):
             drains.append(runtime.journal.length)
-            return process_chunk(execution, *chunk)
+            return feed(execution, *chunk)
 
-        monkeypatch.setattr(_Execution, "process_chunk", spy)
+        monkeypatch.setattr(_Execution, "feed", spy)
         runtime.subscribe("q", "window=10|sort|group-count")
         elements = make_stream()
         _feed(runtime, elements)
