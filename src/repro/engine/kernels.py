@@ -628,7 +628,8 @@ def _group_runs(starts, keys):
     low, high = int(starts.min()), int(starts.max())
     key_low = int(keys.min())
     span = int(keys.max()) - key_low + 1
-    if (high - low + 1) * span - 1 <= _INT64_MAX:
+    # ``span`` itself must fit too: numpy cannot multiply by 2**63.
+    if span <= _INT64_MAX and (high - low + 1) * span - 1 <= _INT64_MAX:
         composite = (starts - low) * span + (keys - key_low)
         order = composite.argsort()
         ordered = composite[order]

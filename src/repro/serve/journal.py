@@ -25,9 +25,12 @@ Lines are written compact (``["e",0,1,2,0,[1]]``); the loader reads any
 JSON spacing, so journals written with spaced ``json.dumps`` lines
 recover unchanged.  An event line built from a wire frame embeds the
 frame's key and payload JSON text as received (it was just validated by
-:func:`~repro.serve.protocol.decode_data_frame`), so the event is never
-re-encoded — unless that text is not ASCII, in which case the fragments
-are rendered with non-ASCII escaped.  Every journal line is ASCII.
+the decoder), so the event is never re-encoded — unless that text is not
+ASCII, in which case the fragments are rendered with non-ASCII escaped.
+Every journal line is ASCII.  A run of events (one read's consecutive
+``EVENT`` frames, see :class:`~repro.serve.protocol.EventRun`) is
+buffered by :meth:`TenantJournal.append_events` with one write, in the
+bytes one :meth:`TenantJournal.append_event` per row would give.
 
 Appends are group-committed: :meth:`TenantJournal.append_event` and
 friends only buffer, and :meth:`TenantJournal.commit` moves every
@@ -140,17 +143,38 @@ class TenantJournal:
         frame ``event`` was decoded from.  Without it the same fragments
         are rendered from the event.
         """
-        if wire is not None:
-            fields = f"{wire[0]},{wire[1]}"
-        if wire is None or not fields.isascii():
-            # "<key-json>,<payload-json>" from one encoder call; it
-            # escapes non-ASCII, so every journal line is ASCII.
-            fields = _dumps([_jsoned(event.key), _jsoned(event.payload)])
-            fields = fields[1:-1]
+        if wire is None:
+            fields = _rendered(event.key, event.payload)
+        else:
+            fields = _fields(wire[0], wire[1], event.key, event.payload)
         return self._append(
             f'["e",{self.length},{event.sync_time},{event.other_time},'
             f"{fields}]\n"
         )
+
+    def append_events(self, run) -> int:
+        """Buffer the event lines of an
+        :class:`~repro.serve.protocol.EventRun` with one write; returns
+        the first offset.  The bytes are those of one
+        :meth:`append_event` per row, given the row's wire text."""
+        offsets = range(self.length, self.length + len(run))
+        if run.key_texts is not None:
+            text = "".join([
+                f'["e",{o},{s},{t},{k},{p}]\n' for o, s, t, k, p in zip(
+                    offsets, run.syncs, run.others, run.key_texts,
+                    run.payload_texts)
+            ])
+            if text.isascii():
+                return self._append(text, len(run))
+            fields = map(_fields, run.key_texts, run.payload_texts,
+                         run.keys, run.payloads)
+        else:
+            fields = map(_rendered, run.keys, run.payloads)
+        text = "".join([
+            f'["e",{o},{s},{t},{f}]\n' for o, s, t, f in zip(
+                offsets, run.syncs, run.others, fields)
+        ])
+        return self._append(text, len(run))
 
     def append_punctuation(self, timestamp, forced=False) -> int:
         tag = "g" if forced else "p"
@@ -159,13 +183,13 @@ class TenantJournal:
     def append_flush(self) -> int:
         return self._append(f'["f",{self.length}]\n')
 
-    def _append(self, line) -> int:
+    def _append(self, text, lines=1) -> int:
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(line)
-        self._pending += 1
+        self._fh.write(text)
+        self._pending += lines
         offset = self.length
-        self.length += 1
+        self.length += lines
         return offset
 
     def commit(self) -> None:
@@ -180,6 +204,19 @@ class TenantJournal:
             self._fh.close()  # writes any lines not yet committed
             self._fh = None
             self._pending = 0
+
+
+def _rendered(key, payload) -> str:
+    """``<key-json>,<payload-json>`` from one encoder call; it escapes
+    non-ASCII, so every journal line is ASCII."""
+    return _dumps([_jsoned(key), _jsoned(payload)])[1:-1]
+
+
+def _fields(key_text, payload_text, key, payload) -> str:
+    """The wire text of a row's key and payload, or, when it is not
+    ASCII, the same fragments rendered."""
+    fields = f"{key_text},{payload_text}"
+    return fields if fields.isascii() else _rendered(key, payload)
 
 
 def save_state(data_dir, doc):

@@ -56,6 +56,8 @@ grouped-count query over tumbling windows of 10 ticks.
 from __future__ import annotations
 
 import json
+from itertools import islice, repeat
+from operator import itemgetter
 
 from repro.core.errors import ServeProtocolError
 from repro.core.late import LatePolicy
@@ -64,9 +66,11 @@ from repro.engine.operators.aggregates import Count, Sum
 from repro.engine.planner import QueryPlan
 
 __all__ = [
+    "EventRun",
     "decode_payload",
     "encode_element",
     "decode_data_frame",
+    "decode_event_run",
     "parse_query_spec",
     "result_line",
 ]
@@ -86,6 +90,12 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 def _dumps(value) -> str:
     """Compact JSON — no spaces, so frames stay space-splittable."""
     return _COMPACT.encode(value)
+
+
+def _key_json(key) -> str:
+    """Wire JSON for a key field: compact, and a space inside a string is
+    written ``\\u0020``, so the field never splits the line."""
+    return _dumps(key).replace(" ", "\\u0020")
 
 
 #: The C scanner ``json.loads`` runs underneath its Python wrapper.
@@ -178,13 +188,152 @@ def decode_data_frame(parts):
     return Event(sync, other, key, payload)
 
 
+class EventRun:
+    """Consecutive ``EVENT`` frames as columns: what serve decodes,
+    journals and pushes as one unit.
+
+    Each column holds one value per row.  ``offsets`` are the frames'
+    offsets (``-1`` is append) until a tenant accepts the run and
+    replaces them with journal offsets.  ``payloads`` are decoded JSON,
+    whose lists become tuples only when :meth:`events` boxes the rows
+    (no compiled query reads a payload).  ``key_texts`` and
+    ``payload_texts`` are the fields' wire JSON, or ``None`` when the
+    run was not decoded from frames.
+    """
+
+    __slots__ = ("offsets", "syncs", "others", "keys", "payloads",
+                 "key_texts", "payload_texts", "_events")
+
+    def __init__(self, offsets, syncs, others, keys, payloads,
+                 key_texts=None, payload_texts=None):
+        self.offsets = offsets
+        self.syncs = syncs
+        self.others = others
+        self.keys = keys
+        self.payloads = payloads
+        self.key_texts = key_texts
+        self.payload_texts = payload_texts
+        self._events = None
+
+    @classmethod
+    def of(cls, offset, event, wire=None):
+        """The one-row run of ``event``; ``wire`` is its frame's
+        ``(key_json, payload_json)`` text."""
+        texts = (None, None) if wire is None else ([wire[0]], [wire[1]])
+        return cls([offset], [event.sync_time], [event.other_time],
+                   [event.key], [event.payload], *texts)
+
+    def __len__(self):
+        return len(self.syncs)
+
+    def __getitem__(self, rows):
+        """The run of the rows in slice ``rows``."""
+        texts = (None, None) if self.key_texts is None else (
+            self.key_texts[rows], self.payload_texts[rows])
+        return EventRun(
+            self.offsets[rows], self.syncs[rows], self.others[rows],
+            self.keys[rows], self.payloads[rows], *texts,
+        )
+
+    def without(self, offsets):
+        """This run minus the rows whose offset is in ``offsets``."""
+        keep = [i for i, offset in enumerate(self.offsets)
+                if offset not in offsets]
+
+        def pick(column):
+            return None if column is None else [column[i] for i in keep]
+        return EventRun(*map(pick, (
+            self.offsets, self.syncs, self.others, self.keys, self.payloads,
+            self.key_texts, self.payload_texts,
+        )))
+
+    def events(self):
+        """The rows boxed as :class:`Event`\\ s (built once)."""
+        if self._events is None:
+            self._events = list(map(
+                Event, self.syncs, self.others, self.keys,
+                map(_tupled, self.payloads),
+            ))
+        return self._events
+
+
+def decode_event_run(lines, start=0) -> EventRun:
+    """Decode the ``EVENT`` lines of ``lines`` from ``start`` on.
+
+    The run ends before the first line that is not a six-field ``EVENT``
+    frame whose offset, sync and other ``int()`` accepts and whose key
+    and payload the C scanner reads as one value filling the field.
+    Every row holds the values the line-at-a-time path
+    (``split(" ", 5)``, then :func:`decode_data_frame`) gives its line,
+    and every line that path refuses, or parses only through
+    ``json.loads``' fallback, ends the run, so it alone answers them.
+    Fields are converted a column at a time; a column that fails is
+    decoded again a row at a time to find where the run ends.
+    """
+    rows = []
+    for line in islice(lines, start, None):
+        parts = line.split(" ", 5)
+        if len(parts) != 6 or parts[0] != "EVENT":
+            break
+        rows.append(parts)
+    if not rows:
+        return EventRun([], [], [], [], [], [], [])
+    _, offsets, syncs, others, key_texts, payload_texts = zip(*rows)
+    try:
+        offsets, syncs, others = (
+            list(map(int, column)) for column in (offsets, syncs, others)
+        )
+        keys = _scan_column(key_texts)
+        payloads = _scan_column(payload_texts)
+    except (ValueError, RecursionError, _Misread):
+        return _decode_rows(rows)
+    if list in set(map(type, keys)):
+        keys = [_tupled(key) if type(key) is list else key for key in keys]
+    return EventRun(offsets, syncs, others, keys, payloads, key_texts,
+                    payload_texts)
+
+
+class _Misread(Exception):
+    """A field the scanner does not read as one value filling it."""
+
+
+_VALUE, _END = itemgetter(0), itemgetter(1)
+
+
+def _scan_column(texts):
+    """The values of a column of JSON fields, each read by the C
+    scanner; raises when one is not a value that fills its field."""
+    # A field with no value ends map() quietly (StopIteration).
+    scanned = list(map(_SCAN, texts, repeat(0, len(texts))))
+    if list(map(_END, scanned)) != list(map(len, texts)):
+        raise _Misread
+    return list(map(_VALUE, scanned))
+
+
+def _decode_rows(rows) -> EventRun:
+    """:func:`decode_event_run` over split ``rows``, a row at a time."""
+    columns = [], [], [], [], [], [], []
+    for parts in rows:
+        try:
+            offset, sync, other = int(parts[1]), int(parts[2]), int(parts[3])
+            key, payload = _scan_column(parts[4:])
+        except (ValueError, RecursionError, _Misread):
+            break
+        row = (offset, sync, other,
+               _tupled(key) if type(key) is list else key, payload,
+               parts[4], parts[5])
+        for column, value in zip(columns, row):
+            column.append(value)
+    return EventRun(*columns)
+
+
 def result_line(qid, position, element) -> str:
     """Server->client line for one delivered result element."""
     if is_punctuation(element):
         return f"RPUNCT {qid} {position} {element.timestamp}"
     return (
         f"RESULT {qid} {position} {element.sync_time} "
-        f"{element.other_time} {_dumps(_jsoned(element.key))} "
+        f"{element.other_time} {_key_json(_jsoned(element.key))} "
         f"{_dumps(_jsoned(element.payload))}"
     )
 
@@ -194,17 +343,23 @@ def parse_result_line(line):
 
     Returns ``(qid, position, element)`` where ``element`` is an
     :class:`Event`, a :class:`Punctuation`, or ``None`` for ``REOF``.
+    Raises :class:`ServeProtocolError` on any other line.
     """
     parts = line.split(" ", 6)
-    if parts[0] == "RPUNCT" and len(parts) == 4:
-        return parts[1], int(parts[2]), Punctuation(int(parts[3]))
-    if parts[0] == "REOF" and len(parts) == 3:
-        return parts[1], int(parts[2]), None
-    if parts[0] == "RESULT" and len(parts) == 7:
-        return parts[1], int(parts[2]), Event(
-            int(parts[3]), int(parts[4]),
-            _tupled(_loads(parts[5])), _tupled(_loads(parts[6])),
-        )
+    try:
+        if parts[0] == "RPUNCT" and len(parts) == 4:
+            return parts[1], int(parts[2]), Punctuation(int(parts[3]))
+        if parts[0] == "REOF" and len(parts) == 3:
+            return parts[1], int(parts[2]), None
+        if parts[0] == "RESULT" and len(parts) == 7:
+            return parts[1], int(parts[2]), Event(
+                int(parts[3]), int(parts[4]),
+                _tupled(_loads(parts[5])), _tupled(_loads(parts[6])),
+            )
+    except (ValueError, RecursionError) as exc:
+        raise ServeProtocolError(
+            f"unparseable result line: {line!r} ({exc})"
+        ) from None
     raise ServeProtocolError(f"unparseable result line: {line!r}")
 
 

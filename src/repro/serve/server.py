@@ -15,7 +15,9 @@ path.
   propagates as TCP backpressure to the producer.  A single consumer
   task per tenant serializes frame processing across every connection
   (TCP and HTTP) touching that tenant; it applies an item's lines in
-  order, group-commits the journal and pumps results once per item.
+  order — each run of ``EVENT`` lines as one decode, one journal write
+  and one push per standing query — group-commits the journal and
+  pumps results once per item.
 * **Slow-writer eviction** — reads are chunked through a per-connection
   buffer with a deadline; a peer that stalls mid-frame (slowloris) is
   evicted and counted, while an idle connection with *no* partial frame
@@ -46,16 +48,26 @@ import glob
 import json
 import os
 import signal
+from itertools import repeat
 
 from repro.core.errors import ServeProtocolError
 from repro.framework.streamables import lag_stats
 from repro.observability.snapshot import PipelineSnapshot
 from repro.resilience.quarantine import QuarantineLedger
 from repro.serve.journal import load_state, save_state
-from repro.serve.protocol import _dumps, decode_data_frame, result_line
+from repro.serve.protocol import (
+    _dumps,
+    _key_json,
+    decode_data_frame,
+    decode_event_run,
+    result_line,
+)
 from repro.serve.tenant import TenantRuntime
 
 __all__ = ["ReproServer"]
+
+#: Line prefixes of tenant commands: never blank, never answered inline.
+_QUEUED = ("EVENT ", "PUNCT ", "END ", "SUB ", "UNSUB ")
 
 
 class _SlowWriter(Exception):
@@ -294,7 +306,13 @@ class ReproServer:
                     break
                 # Tenant-scoped lines flow through the bounded queue, one
                 # item per run between connection-scoped commands:
-                # backpressure + serialized processing.
+                # backpressure + serialized processing.  A read of
+                # tenant commands only, the common case, is one item.
+                if (tenant is not None and not self.draining
+                        and all(map(str.startswith, lines,
+                                    repeat(_QUEUED)))):
+                    await self.queues[tenant].put((lines, writer))
+                    continue
                 run = []
                 for line in lines:
                     if not line.strip():
@@ -387,23 +405,49 @@ class ReproServer:
     async def _apply(self, name, lines, writer):
         """Apply one queue item's lines in order, then pump once.
 
+        Each maximal run of well-formed ``EVENT`` lines is decoded,
+        journaled and pushed as one
+        :class:`~repro.serve.protocol.EventRun`; a line the run
+        decoder refuses, and a duplicate or gap that ends what the
+        tenant takes of a run, go through :meth:`_process` alone.
         Results of the events accepted so far are pumped before any
         other command runs, so every connection sees its lines in the
         same order as a pump after every event would give.
         """
+        runtime = self.tenants[name]
         pending = False  # events accepted since the last pump
-        for line in lines:
+        index = 0
+        while index < len(lines):
+            run = decode_event_run(lines, index)
+            while len(run):
+                try:
+                    taken = runtime.accept_events(run)
+                except Exception:
+                    taken = len(run)  # survive anything, as a line does
+                pending = pending or taken > 0
+                if taken < len(run):  # a duplicate or a gap
+                    await self._apply_line(name, lines[index + taken], writer)
+                    taken += 1
+                run = run[taken:]
+                index += taken
+            if index == len(lines):
+                break
+            line = lines[index]
             if pending and not line.startswith("EVENT "):
                 pending = False
                 await self._pump_guarded(name)
-            try:
-                if await self._process(name, line, writer):
-                    pending = True
-            except Exception:
-                # The consumer must survive anything one frame can do.
-                pass
+            if await self._apply_line(name, line, writer):
+                pending = True
+            index += 1
         if pending:
             await self._pump_guarded(name)
+
+    async def _apply_line(self, name, line, writer):
+        """:meth:`_process`, surviving anything one frame can do."""
+        try:
+            return await self._process(name, line, writer)
+        except Exception:
+            return False
 
     async def _pump_guarded(self, name):
         """:meth:`_pump` for pumps owed by earlier lines: a failed one
@@ -531,20 +575,18 @@ class ReproServer:
             query = runtime.queries.get(sub.qid)
             if query is None:
                 continue
-            wrote = False
-            while sub.pos < len(query.results):
-                self._reply(
-                    sub.writer,
-                    result_line(sub.qid, sub.pos, query.results[sub.pos]),
-                )
-                sub.pos += 1
-                wrote = True
+            lines = [
+                result_line(sub.qid, pos, query.results[pos])
+                for pos in range(sub.pos, len(query.results))
+            ]
+            sub.pos += len(lines)
             if query.completed and not sub.eof_sent:
-                self._reply(sub.writer, f"REOF {sub.qid} {sub.pos}")
+                lines.append(f"REOF {sub.qid} {sub.pos}")
                 sub.eof_sent = True
-                wrote = True
-            if not wrote:
+            if not lines:
                 continue
+            # One write: a transport sends each write it can at once.
+            self._reply(sub.writer, "\n".join(lines))
             try:
                 await asyncio.wait_for(
                     sub.writer.drain(), self.read_deadline
@@ -655,7 +697,7 @@ class ReproServer:
         sync = doc.get("sync")
         if not isinstance(sync, int):
             return raw
-        key = _dumps(doc.get("key", 0))
+        key = _key_json(doc.get("key", 0))
         payload = _dumps(doc.get("payload"))
         return (
             f"EVENT {offset} {sync} {doc.get('other', sync + 1)} "

@@ -6,10 +6,11 @@ appends every emitted element to an in-order result log:
 
 * **compiled** — when :func:`~repro.engine.compiler.compile_plan` lowers
   the plan (``window=``/``hop=``, then ``sort[=drop|adjust]``, then
-  ``count`` or ``group-count``).  Pushed events wait in a pending list
-  and reach the fused columnar executor as one chunk per punctuation,
-  so per-event dispatch is paid once per chunk (Trill's columnar
-  batches);
+  ``count`` or ``group-count``).  Pushed events wait as pending columns
+  (a tenant pushes a whole run of them at once, never boxing an
+  :class:`~repro.engine.event.Event`) and reach the fused columnar
+  executor as one chunk per punctuation, so per-event dispatch is paid
+  once per chunk (Trill's columnar batches);
 * **row** — otherwise.  ``where=`` and ``group-sum`` carry opaque Python
   callables, and ``sort=raise`` must raise at the late event's push,
   where a buffered chunk would raise only at the next punctuation.  The
@@ -50,23 +51,37 @@ from __future__ import annotations
 import hashlib
 from itertools import islice
 
-from repro.core.errors import PunctuationOrderError, ReplayDivergenceError
+import numpy as np
+
+from repro.core.errors import (
+    LateEventError,
+    PunctuationOrderError,
+    ReplayDivergenceError,
+)
 from repro.core.late import LatePolicy
 from repro.engine.compiler import UnsupportedPlanError, compile_plan
 from repro.engine.disordered import DisorderedStreamable
 from repro.engine.event import Punctuation
 from repro.engine.graph import Pipeline, QueryNode
 from repro.engine.operators.sink import CallbackSink
+from repro.serve.journal import TenantJournal
 from repro.serve.protocol import parse_query_spec
 
 __all__ = ["StandingQuery"]
 
+#: What a query may refuse an element with.  A refusing query is left
+#: as it was; the tenant records the refusal and the other queries
+#: still take the element.
+REFUSALS = (PunctuationOrderError, LateEventError)
+
 #: Compiled columns carry ints of magnitude below this (int64).
 _INT64 = 2 ** 63
 
-#: The density trial.  A chunk pays ≈70 µs of fixed cost per
-#: punctuation and saves ≈1.5 µs per event (docs/serve.md), so below
-#: ≈46 events per punctuation the row engine is the faster one.  A
+#: The density trial.  A chunk pays ≈140 µs of fixed cost per
+#: punctuation and saves ≈5.5 µs per event on the docs/serve.md
+#: workload, so below ≈22 events per punctuation the row engine is the
+#: faster one; an earlier, fewer-group measurement put it at ≈46, which
+#: ``_MIN_CHUNK`` keeps until the trial is judged end to end.  A
 #: compiled query whose first ``_TRIAL_ROUNDS`` punctuations followed
 #: fewer than ``_MIN_CHUNK`` events each, on average, demotes at the
 #: last of them; that replay is at most
@@ -96,7 +111,10 @@ def _lower(plan):
 
 
 class _Demotion(Exception):
-    """The compiled engine gives the query up; the text says why."""
+    """The compiled engine gives the query up; the text says why.
+    ``row`` is the run row that demotes, when a run was pushed."""
+
+    row = None
 
 
 def _unfit(field, value):
@@ -104,6 +122,11 @@ def _unfit(field, value):
         f"{field} {value!r} ({type(value).__name__}) does not fit the "
         f"int64 columns"
     )
+
+
+def _ints(values) -> bool:
+    """Whether every one of ``values`` is exactly an ``int``."""
+    return set(map(type, values)) == {int}
 
 
 def _least(fits):
@@ -122,11 +145,11 @@ def _least(fits):
 class _CompiledPipeline:
     """The push-``Pipeline`` face of a lowered plan.
 
-    Events wait in a pending list and reach the compiled executor as one
-    chunk when a punctuation, a flush or an exact census needs them.  No
-    serve spec that reads a payload value lowers (``group-sum``'s
-    selector is opaque), so chunks carry no value column, and the key
-    column only when the count groups.
+    Events wait as pending sync (and key) lists and reach the compiled
+    executor as one chunk when a punctuation, a flush or an exact census
+    needs them.  No plan that reads a payload value lowers here
+    (``group-sum``'s selector is opaque), so chunks carry no value
+    column, and the key column only when the count groups.
     """
 
     def __init__(self, compiled, on_event, on_punctuation, on_flush):
@@ -135,7 +158,7 @@ class _CompiledPipeline:
         self._on_event = on_event
         self._on_punctuation = on_punctuation
         self._on_flush = on_flush
-        self._pending = []
+        self._syncs, self._keys = [], []  # pending ingress columns
         #: The executor's census, ``None`` until recounted after it
         #: last changed.
         self._census = 0
@@ -160,16 +183,46 @@ class _CompiledPipeline:
         self._low_sync = _least(lambda t: aligned(t) > -_INT64)
         self._low_punct = _least(lambda t: promised(t) > -_INT64)
 
-    def push_event(self, event):
-        sync = event.sync_time
+    def _misfit(self, sync, key):
+        """The demotion a row with ``sync`` and ``key`` causes, or
+        ``None`` when the columns carry it."""
         if not (type(sync) is int and self._low_sync <= sync < _INT64):
-            raise _unfit("sync", sync)
+            return _unfit("sync", sync)
+        if self._keyed and not (type(key) is int and -_INT64 < key < _INT64):
+            return _unfit("key", key)
+        return None
+
+    def push_event(self, event):
+        why = self._misfit(event.sync_time, event.key)
+        if why is not None:
+            raise why
+        self._syncs.append(event.sync_time)
         if self._keyed:
-            key = event.key
-            if not (type(key) is int and -_INT64 < key < _INT64):
-                raise _unfit("key", key)
-        self._pending.append(event)
+            self._keys.append(event.key)
         self._events += 1
+
+    def push_events(self, syncs, keys):
+        """Append a run's rows.  At the first row the columns cannot
+        carry, append the rows before it and raise its
+        :class:`_Demotion` with ``row`` set."""
+        keyed = self._keyed
+        why = None
+        if not (_ints(syncs) and self._low_sync <= min(syncs)
+                and max(syncs) < _INT64
+                and (not keyed or (_ints(keys) and -_INT64 < min(keys)
+                                   and max(keys) < _INT64))):
+            for row, (sync, key) in enumerate(zip(syncs, keys)):
+                why = self._misfit(sync, key)
+                if why is not None:
+                    why.row = row
+                    syncs, keys = syncs[:row], keys[:row]
+                    break
+        self._syncs += syncs
+        if keyed:
+            self._keys += keys
+        self._events += len(syncs)
+        if why is not None:
+            raise why
 
     def push_punctuation(self, timestamp):
         if not (type(timestamp) is int
@@ -199,7 +252,7 @@ class _CompiledPipeline:
     def buffered_bound(self) -> int:
         """Census upper bound without a drain: a pending event is
         buffered or late-dropped, never more."""
-        return self._settled() + len(self._pending)
+        return self._settled() + len(self._syncs)
 
     def _settled(self) -> int:
         if self._census is None:
@@ -207,11 +260,12 @@ class _CompiledPipeline:
         return self._census
 
     def _drain(self):
-        pending = self._pending
-        if pending:
-            self._pending = []
+        syncs = self._syncs
+        if syncs:
+            keys = np.array(self._keys, np.int64) if self._keyed else None
+            self._syncs, self._keys = [], []
             self._census = None
-            self._executor.feed_events(pending)
+            self._executor.feed(np.array(syncs, np.int64), None, keys, [])
 
     def _deliver(self, events, puncts):
         # One round: its events, then its punctuation (the row order).
@@ -299,6 +353,35 @@ class StandingQuery:
         except _Demotion as why:
             self._demote(why)
 
+    def push_events(self, run):
+        """Push the rows of an accepted
+        :class:`~repro.serve.protocol.EventRun` (its ``offsets`` are
+        journal offsets) in order.
+
+        Returns ``[(row, exception)]`` for the rows the query raised on,
+        instead of raising: the rows after one still arrive, as they
+        would one frame at a time.  A compiled query takes the run as
+        columns; the row engine, and a query without a tenant, take
+        :class:`Event`\\ s.
+        """
+        start, raised = 0, []
+        if self.engine == "compiled" and self._log is None:
+            try:
+                self.pipeline.push_events(run.syncs, run.keys)
+                return raised
+            except _Demotion as why:
+                start = why.row + 1
+                try:
+                    self._demote(why, run.offsets[why.row])
+                except Exception as exc:
+                    raised.append((why.row, exc))
+        for row, event in enumerate(run.events()[start:], start):
+            try:
+                self.push_event(event)
+            except Exception as exc:
+                raised.append((row, exc))
+        return raised
+
     def push_punctuation(self, timestamp):
         if self._log is not None:
             self._log.append(("p", Punctuation(timestamp)))
@@ -332,18 +415,22 @@ class StandingQuery:
             return self.pipeline.buffered_events()
         return self.pipeline.buffered_bound()
 
-    def _demote(self, why):
+    def _demote(self, why, offset=None):
         """Move to the row engine by replaying this query's input, the
-        demoting element included."""
+        demoting element included.  ``offset`` is that element's journal
+        offset, by default the last line's."""
         if self._journal is None:
             records, self._log = self._log, None
             offset = len(records) - 1
         else:
             journal = self._journal
             journal.commit()  # the replay reads the file
-            offset = journal.length - 1
+            if offset is None:
+                offset = journal.length - 1
+            # A reader of its own: loading moves a journal's length.
             records = islice(
-                journal.load(start=self._origin), offset + 1 - self._origin
+                TenantJournal(journal.path).load(start=self._origin),
+                offset + 1 - self._origin,
             )
         self.row_reason = f"offset {offset}: {why}"
         expected = self.as_state()
@@ -355,7 +442,7 @@ class StandingQuery:
         for kind, element in records:
             try:
                 self.apply(kind, element)
-            except PunctuationOrderError:
+            except REFUSALS:
                 pass  # it raised on arrival too, and changed nothing
         self.verify_replay(expected)
 

@@ -25,20 +25,32 @@ do to a tenant lands here as an explicit, counted decision:
   ``counters["evictions"]`` — and **reconnects** (including
   post-eviction and post-crash) increment ``counters["reconnects"]``.
 
+* **Refused elements** — a punctuation that regresses, or a late event
+  on a ``sort=raise`` query — leave the refusing query as it was; the
+  other queries still take the element, and each refusal is recorded
+  once, live, under ``punctuation-regression``/``late-event`` with a
+  ``net:<tenant>@<offset>`` source.  Replay meets the same refusals and
+  records nothing.
+
 The accept methods journal **before** pushing into standing pipelines,
 which is the whole recovery story: replaying the journal through freshly
-bound pipelines regenerates every result stream byte-for-byte.
+bound pipelines regenerates every result stream byte-for-byte.  Events
+arrive as runs (:meth:`TenantRuntime.accept_events`): one journal write
+and one push per query for each run, or, under a quota, for each slice
+of it that no guard check could act inside.
 """
 
 from __future__ import annotations
 
 import os
 
-from repro.core.errors import ServeProtocolError
+from repro.core.errors import LateEventError, ServeProtocolError
+from repro.engine.event import Punctuation
 from repro.resilience.degradation import LoadSheddingGuard
 from repro.resilience.quarantine import Reason
 from repro.serve.journal import TenantJournal
-from repro.serve.standing import StandingQuery
+from repro.serve.protocol import EventRun
+from repro.serve.standing import REFUSALS, StandingQuery
 
 __all__ = ["TenantRuntime"]
 
@@ -115,19 +127,92 @@ class TenantRuntime:
     def accept_event(self, offset, event, wire=None) -> bool:
         """Journal + push one event; False when it was a duplicate.
 
-        The journal line is buffered, not committed: the caller commits
-        before anything derived from it leaves the process.  ``wire`` is
-        passed to :meth:`TenantJournal.append_event`.
+        The one-row case of :meth:`accept_events`.  ``wire`` is the
+        ``(key_json, payload_json)`` text of the frame ``event`` was
+        decoded from.
         """
         if self._dedup(offset):
             return False
-        self.journal.append_event(event, wire)
-        if event.sync_time > self._high:
-            self._high = event.sync_time
-        for query in self.queries.values():
-            query.push_event(event)
-        self._check_quota()
-        return True
+        return self.accept_events(EventRun.of(offset, event, wire)) == 1
+
+    def accept_events(self, run) -> int:
+        """Journal + push the rows of ``run`` that continue the journal;
+        returns how many.
+
+        Row ``i`` continues it when its offset is ``journal.length + i``
+        or ``-1`` (append).  The first duplicate or gap ends the rows
+        taken: the caller answers that frame alone
+        (:meth:`accept_event`).  So does a shed, which journals a line
+        of its own: the rows after it are offered again.  The journal
+        lines are buffered, not committed: the caller commits before
+        anything derived from them leaves the process.
+        """
+        base = self.journal.length
+        taken = len(run)
+        offsets = list(range(base, base + taken))
+        if run.offsets != offsets:
+            taken = next((
+                row for row, offset in enumerate(run.offsets)
+                if offset != base + row and offset != -1
+            ), taken)
+            if not taken:
+                return 0
+            run = run[:taken]
+            run.offsets = offsets[:taken]
+        if self._guard is None:
+            self._push_events(run)
+            return taken
+        # Each pushed row grows a query's census by at most one, so no
+        # guard check inside a slice no longer than the least headroom
+        # could act: one check per slice decides what one per row would.
+        start = 0
+        while start < taken:
+            bound = max(
+                (query.buffered_bound() for query in self.queries.values()),
+                default=0,
+            )
+            room = max(1, self._guard.max_buffered_events - bound)
+            stop = min(taken, start + room)
+            if self._push_events(run[start:stop]):
+                try:
+                    self._check_quota()
+                except Exception:
+                    pass  # it fails its row alone, as every push does
+            start = stop
+            if self.journal.length != base + stop:
+                break  # a shed line moved the offsets the rest must have
+        return start
+
+    def _push_events(self, run) -> bool:
+        """Journal ``run`` with one write and push it into every query;
+        False when a query raised on its last row.
+
+        A query that raises on a row other than by refusing it fails
+        that row alone, as the server's one-frame-at-a-time containment
+        did: the queries after it do not see the row, and no guard check
+        follows it.
+        """
+        self.journal.append_events(run)
+        high = max(run.syncs)
+        if high > self._high:
+            self._high = high
+        failed = set()   # offsets a query raised on
+        refused = []
+        for order, query in enumerate(self.queries.values()):
+            part = run.without(failed) if failed else run
+            for row, exc in query.push_events(part):
+                offset = part.offsets[row]
+                if isinstance(exc, REFUSALS):
+                    refused.append(
+                        (offset, order, query, exc, part.events()[row])
+                    )
+                else:
+                    failed.add(offset)
+        if refused:
+            refused.sort(key=lambda refusal: refusal[:2])
+            for offset, _, query, exc, event in refused:
+                self._refused(offset, event, query, exc)
+        return not failed or run.offsets[-1] not in failed
 
     def accept_punctuation(self, offset, timestamp) -> bool:
         """Journal + commit + push one punctuation; the commit makes
@@ -137,10 +222,25 @@ class TenantRuntime:
         self.journal.append_punctuation(timestamp)
         self.journal.commit()
         self.watermark = timestamp
-        for query in self.queries.values():
-            query.push_punctuation(timestamp)
+        self._push_punctuation(offset, timestamp)
         self._maybe_scale_down()
         return True
+
+    def _push_punctuation(self, offset, timestamp) -> None:
+        for query in self.queries.values():
+            try:
+                query.push_punctuation(timestamp)
+            except REFUSALS as exc:
+                self._refused(offset, Punctuation(timestamp), query, exc)
+
+    def _refused(self, offset, element, query, exc) -> None:
+        """Record that ``query`` refused the element at ``offset``."""
+        reason = (Reason.LATE_EVENT if isinstance(exc, LateEventError)
+                  else Reason.PUNCTUATION_REGRESSION)
+        self.ledger.record(
+            reason, element, source=f"net:{self.name}@{offset}",
+            detail=f"query {query.qid}: {exc}",
+        )
 
     def accept_end(self, offset) -> bool:
         """END frame: journal + commit the flush marker and complete all
@@ -189,10 +289,11 @@ class TenantRuntime:
                     self._guard = self._make_guard()
                     self.counters["scale_ups"] += 1
                     return
-                self.journal.append_punctuation(forced, forced=True)
+                offset = self.journal.append_punctuation(
+                    forced, forced=True
+                )
                 self.watermark = forced
-                for q in self.queries.values():
-                    q.push_punctuation(forced)
+                self._push_punctuation(offset, forced)
                 self.counters["shed"] += 1
                 return
 
@@ -245,7 +346,10 @@ class TenantRuntime:
             elif kind != "f":
                 self.watermark = element.timestamp
             for query in self.queries.values():
-                query.apply(kind, element)
+                try:
+                    query.apply(kind, element)
+                except REFUSALS:
+                    pass  # refused live too, and recorded then
         for qid, qstate in expected.items():
             self.queries[qid].verify_replay(qstate)
 

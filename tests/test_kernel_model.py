@@ -221,3 +221,15 @@ def test_columnar_kernel_matches_dict_kernel(name, grouped, window, ops):
         assert kernel.buffered() == oracle.buffered()
         # What every later forward() clamps to: the earliest open start.
         assert kernel._earliest() == min(oracle.windows, default=None)
+
+
+def test_one_window_whose_keys_span_two_to_the_63():
+    """One start and keys ``0`` and ``2**63 - 1``: every composite fits
+    int64, but the key span alone does not."""
+    kernel = GroupedWindowKernel(4, AGGREGATE_SPECS["count"], True)
+    kernel.accumulate(np.array([0, 0, 0]), np.array([0, 2 ** 63 - 1, 0]),
+                      None)
+    starts, keys, results = kernel.close(None)
+    assert list(zip(starts.tolist(), keys.tolist(), results)) == [
+        (0, 0, 2), (0, 2 ** 63 - 1, 1),
+    ]

@@ -1,9 +1,12 @@
 """Tests for the always-on serve layer (repro.serve).
 
 Covers the wire protocol and standing-query spec grammar (with a
-decode + journal differential against the line-at-a-time decoder), the
+decode + journal differential against the line-at-a-time decoder), a
+run-vs-line differential of the server applying whole ``EVENT`` runs
+against the line-at-a-time server it replaced, the
 durable ingress journal (torn-tail tolerance, group commit, spaced
-legacy lines), standing-query /
+legacy lines), refused elements (a regressing punctuation, a late event
+under ``sort=raise``) contained per query, standing-query /
 batch-run byte-identity, compiled standing queries against the row
 pipeline (element-by-element differential, demotion on values the
 compiled columns cannot carry, quota decisions), the tenant state
@@ -62,8 +65,10 @@ from repro.serve import (
 )
 from repro.serve import standing
 from repro.serve.protocol import (
+    EventRun,
     decode_data_frame,
     decode_element,
+    decode_event_run,
     encode_element,
     parse_result_line,
     result_line,
@@ -164,6 +169,31 @@ class TestProtocol:
     def test_decode_rejects_malformed_frames(self, parts):
         with pytest.raises(ServeProtocolError):
             decode_data_frame(parts)
+
+    @pytest.mark.parametrize("key", ["a b", " ", "a\tb c", ("x y", 1)])
+    def test_a_key_with_a_space_round_trips(self, key):
+        event = Event(0, 10, key, 2)
+        line = result_line("q1", 3, event)
+        assert len(line.split(" ")) == 7  # the key is one field
+        assert repr(parse_result_line(line)[2]) == repr(event)
+
+    def test_int_keys_are_unchanged_on_the_wire(self):
+        assert result_line("q1", 3, Event(0, 10, -7, (2, 3))) == \
+            "RESULT q1 3 0 10 -7 [2,3]"
+
+    @pytest.mark.parametrize("line", [
+        'RESULT q1 3 0 10 "a b" 2',     # an unescaped space in the key
+        "RESULT q1 x 0 10 0 2",
+        "RESULT q1 3 0 10 {bad 2",
+        "RESULT q1 3 0 10 0 [2",
+        "RPUNCT q1 3 x",
+        "REOF q1 y",
+        "RESULT q1 3",
+        "HELLO",
+    ])
+    def test_a_malformed_result_line_fails_typed(self, line):
+        with pytest.raises(ServeProtocolError):
+            parse_result_line(line)
 
 
 # -- decode + journal differential --------------------------------------------
@@ -279,6 +309,33 @@ class TestDecodeJournalDifferential:
                 assert fh.read().isascii()
         assert loaded and loaded == [want[0]] * len(loaded)
 
+    @settings(max_examples=400, deadline=None)
+    @given(offset=_INT_TEXT, parts=_TAILS)
+    def test_the_run_decoder_takes_only_what_lines_take(self, offset,
+                                                         parts):
+        """A run row holds what the line-at-a-time path decodes from its
+        line, and journals the same bytes; a line that path refuses is
+        never a row."""
+        line = " ".join(["EVENT", offset, *parts])
+        run = decode_event_run([line, line])
+        if not len(run):
+            return  # the one-line path answers it, whatever it is
+        split = line.split(" ", 5)
+        event = _oracle_decode(split[2:])
+        assert isinstance(event, Event)
+        assert run.offsets == [int(split[1])] * 2
+        assert [repr(e) for e in run.events()] == [repr(event)] * 2
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = TenantJournal(os.path.join(tmp, "journal-r.jsonl"))
+            lines = TenantJournal(os.path.join(tmp, "journal-l.jsonl"))
+            assert runs.append_events(run) == 0
+            for _ in range(2):
+                lines.append_event(event, split[4:])
+            for journal in (runs, lines):
+                journal.close()
+            with open(runs.path, "rb") as a, open(lines.path, "rb") as b:
+                assert a.read() == b.read()
+
     def test_spaced_journal_lines_still_recover(self, tmp_path):
         """A journal written one spaced ``json.dumps`` line per element
         replays byte-identically, and compact appends continue it."""
@@ -304,6 +361,195 @@ class TestDecodeJournalDifferential:
         kinds = [kind for kind, _ in
                  TenantJournal(tmp_path / "journal-t1.jsonl").load()]
         assert kinds[-1] == "f" and len(kinds) == len(elements) + 1
+
+
+# -- run vs line differential ------------------------------------------------
+
+class _Wire:
+    """A stand-in ``StreamWriter`` that keeps the lines written to it."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, data):
+        self.lines.extend(data.decode().splitlines())
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def _line_accept_event(runtime, offset, event, wire=None):
+    """``TenantRuntime.accept_event`` as it was before runs, kept
+    verbatim as the reference :meth:`TenantRuntime.accept_events` must
+    agree with."""
+    if runtime._dedup(offset):
+        return False
+    runtime.journal.append_event(event, wire)
+    if event.sync_time > runtime._high:
+        runtime._high = event.sync_time
+    for query in runtime.queries.values():
+        query.push_event(event)
+    runtime._check_quota()
+    return True
+
+
+class _LineServer(ReproServer):
+    """The server applying a read one line at a time, with the ``EVENT``
+    branch of ``_process`` kept verbatim from before runs."""
+
+    async def _apply(self, name, lines, writer):
+        pending = False  # events accepted since the last pump
+        for line in lines:
+            if pending and not line.startswith("EVENT "):
+                pending = False
+                await self._pump_guarded(name)
+            try:
+                if await self._process(name, line, writer):
+                    pending = True
+            except Exception:
+                pass
+
+        if pending:
+            await self._pump_guarded(name)
+
+    async def _process(self, name, line, writer):
+        parts = line.split(" ", 5)
+        if parts[0] != "EVENT":
+            return await super()._process(name, line, writer)
+        runtime = self.tenants[name]
+        try:
+            offset = self._offset(runtime, parts[1])
+            event = _oracle_decode(parts[2:])
+        except (ServeProtocolError, IndexError) as exc:
+            runtime.quarantine(runtime.journal.length, line, str(exc))
+            return False
+        try:
+            return _line_accept_event(runtime, offset, event, parts[4:])
+        except ServeProtocolError as exc:
+            await self._pump_guarded(name)
+            self._reply(writer, f"ERR gap {exc}")
+            return False
+
+
+def _observed(server, wire):
+    """Everything a read can change, as comparable values."""
+    runtime = server.tenants["t"]
+    runtime.journal.commit()
+    journal = b""
+    if os.path.exists(runtime.journal.path):
+        with open(runtime.journal.path, "rb") as fh:
+            journal = fh.read()
+    return {
+        "journal": journal,
+        "length": runtime.journal.length,
+        "counters": dict(runtime.counters),
+        "slots": runtime.slots,
+        "watermark": runtime.watermark,
+        "ledger": [(e.reason, repr(e.element), e.context)
+                   for e in server.ledger.entries],
+        "replies": list(wire.lines),
+        "queries": {
+            qid: ([repr(e) for e in query.results], query.digest(),
+                  query.lags, query.completed, query.engine,
+                  query.row_reason)
+            for qid, query in runtime.queries.items()
+        },
+    }
+
+
+#: Values at and past the int64 edges the compiled columns guard.
+_EDGES = st.sampled_from([
+    2 ** 63 - 1, 2 ** 63, -2 ** 63 + 1, -2 ** 63, -2 ** 63 - 1, 2 ** 64,
+])
+_SYNCS = st.one_of(st.integers(0, 60), st.integers(0, 60), _EDGES)
+_KEYS = st.one_of(
+    st.integers(0, 3), st.integers(0, 3), _EDGES,
+    st.sampled_from(["a", "a b", "\u00e9", True, None, [1, "x y"]]),
+)
+#: Lowered (compiled) specs and one the row engine runs.
+_RUN_SPECS = [
+    "window=4|sort=drop|group-count",
+    "hop=6/2|sort=adjust|count",
+    "where=sync>3|window=8|sort|count",
+]
+
+
+@st.composite
+def _read(draw, base, high):
+    """One socket read's lines, offsets guessed from journal length
+    ``base``; returns ``(lines, high)``, ``high`` the last sync seen."""
+    lines = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(
+            ["event"] * 8 + ["hostile", "punct", "other"]))
+        offset = draw(st.sampled_from(
+            [base] * 6 + [-1, -1, base - 1, base - 3, base + 1, base + 2]))
+        if kind == "punct":
+            lines.append(f"PUNCT {offset} {high + draw(st.integers(-3, 8))}")
+        elif kind == "hostile":
+            tail = draw(_TAILS)
+            lines.append(" ".join(["EVENT", str(offset), *tail]))
+        elif kind == "other":
+            lines.append(draw(st.sampled_from(
+                ["FOO 1", "UNSUB nope", "END x", "EVENT"])))
+            continue
+        else:
+            sync = draw(_SYNCS)
+            key = json.dumps(draw(_KEYS), separators=(",", ":"))
+            key = key.replace(" ", "\\u0020")
+            payload = draw(st.one_of(
+                st.just(f"[{sync}]"), st.just("[1, [2, 3]]"), _json_text()))
+            lines.append(f"EVENT {offset} {sync} {sync + 1} {key} {payload}")
+            if 0 <= sync <= 60:
+                high = max(high, sync)
+        base += 1
+    return lines, high
+
+
+class TestRunLineDifferential:
+    """The server applying a read's ``EVENT`` runs as units against the
+    line-at-a-time server it replaced: same journal bytes, ledger,
+    counters, replies and per-query results, engines and demotions."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(),
+           specs=st.lists(st.sampled_from(_RUN_SPECS), min_size=1,
+                          max_size=3, unique=True),
+           quota=st.sampled_from([None, (6, 1), (6, 2)]),
+           trial=st.sampled_from([None, (3, 3)]))
+    def test_runs_apply_as_lines_do(self, data, specs, quota, trial):
+        rounds, min_chunk = trial or (standing._TRIAL_ROUNDS, 0)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+                standing, _TRIAL_ROUNDS=rounds, _MIN_CHUNK=min_chunk):
+            asyncio.run(self._differential(data, tmp, specs, quota))
+
+    async def _differential(self, data, tmp, specs, quota):
+        limit, slots = quota or (None, 1)
+        servers = []
+        for kind in (_LineServer, ReproServer):
+            server = kind(os.path.join(tmp, kind.__name__), quota=limit,
+                          tenant_slots=slots)
+            runtime = server._tenant("t")
+            server._consumers["t"].cancel()
+            for index, spec in enumerate(specs):
+                runtime.subscribe(f"q{index}", spec)
+            servers.append((server, runtime, _Wire()))
+        high = 0
+        for _ in range(data.draw(st.integers(1, 6))):
+            lines, high = data.draw(_read(servers[0][1].journal.length, high))
+            for server, _, wire in servers:
+                await server._apply("t", lines, wire)
+            want, got = (_observed(server, wire)
+                         for server, _, wire in servers)
+            assert got == want
+        for server, runtime, wire in servers:
+            await server._apply("t", [f"END {runtime.journal.length}"], wire)
+            runtime.close()
+        want, got = (_observed(server, wire) for server, _, wire in servers)
+        assert got == want
 
 
 class TestJournal:
@@ -637,6 +883,106 @@ class TestServeElasticity:
             self._runtime(tmp_path, quota=8, max_slots=0)
 
 
+class TestRefusals:
+    """A query that refuses an element — a regressing punctuation, a late
+    event under ``sort=raise`` — is left as it was; the other queries
+    take the element, the ``PUNCT`` is acked, and a restart replays the
+    journal without raising."""
+
+    #: ``(specs, elements, refusing queries)``; the refused element is
+    #: line 2.  Case 1: every query refuses the regressing punctuation.
+    REGRESSING = (
+        ["window=10|sort|count", "sort=raise|count",
+         "window=10|sort|group-count"],
+        [Event(110, 111, 0, (1,)), Punctuation(150), Punctuation(100)],
+        {"q0", "q1", "q2"},
+    )
+    #: Case 2: only ``sort=raise`` refuses the late event 120; the
+    #: window count (subscribed after it) still counts it.
+    LATE = (
+        ["sort=raise|count", "window=100|sort|count"],
+        [Event(110, 111, 0, (1,)), Punctuation(150),
+         Event(120, 121, 0, (1,))],
+        {"q0"},
+    )
+
+    @staticmethod
+    def _results(runtime):
+        return {qid: ([repr(e) for e in query.results], query.digest())
+                for qid, query in runtime.queries.items()}
+
+    @pytest.mark.parametrize("case", ["REGRESSING", "LATE"])
+    def test_live_and_through_recovery(self, tmp_path, case):
+        specs, elements, refusing = getattr(self, case)
+        runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
+        for index, spec in enumerate(specs):
+            runtime.subscribe(f"q{index}", spec)
+        for offset, element in enumerate(elements):
+            if isinstance(element, Punctuation):
+                assert runtime.accept_punctuation(offset, element.timestamp)
+            else:
+                assert runtime.accept_event(offset, element)
+        assert runtime.accept_end(len(elements))
+        live = self._results(runtime)
+
+        reason = ("late-event" if case == "LATE"
+                  else "punctuation-regression")
+        assert [
+            (entry.reason, entry.context["source"],
+             entry.context["detail"].partition(":")[0])
+            for entry in runtime.ledger.entries
+        ] == [(reason, "net:t1@2", f"query {qid}")
+              for qid in sorted(refusing)]
+        for qid, spec in zip(live, specs):
+            # A refusing query equals one that never saw the element.
+            twin = StandingQuery("q", spec)
+            drive(twin, [element for line, element in enumerate(elements)
+                         if line != 2 or qid not in refusing])
+            assert live[qid] == ([repr(e) for e in twin.results],
+                                 twin.digest())
+        if case == "LATE":
+            assert "Event(sync=100, other=200, key=0, payload=2)" in \
+                live["q1"][0]
+
+        state = runtime.as_state()
+        runtime.close()
+        recovered = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
+        recovered.recover(state)
+        assert self._results(recovered) == live
+        assert not recovered.ledger.entries  # recorded once, live
+
+    def test_the_server_acks_a_refused_punctuation_and_restarts(
+            self, tmp_path):
+        wire = _Wire()
+
+        async def live():
+            server = ReproServer(tmp_path)
+            runtime = server._tenant("t")
+            server._consumers["t"].cancel()
+            for index, spec in enumerate(self.REGRESSING[0]):
+                runtime.subscribe(f"q{index}", spec)
+            await server._apply("t", [
+                "EVENT 0 110 111 0 [1]", "PUNCT 1 150", "PUNCT 2 100",
+                "END 3",
+            ], wire)
+            runtime.close()
+            return self._results(runtime), server.ledger.counts
+
+        results, counts = asyncio.run(live())
+        assert wire.lines == ["IOFF 2", "IOFF 3", "IOFF 4"]
+        assert counts == {"punctuation-regression": 3}
+
+        async def restart():
+            server = ReproServer(tmp_path)
+            server._recover()
+            for task in server._consumers.values():
+                task.cancel()
+            server.tenants["t"].close()
+            return self._results(server.tenants["t"]), server.ledger.counts
+
+        assert asyncio.run(restart()) == (results, counts)
+
+
 # -- compiled standing queries ------------------------------------------------
 
 #: Every shape the compiler lowers from a serve spec, under both
@@ -840,6 +1186,45 @@ class TestDemotion:
         recovered.accept_end(len(elements))
         recovered.close()
         assert_byte_identical(self.SPEC, elements, again.results)
+
+    @pytest.mark.parametrize("misfit", sorted(MISFITS))
+    def test_a_run_demotes_at_its_misfit_row(self, tmp_path, misfit):
+        """Fed as runs, the query demotes at the misfit's own offset,
+        mid-run, and ends as one fed an element at a time does."""
+        elements = make_stream()
+        elements.insert(40, MISFITS[misfit])
+        for path in ("runs", "lines"):
+            os.makedirs(tmp_path / path)
+        runs = self._runtime(tmp_path / "runs")
+        lines = self._runtime(tmp_path / "lines")
+        queries = [runtime.subscribe("q", self.SPEC)
+                   for runtime in (runs, lines)]
+        _feed(lines, elements)
+        start = 0
+        for offset, element in enumerate(elements + [None]):
+            if isinstance(element, Event):
+                continue
+            if start < offset:
+                run = EventRun(
+                    list(range(start, offset)),
+                    *map(list, zip(*[
+                        (e.sync_time, e.other_time, e.key, e.payload)
+                        for e in elements[start:offset]
+                    ])),
+                )
+                assert runs.accept_events(run) == offset - start
+            if element is not None:
+                runs.accept_punctuation(offset, element.timestamp)
+            start = offset + 1
+        assert queries[0].row_reason.startswith("offset 40: ")
+        assert queries[0].row_reason == queries[1].row_reason
+        assert [repr(e) for e in queries[0].results] == \
+            [repr(e) for e in queries[1].results]
+        for runtime in (runs, lines):
+            runtime.close()
+        with open(runs.journal.path, "rb") as a, \
+                open(lines.journal.path, "rb") as b:
+            assert a.read() == b.read()
 
     @pytest.mark.parametrize("misfit", sorted(MISFITS))
     def test_a_query_without_a_tenant_demotes_from_its_own_log(self,
@@ -1137,6 +1522,14 @@ class TestServeEndToEnd:
     def test_http_frame_passes_non_integer_sync_through(self, doc):
         raw = json.dumps(doc)
         assert ReproServer._http_frame(raw) == raw
+
+    @pytest.mark.parametrize("key", ["a b", ["a b", 1], 4])
+    def test_http_frame_keeps_a_spaced_key_one_field(self, key):
+        line = ReproServer._http_frame(json.dumps({"sync": 5, "key": key}))
+        event = decode_data_frame(line.split(" ", 5)[2:])
+        assert repr(event) == repr(Event(5, 6, _oracle_tupled(key), None))
+        if key == 4:
+            assert line == "EVENT -1 5 6 4 null"
 
     def test_http_non_integer_sync_is_quarantined(self, tmp_path):
         proc, host, port, http_port = start_server(tmp_path)
