@@ -32,7 +32,6 @@ from benchmarks import (
     bench_external_sort,
     bench_fig9_sort_as_needed,
     bench_fig10_framework,
-    bench_string_sort,
     bench_table1_disorder,
     bench_table2_latency_completeness,
 )
@@ -64,7 +63,6 @@ SECTIONS = (
     ("Compiled shard workers vs row pipeline",
      bench_compiled_parallel.report),
     ("Bounded-memory external sort", bench_external_sort.report),
-    ("String sort — OVC vs naive merges", bench_string_sort.report),
     ("Operator microbenchmarks", bench_operator_micro.report),
 )
 

@@ -50,13 +50,9 @@ class ImpatienceSorter:
     merge:
         Explicit merge-strategy name from
         :data:`repro.core.merge.MERGE_STRATEGIES` (``huffman``,
-        ``pairwise``, ``kway``, or ``ovc``); overrides ``huffman_merge``
-        when given.  ``kway`` is the classic Patience heap merge, kept
-        for differential testing and comparison.  ``ovc`` targets string
-        sort keys: runs carry offset-value codes from the partition
-        phase and merges compare one integer per element instead of
-        re-walking shared prefixes (non-string keys silently fall back
-        to ``huffman``).
+        ``pairwise``, or ``kway``); overrides ``huffman_merge`` when
+        given.  ``kway`` is the classic Patience heap merge, kept for
+        differential testing and comparison.
     speculative:
         Enable speculative run selection in the partition phase.
     late_policy:
@@ -124,11 +120,8 @@ class ImpatienceSorter:
         self.stats = SorterStats()
         self.late = LateEventTracker(late_policy, quarantine=quarantine)
         self.sample_every = sample_every
-        # The "ovc" strategy wants runs pre-annotated with offset-value
-        # codes; the pool demotes the flag by itself on non-string keys.
         self._pool = RunPool(speculative=speculative, keyless=key is None,
-                             stats=self.stats, placement=placement,
-                             annotate=merge == "ovc")
+                             stats=self.stats, placement=placement)
         # Ingress batch (Trill ingests columnar batches): inserts append
         # here in O(1); the partition phase consumes the whole batch at
         # the next punctuation/flush.  A constant-factor staging area —

@@ -13,16 +13,12 @@ paper discusses three schedules:
   (Chandramouli & Goldstein, SIGMOD 2014) found binary merges faster on
   modern hardware, so it is provided for comparison only.
 
-A fourth strategy, ``"ovc"``, targets *string* sort keys: runs annotated
-with offset-value codes (see :mod:`repro.core.strings`) merge by comparing
-one integer per element instead of re-walking shared key prefixes, with
-whole winning streaks moved by ``list.extend``.  On non-string keys it
-falls back to the Huffman schedule, so it is safe to select universally.
+All three compare keys with ``<=``, so string keys (``bytes``/``str``)
+merge under every schedule; the columnar paths sort strings by
+order-preserving dictionary codes instead (:mod:`repro.core.strings`).
 
 All functions take runs as ``(keys, items)`` pairs of parallel ascending
-lists and return one merged ``(keys, items)`` pair; ``"ovc"`` additionally
-accepts pre-annotated ``(keys, items, codes)`` triples from an
-OVC-annotated :class:`~repro.core.runs.RunPool`.  Merges are stable with
+lists and return one merged ``(keys, items)`` pair.  Merges are stable with
 respect to run order for equal keys wherever the schedule allows.
 """
 
@@ -30,14 +26,11 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.strings import ovc_merge_runs
-
 __all__ = [
     "merge_two",
     "huffman_merge",
     "pairwise_merge",
     "kway_heap_merge",
-    "ovc_merge",
     "merge_runs",
     "MERGE_STRATEGIES",
 ]
@@ -172,27 +165,10 @@ def kway_heap_merge(runs, stats=None):
     return out_keys, out_items
 
 
-def ovc_merge(runs, stats=None):
-    """Offset-value coded merge for string keys (Huffman schedule).
-
-    Accepts ``(keys, items)`` pairs and pre-annotated
-    ``(keys, items, codes)`` triples.  The key type is sniffed from the
-    first non-empty run: ``bytes``/``str`` keys take the OVC path; any
-    other key type strips stale annotations and delegates to
-    :func:`huffman_merge`, so ``merge="ovc"`` is a drop-in strategy for
-    sorters whose key type is not known up front.
-    """
-    sample = next((run[0][0] for run in runs if run[0]), None)
-    if isinstance(sample, (bytes, str)):
-        return ovc_merge_runs(runs, stats)
-    return huffman_merge([run[:2] for run in runs], stats)
-
-
 MERGE_STRATEGIES = {
     "huffman": huffman_merge,
     "pairwise": pairwise_merge,
     "kway": kway_heap_merge,
-    "ovc": ovc_merge,
 }
 
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from repro.core.strings import code_vs, full_code, ovc_annotate
-
 __all__ = ["SortedRun", "RunPool"]
 
 # Compact a run's backing lists once the dead prefix exceeds both this many
@@ -33,22 +31,13 @@ class SortedRun:
     re-invoke the (potentially expensive) key function.  In *keyless* mode
     (items are their own sort keys — bare timestamps) the two lists are one
     shared object, halving storage and merge traffic.
-
-    In *annotated* mode (string sort keys under the ``"ovc"`` merge
-    strategy) the run also carries a parallel list of offset-value codes
-    — each element's OVC code relative to its run predecessor — built
-    incrementally on append, where the placement comparison has already
-    paid for the prefix walk.  Head cuts then hand the merge phase
-    pre-annotated ``(keys, items, codes)`` runs so no merge ever walks a
-    shared prefix twice.
     """
 
-    __slots__ = ("keys", "items", "codes", "start")
+    __slots__ = ("keys", "items", "start")
 
-    def __init__(self, keyless=False, annotate=False):
+    def __init__(self, keyless=False):
         self.keys = []
         self.items = self.keys if keyless else []
-        self.codes = [] if annotate else None
         self.start = 0
 
     def __len__(self) -> int:
@@ -69,10 +58,6 @@ class SortedRun:
 
     def append(self, key, item):
         """Append an element; caller guarantees ``key >= tail_key``."""
-        if self.codes is not None:
-            self.codes.append(
-                code_vs(self.keys[-1], key) if self.keys else full_code(key)
-            )
         self.keys.append(key)
         if self.items is not self.keys:
             self.items.append(item)
@@ -83,53 +68,33 @@ class SortedRun:
         Returns a ``(keys, items)`` pair of new lists (the *head run* of
         Section III-D), each in ascending order; both empty when no element
         qualifies.  In keyless mode the returned pair shares one list.
-        Annotated runs return ``(keys, items, codes)`` triples; the first
-        code is re-based to the virtual empty predecessor, because the
-        element it was coded against stays behind in (or left) the run.
         """
         end = bisect_right(self.keys, timestamp, self.start)
         if end == self.start:
-            return ([], [], []) if self.codes is not None else ([], [])
+            return [], []
         head_keys = self.keys[self.start:end]
         if self.items is self.keys:
             head_items = head_keys
         else:
             head_items = self.items[self.start:end]
-        head_codes = None
-        if self.codes is not None:
-            head_codes = self.codes[self.start:end]
-            head_codes[0] = full_code(head_keys[0])
         self.start = end
         self._maybe_compact()
-        if head_codes is not None:
-            return head_keys, head_items, head_codes
         return head_keys, head_items
 
     def _maybe_compact(self):
         if self.start > _COMPACT_THRESHOLD and self.start * 2 > len(self.keys):
             if self.items is not self.keys:
                 del self.items[: self.start]
-            if self.codes is not None:
-                del self.codes[: self.start]
             del self.keys[: self.start]
             self.start = 0
 
     def live(self):
-        """The live ``(keys, items)`` view as freshly sliced lists.
-
-        Annotated runs return a ``(keys, items, codes)`` triple with the
-        first code re-based to the virtual empty predecessor.
-        """
+        """The live ``(keys, items)`` view as freshly sliced lists."""
         keys = self.keys[self.start:]
         if self.items is self.keys:
             items = keys
         else:
             items = self.items[self.start:]
-        if self.codes is not None:
-            codes = self.codes[self.start:]
-            if codes:
-                codes[0] = full_code(keys[0])
-            return keys, items, codes
         return keys, items
 
     def __repr__(self):
@@ -154,20 +119,13 @@ class RunPool:
     search over the descending tails, kept for the Figure 8 ablation.
     Keys that cannot be negated (non-numeric sort keys) silently demote
     ``"bisect"`` to ``"binary"`` on first contact.
-
-    ``annotate=True`` maintains offset-value codes on every run (string
-    sort keys feeding the ``"ovc"`` merge strategy); pools seeing a
-    non-string first key silently demote annotation the same way
-    ``"bisect"`` placement demotes, so the flag is safe to set even when
-    the key type is unknown up front.
     """
 
     __slots__ = ("runs", "tails", "neg_tails", "speculative", "keyless",
-                 "annotate", "stats", "_last")
+                 "stats", "_last")
 
     def __init__(self, speculative: bool = True, keyless: bool = False,
-                 stats=None, placement: str = "bisect",
-                 annotate: bool = False):
+                 stats=None, placement: str = "bisect"):
         if placement not in ("bisect", "binary"):
             raise ValueError(
                 f"placement must be 'bisect' or 'binary', not {placement!r}"
@@ -181,8 +139,6 @@ class RunPool:
         self.speculative = speculative
         #: items are their own keys: runs store one shared list.
         self.keyless = keyless
-        #: maintain OVC codes on runs (demoted on non-string keys).
-        self.annotate = bool(annotate)
         self.stats = stats
         self._last = -1
 
@@ -191,8 +147,6 @@ class RunPool:
 
     def insert(self, key, item):
         """Place one element, preserving the descending-tails invariant."""
-        if self.annotate and not isinstance(key, (bytes, str)):
-            self.annotate = False
         tails = self.tails
         n = len(tails)
         last = self._last
@@ -211,7 +165,7 @@ class RunPool:
             if self.stats is not None:
                 self.stats.binary_searches += 1
         if idx == n:
-            run = SortedRun(keyless=self.keyless, annotate=self.annotate)
+            run = SortedRun(keyless=self.keyless)
             run.append(key, item)
             self.runs.append(run)
             tails.append(key)
@@ -271,12 +225,6 @@ class RunPool:
         created = 0
         if keyless:
             items = keys
-        if self.annotate:
-            for key in keys:
-                if not isinstance(key, (bytes, str)):
-                    self.annotate = False
-                break
-        annotate = self.annotate
         nk = None
         for key, item in zip(keys, items):
             n = len(tails)
@@ -307,9 +255,7 @@ class RunPool:
                     idx = lo
                 searches += 1
             if idx == n:
-                run = SortedRun(keyless=keyless, annotate=annotate)
-                if annotate:
-                    run.codes.append(full_code(key))
+                run = SortedRun(keyless=keyless)
                 run.keys.append(key)
                 if not keyless:
                     run.items.append(item)
@@ -320,8 +266,6 @@ class RunPool:
                 created += 1
             else:
                 run = runs[idx]
-                if annotate:
-                    run.codes.append(code_vs(run.keys[-1], key))
                 run.keys.append(key)
                 if not keyless:
                     run.items.append(item)
@@ -366,8 +310,7 @@ class RunPool:
         return heads
 
     def drain(self):
-        """Remove and return all live runs as ``(keys, items)`` pairs
-        (``(keys, items, codes)`` triples when the pool is annotated)."""
+        """Remove and return all live runs as ``(keys, items)`` pairs."""
         heads = [run.live() for run in self.runs if run]
         self.runs = []
         self.tails = []
@@ -382,18 +325,10 @@ class RunPool:
         for run, tail in zip(self.runs, self.tails):
             assert run, "pool holds an empty run"
             assert run.tail_key == tail, "tails array out of sync"
-            live = run.live()
-            keys = live[0]
+            keys = run.live()[0]
             assert all(a <= b for a, b in zip(keys, keys[1:])), (
                 "run not ascending"
             )
-            if run.codes is not None:
-                assert len(run.codes) == len(run.keys), (
-                    "OVC codes out of sync with keys"
-                )
-                assert live[2] == ovc_annotate(keys), (
-                    "OVC annotation does not match recomputation"
-                )
         assert all(
             a > b for a, b in zip(self.tails, self.tails[1:])
         ), "tails not strictly descending"

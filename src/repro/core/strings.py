@@ -1,8 +1,8 @@
-"""String columns, dictionaries, and offset-value coded merging.
+"""String columns and order-preserving dictionaries.
 
 Log analytics sorts and groups by strings — service names, trace ids,
 log levels — yet the columnar fast path of this repo was numeric-only.
-This module supplies the three pieces that make string keys first-class
+This module supplies the two pieces that make string keys first-class
 without giving up the columnar memory model:
 
 * :class:`StringColumn` — a byte **arena** plus ``uint32`` offsets, the
@@ -17,62 +17,20 @@ without giving up the columnar memory model:
   comparing/sorting/grouping the strings.  Equality predicates lower to
   one code, prefix predicates to a code *range*, and every existing
   int64 engine (row, columnar, parallel, budgeted) runs unchanged.
-
-* **Offset-value coding** (OVC) — for high-cardinality keys that cannot
-  be dictionary-coded, multi-run merges compare one integer per element
-  instead of re-walking long shared prefixes.  Each element of a sorted
-  run is annotated with a code relative to its predecessor::
-
-      code = ((K - lcp) << 8) | key[lcp]        # K = OVC_K > any length
-      code = 0                                  # key equal to predecessor
-
-  where ``lcp`` is the longest-common-prefix length.  During a two-way
-  merge the loser's code is updated to be relative to the *winner*, so
-  the next comparison is again one integer compare; a byte walk happens
-  only on a genuine code tie, and it starts at the offset the tie
-  encodes rather than at byte 0.  Two properties make this fast in
-  CPython specifically:
-
-  - **transitivity streaks** — while the winning run's own next code
-    stays below the loser's head code, the winner keeps winning and the
-    loser's code stays valid, so whole stretches are emitted with one
-    C-speed ``list.extend`` and zero per-element work;
-  - **duplicate short-circuit** — two head codes of 0 mean both heads
-    equal the last winner, hence each other: emit without touching a
-    single key byte.  Duplicate-heavy log keys make this the common
-    case.
-
-References: "Robust and Efficient Sorting with Offset-Value Coding"
-and Bingmann's string-sorting survey (PAPERS.md).
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 __all__ = [
     "StringColumn",
     "StringDictionary",
-    "OvcCounters",
-    "OVC_K",
     "as_bytes",
-    "full_code",
-    "code_vs",
-    "ovc_annotate",
-    "ovc_annotate_indices",
-    "ovc_merge_runs",
-    "ovc_index_merge",
-    "naive_index_merge",
 ]
-
-#: Strictly exceeds any supported key length, so ``(K - lcp)`` orders
-#: codes by descending shared-prefix length first, tie-broken by the
-#: first differing byte.
-OVC_K = 1 << 20
 
 _EMPTY_OFFSETS = np.zeros(1, dtype=np.uint32)
 _ARENA_HEAD = struct.Struct("<Q")
@@ -238,14 +196,36 @@ class StringColumn:
 
         The arena is copied out of ``buffer`` (wire buffers are reused
         ring segments, so zero-copy would alias live transport memory).
+        Raises :class:`ValueError` on bytes :meth:`pack_into` cannot have
+        written: ``buffer`` must hold the header, the ``n + 1`` offsets
+        and the arena, and the offsets must start at 0, never decrease
+        and end at the arena length.
         """
+        start = offset + _ARENA_HEAD.size
+        stop = start + 4 * (n + 1)
+        if n < 0 or offset < 0 or stop > len(buffer):
+            raise ValueError(
+                f"string column of {n} rows overruns its "
+                f"{len(buffer) - offset}-byte buffer"
+            )
         (arena_len,) = _ARENA_HEAD.unpack_from(buffer, offset)
-        offset += _ARENA_HEAD.size
-        end = offset + 4 * (n + 1)
-        offsets = np.frombuffer(bytes(buffer[offset:end]), dtype=np.uint32)
-        offset = end
-        end = offset + arena_len
-        return cls(bytes(buffer[offset:end]), offsets), end
+        end = stop + arena_len
+        if end > len(buffer):
+            raise ValueError(
+                f"string column arena of {arena_len} bytes overruns its "
+                f"{len(buffer) - stop}-byte buffer"
+            )
+        offsets = np.frombuffer(bytes(buffer[start:stop]), dtype=np.uint32)
+        if (
+            offsets[0] != 0
+            or offsets[-1] != arena_len
+            or bool(np.any(offsets[1:] < offsets[:-1]))
+        ):
+            raise ValueError(
+                f"string column offsets must rise from 0 to the arena "
+                f"length {arena_len}"
+            )
+        return cls(bytes(buffer[stop:end]), offsets), end
 
     def __repr__(self):
         return f"StringColumn(n={len(self)}, arena={len(self.arena)}B)"
@@ -281,15 +261,15 @@ class StringDictionary:
     def encode(self, values):
         """Encode an iterable of values to an ``int64`` code array."""
         index = self._index
-        out = np.empty(len(values), dtype=np.int64)
-        for i, v in enumerate(values):
+        codes = []
+        for v in values:
             try:
-                out[i] = index[as_bytes(v)]
+                codes.append(index[as_bytes(v)])
             except KeyError:
                 raise KeyError(
                     f"value {v!r} not in dictionary ({len(index)} entries)"
                 ) from None
-        return out
+        return np.array(codes, dtype=np.int64)
 
     def decode(self, code: int) -> bytes:
         return self.values[code]
@@ -320,426 +300,3 @@ class StringDictionary:
 
     def __repr__(self):
         return f"StringDictionary(n={len(self.values)})"
-
-
-class OvcCounters:
-    """Instrumentation for OVC merges: how much byte work was avoided."""
-
-    __slots__ = ("ties", "tie_bytes", "dup_hits")
-
-    def __init__(self):
-        self.ties = 0        # code ties resolved by a byte walk
-        self.tie_bytes = 0   # bytes touched across all tie walks
-        self.dup_hits = 0    # code-0 ties resolved with zero byte work
-
-    def __repr__(self):
-        return (
-            f"OvcCounters(ties={self.ties}, tie_bytes={self.tie_bytes}, "
-            f"dup_hits={self.dup_hits})"
-        )
-
-
-def _check_length(k: bytes):
-    if len(k) >= OVC_K:
-        raise ValueError(
-            f"key of {len(k)} bytes exceeds the OVC length bound {OVC_K}"
-        )
-
-
-def full_code(key) -> int:
-    """OVC code of ``key`` relative to the virtual empty predecessor."""
-    k = as_bytes(key)
-    if not k:
-        return 0
-    _check_length(k)
-    return (OVC_K << 8) | k[0]
-
-
-def code_vs(prev, key) -> int:
-    """OVC code of ``key`` relative to ``prev``; requires ``prev <= key``.
-
-    This is the incremental form used by OVC-annotated run pools: run
-    generation already compares the new key against the run tail to
-    place it, so deriving the code here reuses that same prefix walk
-    (the LCP-aware multikey-run-generation idea from Bingmann's survey).
-    """
-    p = as_bytes(prev)
-    k = as_bytes(key)
-    if k == p:
-        return 0
-    _check_length(k)
-    m = min(len(p), len(k))
-    l = 0
-    while l < m and p[l] == k[l]:
-        l += 1
-    return ((OVC_K - l) << 8) | k[l]
-
-
-def ovc_annotate(keys) -> list:
-    """Annotate an ascending run of ``str``/``bytes`` keys with OVC codes.
-
-    ``codes[0]`` is relative to the virtual empty string; ``codes[i]``
-    to ``keys[i-1]``.  Equal adjacent keys get code 0.
-    """
-    codes = [0] * len(keys)
-    prev = b""
-    for t, key in enumerate(keys):
-        k = as_bytes(key)
-        if k == prev:
-            continue
-        _check_length(k)
-        m = min(len(prev), len(k))
-        l = 0
-        while l < m and prev[l] == k[l]:
-            l += 1
-        codes[t] = ((OVC_K - l) << 8) | k[l]
-        prev = k
-    return codes
-
-
-def ovc_annotate_indices(indices, column: StringColumn) -> list:
-    """OVC codes for a run of row *indices* into an arena column."""
-    arena = column.arena
-    offs = column.offsets.tolist()
-    codes = [0] * len(indices)
-    prev = b""
-    for t, idx in enumerate(indices):
-        k = arena[offs[idx]:offs[idx + 1]]
-        if k == prev:
-            continue
-        m = min(len(prev), len(k))
-        l = 0
-        while l < m and prev[l] == k[l]:
-            l += 1
-        codes[t] = ((OVC_K - l) << 8) | k[l]
-        prev = k
-    _check_length(prev)
-    return codes
-
-
-def _resolve_tie(ka: bytes, kb: bytes, code: int, counters):
-    """Byte-resolve a code tie; returns ``(winner, loser_code)``.
-
-    ``winner`` is 0 when the left key wins or the keys are equal (left
-    is emitted first — stability), 1 when the right key wins.  The walk
-    starts at the offset both codes encode: both keys share ``lcp``
-    bytes with the last winner *and* the same byte right after it, so
-    comparison resumes at ``lcp + 1``.
-    """
-    l = (OVC_K - (code >> 8)) + 1
-    m = min(len(ka), len(kb))
-    start = l
-    while l < m and ka[l] == kb[l]:
-        l += 1
-    if counters is not None:
-        counters.ties += 1
-        counters.tie_bytes += l - start + 1
-    la, lb = len(ka), len(kb)
-    if l >= la and l >= lb:                       # equal keys
-        return 0, 0
-    if l >= lb or (l < la and kb[l] < ka[l]):     # right smaller
-        return 1, ((OVC_K - l) << 8) | ka[l]
-    return 0, ((OVC_K - l) << 8) | kb[l]          # left smaller / prefix
-
-
-def _ovc_merge_two(left, right, stats=None, counters=None):
-    """Two-way OVC merge of annotated ``(keys, items, codes)`` runs.
-
-    Ties favor left (stable in run order).  The output run is itself
-    OVC-annotated, so Huffman towers of binary merges never re-derive
-    codes.  The streak loop is the CPython-honest core of the win: runs
-    of consecutive winners are located by an integer scan and moved with
-    ``list.extend`` — no per-element interpreter work, no key bytes.
-    """
-    ak, av, ac = left
-    bk, bv, bc = right
-    out_k = []
-    out_v = []
-    out_c = []
-    i = j = 0
-    na, nb = len(ak), len(bk)
-    ca, cb = ac[0], bc[0]
-    while True:
-        if ca < cb:
-            t = i + 1
-            while t < na and ac[t] < cb:
-                t += 1
-            out_k.extend(ak[i:t])
-            out_v.extend(av[i:t])
-            out_c.append(ca)
-            out_c.extend(ac[i + 1:t])
-            i = t
-            if i == na:
-                break
-            ca = ac[i]
-        elif cb < ca:
-            t = j + 1
-            while t < nb and bc[t] < ca:
-                t += 1
-            out_k.extend(bk[j:t])
-            out_v.extend(bv[j:t])
-            out_c.append(cb)
-            out_c.extend(bc[j + 1:t])
-            j = t
-            if j == nb:
-                break
-            cb = bc[j]
-        elif ca == 0:
-            # Both heads equal the last winner, hence each other: emit
-            # left without touching a single key byte.
-            if counters is not None:
-                counters.dup_hits += 1
-            out_k.append(ak[i])
-            out_v.append(av[i])
-            out_c.append(0)
-            i += 1
-            if i == na:
-                break
-            ca = ac[i]
-        else:
-            winner, loser_code = _resolve_tie(
-                as_bytes(ak[i]), as_bytes(bk[j]), ca, counters
-            )
-            if winner:
-                out_k.append(bk[j])
-                out_v.append(bv[j])
-                out_c.append(cb)
-                j += 1
-                ca = loser_code
-                if j == nb:
-                    break
-                cb = bc[j]
-            else:
-                out_k.append(ak[i])
-                out_v.append(av[i])
-                out_c.append(ca)
-                i += 1
-                cb = loser_code
-                if i == na:
-                    break
-                ca = ac[i]
-    if i < na:
-        boundary = len(out_c)
-        out_k.extend(ak[i:])
-        out_v.extend(av[i:])
-        out_c.extend(ac[i:])
-        out_c[boundary] = ca
-    else:
-        boundary = len(out_c)
-        out_k.extend(bk[j:])
-        out_v.extend(bv[j:])
-        out_c.extend(bc[j:])
-        out_c[boundary] = cb
-    if stats is not None:
-        stats.merges += 1
-        stats.merge_events += len(out_k)
-    return out_k, out_v, out_c
-
-
-def ovc_merge_runs(runs, stats=None, counters=None):
-    """Huffman-scheduled OVC merge of string-keyed runs.
-
-    ``runs`` are ``(keys, items)`` pairs or pre-annotated
-    ``(keys, items, codes)`` triples (as produced by an OVC-annotated
-    :class:`~repro.core.runs.RunPool`); un-annotated runs are coded on
-    entry.  Returns one merged ``(keys, items)`` pair; keyless runs
-    (``items is keys``) come back in the same shared form.
-    """
-    live = []
-    shared = True
-    for run in runs:
-        if len(run) == 3:
-            keys, items, codes = run
-        else:
-            keys, items = run
-            codes = ovc_annotate(keys)
-        if not keys:
-            continue
-        shared = shared and items is keys
-        live.append((keys, items, codes))
-    if not live:
-        empty = []
-        return empty, empty
-    if len(live) == 1:
-        keys, items, _ = live[0]
-        return (keys, keys) if shared else (keys, items)
-    heap = [(len(keys), seq, run) for seq, run in enumerate(live)]
-    heapify(heap)
-    seq = len(heap)
-    while len(heap) > 1:
-        _, _, a = heappop(heap)
-        _, _, b = heappop(heap)
-        merged = _ovc_merge_two(a, b, stats, counters)
-        heappush(heap, (len(merged[0]), seq, merged))
-        seq += 1
-    keys, items, _ = heap[0][2]
-    return (keys, keys) if shared else (keys, items)
-
-
-def _ovc_index_merge_two(left, right, arena, offs, stats=None, counters=None):
-    """Two-way OVC merge over row-index runs into a shared arena column."""
-    ai, ac = left
-    bi, bc = right
-    out_i = []
-    out_c = []
-    i = j = 0
-    na, nb = len(ai), len(bi)
-    ca, cb = ac[0], bc[0]
-    while True:
-        if ca < cb:
-            t = i + 1
-            while t < na and ac[t] < cb:
-                t += 1
-            out_i.extend(ai[i:t])
-            out_c.append(ca)
-            out_c.extend(ac[i + 1:t])
-            i = t
-            if i == na:
-                break
-            ca = ac[i]
-        elif cb < ca:
-            t = j + 1
-            while t < nb and bc[t] < ca:
-                t += 1
-            out_i.extend(bi[j:t])
-            out_c.append(cb)
-            out_c.extend(bc[j + 1:t])
-            j = t
-            if j == nb:
-                break
-            cb = bc[j]
-        elif ca == 0:
-            if counters is not None:
-                counters.dup_hits += 1
-            out_i.append(ai[i])
-            out_c.append(0)
-            i += 1
-            if i == na:
-                break
-            ca = ac[i]
-        else:
-            ia, ib = ai[i], bi[j]
-            ka = arena[offs[ia]:offs[ia + 1]]
-            kb = arena[offs[ib]:offs[ib + 1]]
-            winner, loser_code = _resolve_tie(ka, kb, ca, counters)
-            if winner:
-                out_i.append(ib)
-                out_c.append(cb)
-                j += 1
-                ca = loser_code
-                if j == nb:
-                    break
-                cb = bc[j]
-            else:
-                out_i.append(ia)
-                out_c.append(ca)
-                i += 1
-                cb = loser_code
-                if i == na:
-                    break
-                ca = ac[i]
-    if i < na:
-        boundary = len(out_c)
-        out_i.extend(ai[i:])
-        out_c.extend(ac[i:])
-        out_c[boundary] = ca
-    else:
-        boundary = len(out_c)
-        out_i.extend(bi[j:])
-        out_c.extend(bc[j:])
-        out_c[boundary] = cb
-    if stats is not None:
-        stats.merges += 1
-        stats.merge_events += len(out_i)
-    return out_i, out_c
-
-
-def ovc_index_merge(runs, column: StringColumn, stats=None, counters=None):
-    """Huffman-scheduled OVC merge of row-index runs over ``column``.
-
-    ``runs`` are index lists (annotated on entry) or ``(indices, codes)``
-    pairs.  Returns the merged index list.  This is the representation
-    the columnar sorter and the string-sort benchmark use: keys stay in
-    the arena; the merge moves only integers.
-    """
-    arena = column.arena
-    offs = column.offsets.tolist()
-    live = []
-    for run in runs:
-        if isinstance(run, tuple):
-            indices, codes = run
-        else:
-            indices = run
-            codes = ovc_annotate_indices(run, column)
-        if indices:
-            live.append((indices, codes))
-    if not live:
-        return []
-    if len(live) == 1:
-        return live[0][0]
-    heap = [(len(indices), seq, run) for seq, run in enumerate(live)]
-    heapify(heap)
-    seq = len(heap)
-    while len(heap) > 1:
-        _, _, a = heappop(heap)
-        _, _, b = heappop(heap)
-        merged = _ovc_index_merge_two(a, b, arena, offs, stats, counters)
-        heappush(heap, (len(merged[0]), seq, merged))
-        seq += 1
-    return heap[0][2][0]
-
-
-def _naive_index_merge_two(a, b, arena, offs):
-    """Reference two-way merge: per-element arena slice + bytes compare.
-
-    This is what a generic comparator merge costs in the columnar
-    memory model — every element the cursor advances past must be
-    sliced out of the arena and compared bytewise from byte 0.  Kept as
-    the benchmark baseline and the differential-test oracle.
-    """
-    out = []
-    append = out.append
-    i = j = 0
-    na, nb = len(a), len(b)
-    ia = a[0]
-    ib = b[0]
-    ka = arena[offs[ia]:offs[ia + 1]]
-    kb = arena[offs[ib]:offs[ib + 1]]
-    while True:
-        if kb < ka:
-            append(ib)
-            j += 1
-            if j == nb:
-                break
-            ib = b[j]
-            kb = arena[offs[ib]:offs[ib + 1]]
-        else:
-            append(ia)
-            i += 1
-            if i == na:
-                break
-            ia = a[i]
-            ka = arena[offs[ia]:offs[ia + 1]]
-    out.extend(a[i:] if i < na else b[j:])
-    return out
-
-
-def naive_index_merge(runs, column: StringColumn):
-    """Huffman-scheduled naive merge of row-index runs over ``column``."""
-    arena = column.arena
-    offs = column.offsets.tolist()
-    live = [run for run in runs if run]
-    if not live:
-        return []
-    if len(live) == 1:
-        return live[0]
-    heap = [(len(run), seq, run) for seq, run in enumerate(live)]
-    heapify(heap)
-    seq = len(heap)
-    while len(heap) > 1:
-        _, _, a = heappop(heap)
-        _, _, b = heappop(heap)
-        merged = _naive_index_merge_two(a, b, arena, offs)
-        heappush(heap, (len(merged), seq, merged))
-        seq += 1
-    return heap[0][2]

@@ -53,6 +53,7 @@ import shutil
 from repro.core.errors import CheckpointError
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
+from repro.core.merge import MERGE_STRATEGIES
 from repro.core.runs import SortedRun
 
 __all__ = ["checkpoint_sorter", "release_checkpoint", "restore_sorter"]
@@ -70,6 +71,26 @@ _KEYED_MESSAGE = (
     "only keyless sorters are checkpointable; checkpoint raw "
     "events at ingress for keyed sorters"
 )
+
+
+def _field(state, name):
+    """``state[name]``, or :class:`CheckpointError` naming the field."""
+    try:
+        return state[name]
+    except KeyError:
+        raise CheckpointError(
+            f"checkpoint lacks the {name!r} field"
+        ) from None
+
+
+def _late_policy(state):
+    value = _field(state, "late_policy")
+    try:
+        return LatePolicy(value)
+    except ValueError:
+        raise CheckpointError(
+            f"checkpoint field 'late_policy' is no late policy: {value!r}"
+        ) from None
 
 
 def checkpoint_sorter(sorter) -> dict:
@@ -129,28 +150,42 @@ def restore_sorter(state: dict, memory_budget=None):
         return _restore_columnar(state, memory_budget)
     if state["format"] == _FORMAT_EXTERNAL:
         return _restore_external(state)
+    # Pre-"merge" checkpoints only knew huffman/pairwise.
+    merge = state.get("merge")
+    if merge is not None and merge not in MERGE_STRATEGIES:
+        raise CheckpointError(
+            f"checkpoint field 'merge' names no merge strategy: {merge!r}; "
+            f"expected one of {sorted(MERGE_STRATEGIES)}"
+        )
     sorter = ImpatienceSorter(
-        huffman_merge=state["huffman_merge"],
-        # Pre-"merge" checkpoints only knew huffman/pairwise.
-        merge=state.get("merge"),
-        speculative=state["speculative"],
-        late_policy=LatePolicy(state["late_policy"]),
+        huffman_merge=_field(state, "huffman_merge"),
+        merge=merge,
+        speculative=_field(state, "speculative"),
+        late_policy=_late_policy(state),
     )
     pool = sorter._pool
-    for keys in state["runs"]:
-        if not keys:
-            raise CheckpointError("checkpoint contains an empty run")
-        if any(b < a for a, b in zip(keys, keys[1:])):
-            raise CheckpointError("checkpoint run is not ascending")
-        run = SortedRun(keyless=True)
-        run.keys.extend(keys)
-        pool.runs.append(run)
-        pool.tails.append(keys[-1])
-        sorter.stats.inserted += len(keys)
-    if any(
-        a <= b for a, b in zip(pool.tails, pool.tails[1:])
-    ):
-        raise CheckpointError("checkpoint runs violate the tails invariant")
+    try:
+        for keys in _field(state, "runs"):
+            if not keys:
+                raise CheckpointError("checkpoint contains an empty run")
+            if any(b < a for a, b in zip(keys, keys[1:])):
+                raise CheckpointError("checkpoint run is not ascending")
+            run = SortedRun(keyless=True)
+            run.keys.extend(keys)
+            pool.runs.append(run)
+            pool.tails.append(keys[-1])
+            sorter.stats.inserted += len(keys)
+        if any(
+            a <= b for a, b in zip(pool.tails, pool.tails[1:])
+        ):
+            raise CheckpointError(
+                "checkpoint runs violate the tails invariant"
+            )
+    except TypeError as exc:
+        raise CheckpointError(
+            f"checkpoint field 'runs' is not lists of comparable keys: "
+            f"{exc}"
+        ) from None
     if pool.neg_tails is not None:
         # The rebuilt tails bypassed insert(); re-derive the negated
         # mirror (non-negatable keys demote the pool to binary search).
@@ -158,8 +193,9 @@ def restore_sorter(state: dict, memory_budget=None):
             pool.neg_tails = [-tail for tail in pool.tails]
         except TypeError:
             pool.neg_tails = None
-    if state["watermark"] is not None:
-        sorter._watermark = state["watermark"]
+    watermark = _field(state, "watermark")
+    if watermark is not None:
+        sorter._watermark = watermark
         sorter._has_watermark = True
     # The staged ingress batch re-enters as a staged batch, preserving
     # the original's partition timing (format 1 checkpoints have none).
@@ -242,28 +278,30 @@ def _restore_columnar(state, memory_budget=None):
     from repro.core.columnar import ColumnarImpatienceSorter
     from repro.sorting.external import ExternalColumnarSorter
 
-    policy = LatePolicy(state["late_policy"])
+    policy = _late_policy(state)
+    columns = _field(state, "columns")
+    string_columns = _field(state, "string_columns")
     if memory_budget is not None:
         sorter = ExternalColumnarSorter(
             memory_budget, late_policy=policy,
-            columns=state["columns"],
-            string_columns=state["string_columns"],
+            columns=columns, string_columns=string_columns,
         )
     else:
         sorter = ColumnarImpatienceSorter(
-            late_policy=policy, columns=state["columns"],
-            string_columns=state["string_columns"],
+            late_policy=policy, columns=columns,
+            string_columns=string_columns,
         )
     import numpy as np
 
-    ts = np.asarray(state["ts"], dtype=np.int64)
+    ts = np.asarray(_field(state, "ts"), dtype=np.int64)
     if ts.size:
         if np.any(ts[1:] < ts[:-1]):
             raise CheckpointError("checkpoint batch is not ascending")
-        sorter.insert_batch(ts, tuple(state["cols"]),
-                            tuple(state["scols"]))
-    if state["watermark"] is not None:
-        sorter._watermark = state["watermark"]
+        sorter.insert_batch(ts, tuple(_field(state, "cols")),
+                            tuple(_field(state, "scols")))
+    watermark = _field(state, "watermark")
+    if watermark is not None:
+        sorter._watermark = watermark
         sorter._has_watermark = True
     return sorter
 
@@ -334,7 +372,7 @@ def _restore_external(state):
             "checkpoint spill directory was already released"
         )
     sorter = ExternalImpatienceSorter(
-        ext["budget"], late_policy=LatePolicy(state["late_policy"]),
+        ext["budget"], late_policy=_late_policy(state),
     )
     try:
         pool = sorter.pool

@@ -430,14 +430,10 @@ class _RunFile:
                 col, cursor = StringColumn.unpack_from(
                     payload, nrows, cursor
                 )
-            except (struct.error, ValueError) as exc:
+            except ValueError as exc:
                 raise SpillCorruptionError(
                     self.path, offset, f"bad string column: {exc}"
                 ) from exc
-            if len(col.arena) != int(col.offsets[-1]):
-                raise SpillCorruptionError(
-                    self.path, offset, "string column arena truncated"
-                )
             scols.append(col)
         if self.nscols and not self.objects and cursor != len(payload):
             raise SpillCorruptionError(

@@ -21,8 +21,9 @@ string stack expects:
 
 The service-name shape is deliberately prefix-heavy: a handful of
 cluster/zone prefixes fan out into hundreds of hosts, so byte-wise key
-comparisons share long prefixes — the regime where offset-value-coded
-merges (:mod:`repro.core.strings`) beat naive comparisons.
+comparisons share long prefixes — the regime where sorting by
+order-preserving dictionary codes (:mod:`repro.core.strings`) beats
+walking the bytes.
 """
 
 from __future__ import annotations

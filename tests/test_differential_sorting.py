@@ -338,13 +338,14 @@ class TestStringKeyDifferential:
     streams are mapped through an order-preserving ``int -> bytes``
     rendering (fixed-width service names), so the reference model's
     arithmetic-free clauses — buffering, late policies, ``sorted()`` —
-    apply verbatim to bytes and every merge strategy (including the
-    OVC-annotated ``"ovc"`` pool) must match it batch by batch."""
+    apply verbatim to bytes and every merge strategy in
+    ``MERGE_STRATEGIES`` must match it batch by batch, late path
+    included."""
 
     @staticmethod
     def _render(value):
         # Fixed-width digits keep bytes order == int order, and the
-        # long shared prefix is the regime OVC codes exist for.
+        # long shared prefix makes every comparison walk ~20 bytes.
         return b"prod.svc.zone-0.host-%06d" % value
 
     def _string_elements(self, elements):

@@ -145,6 +145,28 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="format"):
             restore_sorter({"format": 99})
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"format": 2}, "huffman_merge"),
+        ({"format": 4}, "late_policy"),
+    ])
+    def test_missing_field_rejected(self, doc, field):
+        with pytest.raises(CheckpointError, match=field):
+            restore_sorter(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("merge", "nope"),
+        # Strategies that no longer exist fail the same way.
+        ("merge", "ovc"),
+        ("late_policy", "x"),
+        ("runs", [[3, "a"]]),
+        ("runs", [[3], ["a"]]),
+    ])
+    def test_malformed_field_rejected(self, field, value):
+        state = checkpoint_sorter(self._loaded([1, 2], punct=0))
+        state[field] = value
+        with pytest.raises(CheckpointError, match=field):
+            restore_sorter(state)
+
     def test_corrupt_run_rejected(self):
         # punct=0 partitions the staged batch into a run without
         # emitting anything, so the checkpoint carries a real run.

@@ -1,17 +1,19 @@
-"""String keys end-to-end: arena columns, dictionary codes, OVC merges.
+"""String keys end-to-end: arena columns and dictionary codes.
 
 Covers the string stack layer by layer — :class:`StringColumn` /
-:class:`StringDictionary` foundations, offset-value-coded merge
-correctness against ``sorted()``, the ``"ovc"`` merge strategy inside
-the row sorter, the SDATA wire frame and the multi-worker parallel
-round-trip, budgeted spilling with byte-identity and corruption
-detection, the string-keyed workload generators, and the dictionary-
-coded string predicates on both the row and compiled engines.
+:class:`StringDictionary` foundations, the column decoder on damaged
+bytes (directly and through both of its callers), the SDATA wire frame
+and the multi-worker parallel round-trip, budgeted spilling with
+byte-identity and corruption detection, the string-keyed workload
+generators, and the dictionary-coded string predicates on both the row
+and compiled engines.
 """
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -21,19 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.columnar import ColumnarImpatienceSorter
 from repro.core.errors import SpillCorruptionError
-from repro.core.impatience import ImpatienceSorter
-from repro.core.strings import (
-    OVC_K,
-    OvcCounters,
-    StringColumn,
-    StringDictionary,
-    full_code,
-    naive_index_merge,
-    ovc_annotate,
-    ovc_annotate_indices,
-    ovc_index_merge,
-    ovc_merge_runs,
-)
+from repro.core.strings import StringColumn, StringDictionary
 from repro.engine.batch import EventBatch
 from repro.engine.event import Event
 from repro.sorting.external import ExternalColumnarSorter
@@ -92,6 +82,146 @@ class TestStringColumn:
         assert StringColumn.concat([]).tolist() == []
 
 
+# -- the column decoder on damaged bytes ------------------------------------
+
+
+def _packed(values):
+    col = StringColumn.from_values(values)
+    buf = bytearray(col.packed_size())
+    col.pack_into(buf)
+    return col, buf
+
+
+def _damage(buf, base, n, kind):
+    """``buf`` with the packed ``n``-row column at ``base`` damaged the
+    way ``kind`` names; each yields bytes no writer produces."""
+    buf = bytearray(buf)
+    if kind == "truncate":          # the column must end the buffer
+        del buf[-2:]
+    elif kind == "length-lie":
+        struct.pack_into("<Q", buf, base, 99)
+    elif kind == "first-offset":
+        struct.pack_into("<I", buf, base + 8, 4)
+    elif kind == "bit-flip":        # top bit of the last offset
+        buf[base + 8 + 4 * n + 3] ^= 0x80
+    else:
+        raise AssertionError(kind)
+    return bytes(buf)
+
+
+DAMAGE = ["truncate", "length-lie", "first-offset", "bit-flip"]
+
+# A cut, a flipped bit, a lying arena length or a lying row count.
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(1, 200)),
+    st.tuples(st.just("bit-flip"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("length-lie"), st.integers(0, (1 << 64) - 1)),
+    st.tuples(st.just("row-lie"), st.integers(-2, 3)),
+)
+
+
+class TestStringColumnDecoder:
+    VALUES = [b"ab", b"", b"cde"]    # packs to 29 bytes
+
+    def test_truncated_buffer_is_refused(self):
+        _, buf = _packed(self.VALUES)
+        assert len(buf) == 29
+        with pytest.raises(ValueError, match="overruns"):
+            StringColumn.unpack_from(bytes(buf[:-2]), 3)
+
+    def test_arena_length_past_the_buffer_is_refused(self):
+        _, buf = _packed(self.VALUES)
+        struct.pack_into("<Q", buf, 0, 99)
+        with pytest.raises(ValueError, match="overruns"):
+            StringColumn.unpack_from(bytes(buf), 3)
+
+    def test_offsets_that_do_not_start_at_zero_are_refused(self):
+        _, buf = _packed(self.VALUES)
+        struct.pack_into("<I", buf, 8, 4)
+        with pytest.raises(ValueError, match="offsets"):
+            StringColumn.unpack_from(bytes(buf), 3)
+
+    @given(KEYS, CORRUPTIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_damage_fails_typed_or_decodes_a_consistent_column(
+        self, values, corruption
+    ):
+        col, buf = _packed(values)
+        n = len(col)
+        kind, arg = corruption
+        if kind == "truncate":
+            del buf[max(len(buf) - arg, 0):]
+        elif kind == "bit-flip":
+            bit = arg % (8 * len(buf))
+            buf[bit // 8] ^= 1 << (bit % 8)
+        elif kind == "length-lie":
+            struct.pack_into("<Q", buf, 0, arg)
+        else:
+            n += arg
+        try:
+            got, end = StringColumn.unpack_from(bytes(buf), n)
+        except ValueError:
+            return
+        offsets = got.offsets.astype(np.int64)
+        assert offsets[0] == 0
+        assert bool(np.all(offsets[1:] >= offsets[:-1]))
+        assert offsets[-1] == len(got.arena)
+        assert end <= len(buf)
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_damaged_sdata_payload_fails_typed(self, kind):
+        from repro.parallel import exchange
+
+        batch = _string_batch(40, seed=3)
+        ring = _FakeRing()
+        exchange.write_string_batch(ring, batch)
+        n, n_cols, _ = exchange._SBATCH_HEAD.unpack_from(ring.payload, 0)
+        base = exchange._SBATCH_HEAD.size + EventBatch.packed_size(
+            n, n_cols
+        )
+        damaged = _damage(ring.payload, base, n, kind)
+        with pytest.raises(ValueError):
+            exchange.read_string_batch(damaged, copy=True)
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_damaged_spill_block_fails_typed(self, kind):
+        from repro.sorting import external as ext
+
+        ts, column = _disordered_strings(3000, seed=5)
+        sorter = ExternalColumnarSorter(2048, string_columns=1)
+        try:
+            for start in range(0, len(ts), 512):
+                stop = min(start + 512, len(ts))
+                sorter.insert_batch(
+                    ts[start:stop],
+                    string_columns=(column.slice(start, stop),),
+                )
+            run = sorter.pool.runs[0]
+            # Re-frame the run's first block around the damaged payload
+            # with a matching CRC, so only the column decoder can object.
+            with open(run.path, "r+b") as fh:
+                fh.seek(ext._FILE_HEADER.size)
+                magic, nrows, first, last, size, _ = \
+                    ext._BLOCK_HEADER.unpack(
+                        fh.read(ext._BLOCK_HEADER.size)
+                    )
+                payload = _damage(
+                    fh.read(size), 8 * nrows * (1 + run.ncols), nrows, kind
+                )
+                fh.seek(ext._FILE_HEADER.size)
+                fh.write(ext._BLOCK_HEADER.pack(
+                    magic, nrows, first, last, len(payload),
+                    zlib.crc32(payload),
+                ))
+                fh.write(payload)
+                fh.truncate()
+                run.length = fh.tell()
+            with pytest.raises(SpillCorruptionError, match="string column"):
+                sorter.flush()
+        finally:
+            sorter.close()
+
+
 # -- StringDictionary -------------------------------------------------------
 
 
@@ -117,6 +247,15 @@ class TestStringDictionary:
         d = StringDictionary([b"a", b"b"])
         assert d.code(b"zz") == -1
 
+    def test_encode_takes_any_iterable(self):
+        d = StringDictionary([b"a", b"b"])
+        codes = d.encode(v for v in [b"b", "a", b"b"])
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [1, 0, 1]
+        assert d.encode(iter([])).tolist() == []
+        with pytest.raises(KeyError, match="not in dictionary"):
+            d.encode(iter([b"a", b"zz"]))
+
     @given(st.lists(st.binary(max_size=6), min_size=1, max_size=40),
            st.binary(max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -126,123 +265,6 @@ class TestStringDictionary:
         expected = {v for v in values if v.startswith(prefix)}
         got = {d.decode(c) for c in range(lo, hi)}
         assert got == expected
-
-
-# -- OVC codes and merges ---------------------------------------------------
-
-
-class TestOvcMerge:
-    def test_annotate_invariants(self):
-        keys = [b"aa", b"aa", b"ab", b"b"]
-        codes = ovc_annotate(keys)
-        assert codes[0] == full_code(b"aa") == ((OVC_K - 0) << 8) | ord("a")
-        assert codes[1] == 0                      # duplicate
-        assert codes[2] == ((OVC_K - 1) << 8) | ord("b")
-        assert codes[3] == ((OVC_K - 0) << 8) | ord("b")
-
-    @given(KEYS, st.integers(1, 6))
-    @settings(max_examples=120, deadline=None)
-    def test_merge_runs_matches_sorted(self, values, n_runs):
-        runs = []
-        for r in range(n_runs):
-            chunk = sorted(values[r::n_runs])
-            runs.append((chunk, chunk))
-        merged, items = ovc_merge_runs(runs)
-        assert merged == sorted(values)
-        assert items == merged
-
-    @given(KEYS, st.integers(1, 5))
-    @settings(max_examples=120, deadline=None)
-    def test_index_merge_matches_naive_and_sorted(self, values, n_runs):
-        column = StringColumn.from_values(values)
-        runs = []
-        for r in range(n_runs):
-            idx = sorted(range(r, len(values), n_runs),
-                         key=values.__getitem__)
-            runs.append(idx)
-        counters = OvcCounters()
-        ovc = ovc_index_merge(
-            [(run, ovc_annotate_indices(run, column)) for run in runs],
-            column, counters=counters,
-        )
-        naive = naive_index_merge([list(r) for r in runs], column)
-        assert [values[i] for i in ovc] == sorted(values)
-        assert [values[i] for i in naive] == sorted(values)
-
-    def test_duplicate_streaks_bulk_copy_without_ties(self):
-        """Low-cardinality runs (the cloudlog service-key regime) merge
-        with almost no byte-walk ties: duplicates carry code 0."""
-        names = [b"svc.alpha", b"svc.beta", b"svc.gamma"]
-        values = [names[i % 3] for i in range(600)]
-        column = StringColumn.from_values(values)
-        runs = [
-            sorted(range(r, 600, 4), key=values.__getitem__)
-            for r in range(4)
-        ]
-        counters = OvcCounters()
-        merged = ovc_index_merge(
-            [(run, ovc_annotate_indices(run, column)) for run in runs],
-            column, counters=counters,
-        )
-        assert [values[i] for i in merged] == sorted(values)
-        # 3 distinct keys x 3 two-way merges: ties are O(distinct), not
-        # O(n).
-        assert counters.ties < 60
-
-
-class TestOvcSorterStrategy:
-    """The ``"ovc"`` merge strategy inside the row ImpatienceSorter."""
-
-    def _stream(self, seed, n=500):
-        rng = random.Random(seed)
-        names = [
-            f"svc.zone-{i % 5}.host-{i:04d}".encode() for i in range(40)
-        ]
-        return [names[rng.randrange(len(names))] for _ in range(n)]
-
-    def test_string_keys_match_sorted_per_punctuation(self):
-        """Reference model (buffer + ``sorted()`` + DROP-late) on bytes
-        keys, punctuating at a trailing quantile so both emission and
-        the late path are exercised."""
-        values = self._stream(3)
-        sorter = ImpatienceSorter(merge="ovc")
-        pending = []
-        watermark = None
-        dropped = 0
-        for i, value in enumerate(values):
-            if watermark is not None and value <= watermark:
-                dropped += 1
-                sorter.insert(value)
-                continue
-            sorter.insert(value)
-            pending.append(value)
-            if i % 97 == 96:
-                mark = sorted(pending)[len(pending) // 2]
-                if watermark is not None and mark <= watermark:
-                    continue
-                watermark = mark
-                got = sorter.on_punctuation(mark)
-                want = sorted(v for v in pending if v <= mark)
-                assert got == want, f"divergence at punctuation {mark!r}"
-                pending = [v for v in pending if v > mark]
-        assert sorter.flush() == sorted(pending)
-        assert dropped > 0, "stream must exercise the late path"
-        assert sorter.late.dropped == dropped
-
-    def test_matches_huffman_strategy(self):
-        values = self._stream(11)
-        ovc = ImpatienceSorter(merge="ovc")
-        huffman = ImpatienceSorter(merge="huffman")
-        for value in values:
-            ovc.insert(value)
-            huffman.insert(value)
-        assert ovc.flush() == huffman.flush()
-
-    def test_int_keys_still_work(self):
-        sorter = ImpatienceSorter(merge="ovc")
-        for v in [5, 3, 9, 1, 3]:
-            sorter.insert(v)
-        assert sorter.flush() == [1, 3, 3, 5, 9]
 
 
 # -- SDATA wire frames and the parallel runtime -----------------------------
