@@ -12,10 +12,11 @@ timestamp sequences.
 
 A second sweep compares the vectorized
 :class:`~repro.core.columnar.ColumnarImpatienceSorter` (one stable sort
-per numpy batch, then run-*segment* dealing) against the scalar sorter
-across disorder levels.  Expected: the columnar sorter wins at every
-level — its Python-level work is per batch, not per descent — with the
-margin narrowing as the per-batch sort has more disorder to undo.
+per numpy batch, kept as one sorted chunk; one stable merge per cut)
+against the scalar sorter across disorder levels.  Expected: the
+columnar sorter wins at every level — its Python-level work is per
+batch, not per descent — with the margin narrowing as the per-batch
+sort has more disorder to undo.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def report(n=None):
         ["% disorder", "columnar sorter M/s", "scalar sorter M/s",
          "speedup"],
         rows,
-        title="Ablation: ColumnarImpatienceSorter (per-batch sort + dealing)",
+        title="Ablation: ColumnarImpatienceSorter (per-batch sort + merge)",
     ))
 
 

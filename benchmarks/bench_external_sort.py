@@ -4,9 +4,9 @@ a hard budget.
 The headline measurement behind the out-of-core run pool (see
 ``docs/external_sort.md``): the 10M-event cloudlog stream — ~240 MB of
 columnar state at 24 B/event — sorted to completion under a **64 MB**
-memory budget by :class:`repro.sorting.external.ExternalColumnarSorter`,
-against the unbudgeted in-memory :class:`ColumnarImpatienceSorter` it
-must match byte-for-byte.  Every timed budgeted run is equivalence-
+memory budget by :class:`~repro.core.columnar.ColumnarImpatienceSorter`
+with ``memory_budget`` set, against the same sorter unbudgeted, whose
+output it must match byte-for-byte.  Every timed budgeted run is equivalence-
 checked against the in-memory output, so a speedup (or a survived
 budget) obtained by dropping or reordering events can never be recorded.
 
@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.bench.reporting import format_table
 from repro.core.columnar import ColumnarImpatienceSorter
-from repro.sorting.external import ExternalColumnarSorter
 from repro.workloads.cloudlog import cloudlog_arrays
 
 DEFAULT_N = 10_000_000
@@ -109,7 +108,9 @@ def run_bench(n=DEFAULT_N, budget=DEFAULT_BUDGET):
     )
     memory_eps = n / (time.perf_counter() - start)
 
-    external = ExternalColumnarSorter(budget, columns=COLUMNS)
+    external = ColumnarImpatienceSorter(
+        memory_budget=budget, columns=COLUMNS
+    )
     try:
         start = time.perf_counter()
         got = _drive(external, ts, cols, lag)

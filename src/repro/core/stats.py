@@ -22,14 +22,17 @@ class SorterStats:
     emitted:
         Total events emitted (via punctuations or a final flush).
     runs_created:
-        Number of sorted runs created during the partition phase.
+        Number of sorted runs created during the partition phase (the
+        columnar sorter: admitted batches, each kept as one sorted run).
     runs_removed:
         Runs that became empty after a head cut and were discarded
-        (Impatience sort only; always 0 for offline Patience sort).
+        (scalar Impatience sort only; always 0 for offline Patience sort
+        and the columnar sorter).
     srs_hits:
         Inserts placed by speculative run selection without a binary search.
     binary_searches:
-        Inserts that required a binary search over the tails array.
+        Inserts that required a binary search over the tails array (the
+        columnar sorter: buffered chunks a cut split by binary search).
     merge_events:
         Events read during merge phases.  With an optimal (Huffman) merge
         schedule this is the weighted external path length of the merge tree.

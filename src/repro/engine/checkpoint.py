@@ -18,18 +18,15 @@ as-is (format 2's ``pending`` field) rather than being force-partitioned
 into the run pool, so taking a checkpoint never changes the live
 sorter's subsequent behaviour or its run statistics.
 
-Columnar sorters (:class:`~repro.core.columnar.ColumnarImpatienceSorter`
-and its bounded-memory twin
-:class:`~repro.sorting.external.ExternalColumnarSorter`) checkpoint as
-**format 4**: the buffered rows are captured as one sorted columnar
-batch (timestamps + payload columns + string columns) plus the
-watermark.  Capturing the in-memory sorter is non-destructive (a
-concatenate + stable argsort over chunk views); capturing the external
-sorter drains it via ``flush()``, so that sorter must not be fed after
-its checkpoint.  Restore inserts the batch *before* re-arming the
-watermark, so rows ADJUSTed onto the watermark itself survive the round
-trip.  Older format-4 docs also carry a ``shard`` field; restore ignores
-it.
+The columnar sorter (:class:`~repro.core.columnar.ColumnarImpatienceSorter`,
+at any memory budget) checkpoints as **format 4**: the buffered rows
+are captured as one sorted columnar batch (timestamps + payload columns
++ string columns) plus the watermark.  Capture reads every buffered
+row, spilled ones included, without consuming it, so the live sorter's
+later cuts and spill metrics are unchanged.  Restore inserts the batch
+*before* re-arming the watermark, so rows ADJUSTed onto the watermark
+itself survive the round trip.  Older format-4 docs also carry a ``shard``
+field; restore ignores it.
 
 Bounded-memory sorters
 (:class:`~repro.sorting.external.ExternalImpatienceSorter`, keyless)
@@ -99,20 +96,15 @@ def checkpoint_sorter(sorter) -> dict:
     Captures the live runs (head-compacted), the pending ingress batch,
     the watermark, and the late-policy configuration.  Statistics are
     intentionally excluded — they are observability, not state.  The
-    live sorter is not mutated (except the external *columnar* sorter,
-    which drains — see the module docstring).  An
+    live sorter's later output is unchanged.  An
     :class:`~repro.sorting.external.ExternalImpatienceSorter` produces
     a format-3 checkpoint referencing its spilled run files; columnar
     sorters produce format 4.
     """
     from repro.core.columnar import ColumnarImpatienceSorter
-    from repro.sorting.external import (
-        ExternalColumnarSorter,
-        ExternalImpatienceSorter,
-    )
+    from repro.sorting.external import ExternalImpatienceSorter
 
-    if isinstance(sorter, (ColumnarImpatienceSorter,
-                           ExternalColumnarSorter)):
+    if isinstance(sorter, ColumnarImpatienceSorter):
         return _checkpoint_columnar(sorter)
     if isinstance(sorter, ExternalImpatienceSorter):
         return _checkpoint_external(sorter)
@@ -137,10 +129,8 @@ def restore_sorter(state: dict, memory_budget=None):
 
     The restored sorter emits exactly what the original would have for
     any subsequent input (behavioural equivalence is property-tested).
-    ``memory_budget`` applies to format-4 checkpoints only: restore
-    into a bounded-memory
-    :class:`~repro.sorting.external.ExternalColumnarSorter` instead of
-    the in-memory columnar sorter.
+    ``memory_budget`` applies to format-4 checkpoints only: the
+    restored columnar sorter's resident-buffer budget.
     """
     if state.get("format") not in _ACCEPTED_FORMATS:
         raise CheckpointError(
@@ -212,57 +202,18 @@ def restore_sorter(state: dict, memory_budget=None):
 def _checkpoint_columnar(sorter) -> dict:
     """Format-4 checkpoint: buffered rows as one sorted columnar batch.
 
-    The in-memory sorter is captured non-destructively by concatenating
-    its chunk views and applying one stable argsort; the external
-    sorter's buffered/spilled rows are drained via ``flush()``.  The
-    batch is always stored fully sorted, so restore re-seeds the run
-    pool with a single run.
+    The pool is read whole (spilled runs included) without consuming
+    it, so the live sorter and its spill files and metrics are untouched.
     """
-    import numpy as np
-
-    from repro.core.columnar import ColumnarImpatienceSorter
-    from repro.core.strings import StringColumn
-
-    if isinstance(sorter, ColumnarImpatienceSorter):
-        heads = [chunk for run in sorter._chunks for chunk in run]
-        if heads:
-            ts = np.concatenate([t for t, _, _ in heads])
-            order = np.argsort(ts, kind="stable")
-            ts = ts[order]
-            cols = [
-                np.concatenate([chunk[c] for _, chunk, _ in heads])[order]
-                for c in range(sorter.columns)
-            ]
-            scols = [
-                StringColumn.concat(
-                    [chunk[c] for _, _, chunk in heads]
-                ).take(order)
-                for c in range(sorter.string_columns)
-            ]
-        else:
-            ts = np.empty(0, dtype=np.int64)
-            cols = [np.empty(0, dtype=np.int64)
-                    for _ in range(sorter.columns)]
-            scols = [StringColumn.empty()
-                     for _ in range(sorter.string_columns)]
-    else:  # ExternalColumnarSorter — drains
-        drained = sorter.flush()
-        if sorter.string_columns:
-            ts, cols, scols = drained
-        elif sorter.columns:
-            ts, cols = drained
-            scols = ()
-        else:
-            ts, cols, scols = drained, (), ()
-        cols, scols = list(cols), list(scols)
+    ts, cols, _, scols = sorter.pool.peek()
     watermark = sorter.watermark
     return {
         "format": _FORMAT_COLUMNAR,
         "columns": sorter.columns,
         "string_columns": sorter.string_columns,
         "ts": ts,
-        "cols": cols,
-        "scols": scols,
+        "cols": list(cols),
+        "scols": list(scols),
         "watermark": None if watermark == float("-inf") else watermark,
         "late_policy": sorter.late.policy.value,
     }
@@ -275,24 +226,15 @@ def _restore_columnar(state, memory_budget=None):
     row ADJUSTed onto the watermark itself (``ts == watermark``) must
     not be re-classified as late on restore.
     """
-    from repro.core.columnar import ColumnarImpatienceSorter
-    from repro.sorting.external import ExternalColumnarSorter
-
-    policy = _late_policy(state)
-    columns = _field(state, "columns")
-    string_columns = _field(state, "string_columns")
-    if memory_budget is not None:
-        sorter = ExternalColumnarSorter(
-            memory_budget, late_policy=policy,
-            columns=columns, string_columns=string_columns,
-        )
-    else:
-        sorter = ColumnarImpatienceSorter(
-            late_policy=policy, columns=columns,
-            string_columns=string_columns,
-        )
     import numpy as np
 
+    from repro.core.columnar import ColumnarImpatienceSorter
+
+    sorter = ColumnarImpatienceSorter(
+        late_policy=_late_policy(state), columns=_field(state, "columns"),
+        string_columns=_field(state, "string_columns"),
+        memory_budget=memory_budget,
+    )
     ts = np.asarray(_field(state, "ts"), dtype=np.int64)
     if ts.size:
         if np.any(ts[1:] < ts[:-1]):

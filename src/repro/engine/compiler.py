@@ -55,7 +55,6 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.columnar import ColumnarImpatienceSorter
-from repro.sorting.external import ExternalColumnarSorter
 from repro.core.errors import QueryBuildError
 from repro.core.late import LatePolicy
 from repro.engine.kernels import (
@@ -889,15 +888,9 @@ class _Execution:
         ]
 
     def _make_sorter(self, columns):
-        if self.memory_budget is None:
-            return ColumnarImpatienceSorter(
-                late_policy=self.compiled.late_policy, columns=columns
-            )
-        # Bounded-memory path: byte-identical output, cold runs
-        # spill to disk (repro.sorting.external).
-        return ExternalColumnarSorter(
-            self.memory_budget, late_policy=self.compiled.late_policy,
-            columns=columns,
+        return ColumnarImpatienceSorter(
+            late_policy=self.compiled.late_policy, columns=columns,
+            memory_budget=self.memory_budget,
         )
 
     def _widen(self, width):
@@ -906,8 +899,7 @@ class _Execution:
         old, self.sorter = self.sorter, self._make_sorter(width)
         if old.watermark != _NEG_INF:
             self.sorter.on_punctuation(old.watermark)
-        if self.memory_budget is not None:
-            old.close()
+        old.close()
         return self.sorter
 
     # -- dataflow ---------------------------------------------------------
@@ -1075,8 +1067,7 @@ class _Execution:
 
     def close(self):
         """Release spill files (idempotent)."""
-        if self.memory_budget is not None:
-            self.sorter.close()
+        self.sorter.close()
 
 
 # ---------------------------------------------------------------------------

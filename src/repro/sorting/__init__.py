@@ -1,7 +1,6 @@
 """Baseline sorting algorithms and the generic incremental adapter."""
 
 from repro.sorting.external import (
-    ExternalColumnarSorter,
     ExternalImpatienceSorter,
     ExternalRunPool,
     SpillDirectory,
@@ -24,7 +23,6 @@ from repro.sorting.timsort import timsort
 
 __all__ = [
     "BufferedIncrementalSorter",
-    "ExternalColumnarSorter",
     "ExternalImpatienceSorter",
     "ExternalRunPool",
     "IncrementalHeapSorter",

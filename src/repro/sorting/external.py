@@ -6,8 +6,9 @@ pipelining: buffered bytes are tracked against a configurable budget,
 cold sorted runs spill to disk as compact framed columnar blocks, and a
 punctuation cut reads back, sequentially, the blocks it covers and
 merges them with the resident rows in one concatenate + stable argsort
-— :func:`~repro.core.columnar.merge_sorted_parts`, the merge the
-in-memory sorter uses for its head runs.
+— :func:`~repro.core.columnar.merge_sorted_parts`.  The pool is the
+buffer of :class:`~repro.core.columnar.ColumnarImpatienceSorter`; with
+no budget it never spills and makes no spill directory.
 
 Run generation is *replacement selection* in batched form: when the
 buffer overflows, every buffered element whose key is at or above the
@@ -17,17 +18,17 @@ the paper targets, almost everything is eligible, so on-disk runs grow
 far longer than the memory budget — the classic ~2x-of-memory expected
 run length, unbounded for sorted input.
 
-Correctness contract: output is **byte-identical** to the in-memory
-columnar sorter.  That holds because every stage is arrival-stable for
-equal keys — chunks are stable-argsorted, a run's equal keys are
-appended in arrival order (an eligible key equal to the tail arrived
-after the spill that set that tail), later runs receive equal keys
-later than earlier runs did, and the in-memory residue loses ties to
-every spilled run.  The merge is a stable sort, so it breaks key ties
-by position in the concatenation (runs in creation order, each run's
-blocks in file order, then the memory buffer), which therefore
-reproduces arrival order — exactly the tie order of
-:class:`~repro.core.columnar.ColumnarImpatienceSorter`'s stable merge.
+Correctness contract: output is **byte-identical** at any budget, no
+budget included — every cut is the stable sort by key of the admitted
+arrivals.  That holds because every stage is arrival-stable for equal
+keys — chunks are stable-argsorted, a run's equal keys are appended in
+arrival order (an eligible key equal to the tail arrived after the
+spill that set that tail), later runs receive equal keys later than
+earlier runs did, and the in-memory residue loses ties to every spilled
+run.  The merge is a stable sort, so it breaks key ties by position in
+the concatenation (runs in creation order, each run's blocks in file
+order, then the resident chunks in arrival order), which therefore
+reproduces arrival order.
 
 Every spilled block carries a CRC32; damage on the way back in raises a
 typed :class:`~repro.core.errors.SpillCorruptionError` with file and
@@ -50,14 +51,13 @@ import zlib
 
 import numpy as np
 
-from repro.core.columnar import admit_batch, merge_sorted_parts
+from repro.core.columnar import merge_sorted_parts
 from repro.core.errors import PunctuationOrderError, SpillCorruptionError
 from repro.core.late import LateEventTracker, LatePolicy
 from repro.core.stats import SorterStats
 from repro.core.strings import StringColumn
 
 __all__ = [
-    "ExternalColumnarSorter",
     "ExternalImpatienceSorter",
     "ExternalRunPool",
     "SpillDirectory",
@@ -131,7 +131,7 @@ class SpillMetrics:
     )
 
     def __init__(self, budget_bytes):
-        self.budget_bytes = int(budget_bytes)
+        self.budget_bytes = budget_bytes
         self.spills = 0
         self.runs_spilled = 0
         self.blocks_written = 0
@@ -477,14 +477,15 @@ class ExternalRunPool:
     eligible for the open run (key >= its tail) is appended to it on
     disk.  If the cold residue still overflows, the run is closed and a
     fresh run absorbs everything — so the resting in-memory footprint
-    never exceeds the budget.
+    never exceeds the budget.  ``budget_bytes=None`` never spills: the
+    pool is then a plain in-memory buffer of sorted chunks.
     """
 
-    def __init__(self, budget_bytes, columns=0, objects=False,
+    def __init__(self, budget_bytes=None, columns=0, objects=False,
                  spill_dir=None, injector=None, metrics=None,
                  string_columns=0):
-        budget = int(budget_bytes)
-        if budget < 1:
+        budget = None if budget_bytes is None else int(budget_bytes)
+        if budget is not None and budget < 1:
             raise ValueError("memory budget must be at least 1 byte")
         if columns < 0:
             raise ValueError("columns must be >= 0")
@@ -497,15 +498,14 @@ class ExternalRunPool:
         self.bytes_per_row = 8 * (1 + self.columns) + (
             _OBJECT_NOMINAL_BYTES if objects else 0
         )
-        self.block_rows = max(
+        self.block_rows = None if budget is None else max(
             1, min(65536, budget // (4 * self.bytes_per_row))
         )
-        if isinstance(spill_dir, SpillDirectory):
-            self.directory = spill_dir
-            self._owns_dir = False
-        else:
-            self.directory = SpillDirectory(base=spill_dir)
-            self._owns_dir = True
+        # A caller's SpillDirectory, or the base path of our own, which
+        # is made at the first spill.
+        self._owns_dir = not isinstance(spill_dir, SpillDirectory)
+        self._directory = None if self._owns_dir else spill_dir
+        self._spill_base = spill_dir
         self.tag = uuid.uuid4().hex[:12]
         self.injector = injector
         self.metrics = metrics if metrics is not None else \
@@ -515,6 +515,14 @@ class ExternalRunPool:
         self._sbytes = 0   # buffered string bytes (arenas + offsets)
         self._runs = []    # _RunFile in creation order; last may be open
         self._run_seq = 0
+        self.splits = 0    # resident chunks a cut split by binary search
+
+    @property
+    def directory(self):
+        """The :class:`SpillDirectory`, created on first use."""
+        if self._directory is None:
+            self._directory = SpillDirectory(base=self._spill_base)
+        return self._directory
 
     @property
     def buffered_rows(self):
@@ -544,7 +552,7 @@ class ExternalRunPool:
         self._chunks.append((keys, tuple(cols), objs, scols))
         self._rows += int(keys.size)
         self._sbytes += sum(col.nbytes for col in scols)
-        if self.buffered_bytes > self.budget:
+        if self.budget is not None and self.buffered_bytes > self.budget:
             self._spill()
         self.metrics.note_buffered(self.buffered_bytes)
 
@@ -631,41 +639,71 @@ class ExternalRunPool:
                 survivors.append(run)
         self._runs = survivors
         spilled_parts = len(parts)
-        kept = []
-        rows = 0
-        sbytes = 0
-        for keys, cols, objs, scols in self._chunks:
-            split = int(keys.size) if ts is None else int(
-                np.searchsorted(keys, ts, side="right")
-            )
-            if split:
-                parts.append((
-                    keys[:split],
-                    tuple(col[:split] for col in cols),
-                    objs[:split] if objs is not None else None,
-                    tuple(col.slice(0, split) for col in scols),
-                ))
-            if split < keys.size:
-                kept_scols = tuple(
-                    col.slice(split, len(col)) for col in scols
-                )
-                kept.append((
-                    keys[split:],
-                    tuple(col[split:] for col in cols),
-                    objs[split:] if objs is not None else None,
-                    kept_scols,
-                ))
-                rows += int(keys.size) - split
-                sbytes += sum(col.nbytes for col in kept_scols)
-        self._chunks = kept
-        self._rows = rows
-        self._sbytes = sbytes
+        if ts is None:
+            parts.extend(self._chunks)
+            self._chunks, self._rows, self._sbytes = [], 0, 0
+        else:
+            self._cut_resident(ts, parts)
         if len(parts) > spilled_parts:
             sources += 1  # fan-in counts sources: the resident buffer is one
         if parts:
             self.metrics.merges += 1
             self.metrics.note_fan_in(sources)
         self.metrics.note_buffered(self.buffered_bytes)
+        return merge_sorted_parts(
+            parts, self.columns, self.string_columns, self.objects
+        )
+
+    def _cut_resident(self, ts, parts):
+        """Move the resident rows with key <= ``ts`` into ``parts``.
+
+        A chunk wholly at or below ``ts`` is taken whole and one wholly
+        above it is kept whole; only a straddling chunk is split.
+        """
+        kept = []
+        for chunk in self._chunks:
+            keys, cols, objs, scols = chunk
+            if int(keys[0]) > ts:
+                kept.append(chunk)
+                continue
+            if int(keys[-1]) <= ts:
+                parts.append(chunk)
+                self._rows -= int(keys.size)
+                self._sbytes -= sum(col.nbytes for col in scols)
+                continue
+            split = int(np.searchsorted(keys, ts, side="right"))
+            self.splits += 1
+            parts.append((
+                keys[:split],
+                tuple(col[:split] for col in cols),
+                objs[:split] if objs is not None else None,
+                tuple(col.slice(0, split) for col in scols),
+            ))
+            rest = tuple(col.slice(split, len(col)) for col in scols)
+            kept.append((
+                keys[split:],
+                tuple(col[split:] for col in cols),
+                objs[split:] if objs is not None else None,
+                rest,
+            ))
+            self._rows -= split
+            self._sbytes -= sum(col.nbytes for col in scols) - sum(
+                col.nbytes for col in rest
+            )
+        self._chunks = kept
+
+    def peek(self):
+        """Everything buffered, sorted as ``cut(None)`` would return it,
+        leaving the pool, its run files and its metrics untouched."""
+        metrics = self.metrics
+        read = metrics.blocks_read, metrics.bytes_read
+        parts = []
+        for run in self._runs:
+            mark = run.read_offset, run.row_skip
+            parts.extend(run.read_upto(None, None))
+            run.read_offset, run.row_skip = mark
+        metrics.blocks_read, metrics.bytes_read = read
+        parts.extend(self._chunks)
         return merge_sorted_parts(
             parts, self.columns, self.string_columns, self.objects
         )
@@ -678,101 +716,8 @@ class ExternalRunPool:
         self._chunks = []
         self._rows = 0
         self._sbytes = 0
-        if self._owns_dir:
-            self.directory.cleanup()
-
-
-class ExternalColumnarSorter:
-    """Bounded-memory drop-in for ``ColumnarImpatienceSorter``.
-
-    Same API and byte-identical output (see module docstring for the
-    stability argument); buffered bytes are capped at ``budget_bytes``
-    with cold runs spilling to disk.
-    """
-
-    def __init__(self, budget_bytes, late_policy=LatePolicy.DROP,
-                 columns=0, spill_dir=None, injector=None,
-                 string_columns=0):
-        if columns < 0:
-            raise ValueError("columns must be >= 0")
-        if string_columns < 0:
-            raise ValueError("string_columns must be >= 0")
-        self.stats = SorterStats()
-        self.late = LateEventTracker(late_policy)
-        self.columns = int(columns)
-        self.string_columns = int(string_columns)
-        self.pool = ExternalRunPool(
-            budget_bytes, columns=self.columns, spill_dir=spill_dir,
-            injector=injector, string_columns=self.string_columns,
-        )
-        self._watermark = _NEG_INF
-        self._has_watermark = False
-
-    @property
-    def run_count(self):
-        """Number of live spilled runs on disk."""
-        return self.pool.run_count
-
-    @property
-    def buffered(self):
-        """Events currently resident in memory (spilled ones excluded)."""
-        return self.pool.buffered_rows
-
-    @property
-    def watermark(self):
-        return self._watermark
-
-    @property
-    def memory_budget(self):
-        return self.pool.budget
-
-    def attach_injector(self, injector):
-        self.pool.injector = injector
-
-    def spill_doc(self):
-        return self.pool.metrics.as_dict()
-
-    def insert_batch(self, values, columns=(), string_columns=()):
-        """Ingest one arrival-order batch of timestamps (+ columns)."""
-        arr, cols, scols = admit_batch(self, values, columns, string_columns)
-        if arr.size == 0:
-            return 0
-        self.pool.insert_sorted(arr, cols, scols=scols)
-        self.stats.inserted += int(arr.size)
-        self.stats.runs_created = self.pool.metrics.runs_spilled
-        self.stats.note_buffered()
-        return int(arr.size)
-
-    def on_punctuation(self, timestamp):
-        """Cut and return every buffered value <= ``timestamp``, sorted."""
-        if self._has_watermark and timestamp < self._watermark:
-            raise PunctuationOrderError(timestamp, self._watermark)
-        self._watermark = timestamp
-        self._has_watermark = True
-        return self._emit(self.pool.cut(timestamp))
-
-    def flush(self):
-        """Return everything still buffered, sorted (end-of-stream)."""
-        return self._emit(self.pool.cut(None))
-
-    def _emit(self, cut):
-        merged, cols, _, scols = cut
-        if merged.size:
-            self.stats.merges += 1
-            self.stats.merge_events += int(merged.size)
-        self.stats.emitted += int(merged.size)
-        self.stats.runs_removed = (
-            self.pool.metrics.runs_spilled - self.pool.run_count
-        )
-        self.stats.sample_runs(self.pool.run_count)
-        if self.string_columns:
-            return merged, cols, scols
-        if self.columns:
-            return merged, cols
-        return merged
-
-    def close(self):
-        self.pool.close()
+        if self._owns_dir and self._directory is not None:
+            self._directory.cleanup()
 
 
 class ExternalImpatienceSorter:

@@ -13,7 +13,6 @@ from repro.core.columnar import ColumnarImpatienceSorter
 from repro.core.errors import LateEventError, PunctuationOrderError
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
-from repro.sorting.external import ExternalColumnarSorter
 
 
 class TestBasics:
@@ -34,32 +33,21 @@ class TestBasics:
         with pytest.raises(ValueError, match="1-D"):
             ColumnarImpatienceSorter().insert_batch([[1, 2]])
 
-    def test_single_ascending_batch_is_one_run(self):
+    def test_stats_count_batches_and_cut_splits(self):
+        """Each admitted batch is one sorted run; a cut binary-searches
+        only the chunk it straddles."""
         sorter = ColumnarImpatienceSorter()
-        sorter.insert_batch(np.arange(100))
-        assert sorter.run_count == 1
-        assert sorter.buffered == 100
-
-    def test_descending_batch_is_one_run(self):
-        """The batch is the reorder buffer: sorted once, dealt once."""
-        sorter = ColumnarImpatienceSorter()
-        sorter.insert_batch(np.arange(50, 0, -1))
-        assert sorter.run_count == 1
+        sorter.insert_batch([1, 2])
+        sorter.insert_batch([9, 3, 5])
+        sorter.insert_batch([7, 8])
+        sorter.insert_batch([])
+        assert sorter.stats.runs_created == 3
+        assert sorter.on_punctuation(4).tolist() == [1, 2, 3]
         assert sorter.stats.binary_searches == 1
-        assert sorter.flush().tolist() == list(range(1, 51))
-
-    def test_run_cleanup_on_punctuation(self):
-        """Figure 4's healing behaviour, across two batches: the second
-        batch opens a run below the survivors, the next cut drains it."""
-        sorter = ColumnarImpatienceSorter()
-        sorter.insert_batch([2, 6, 5, 1])
-        assert sorter.on_punctuation(2).tolist() == [1, 2]
-        assert sorter.run_count == 1           # [5, 6]
-        sorter.insert_batch([4, 3, 7, 8])
-        assert sorter.run_count == 2           # [5, 6, 7, 8] and [3, 4]
-        assert sorter.on_punctuation(4).tolist() == [3, 4]
-        assert sorter.run_count == 1
-        assert sorter.stats.runs_removed == 1
+        assert sorter.on_punctuation(6).tolist() == [5]
+        assert sorter.stats.binary_searches == 2
+        assert sorter.flush().tolist() == [7, 8, 9]
+        assert sorter.stats.binary_searches == 2
 
     def test_regressing_punctuation_raises(self):
         sorter = ColumnarImpatienceSorter()
@@ -102,8 +90,7 @@ class TestEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_matches_scalar_impatience(self, batches):
         """Identical emissions and drop counts versus the scalar sorter,
-        batch for batch, punctuation for punctuation — with no more runs
-        (sorting a batch before dealing it can only merge runs)."""
+        batch for batch, punctuation for punctuation."""
         columnar = ColumnarImpatienceSorter()
         scalar = ImpatienceSorter()
         watermark = None
@@ -120,7 +107,6 @@ class TestEquivalence:
             if scalar.watermark == float("-inf") or ts > scalar.watermark:
                 assert columnar.on_punctuation(ts).tolist() == \
                     scalar.on_punctuation(ts)
-                assert columnar.run_count <= scalar.run_count
         assert columnar.flush().tolist() == scalar.flush()
         assert columnar.late.dropped == scalar.late.dropped
 
@@ -130,17 +116,6 @@ class TestEquivalence:
         sorter = ColumnarImpatienceSorter()
         sorter.insert_batch(values)
         assert sorter.flush().tolist() == sorted(values)
-
-    def test_run_count_bounded_by_interleaved_measure(self, cloudlog_small):
-        from repro.metrics import count_interleaved_runs
-
-        sorter = ColumnarImpatienceSorter()
-        times = np.asarray(cloudlog_small.timestamps)
-        for i in range(0, len(times), 256):
-            sorter.insert_batch(times[i:i + 256])
-        assert 1 < sorter.run_count <= count_interleaved_runs(
-            cloudlog_small.timestamps
-        )
 
 
 class TestThroughputPath:
@@ -288,7 +263,9 @@ def _sorter(kind, policy):
     if kind == "in-memory":
         yield ColumnarImpatienceSorter(late_policy=policy, columns=1)
         return
-    sorter = ExternalColumnarSorter(64, late_policy=policy, columns=1)
+    sorter = ColumnarImpatienceSorter(
+        late_policy=policy, columns=1, memory_budget=64
+    )
     try:
         yield sorter
     finally:
@@ -379,34 +356,6 @@ class TestBatchSortIsInvisible:
         assert raised["row"].args == raised["columnar"].args
         assert raised["columnar"].event_time == 7
         assert raised["columnar"].punctuation_time == 40
-
-    def test_compiled_raise_plan_bisects_per_batch_not_per_event(
-            self, cloudlog_small):
-        """RAISE used to opt out of the caller-side presort and pay one
-        bisect per ascending segment (~n/2 on CloudLog)."""
-        from repro.engine.planner import QueryPlan
-
-        n = len(cloudlog_small)
-        frequency = 250
-        times = cloudlog_small.timestamps
-        high = np.maximum.accumulate(times)
-        latency = int((high - times).max())  # nothing is late
-        plan = (
-            QueryPlan().tumbling_window(100)
-            .sort(late_policy=LatePolicy.RAISE).count()
-        )
-        result = plan.run(
-            cloudlog_small, frequency, latency, engine="columnar",
-        )
-        stats = result.snapshot().operator("sort")["sorter"]
-        assert stats["inserted"] == n
-        batches = -(-n // frequency)
-        # One bisect per cascade step: per batch, at most one per live
-        # run plus the one that opens a new run.
-        assert batches <= stats["binary_searches"] <= batches * (
-            stats["runs_created"] + 1
-        )
-        assert stats["binary_searches"] < n // 20
 
 
 class TestBulkLateAccounting:

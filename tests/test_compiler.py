@@ -305,19 +305,6 @@ class TestSnapshot:
         sort_doc = result.snapshot().operator("sort")
         assert sort_doc["events"]["in"] == survivors < len(events)
 
-    def test_window_push_down_reduces_sorter_runs(self):
-        """Window alignment below the sort coarsens timestamps, so the
-        sorter partitions the same stream into far fewer runs — the §IV
-        sort-as-needed effect, visible in SorterStats."""
-        events = _events(n=2000, spread=5000)
-
-        def runs_for(window):
-            plan = QueryPlan().tumbling_window(window).sort().count()
-            result = plan.run(events, 64, 0)
-            return result.snapshot().operator("sort")["sorter"]["runs_created"]
-
-        assert runs_for(512) < runs_for(1)
-
     def test_row_fallback_snapshot_keeps_reason(self):
         from repro.observability.registry import MetricsRegistry
 

@@ -400,7 +400,6 @@ class TestStringKeyDifferential:
 
         from repro.core.columnar import ColumnarImpatienceSorter
         from repro.core.strings import StringColumn
-        from repro.sorting.external import ExternalColumnarSorter
 
         elements = make_stream(seed=23, n=600, disorder_fraction=0.3,
                                duplicate_density=0.2)
@@ -430,7 +429,9 @@ class TestStringKeyDifferential:
             return outputs
 
         baseline = drive(ColumnarImpatienceSorter(string_columns=1))
-        external = ExternalColumnarSorter(budget, string_columns=1)
+        external = ColumnarImpatienceSorter(
+            memory_budget=budget, string_columns=1
+        )
         try:
             got = drive(external)
             spill = external.spill_doc()

@@ -43,7 +43,6 @@ from repro.engine.checkpoint import (
 )
 from repro.resilience import FaultInjector, SorterSupervisor
 from repro.sorting.external import (
-    ExternalColumnarSorter,
     ExternalImpatienceSorter,
     SpillDirectory,
     parse_memory_budget,
@@ -144,7 +143,7 @@ class TestMergeBack:
             (np.arange(70) // 2, 20),       # below run 0's tail: run 1
             (np.arange(21, 41), None),      # 20 rows, stays resident
         ]
-        external = ExternalColumnarSorter(budget, columns=1)
+        external = ColumnarImpatienceSorter(memory_budget=budget, columns=1)
         reference = ColumnarImpatienceSorter(columns=1)
         serial = 0
         try:
@@ -206,6 +205,40 @@ def columnar_stream(rng, n, columns, punct_every, displacement):
     return batches
 
 
+def reference_columnar(batches, columns, policy=LatePolicy.DROP):
+    """The cuts :func:`drive_columnar` must return at every budget: each
+    is the stable sort by key of the admitted arrivals it releases."""
+    pending, out, watermark = [], [], None
+
+    def cut(bound):
+        nonlocal pending
+        due = sorted(
+            (row for row in pending if bound is None or row[0] <= bound),
+            key=lambda row: row[0],
+        )
+        pending = [row for row in pending if bound is not None
+                   and row[0] > bound]
+        keys = np.asarray([row[0] for row in due], dtype=np.int64)
+        if not columns:
+            return keys
+        return keys, tuple(
+            np.asarray([row[1 + c] for row in due], dtype=np.int64)
+            for c in range(columns)
+        )
+
+    for chunk, cols, punct in batches:
+        for i, key in enumerate(chunk.tolist()):
+            if watermark is not None and key <= watermark:
+                if policy is LatePolicy.DROP:
+                    continue
+                key = watermark
+            pending.append((key, *(int(col[i]) for col in cols)))
+        out.append(cut(punct))
+        watermark = punct
+    out.append(cut(None))
+    return out
+
+
 def drive_columnar(sorter, batches, columns):
     out = []
     for chunk, cols, punct in batches:
@@ -231,24 +264,26 @@ def assert_columnar_equal(got, want, columns):
 class TestColumnarDifferential:
     @pytest.mark.parametrize("policy", [LatePolicy.DROP, LatePolicy.ADJUST])
     @pytest.mark.parametrize("columns", [0, 1, 2])
-    @pytest.mark.parametrize("budget", [1, 24, 256, 8192, 1 << 20])
+    @pytest.mark.parametrize("budget", [None, 1, 24, 256, 8192, 1 << 20])
     def test_byte_identical_to_in_memory(self, policy, columns, budget):
         rng = random.Random(hash((policy.value, columns, budget)) & 0xFFFF)
         batches = columnar_stream(rng, 600, columns, 47, 30)
-        reference = drive_columnar(
-            ColumnarImpatienceSorter(late_policy=policy, columns=columns),
-            batches, columns,
-        )
-        external = ExternalColumnarSorter(
-            budget, late_policy=policy, columns=columns,
+        reference = reference_columnar(batches, columns, policy)
+        external = ColumnarImpatienceSorter(
+            late_policy=policy, columns=columns, memory_budget=budget,
         )
         try:
             got = drive_columnar(external, batches, columns)
             assert_columnar_equal(got, reference, columns)
             doc = external.spill_doc()
-            assert doc["peak_buffered_bytes"] <= budget
-            if budget < 256:
-                assert doc["runs_spilled"] > 0
+            if budget is None:
+                # Never spills, so never makes a spill directory.
+                assert doc["runs_spilled"] == 0
+                assert external.pool._directory is None
+            else:
+                assert doc["peak_buffered_bytes"] <= budget
+                if budget < 256:
+                    assert doc["runs_spilled"] > 0
         finally:
             external.close()
 
@@ -257,10 +292,8 @@ class TestColumnarDifferential:
         1-run-per-event worst case stays byte-identical."""
         rng = random.Random(5)
         batches = columnar_stream(rng, 250, 1, 13, 40)
-        reference = drive_columnar(
-            ColumnarImpatienceSorter(columns=1), batches, 1,
-        )
-        external = ExternalColumnarSorter(1, columns=1)
+        reference = reference_columnar(batches, 1)
+        external = ColumnarImpatienceSorter(memory_budget=1, columns=1)
         try:
             got = drive_columnar(external, batches, 1)
             assert_columnar_equal(got, reference, 1)
@@ -269,7 +302,7 @@ class TestColumnarDifferential:
             external.close()
 
     def test_mirrors_validation_errors(self):
-        external = ExternalColumnarSorter(64, columns=1)
+        external = ColumnarImpatienceSorter(memory_budget=64, columns=1)
         try:
             with pytest.raises(ValueError, match="1-D"):
                 external.insert_batch(np.zeros((2, 2), dtype=np.int64), ())

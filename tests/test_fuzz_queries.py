@@ -19,6 +19,8 @@ must silently fall back to the row engine with identical output.
 from __future__ import annotations
 
 import itertools
+import json
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -641,13 +643,40 @@ def _bucket(reason):
     return reason
 
 
+HISTOGRAM_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / "fallback_histogram.json"
+)
+
+
+def fallback_histogram():
+    """Analyze every corpus plan: ``(paths, histogram, json text)``."""
+    from repro.engine.compiler import analyze_plan
+
+    paths = {}
+    histogram = {}
+    for name, build in CANONICAL_CORPUS.items():
+        path, reason = analyze_plan(build())
+        paths[name] = {"path": path, "reason": reason}
+        if path == "row":
+            bucket = _bucket(reason)
+            histogram[bucket] = histogram.get(bucket, 0) + 1
+    text = json.dumps(
+        {"histogram": dict(sorted(histogram.items())), "plans": paths},
+        indent=2, sort_keys=False,
+    ) + "\n"
+    return paths, histogram, text
+
+
 class TestFallbackHistogram:
-    """Export the fallback-reason histogram and gate lowering coverage.
+    """Gate lowering coverage against the committed fallback histogram.
 
-    The histogram lands in ``fallback_histogram.json`` at the repo root
-    so coverage is diffable across commits.  Two assertions act as the
-    CI regression gate:
+    ``fallback_histogram.json`` at the repo root records, per corpus
+    plan, the engine it lowers to, so coverage is diffable across
+    commits.  Three assertions act as the CI regression gate:
 
+    * the committed file matches the current analysis — regenerate it
+      with ``PYTHONPATH=src python -m tests.test_fuzz_queries`` and
+      commit the diff;
     * every shape the compiler has ever lowered still compiles
       (``ROW_SHAPES`` is the exhaustive allow-list of fallbacks);
     * the bucketed histogram has at most two categories — opaque Python
@@ -655,26 +684,12 @@ class TestFallbackHistogram:
     """
 
     def test_histogram_export_and_regression_gate(self):
-        import json
-        import pathlib
-
-        paths = {}
-        histogram = {}
-        for name, build in CANONICAL_CORPUS.items():
-            from repro.engine.compiler import analyze_plan
-
-            path, reason = analyze_plan(build())
-            paths[name] = {"path": path, "reason": reason}
-            if path == "row":
-                bucket = _bucket(reason)
-                histogram[bucket] = histogram.get(bucket, 0) + 1
-
-        out = pathlib.Path(__file__).resolve().parent.parent
-        out = out / "fallback_histogram.json"
-        out.write_text(json.dumps(
-            {"histogram": dict(sorted(histogram.items())), "plans": paths},
-            indent=2, sort_keys=False,
-        ) + "\n")
+        paths, histogram, text = fallback_histogram()
+        assert HISTOGRAM_PATH.read_text() == text, (
+            f"{HISTOGRAM_PATH.name} is stale; regenerate it with "
+            f"`PYTHONPATH=src python -m tests.test_fuzz_queries` and "
+            f"commit the diff"
+        )
 
         regressions = sorted(
             name for name, info in paths.items()
@@ -687,3 +702,7 @@ class TestFallbackHistogram:
         )
         assert set(histogram) <= {"opaque-python-callable", "custom-sorter"}
         assert len(histogram) <= 2
+
+
+if __name__ == "__main__":
+    HISTOGRAM_PATH.write_text(fallback_histogram()[2])

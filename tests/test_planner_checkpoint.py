@@ -290,6 +290,53 @@ class TestCheckpoint:
         ts, (col,) = restored.flush()
         assert ts.tolist() == col.tolist() == [3, 5, 9]
 
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_columnar_checkpoint_leaves_live_sorter_intact(self, budget):
+        """Capture has no side effect at any budget: a sorter fed on
+        after its checkpoint cuts exactly what a never-checkpointed twin
+        cuts, and so does the copy restored from the checkpoint."""
+        import numpy as np
+
+        from repro.core.columnar import ColumnarImpatienceSorter
+
+        rng = np.random.default_rng(7)
+        n = 2000
+        ts = np.arange(n, dtype=np.int64) + rng.integers(0, 60, size=n)
+        serial = np.arange(n, dtype=np.int64)
+
+        def make():
+            return ColumnarImpatienceSorter(columns=1, memory_budget=budget)
+
+        live, twin = make(), make()
+        sorters = [live, twin]
+        try:
+            for start in range(0, n, 100):
+                if start == n // 2:
+                    if budget is not None:
+                        assert live.run_count > 0  # spilled rows too
+                    state = checkpoint_sorter(live)
+                    sorters.append(restore_sorter(state, budget))
+                for sorter in sorters:
+                    sorter.insert_batch(
+                        ts[start:start + 100], (serial[start:start + 100],)
+                    )
+                punct = int(ts[:start + 100].max()) - 60
+                want_ts, (want_col,) = twin.on_punctuation(punct)
+                for sorter in (live, *sorters[2:]):
+                    got_ts, (got_col,) = sorter.on_punctuation(punct)
+                    assert got_ts.tolist() == want_ts.tolist()
+                    assert got_col.tolist() == want_col.tolist()
+            want_ts, (want_col,) = twin.flush()
+            for sorter in (live, sorters[2]):
+                got_ts, (got_col,) = sorter.flush()
+                assert got_ts.tolist() == want_ts.tolist()
+                assert got_col.tolist() == want_col.tolist()
+            assert live.spill_doc() == twin.spill_doc()
+            assert live.stats.as_dict() == twin.stats.as_dict()
+        finally:
+            for sorter in sorters:
+                sorter.close()
+
     @given(
         st.lists(st.integers(0, 500), max_size=200),
         st.lists(st.integers(0, 500), max_size=200),

@@ -26,7 +26,6 @@ from repro.core.errors import SpillCorruptionError
 from repro.core.strings import StringColumn, StringDictionary
 from repro.engine.batch import EventBatch
 from repro.engine.event import Event
-from repro.sorting.external import ExternalColumnarSorter
 from repro.workloads.strings import (
     LOG_LEVELS,
     generate_androidlog_strings,
@@ -188,7 +187,9 @@ class TestStringColumnDecoder:
         from repro.sorting import external as ext
 
         ts, column = _disordered_strings(3000, seed=5)
-        sorter = ExternalColumnarSorter(2048, string_columns=1)
+        sorter = ColumnarImpatienceSorter(
+            memory_budget=2048, string_columns=1
+        )
         try:
             for start in range(0, len(ts), 512):
                 stop = min(start + 512, len(ts))
@@ -402,6 +403,37 @@ def _drive_columnar(sorter, ts, column, batch=512, punctuate_every=4):
     return outputs
 
 
+def _reference_cuts(ts, column, batch=512, punctuate_every=4):
+    """What :func:`_drive_columnar` must return at every budget: each
+    cut is the stable sort by timestamp of the rows it releases."""
+    values = column.tolist()
+    outputs, pending, high = [], [], None
+
+    def cut(bound):
+        nonlocal pending
+        due = sorted(
+            (row for row in pending if bound is None or row[0] <= bound),
+            key=lambda row: row[0],
+        )
+        pending = [row for row in pending if bound is not None
+                   and row[0] > bound]
+        return (
+            np.asarray([t for t, _ in due], dtype=np.int64),
+            (),
+            (StringColumn.from_values([v for _, v in due]),),
+        )
+
+    for i, start in enumerate(range(0, len(ts), batch)):
+        stop = min(start + batch, len(ts))
+        pending.extend(zip(ts[start:stop].tolist(), values[start:stop]))
+        top = int(ts[start:stop].max())
+        high = top if high is None else max(high, top)
+        if i % punctuate_every == punctuate_every - 1:
+            outputs.append(cut(high - 50))
+    outputs.append(cut(None))
+    return outputs
+
+
 def _disordered_strings(n, seed=0):
     rng = np.random.default_rng(seed)
     ts = np.arange(n, dtype=np.int64) + rng.integers(0, 40, size=n)
@@ -413,13 +445,15 @@ def _disordered_strings(n, seed=0):
 
 
 class TestExternalStringSpill:
-    @pytest.mark.parametrize("budget", [1024, 16 * 1024, 64 * 1024 ** 2])
+    @pytest.mark.parametrize(
+        "budget", [None, 1024, 16 * 1024, 64 * 1024 ** 2]
+    )
     def test_byte_identity_at_any_budget(self, budget):
         ts, column = _disordered_strings(6000, seed=4)
-        baseline = _drive_columnar(
-            ColumnarImpatienceSorter(string_columns=1), ts, column
+        baseline = _reference_cuts(ts, column)
+        external = ColumnarImpatienceSorter(
+            memory_budget=budget, string_columns=1
         )
-        external = ExternalColumnarSorter(budget, string_columns=1)
         try:
             got = _drive_columnar(external, ts, column)
             spill = external.spill_doc()
@@ -431,15 +465,20 @@ class TestExternalStringSpill:
             for gc, wc in zip(g[2], w[2]):
                 assert gc.arena == wc.arena
                 assert np.array_equal(gc.offsets, wc.offsets)
-        assert spill["peak_buffered_bytes"] <= budget
-        if budget <= 16 * 1024:
-            assert spill["runs_spilled"] > 0
+        if budget is None:
+            assert spill["runs_spilled"] == 0
+        else:
+            assert spill["peak_buffered_bytes"] <= budget
+            if budget <= 16 * 1024:
+                assert spill["runs_spilled"] > 0
 
     def test_string_bytes_count_against_the_budget(self):
         """Arena bytes drive spilling: a tiny budget spills even when
         the row-count footprint alone would fit."""
         ts, column = _disordered_strings(3000, seed=9)
-        external = ExternalColumnarSorter(2048, string_columns=1)
+        external = ColumnarImpatienceSorter(
+            memory_budget=2048, string_columns=1
+        )
         try:
             _drive_columnar(external, ts, column)
             assert external.spill_doc()["runs_spilled"] > 0
@@ -448,7 +487,9 @@ class TestExternalStringSpill:
 
     def test_corrupted_string_block_is_detected(self):
         ts, column = _disordered_strings(4000, seed=2)
-        external = ExternalColumnarSorter(2048, string_columns=1)
+        external = ColumnarImpatienceSorter(
+            memory_budget=2048, string_columns=1
+        )
         try:
             n = len(ts)
             for start in range(0, n, 512):
