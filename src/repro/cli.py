@@ -274,7 +274,7 @@ def _cmd_run(args):
     )
     window = args.window or max(len(dataset) // 100, 1)
     if args.parallel is not None:
-        return _run_parallel_cli(args, dataset, latency, window)
+        return _parallel_cli(args, dataset, latency, window)
     disordered = DisorderedStreamable.from_dataset(
         dataset, args.punctuation_frequency, latency
     )
@@ -388,7 +388,7 @@ def _cmd_run(args):
     return 0
 
 
-def _run_parallel_cli(args, dataset, latency, window):
+def _parallel_cli(args, dataset, latency, window):
     """The ``run --parallel N`` path: shard workers + columnar exchange."""
     from repro.engine.ingress import ingress_dataset
     from repro.engine.stream import Streamable

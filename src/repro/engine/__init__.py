@@ -27,7 +27,6 @@ from repro.engine.ingress import (
 )
 from repro.engine.planner import QueryPlan
 from repro.engine.punctuation import PunctuationPolicy
-from repro.engine.replay import bursty_rate, constant_rate, replay
 from repro.engine.sharded import ShardedQuery, shard_streamable
 from repro.engine.stream import Streamable
 
@@ -50,10 +49,8 @@ __all__ = [
     "QueryNode",
     "Streamable",
     "analyze_plan",
-    "bursty_rate",
     "checkpoint_sorter",
     "compile_plan",
-    "constant_rate",
     "field",
     "key_field",
     "sync_field",
@@ -62,7 +59,6 @@ __all__ = [
     "ingress_events",
     "ingress_timestamps",
     "is_punctuation",
-    "replay",
     "restore_sorter",
     "shard_streamable",
     "source_node",

@@ -44,14 +44,18 @@ directory handle and are in-process objects, not JSON documents; call
 
 from __future__ import annotations
 
+import numbers
 import os
 import shutil
+
+import numpy as np
 
 from repro.core.errors import CheckpointError
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
 from repro.core.merge import MERGE_STRATEGIES
 from repro.core.runs import SortedRun
+from repro.core.strings import StringColumn
 
 __all__ = ["checkpoint_sorter", "release_checkpoint", "restore_sorter"]
 
@@ -88,6 +92,20 @@ def _late_policy(state):
         raise CheckpointError(
             f"checkpoint field 'late_policy' is no late policy: {value!r}"
         ) from None
+
+
+def _watermark(state, kind=numbers.Real):
+    """The ``watermark`` field: ``None`` or a non-bool ``kind`` number."""
+    value = _field(state, "watermark")
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, kind)
+    ):
+        raise CheckpointError(
+            f"checkpoint field 'watermark' is no "
+            f"{'integer' if kind is numbers.Integral else 'number'}: "
+            f"{value!r}"
+        )
+    return value
 
 
 def checkpoint_sorter(sorter) -> dict:
@@ -183,13 +201,27 @@ def restore_sorter(state: dict, memory_budget=None):
             pool.neg_tails = [-tail for tail in pool.tails]
         except TypeError:
             pool.neg_tails = None
-    watermark = _field(state, "watermark")
+    watermark = _watermark(state)
     if watermark is not None:
         sorter._watermark = watermark
         sorter._has_watermark = True
     # The staged ingress batch re-enters as a staged batch, preserving
     # the original's partition timing (format 1 checkpoints have none).
     pending = state.get("pending") or []
+    if not isinstance(pending, list):
+        raise CheckpointError(
+            f"checkpoint field 'pending' is not a list of keys: {pending!r}"
+        )
+    if pending:
+        try:
+            # min() compares every key with another: mixed types fail.
+            min(pending + pool.tails[:1]
+                + ([] if watermark is None else [watermark]))
+        except TypeError as exc:
+            raise CheckpointError(
+                f"checkpoint field 'pending' holds keys that do not "
+                f"compare with the sorter's: {exc}"
+            ) from None
     sorter._pending_keys.extend(pending)
     sorter.stats.inserted += len(pending)
     sorter.stats.note_buffered()
@@ -226,26 +258,69 @@ def _restore_columnar(state, memory_budget=None):
     row ADJUSTed onto the watermark itself (``ts == watermark``) must
     not be re-classified as late on restore.
     """
-    import numpy as np
-
     from repro.core.columnar import ColumnarImpatienceSorter
 
+    late_policy = _late_policy(state)
+    ts = _int_column(_field(state, "ts"), "ts")
+    if np.any(ts[1:] < ts[:-1]):
+        raise CheckpointError("checkpoint batch is not ascending")
+    cols = _columns(state, "cols", "columns")
+    cols = tuple(_int_column(col, "cols", ts.size) for col in cols)
+    scols = _columns(state, "scols", "string_columns")
+    if any(
+        not isinstance(col, StringColumn) or len(col) != ts.size
+        for col in scols
+    ):
+        raise CheckpointError(
+            f"checkpoint field 'scols' is not {ts.size}-row string columns"
+        )
+    watermark = _watermark(state, numbers.Integral)
     sorter = ColumnarImpatienceSorter(
-        late_policy=_late_policy(state), columns=_field(state, "columns"),
-        string_columns=_field(state, "string_columns"),
-        memory_budget=memory_budget,
+        late_policy=late_policy, columns=len(cols),
+        string_columns=len(scols), memory_budget=memory_budget,
     )
-    ts = np.asarray(_field(state, "ts"), dtype=np.int64)
     if ts.size:
-        if np.any(ts[1:] < ts[:-1]):
-            raise CheckpointError("checkpoint batch is not ascending")
-        sorter.insert_batch(ts, tuple(_field(state, "cols")),
-                            tuple(_field(state, "scols")))
-    watermark = _field(state, "watermark")
+        sorter.insert_batch(ts, cols, tuple(scols))
     if watermark is not None:
         sorter._watermark = watermark
         sorter._has_watermark = True
     return sorter
+
+
+def _int_column(value, name, size=None):
+    """``value`` as a 1-D int64 array (of ``size`` rows, if given)."""
+    error = CheckpointError(
+        f"checkpoint field {name!r} is not "
+        f"{'an' if size is None else f'a {size}-row'} integer column"
+    )
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise error from None
+    if arr.size == 0 and arr.ndim == 1:
+        arr = arr.astype(np.int64)
+    if arr.ndim != 1 or arr.dtype.kind != "i" or (
+        size is not None and arr.size != size
+    ):
+        raise error
+    return arr.astype(np.int64, copy=False)
+
+
+def _columns(state, name, count_name):
+    """``state[name]``: a list of as many columns as ``state[count_name]``."""
+    count = _field(state, count_name)
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) \
+            or count < 0:
+        raise CheckpointError(
+            f"checkpoint field {count_name!r} is no column count: "
+            f"{count!r}"
+        )
+    columns = _field(state, name)
+    if not isinstance(columns, (list, tuple)) or len(columns) != count:
+        raise CheckpointError(
+            f"checkpoint field {name!r} does not hold {count} columns"
+        )
+    return columns
 
 
 # -- format 3: bounded-memory external sorter ---------------------------
@@ -303,8 +378,6 @@ def _restore_external(state):
     own spill directory, so twins restored from one checkpoint never
     share writable files and the checkpoint survives them all.
     """
-    import numpy as np
-
     from repro.sorting.external import ExternalImpatienceSorter, _RunFile
 
     ext = state["external"]

@@ -21,7 +21,7 @@ from repro.engine.operators.join import TemporalJoin
 from repro.engine.operators.monitor import ContractViolation, OrderingMonitor
 from repro.engine.operators.pattern import PatternMatch
 from repro.engine.operators.select import Select, SelectColumns, SelectEvent
-from repro.engine.operators.sink import CallbackSink, Collector, CsvSink
+from repro.engine.operators.sink import CallbackSink, Collector
 from repro.engine.operators.snapshot import (
     SnapshotAggregate,
     SnapshotCount,
@@ -47,7 +47,6 @@ __all__ = [
     "CallbackSink",
     "Collector",
     "Count",
-    "CsvSink",
     "GroupedWindowAggregate",
     "HoppingWindow",
     "InputPort",

@@ -82,10 +82,10 @@ class OrderingMonitor(Operator):
         self.emit_punctuation(punctuation)
 
     def on_flush(self):
-        # A flush ends the stream; a replayed stream (engine/replay.py)
-        # then starts from scratch, so the watermark must reset or every
-        # event of the second pass reads as late against the first
-        # pass's final punctuation.
+        # A flush ends the stream; a replayed stream then starts from
+        # scratch, so the watermark must reset or every event of the
+        # second pass reads as late against the first pass's final
+        # punctuation.
         self.flushes += 1
         self._last_sync = _NEG_INF
         self._last_punctuation = _NEG_INF

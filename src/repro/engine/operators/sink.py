@@ -1,12 +1,10 @@
-"""Terminal operators: collectors, callback subscribers, file egress."""
+"""Terminal operators: collectors and callback subscribers."""
 
 from __future__ import annotations
 
-import csv
-
 from repro.engine.operators.base import Operator
 
-__all__ = ["Collector", "CallbackSink", "CsvSink"]
+__all__ = ["Collector", "CallbackSink"]
 
 
 class Collector(Operator):
@@ -43,42 +41,6 @@ class Collector(Operator):
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class CsvSink(Operator):
-    """Stream results to a CSV file (the egress mirror of dataset ingress).
-
-    Writes ``sync_time,other_time,key,payload…`` rows as events arrive;
-    tuple payloads expand into columns.  The file handle is owned by the
-    caller (pass anything with a ``write`` method) so lifetime and
-    buffering stay explicit.
-    """
-
-    def __init__(self, fh, header=True):
-        super().__init__()
-        self._writer = csv.writer(fh)
-        self._header_pending = header
-        self.rows = 0
-
-    def on_event(self, event):
-        if self._header_pending:
-            n_fields = (
-                len(event.payload) if isinstance(event.payload, tuple) else 1
-            )
-            self._writer.writerow(
-                ["sync_time", "other_time", "key"]
-                + [f"p{i}" for i in range(n_fields)]
-            )
-            self._header_pending = False
-        payload = (
-            list(event.payload) if isinstance(event.payload, tuple)
-            else [event.payload]
-        )
-        self._writer.writerow(
-            [event.sync_time, event.other_time, event.key] + payload
-        )
-        self.rows += 1
-        self.emit_event(event)
 
 
 class CallbackSink(Operator):

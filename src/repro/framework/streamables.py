@@ -134,8 +134,7 @@ class Streamables:
         return Pipeline(sink_nodes)
 
     def run(self, memory_meter=None, metrics=None, supervised=None,
-            parallel=None, engine="auto",
-            memory_budget=None) -> "StreamablesResult":
+            engine="auto", memory_budget=None) -> "StreamablesResult":
         """Materialize all outputs into one pipeline and drive the source.
 
         Returns a :class:`StreamablesResult` with per-output collectors,
@@ -154,24 +153,12 @@ class Streamables:
         replayed across crashes with exactly-once output delivery; the
         supervised outcome rides on ``result.supervised``.
 
-        ``parallel=N`` (a positive ``int``) executes the outputs on up to
-        ``N`` forked worker processes instead of one shared pipeline:
-        outputs are assigned round-robin and each worker materializes
-        *its* sinks plus the (deterministic) partition stage, so every
-        output's stream is identical to the shared single-pass run.  A
-        worker death raises :class:`~repro.core.errors.WorkerCrashError`.
-        Mutually exclusive with ``supervised`` and ``metrics``
-        (per-operator instrumentation cannot cross the process
-        boundary); the assignment and per-worker peaks ride on
-        ``result.parallel``.
-
         ``memory_budget`` (bytes, or a string like ``"64MB"``) bounds
         every per-path sorter's resident buffer: cold sorted runs spill
         to disk and merge back at punctuation time, and the outputs stay
         byte-identical to the unbudgeted run.  Requires the default
-        sorter and a plain single-process run (mutually exclusive with
-        ``supervised`` and ``parallel``); per-path spill metrics ride on
-        ``result.spill``.
+        sorter and is mutually exclusive with ``supervised``; per-path
+        spill metrics ride on ``result.spill``.
 
         ``engine`` mirrors ``QueryPlan.run``'s engine selector for API
         uniformity.  A framework run is a multi-output partition network
@@ -215,26 +202,7 @@ class Streamables:
                     "execution; checkpoint budgeted runs through "
                     "resilience.SorterSupervisor instead"
                 )
-            if parallel is not None:
-                raise QueryBuildError(
-                    "memory_budget cannot be combined with parallel "
-                    "workers; each fork would buffer independently"
-                )
         meter = MemoryMeter() if memory_meter is None else memory_meter
-        if parallel is not None:
-            if supervised:
-                raise QueryBuildError(
-                    "parallel framework runs cannot be supervised; use "
-                    "run(supervised=...) or run(parallel=N), not both"
-                )
-            if metrics is not None:
-                raise QueryBuildError(
-                    "metrics instrument a single-process pipeline; "
-                    "parallel runs report result.parallel instead"
-                )
-            result = self._run_parallel(parallel, meter)
-            result.engine_reason = reason
-            return result
         clock = {}
         sink_nodes = [
             QueryNode(
@@ -318,178 +286,6 @@ class Streamables:
         result.supervised = outcome
         return result
 
-    # -- parallel (multi-process) execution --------------------------------
-
-    def _run_parallel(self, workers, meter):
-        """One forked worker per output subset; see :meth:`run`.
-
-        Correctness rests on the partition stage being deterministic in
-        the ingress sequence alone: :class:`LatenessPartition` routes
-        each event to the first tolerating path regardless of which
-        downstream sinks are materialized, so a worker that builds only
-        output ``i``'s sub-DAG still observes the exact stream output
-        ``i`` sees in the shared single-pass pipeline.  Each worker's
-        partition ledger must therefore agree; the coordinator verifies
-        this before trusting any of them.
-        """
-        import os
-        from multiprocessing import get_context
-
-        from repro.core.errors import QueryBuildError, WorkerCrashError
-
-        if isinstance(workers, bool) or not isinstance(workers, int) \
-                or workers < 1:
-            raise QueryBuildError(
-                f"parallel must be a positive int, not {workers!r}"
-            )
-        n_outputs = len(self._outputs)
-        workers = min(workers, n_outputs)
-        assignment = [
-            list(range(start, n_outputs, workers))
-            for start in range(workers)
-        ]
-        ctx = get_context("fork")
-
-        def output_worker(indices, conn):
-            try:
-                worker_meter = MemoryMeter()
-                clock = {}
-                sink_nodes = [
-                    QueryNode(
-                        lambda: LatencyCollector(clock),
-                        ((self._outputs[i].node, None),),
-                        name=f"out[{i}]",
-                    )
-                    for i in indices
-                ]
-                pipeline = Pipeline(sink_nodes)
-                clock["partition"] = pipeline.operator_for(
-                    self._partition_node
-                )
-                pipeline.run(
-                    self._source.elements(),
-                    on_punctuation=worker_meter.sample,
-                )
-                partition = pipeline.operator_for(self._partition_node)
-                conn.send({
-                    "outputs": {
-                        index: {
-                            "events": collector.events,
-                            "punctuations": collector.punctuations,
-                            "completed": collector.completed,
-                            "lags": collector.lags,
-                        }
-                        for index, node in zip(indices, sink_nodes)
-                        for collector in (pipeline.operator_for(node),)
-                    },
-                    "partition": {
-                        "routed": list(partition.routed),
-                        "dropped": partition.dropped,
-                        "high_watermark": partition.high_watermark,
-                    },
-                    "peak_events": worker_meter.peak_events,
-                    "samples": worker_meter.samples,
-                })
-            except BaseException as exc:  # noqa: BLE001 - forwarded
-                try:
-                    conn.send({"error": exc})
-                except Exception:
-                    os._exit(1)
-            finally:
-                conn.close()
-
-        jobs = []
-        for worker, indices in enumerate(assignment):
-            receiver, sender = ctx.Pipe(duplex=False)
-            process = ctx.Process(
-                target=output_worker, args=(indices, sender), daemon=True
-            )
-            process.start()
-            sender.close()
-            jobs.append((worker, indices, process, receiver))
-
-        outputs = {}
-        partition_doc = None
-        peaks = []
-        samples = 0
-        try:
-            for worker, indices, process, receiver in jobs:
-                try:
-                    payload = receiver.recv()
-                except EOFError:
-                    process.join()
-                    raise WorkerCrashError(
-                        worker, -1, process.exitcode,
-                        detail="framework output worker died",
-                    ) from None
-                process.join()
-                if "error" in payload:
-                    raise payload["error"]
-                outputs.update(payload["outputs"])
-                peaks.append(payload["peak_events"])
-                samples = max(samples, payload["samples"])
-                if partition_doc is None:
-                    partition_doc = payload["partition"]
-                elif partition_doc != payload["partition"]:
-                    raise RuntimeError(
-                        "output workers disagree on the partition ledger"
-                        " — the source is not deterministic"
-                    )
-        finally:
-            for _, _, process, receiver in jobs:
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=5)
-                receiver.close()
-
-        collectors = []
-        for index in range(n_outputs):
-            doc = outputs[index]
-            collector = LatencyCollector({})
-            collector.events = doc["events"]
-            collector.punctuations = doc["punctuations"]
-            collector.completed = doc["completed"]
-            collector.lags = doc["lags"]
-            collectors.append(collector)
-        # Workers buffer concurrently, so the run's footprint is the sum
-        # of per-worker peaks (an upper bound: peaks need not coincide).
-        meter.peak_events = max(meter.peak_events, sum(peaks))
-        meter.samples = max(meter.samples, samples)
-        ledger = _PartitionLedger(
-            self.latencies, partition_doc["routed"],
-            partition_doc["dropped"], partition_doc["high_watermark"],
-        )
-        result = StreamablesResult(collectors, ledger, meter, self.latencies)
-        result.parallel = {
-            "workers": workers,
-            "outputs": n_outputs,
-            "assignment": assignment,
-            "per_worker_peak_events": peaks,
-        }
-        return result
-
-
-class _PartitionLedger:
-    """Read-only stand-in for a live :class:`LatenessPartition` when the
-    real instances finished inside worker processes: same completeness /
-    census surface, reconstructed from their (verified-equal) ledgers."""
-
-    def __init__(self, latencies, routed, dropped, high_watermark):
-        self.latencies = list(latencies)
-        self.routed = list(routed)
-        self.dropped = dropped
-        self.high_watermark = high_watermark
-
-    @property
-    def total_seen(self) -> int:
-        return sum(self.routed) + self.dropped
-
-    def completeness(self, up_to_path: int) -> float:
-        total = self.total_seen
-        if not total:
-            return 1.0
-        return sum(self.routed[: up_to_path + 1]) / total
-
 
 class StreamablesResult:
     """Everything one framework execution produced."""
@@ -508,10 +304,6 @@ class StreamablesResult:
         #: the :class:`~repro.resilience.supervisor.SupervisedResult` when
         #: the run was supervised, else ``None``.
         self.supervised = None
-        #: parallel-run accounting (worker count, output assignment,
-        #: per-worker buffering peaks) when ``run(parallel=N)``, else
-        #: ``None``.
-        self.parallel = None
         #: per-path spill metrics (``{"memory_budget": ..., "paths":
         #: [...]}``) when ``run(memory_budget=...)``, else ``None``.
         self.spill = None

@@ -1,12 +1,5 @@
 """Disorder measurement (Section II of the paper)."""
 
-from repro.metrics.adaptive import (
-    exc,
-    ham,
-    longest_nondecreasing_subsequence,
-    rem,
-)
-
 from repro.metrics.profile import (
     disorder_profile,
     lateness_quantiles,
@@ -31,10 +24,6 @@ __all__ = [
     "lateness_values",
     "suggest_reorder_latency",
     "count_inversions",
-    "exc",
-    "ham",
-    "longest_nondecreasing_subsequence",
-    "rem",
     "count_inversions_mergesort",
     "count_natural_runs",
     "max_inversion_distance",

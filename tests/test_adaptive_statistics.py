@@ -1,4 +1,4 @@
-"""Tests for the extra disorder measures and statistical aggregates."""
+"""Tests for the statistical aggregates."""
 
 from __future__ import annotations
 
@@ -11,83 +11,6 @@ from hypothesis import strategies as st
 from repro.engine import Streamable
 from repro.engine.event import Event
 from repro.engine.operators import Median, Quantile, StdDev, Variance
-from repro.metrics import (
-    exc,
-    ham,
-    longest_nondecreasing_subsequence,
-    rem,
-)
-
-int_lists = st.lists(st.integers(-200, 200), max_size=150)
-
-
-class TestLis:
-    def test_known(self):
-        assert longest_nondecreasing_subsequence([2, 6, 5, 1, 4, 3, 7, 8]) == 4
-
-    def test_sorted(self):
-        assert longest_nondecreasing_subsequence([1, 2, 2, 3]) == 4
-
-    def test_reverse(self):
-        assert longest_nondecreasing_subsequence([3, 2, 1]) == 1
-
-    def test_empty(self):
-        assert longest_nondecreasing_subsequence([]) == 0
-
-    @given(int_lists)
-    @settings(max_examples=80, deadline=None)
-    def test_matches_quadratic_dp(self, data):
-        data = data[:60]
-        n = len(data)
-        best = 0
-        lengths = [1] * n
-        for j in range(n):
-            for i in range(j):
-                if data[i] <= data[j]:
-                    lengths[j] = max(lengths[j], lengths[i] + 1)
-            best = max(best, lengths[j]) if n else 0
-        assert longest_nondecreasing_subsequence(data) == best
-
-
-class TestRemExcHam:
-    def test_sorted_stream_all_zero(self):
-        data = list(range(20))
-        assert rem(data) == 0
-        assert exc(data) == 0
-        assert ham(data) == 0
-
-    def test_single_swap(self):
-        data = [0, 2, 1, 3]
-        assert exc(data) == 1
-        assert ham(data) == 2
-        assert rem(data) == 1
-
-    def test_reverse(self):
-        data = list(range(10, 0, -1))
-        assert rem(data) == 9
-        assert exc(data) == 5  # swap pairs from both ends
-        assert ham(data) == 10
-
-    @given(int_lists)
-    @settings(max_examples=60, deadline=None)
-    def test_bounds_and_relations(self, data):
-        n = len(data)
-        assert 0 <= rem(data) <= max(n - 1, 0)
-        assert 0 <= exc(data) <= max(n - 1, 0)
-        assert 0 <= ham(data) <= n
-        # One exchange fixes at most two misplaced elements.
-        assert ham(data) <= 2 * exc(data)
-        # Removing Rem elements leaves a sorted LIS.
-        assert rem(data) == n - longest_nondecreasing_subsequence(data)
-
-    @given(int_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_duplicates_handled_stably(self, data):
-        data = [d % 5 for d in data]  # heavy ties
-        assert rem(data) >= 0
-        assert exc(data) >= 0
-
-
 class TestStatisticalAggregates:
     def _run(self, aggregate, values):
         state = aggregate.initial()

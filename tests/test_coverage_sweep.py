@@ -162,55 +162,3 @@ class TestMiscEdges:
         sink.on_punctuation(Punctuation(1))  # no hook: no crash
         sink.on_flush()
         assert len(seen) == 1
-
-
-class TestCsvSink:
-    def test_writes_result_rows(self, tmp_path):
-        import io
-
-        from repro.engine.operators import CsvSink
-
-        buffer = io.StringIO()
-        sink = CsvSink(buffer)
-        sink.on_event(Event(1, 2, key=7, payload=(10, 20)))
-        sink.on_event(Event(3, 4, key=8, payload=(30, 40)))
-        sink.on_flush()
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "sync_time,other_time,key,p0,p1"
-        assert lines[1] == "1,2,7,10,20"
-        assert sink.rows == 2
-
-    def test_scalar_payload_single_column(self):
-        import io
-
-        from repro.engine.operators import CsvSink
-
-        buffer = io.StringIO()
-        sink = CsvSink(buffer)
-        sink.on_event(Event(0, 10, key=0, payload=42))
-        assert "p0" in buffer.getvalue()
-        assert ",42" in buffer.getvalue()
-
-    def test_egress_of_windowed_query(self, tmp_path):
-        from repro.engine.graph import Pipeline, QueryNode
-        from repro.engine.operators import CsvSink
-        from repro.workloads.io import load_dataset_csv
-
-        dataset = generate_synthetic(500, seed=4)
-        path = tmp_path / "out.csv"
-        query = (
-            DisorderedStreamable.from_dataset(
-                dataset, punctuation_frequency=100, reorder_latency=500
-            )
-            .tumbling_window(50)
-            .to_streamable()
-            .count()
-        )
-        with open(path, "w", newline="") as fh:
-            sink_node = QueryNode(
-                lambda: CsvSink(fh), ((query.node, None),)
-            )
-            Pipeline([sink_node]).run(query.source.elements())
-        rows = path.read_text().strip().splitlines()
-        assert rows[0].startswith("sync_time,")
-        assert len(rows) == 1 + 10  # 10 windows of 50 over 500 events

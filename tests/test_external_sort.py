@@ -784,8 +784,6 @@ class TestEngineWiring:
             assert doc["peak_buffered_bytes"] <= 2048
         with pytest.raises(QueryBuildError, match="supervised"):
             build().run(memory_budget=1024, supervised=True)
-        with pytest.raises(QueryBuildError, match="parallel"):
-            build().run(memory_budget=1024, parallel=2)
 
     def test_cli_memory_budget(self, capsys):
         from repro.cli import main

@@ -73,15 +73,6 @@ class TestEngineSelector:
             build(cloudlog_small, query).run(engine="fused")
 
 
-class TestParallelArgument:
-    """``Streamables.run(parallel=N)`` takes a positive ``int`` only."""
-
-    @pytest.mark.parametrize("bad", ["bogus", "auto", True, 0])
-    def test_streamables_rejects_bad_spec(self, bad, cloudlog_small):
-        with pytest.raises(QueryBuildError, match="positive int"):
-            build(cloudlog_small, make_query("Q1")).run(parallel=bad)
-
-
 class TestSemantics:
     @pytest.mark.parametrize("query", PAPER_QUERIES, ids=lambda q: q.name)
     def test_advanced_final_output_matches_ground_truth(

@@ -84,14 +84,15 @@ class TestOrderingMonitor:
         assert monitor.events_seen == 4
 
     def test_replayed_stream_reuses_monitor(self):
-        from repro.engine.replay import constant_rate, replay
-
         monitor = OrderingMonitor(label="replayed")
         sink = wire(monitor)
-        events = [Event(t) for t in range(20)]
+        elements = (
+            [Event(t) for t in range(8)] + [Punctuation(7)]
+            + [Event(t) for t in range(8, 16)] + [Punctuation(15)]
+            + [Event(t) for t in range(16, 20)] + [Punctuation(19)]
+        )
         for _ in range(2):  # same stream replayed twice, one monitor
-            for element in replay(events, constant_rate(4),
-                                  punctuation_period=2):
+            for element in elements:
                 if isinstance(element, Punctuation):
                     monitor.on_punctuation(element)
                 else:

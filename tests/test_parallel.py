@@ -704,48 +704,6 @@ class TestGracefulWorkerShutdown:
 # Framework and observability surfaces
 # ---------------------------------------------------------------------------
 
-class TestStreamablesParallel:
-    def _build(self):
-        from repro.engine import DisorderedStreamable
-        from repro.workloads import load_dataset
-
-        dataset = load_dataset("cloudlog", 4000)
-        return (
-            DisorderedStreamable.from_dataset(
-                dataset, punctuation_frequency=500, reorder_latency=0
-            )
-            .tumbling_window(50)
-            .to_streamables([0, 20, 100])
-            .apply(lambda s: s.group_aggregate(Count()))
-        )
-
-    def test_matches_shared_single_pass(self):
-        reference = self._build().run()
-        result = self._build().run(parallel=2)
-        for i in range(3):
-            assert list(map(_key, result.output_events(i))) == \
-                list(map(_key, reference.output_events(i))), i
-            assert result.collectors[i].punctuations == \
-                reference.collectors[i].punctuations, i
-            assert abs(
-                result.completeness(i) - reference.completeness(i)
-            ) < 1e-12, i
-        assert result.summary()["routed"] == reference.summary()["routed"]
-        assert result.parallel["workers"] == 2
-        assert result.parallel["assignment"] == [[0, 2], [1]]
-
-    def test_worker_count_clamps_to_outputs(self):
-        result = self._build().run(parallel=8)
-        assert result.parallel["workers"] == 3
-
-    def test_parallel_excludes_inprocess_instrumentation(self):
-        from repro.core.errors import QueryBuildError
-        from repro.observability import MetricsRegistry
-
-        with pytest.raises(QueryBuildError):
-            self._build().run(parallel=2, metrics=MetricsRegistry())
-
-
 class TestObservabilitySection:
     def test_snapshot_carries_parallel_doc(self):
         from repro.observability import MetricsRegistry

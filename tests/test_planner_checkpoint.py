@@ -153,6 +153,20 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=field):
             restore_sorter(doc)
 
+    def _states(self):
+        """A format-2 and a format-4 checkpoint, each holding rows."""
+        import numpy as np
+
+        from repro.core.columnar import ColumnarImpatienceSorter
+
+        columnar = ColumnarImpatienceSorter(columns=1)
+        columnar.insert_batch(np.array([1, 2, 3]), (np.array([1, 2, 3]),))
+        columnar.on_punctuation(0)
+        return [
+            checkpoint_sorter(self._loaded([1, 2], punct=0)),
+            checkpoint_sorter(columnar),
+        ]
+
     @pytest.mark.parametrize("field, value", [
         ("merge", "nope"),
         # Strategies that no longer exist fail the same way.
@@ -160,11 +174,31 @@ class TestCheckpoint:
         ("late_policy", "x"),
         ("runs", [[3, "a"]]),
         ("runs", [[3], ["a"]]),
+        ("watermark", "x"),
+        ("watermark", True),
+        ("pending", 5),
+        ("pending", ["a"]),
+        ("ts", [1.5, 2.5, 3.5]),
+        ("ts", ["a"]),
+        ("cols", []),
+        ("cols", [[1, 2]]),
+        ("columns", -1),
+        ("scols", [b"x"]),
     ])
     def test_malformed_field_rejected(self, field, value):
-        state = checkpoint_sorter(self._loaded([1, 2], punct=0))
-        state[field] = value
-        with pytest.raises(CheckpointError, match=field):
+        """Every checkpoint format that carries ``field`` rejects the
+        malformed value with a typed error naming the field."""
+        states = [state for state in self._states() if field in state]
+        assert states
+        for state in states:
+            state[field] = value
+            with pytest.raises(CheckpointError, match=field):
+                restore_sorter(state)
+
+    def test_columnar_watermark_must_be_integer(self):
+        state = self._states()[1]
+        state["watermark"] = 2.5
+        with pytest.raises(CheckpointError, match="watermark"):
             restore_sorter(state)
 
     def test_corrupt_run_rejected(self):
