@@ -33,23 +33,30 @@ a fused pipeline of :mod:`repro.engine.kernels` stages around a
   ``top_k``, reading full ``(sync, other, key, payload…)`` rows — fed
   in the sorter's deterministic emission order.
 
-:meth:`CompiledPlan.open` returns the one executor behind every driver:
-``feed``/``feed_events`` push ingress, ``punctuate``/``flush`` return
-each round's ``(events, punctuations)``.  ``QueryPlan.run``, the
-parallel shard workers and serve's standing queries all drive it.
+Both engines present one push face.  :meth:`CompiledPlan.open` and
+:class:`RowExecution` (the row operators of any bind function) give an
+executor with ``feed``/``feed_events`` for ingress, ``punctuate``/
+``flush`` returning each round's ``(events, punctuations)``, and
+``buffered``/``stats``/``result``/``close``.  ``QueryPlan.run``, the
+parallel shard workers and serve's standing queries drive it, so the
+fallback is a constructor choice; ``QueryPlan.run``'s one driver
+(:func:`_drive`) takes every punctuation from a
+:class:`~repro.engine.punctuation.PunctuationPolicy`, the one the row
+ingress uses.
 
 Anything else — duration rewrites, opaque Python lambdas, custom
 sorters — raises :class:`UnsupportedPlanError` with a human-readable
 reason, and :func:`execute_plan` (the engine behind
 ``QueryPlan.run(engine="auto")``) falls back to the row engine
 silently.  Equivalence is byte-for-byte: the compiled path replicates
-ingress punctuation policy, window close rules, clamped forwarded
-punctuations, emission order, and late-policy behavior exactly
-(differentially fuzzed in ``tests/test_fuzz_queries.py``).
+window close rules, clamped forwarded punctuations, emission order, and
+late-policy behavior exactly (differentially fuzzed in
+``tests/test_fuzz_queries.py``).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -77,13 +84,19 @@ from repro.engine.kernels import (
     _PayloadField,
     _SyncField,
 )
+from repro.engine.event import Event, Punctuation, is_punctuation
+from repro.engine.graph import Pipeline, QueryNode
 from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
+from repro.engine.operators.sink import Collector
+from repro.engine.operators.sort import Sort
+from repro.engine.punctuation import PunctuationPolicy
 from repro.observability.snapshot import PipelineSnapshot
 
 __all__ = [
     "UnsupportedPlanError",
     "CompiledPlan",
     "PlanResult",
+    "RowExecution",
     "analyze_plan",
     "compile_plan",
     "execute_plan",
@@ -786,66 +799,6 @@ class CompiledPlan:
         ``memory_budget`` (bytes) spills the sorter's cold runs."""
         return _Execution(self, memory_budget)
 
-    def run(self, kind, source, punctuation_frequency=None,
-            reorder_latency=0, batch_size=8192, reason=None,
-            memory_budget=None):
-        """Execute over a ``("dataset", Dataset)`` or ``("events", list)``
-        source, replicating the row ingress punctuation policy."""
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        execution = self.open(memory_budget)
-        n = len(source)
-        if kind == "dataset":
-            full = self.reads is None
-
-            def chunk(start, stop):
-                sync, keys, cols = source.columns(start, stop)
-                # Dataset ingress events carry the point interval
-                # [t, t + 1).
-                return sync, (sync + 1 if full else None), keys, cols
-        else:
-            def chunk(start, stop):
-                return execution._columns(source[start:stop])
-        events, punctuations = [], []
-
-        def collect(round_):
-            events.extend(round_[0])
-            punctuations.extend(round_[1])
-        high_watermark = None
-        last_punctuation = _NEG_INF
-        position = 0
-        frequency = punctuation_frequency
-        try:
-            while position < n:
-                if frequency:
-                    room = frequency - (position % frequency)
-                else:
-                    room = n - position
-                stop = min(position + batch_size, position + room, n)
-                t0 = perf_counter()
-                sync, other, keys, cols = chunk(position, stop)
-                execution.ingress.note_batch(
-                    stop - position, stop - position, perf_counter() - t0
-                )
-                chunk_max = int(sync.max())
-                if high_watermark is None or chunk_max > high_watermark:
-                    high_watermark = chunk_max
-                execution.feed(sync, other, keys, cols)
-                position = stop
-                if frequency and position % frequency == 0:
-                    candidate = high_watermark - reorder_latency
-                    if candidate > last_punctuation:
-                        last_punctuation = candidate
-                        collect(execution.punctuate(candidate))
-            if high_watermark is not None:
-                # Ingress appends a final end-of-data punctuation at the
-                # high watermark unconditionally (ingress_events).
-                collect(execution.punctuate(high_watermark))
-            collect(execution.flush())
-        finally:
-            execution.close()
-        return execution.result(events, punctuations, reason)
-
 
 class _Execution:
     """The push executor of a compiled plan (:meth:`CompiledPlan.open`).
@@ -925,12 +878,19 @@ class _Execution:
         """:meth:`feed` a list of events (validated by
         :func:`ingest_reason`)."""
         if events:
-            self.feed(*self._columns(events))
+            t0 = perf_counter()
+            columns = self._columns(events)
+            self.ingress.busy_s += perf_counter() - t0
+            self.feed(*columns)
 
     def feed(self, sync, other, keys, cols):
-        """Push one arrival-order chunk of int64 ingress columns."""
+        """Push one arrival-order chunk of int64 ingress columns;
+        ``other`` ``None`` means point events ``[t, t + 1)``."""
+        self.ingress.note_batch(sync.size, sync.size, 0.0)
         if not self._full:
             other = None
+        elif other is None:
+            other = sync + 1
         for stage, metrics in zip(
             self.compiled.stages, self.stage_metrics
         ):
@@ -1070,14 +1030,122 @@ class _Execution:
         self.sorter.close()
 
 
+class RowExecution:
+    """The row engine's push executor, with the face of
+    :meth:`CompiledPlan.open`.
+
+    ``bind(disordered, memory_budget)`` maps an empty
+    ``DisorderedStreamable`` to the query's ordered ``Streamable``
+    (``QueryPlan._bind`` is one); ``metrics`` (a ``MetricsRegistry``)
+    is attached before any element flows.  Ingress boxes into
+    :class:`~repro.engine.event.Event`\\ s at the pipeline's source; a
+    ``Collector`` sink holds what a punctuation or the flush releases
+    until the call returns it.
+    """
+
+    def __init__(self, bind, memory_budget=None, metrics=None):
+        from repro.engine.disordered import DisorderedStreamable
+
+        stream = bind(DisorderedStreamable.from_elements([]), memory_budget)
+        node = QueryNode(Collector, ((stream.node, None),), name="collect")
+        self.pipeline = Pipeline([node])
+        if metrics is not None:
+            metrics.attach(self.pipeline)
+        self.memory_budget = memory_budget
+        self.metrics = metrics
+        self._source = self.pipeline.sources[0]
+        self._sink = self.pipeline.operator_for(node)
+        self.sorter = next(
+            op.sorter for op in self.pipeline.operators if isinstance(op, Sort)
+        )
+
+    def feed(self, sync, other, keys, cols):
+        """Push one chunk of int64 ingress columns as events; ``other``
+        ``None`` means point events ``[t, t + 1)``."""
+        syncs = sync.tolist()
+        others = repeat(None) if other is None else other.tolist()
+        payloads = zip(*(col.tolist() for col in cols)) if cols \
+            else repeat(())
+        self.feed_events(map(Event, syncs, others, keys.tolist(), payloads))
+
+    def feed_events(self, events):
+        """Push events in arrival order."""
+        on_event = self._source.on_event
+        for event in events:
+            on_event(event)
+
+    def punctuate(self, timestamp):
+        """Advance to punctuation ``timestamp``; returns the round's
+        ``(events, punctuations)``."""
+        self._source.on_punctuation(Punctuation(timestamp))
+        return self._take()
+
+    def flush(self):
+        """End of stream: the last round's ``(events, punctuations)``;
+        spill files are released."""
+        self._source.on_flush()
+        out = self._take()
+        self.close()
+        return out
+
+    def _take(self):
+        sink = self._sink
+        out = sink.events, sink.punctuations
+        sink.events, sink.punctuations = [], []
+        return out
+
+    def buffered(self) -> int:
+        """Events held by every operator."""
+        return self.pipeline.buffered_events()
+
+    def stats(self) -> dict:
+        """The sorter's high-water marks and late-event accounting (zero
+        where a custom sorter keeps none)."""
+        stats = getattr(self.sorter, "stats", None)
+        late = getattr(self.sorter, "late", None)
+        history = getattr(stats, "run_count_history", ())
+        return {
+            "buffered_peak": getattr(stats, "max_buffered", 0),
+            "runs_peak": max((runs for _, runs in history), default=0),
+            "late_dropped": getattr(late, "dropped", 0),
+            "late_adjusted": getattr(late, "adjusted", 0),
+        }
+
+    def result(self, events, punctuations, reason):
+        """A flushed run's collected rounds as a :class:`PlanResult`."""
+        meta = {"engine": "row"}
+        spill = None
+        if self.memory_budget is not None:
+            meta["memory_budget"] = self.memory_budget
+            spill = self.sorter.spill_doc()
+        return PlanResult(
+            events, punctuations, True, "row", reason=reason,
+            registry=self.metrics, meta=meta, spill=spill,
+        )
+
+    def close(self):
+        """Release spill files (idempotent)."""
+        close = getattr(self.sorter, "close", None)
+        if close is not None:
+            close()
+
+
 # ---------------------------------------------------------------------------
 # Engine selection: QueryPlan.run's backend.
 # ---------------------------------------------------------------------------
 
 
+def _integral(value):
+    """An integer the int64 columns carry as such: ``bool`` is not one
+    (the row engine keeps ``True``, a column would give back ``1``)."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, (bool, np.bool_))
+
+
 def ingest_reason(events):
     """Why a raw event list cannot be columnarized (``None`` if it can):
-    every time, key and payload field must be an integer in int64."""
+    every time, key and payload field must be a non-bool integer in
+    int64."""
     if not events:
         return None
     first = events[0]
@@ -1086,7 +1154,6 @@ def ingest_reason(events):
     arity = len(first.payload) if isinstance(first.payload, tuple) else -1
     if arity < 0:
         return "event payloads are not tuples"
-    integral = (int, np.integer)
     for event in events:
         if not hasattr(event, "sync_time"):
             return "source elements are not events"
@@ -1095,9 +1162,9 @@ def ingest_reason(events):
             return "event payload arity is not uniform"
         fields = (("sync_time", event.sync_time),
                   ("other_time", event.other_time), ("key", event.key))
-        if not all(isinstance(value, integral) for _, value in fields):
+        if not all(_integral(value) for _, value in fields):
             return "event times/keys are not integers"
-        if not all(isinstance(value, integral) for value in payload):
+        if not all(_integral(value) for value in payload):
             return "event payloads are not integer columns"
         for name, value in (*fields, *(("payload field", v) for v in payload)):
             if not -_INT64 <= value < _INT64:
@@ -1106,31 +1173,23 @@ def ingest_reason(events):
 
 
 def _normalize_source(source, punctuation_frequency, reorder_latency):
-    """Classify the source: ``(kind, payload, frequency, latency, reason)``.
+    """Classify the source: ``(kind, payload, frequency, latency)``.
 
     ``kind`` is ``"dataset"``, ``"events"``, or ``"stream"`` (a
-    ``DisorderedStreamable`` that must run on the row path); ``reason``
-    forces the row path when not ``None``.
+    ``DisorderedStreamable`` carrying its own punctuations, which must
+    run on the row path).
     """
     from repro.engine.disordered import DisorderedStreamable
     from repro.workloads.base import Dataset
 
     if isinstance(source, DisorderedStreamable):
-        spec = getattr(source, "_ingress", None)
-        if spec is None:
-            return (
-                "stream", source, None, None,
-                "source stream does not expose columnar ingress "
-                "(derived or from_elements)",
-            )
-        kind, payload, frequency, latency = spec
-        return kind, payload, frequency, latency, None
+        if source._ingress is None:
+            return "stream", source, None, None
+        return source._ingress
     if isinstance(source, Dataset):
-        return (
-            "dataset", source, punctuation_frequency, reorder_latency, None
-        )
+        return "dataset", source, punctuation_frequency, reorder_latency
     events = source if isinstance(source, list) else list(source)
-    return "events", events, punctuation_frequency, reorder_latency, None
+    return "events", events, punctuation_frequency, reorder_latency
 
 
 def execute_plan(plan, source, punctuation_frequency=None, reorder_latency=0,
@@ -1143,108 +1202,105 @@ def execute_plan(plan, source, punctuation_frequency=None, reorder_latency=0,
     ``engine="columnar"`` raises :class:`QueryBuildError` when the plan
     cannot be compiled; ``engine="row"`` always uses the row operators.
     ``memory_budget`` (bytes) bounds the sorter's resident buffer; cold
-    sorted runs spill to disk with byte-identical output.
+    sorted runs spill to disk with byte-identical output.  Either
+    engine's executor runs under the one driver, :func:`_drive`.
     """
     if engine not in ("auto", "columnar", "row"):
         raise QueryBuildError(
             f"engine must be 'auto', 'columnar', or 'row', not {engine!r}"
         )
-    kind, payload, frequency, latency, forced_reason = _normalize_source(
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    kind, payload, frequency, latency = _normalize_source(
         source, punctuation_frequency, reorder_latency
     )
-    reason = None
+    policy = None if kind == "stream" \
+        else PunctuationPolicy(frequency, latency)
     compiled = None
-    if engine != "row":
-        if forced_reason is not None:
-            reason = forced_reason
-        else:
-            try:
-                compiled = compile_plan(plan)
-            except UnsupportedPlanError as exc:
-                reason = exc.reason
-            if compiled is not None and kind == "events":
-                # A Dataset's columns were validated when it was built.
-                ingest = ingest_reason(payload)
-                if ingest is not None:
-                    compiled = None
-                    reason = ingest
-        if compiled is None and engine == "columnar":
-            raise QueryBuildError(
-                f"engine='columnar' requested but the plan cannot be "
-                f"compiled: {reason}"
-            )
-    else:
+    if engine == "row":
         reason = "engine='row' requested"
-    if compiled is not None:
-        return compiled.run(
-            kind, payload, punctuation_frequency=frequency,
-            reorder_latency=latency, batch_size=batch_size,
-            memory_budget=memory_budget,
-        )
-    return _run_row(plan, kind, payload, frequency, latency, metrics,
-                    reason, memory_budget)
-
-
-def _budgeted_row_plan(plan, memory_budget, created):
-    """Rebuild ``plan`` with its sort step bound to an external sorter.
-
-    ``created`` collects every sorter the factory builds so the caller
-    can close them (releasing spill files) on every exit path.
-    """
-    from repro.engine.planner import QueryPlan, _Step, _sync_time_key
-    from repro.sorting.external import ExternalImpatienceSorter
-
-    steps = []
-    for step in plan.steps:
-        if step.method != "sort":
-            steps.append(step)
-            continue
-        kwargs = dict(step.kwargs)
-        if kwargs.get("sorter") is not None:
-            raise QueryBuildError(
-                "memory_budget requires the default sorter; the plan "
-                "carries a custom sorter factory"
-            )
-        late_policy = kwargs.get("late_policy")
-
-        def factory(_policy=late_policy):
-            sorter = ExternalImpatienceSorter(
-                memory_budget, key=_sync_time_key,
-                late_policy=_policy if _policy is not None
-                else LatePolicy.DROP,
-            )
-            created.append(sorter)
-            return sorter
-
-        steps.append(_Step("sort", (), (("sorter", factory),)))
-    return QueryPlan(steps)
-
-
-def _run_row(plan, kind, payload, frequency, latency, metrics, reason,
-             memory_budget=None):
-    from repro.engine.disordered import DisorderedStreamable
-
-    if kind == "stream":
-        stream = payload
-    elif kind == "dataset":
-        stream = DisorderedStreamable.from_dataset(payload, frequency, latency)
+    elif kind == "stream":
+        reason = ("source stream does not expose columnar ingress "
+                  "(derived or from_elements)")
     else:
-        stream = DisorderedStreamable.from_events(payload, frequency, latency)
-    created = []
-    spill = None
-    meta = {"engine": "row"}
-    if memory_budget is not None:
-        plan = _budgeted_row_plan(plan, memory_budget, created)
-        meta["memory_budget"] = memory_budget
+        try:
+            compiled = compile_plan(plan)
+            # A Dataset's columns were validated when it was built.
+            reason = ingest_reason(payload) if kind == "events" else None
+        except UnsupportedPlanError as exc:
+            reason = exc.reason
+        if reason is not None:
+            compiled = None
+    if compiled is None and engine == "columnar":
+        raise QueryBuildError(
+            f"engine='columnar' requested but the plan cannot be "
+            f"compiled: {reason}"
+        )
+    if compiled is not None:
+        executor = compiled.open(memory_budget)
+    elif kind == "stream":
+        executor = RowExecution(
+            lambda _, budget: plan._bind(payload, budget),
+            memory_budget, metrics,
+        )
+        payload = payload.source.elements()
+    else:
+        executor = RowExecution(plan._bind, memory_budget, metrics)
     try:
-        collector = plan.bind(stream).collect(metrics=metrics)
-        if created:
-            spill = created[0].spill_doc()
+        events, punctuations = _drive(
+            executor, kind, payload, policy, batch_size
+        )
     finally:
-        for sorter in created:
-            sorter.close()
-    return PlanResult(
-        collector.events, collector.punctuations, collector.completed,
-        "row", reason=reason, registry=metrics,
-        meta=meta, spill=spill,
-    )
+        executor.close()
+    return executor.result(events, punctuations, reason)
+
+
+def _drive(executor, kind, source, policy, batch_size):
+    """Push ``source`` through either engine's ``executor`` and flush;
+    returns every round's ``(events, punctuations)``, concatenated.
+
+    A ``"stream"`` source carries its own punctuations.  A
+    ``"dataset"`` or ``"events"`` source is fed in chunks of at most
+    ``batch_size`` rows that end where ``policy`` puts a punctuation,
+    and ends with the policy's end-of-data punctuation.
+    """
+    events, punctuations = [], []
+
+    def collect(round_):
+        events.extend(round_[0])
+        punctuations.extend(round_[1])
+    if kind == "stream":
+        run = []
+        for element in source:
+            if is_punctuation(element):
+                executor.feed_events(run)
+                run = []
+                collect(executor.punctuate(element.timestamp))
+            else:
+                run.append(element)
+        executor.feed_events(run)
+    else:
+        n = len(source)
+        position = 0
+        while position < n:
+            stop = min(position + batch_size, n)
+            room = policy.room()
+            if room is not None:
+                stop = min(stop, position + room)
+            if kind == "dataset":
+                sync, keys, cols = source.columns(position, stop)
+                high = int(sync.max())
+                executor.feed(sync, None, keys, cols)
+            else:
+                chunk = source[position:stop]
+                high = max(event.sync_time for event in chunk)
+                executor.feed_events(chunk)
+            timestamp = policy.observe_chunk(stop - position, high)
+            position = stop
+            if timestamp is not None:
+                collect(executor.punctuate(timestamp))
+        end = policy.final()
+        if end is not None:
+            collect(executor.punctuate(end))
+    collect(executor.flush())
+    return events, punctuations

@@ -30,8 +30,9 @@ def ingress_events(events, frequency=None, reorder_latency=0,
         timestamp = policy.observe(event.sync_time)
         if timestamp is not None:
             yield Punctuation(timestamp)
-    if final_punctuation and policy.high_watermark != float("-inf"):
-        yield Punctuation(policy.high_watermark)
+    end = policy.final()
+    if final_punctuation and end is not None:
+        yield Punctuation(end)
 
 
 def ingress_dataset(dataset, frequency=None, reorder_latency=0,
@@ -56,5 +57,6 @@ def ingress_timestamps(timestamps, frequency=None, reorder_latency=0,
         timestamp = policy.observe(t)
         if timestamp is not None:
             yield ("punct", timestamp)
-    if final_punctuation and policy.high_watermark != float("-inf"):
-        yield ("punct", policy.high_watermark)
+    end = policy.final()
+    if final_punctuation and end is not None:
+        yield ("punct", end)

@@ -79,5 +79,10 @@ class PatternMatch(Operator):
             del self._pending[key]
         self.emit_punctuation(punctuation)
 
+    def on_flush(self):
+        # Nothing after the flush can complete a match.
+        self._pending.clear()
+        self.emit_flush()
+
     def buffered_count(self) -> int:
         return sum(len(pending) for pending in self._pending.values())

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.errors import QueryBuildError
+from repro.core.late import LatePolicy
 
 __all__ = ["QueryPlan"]
 
@@ -173,6 +174,11 @@ class QueryPlan:
     def bind(self, disordered):
         """Instantiate over a ``DisorderedStreamable``; returns the final
         ordered ``Streamable`` ready to ``collect()``."""
+        return self._bind(disordered, None)
+
+    def _bind(self, disordered, memory_budget):
+        """:meth:`bind`, with the sort step on a spilling sorter bounded
+        to ``memory_budget`` bytes when that is not ``None``."""
         self.validate()
         index = self._sort_index()
         stream = disordered
@@ -181,7 +187,20 @@ class QueryPlan:
         sort_kwargs = dict(self._steps[index].kwargs)
         sorter = sort_kwargs.get("sorter")
         late_policy = sort_kwargs.get("late_policy")
-        if sorter is None and late_policy is not None:
+        if memory_budget is not None:
+            if sorter is not None:
+                raise QueryBuildError(
+                    "memory_budget requires the default sorter; the plan "
+                    "carries a custom sorter factory"
+                )
+            from repro.sorting.external import ExternalImpatienceSorter
+
+            def sorter():
+                return ExternalImpatienceSorter(
+                    memory_budget, key=_sync_time_key,
+                    late_policy=late_policy or LatePolicy.DROP,
+                )
+        elif sorter is None and late_policy is not None:
             from repro.core.impatience import ImpatienceSorter
 
             def sorter():

@@ -62,11 +62,23 @@ class PunctuationPolicy:
         Returns the timestamp of a punctuation to emit *after* this event,
         or ``None`` when this event does not complete a punctuation period.
         """
-        if event_time > self._high_watermark:
-            self._high_watermark = event_time
+        return self.observe_chunk(1, event_time)
+
+    def room(self):
+        """Events until the next punctuation falls due (``None`` offline)."""
         if self.frequency is None:
             return None
-        self._count += 1
+        return self.frequency - self._count % self.frequency
+
+    def observe_chunk(self, count, high):
+        """:meth:`observe` for ``count`` events at once, ``high`` the
+        highest of their times; the chunk must end at or before the next
+        punctuation (``count <= room()``)."""
+        if high > self._high_watermark:
+            self._high_watermark = high
+        if self.frequency is None:
+            return None
+        self._count += count
         if self._count % self.frequency:
             return None
         timestamp = self._high_watermark - self.reorder_latency
@@ -74,3 +86,10 @@ class PunctuationPolicy:
             return None  # watermark has not advanced enough; skip
         self._last_punctuation = timestamp
         return timestamp
+
+    def final(self):
+        """The end-of-data punctuation: the high watermark, or ``None``
+        before any event."""
+        if self._high_watermark == _NEG_INF:
+            return None
+        return self._high_watermark

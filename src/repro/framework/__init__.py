@@ -8,7 +8,6 @@ from repro.framework.audit import (
     run_method,
     table2_rows,
 )
-from repro.framework.basic import build_basic_streamables
 from repro.framework.memory import MemoryMeter
 from repro.framework.multiquery import MultiQueryRun, build_multi_query
 from repro.framework.partition import LatenessPartition
@@ -38,7 +37,6 @@ __all__ = [
     "Streamables",
     "StreamablesResult",
     "apply_revisions",
-    "build_basic_streamables",
     "build_multi_query",
     "build_streamables",
     "make_query",

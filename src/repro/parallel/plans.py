@@ -1,7 +1,10 @@
 """Per-shard execution plans for the parallel runtime.
 
 A *plan* describes what one shard worker does with its routed substream.
-Every plan builds an executor obeying one push protocol —
+Every plan builds the same executor over its engine's push face
+(:meth:`~repro.engine.compiler.CompiledPlan.open` or
+:class:`~repro.engine.compiler.RowExecution`), obeying one push
+protocol —
 ``feed_batch`` / ``feed_elements`` (buffer disordered ingress),
 ``feed_punctuation`` (advance the shard pipeline, return the round's
 output items), ``feed_flush`` (end of stream) — which is exactly the
@@ -25,9 +28,10 @@ Two plan families:
     shard top-ks).
 
 :class:`RowPlan`
-    Generic fallback: materializes the routed columns back into
-    :class:`~repro.engine.event.Event` rows and drives the *actual*
-    engine operators (``Sort`` + whatever ``query_fn`` composes).  Runs
+    Generic fallback: the row engine's face boxes the routed columns
+    back into :class:`~repro.engine.event.Event` rows and drives the
+    *actual* engine operators (``Sort`` + whatever ``query_fn``
+    composes).  Runs
     whatever the compiler rejects — opaque Python callables, custom
     sorters, and a window *above* the sort (``Sort →
     TumblingWindow → aggregate``; the compiler only lowers the §IV
@@ -38,8 +42,8 @@ Output items a round may produce (worker ships them as frames in this
 order): ``("batch", EventBatch)`` for columnar rows,
 ``("fbatch", (sync, other, keys, values))`` for float-valued rows
 (native float64 columns — the avg hot path), ``("elements",
-[Event | Punctuation, ...])`` for row-shaped output, and
-``("punct", ts)`` for an emitted punctuation.
+[Event, ...])`` for row-shaped output, and ``("punct", ts)`` for an
+emitted punctuation.
 """
 
 from __future__ import annotations
@@ -47,34 +51,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.batch import EventBatch
-from repro.engine.event import Punctuation, is_punctuation
-from repro.engine.graph import Pipeline, QueryNode, source_node
-from repro.engine.operators.base import Operator
-from repro.engine.operators.sort import Sort
-from repro.engine.stream import Streamable
+from repro.engine.compiler import (
+    RowExecution,
+    UnsupportedPlanError,
+    compile_plan,
+    ingest_reason,
+)
 
 __all__ = ["RowPlan", "CompiledShardPlan"]
-
-
-class _StreamTap(Operator):
-    """Sink capturing a pipeline's emissions in order, round by round."""
-
-    def __init__(self):
-        super().__init__()
-        self.items = []
-
-    def on_event(self, event):
-        self.items.append(event)
-
-    def on_punctuation(self, punctuation):
-        self.items.append(punctuation)
-
-    def on_flush(self):
-        pass
-
-    def take(self):
-        items, self.items = self.items, []
-        return items
 
 
 class RowPlan:
@@ -99,83 +83,20 @@ class RowPlan:
         self.pre = pre
 
     def build_executor(self, shard):
-        return _RowExecutor(self, shard)
+        return _ShardExecutor(
+            RowExecution(self._bind), "pickle",
+            {"plan": "row", "engine": "row"},
+        )
+
+    def _bind(self, disordered, memory_budget):
+        if self.pre is not None:
+            disordered = self.pre(disordered)
+        return self.query_fn(disordered.to_streamable(sorter=self.sorter))
 
     def describe(self):
         return {"plan": "row", "query": getattr(
             self.query_fn, "__name__", "query_fn"
         )}
-
-
-class _RowExecutor:
-    def __init__(self, plan, shard):
-        src = source_node(f"shard-{shard}")
-        upstream = src
-        if plan.pre is not None:
-            from repro.engine.disordered import DisorderedStreamable
-
-            upstream = plan.pre(DisorderedStreamable(src, None)).node
-        factory = (
-            Sort if plan.sorter is None else (lambda: Sort(plan.sorter()))
-        )
-        sort_node = QueryNode(
-            factory, ((upstream, None),), name=f"sort-{shard}"
-        )
-        out = plan.query_fn(Streamable(sort_node, None))
-        tap_node = QueryNode(_StreamTap, ((out.node, None),), name="tap")
-        self._pipeline = Pipeline([tap_node])
-        self._source = self._pipeline.sources[0]
-        self._tap = self._pipeline.operator_for(tap_node)
-        self._sort = self._pipeline.operator_for(sort_node)
-        self.events_in = 0
-
-    def feed_batch(self, batch):
-        for event in batch.events():
-            self._source.on_event(event)
-        self.events_in += batch.valid_count
-
-    def feed_elements(self, elements):
-        for element in elements:
-            self._source.on_event(element)
-            self.events_in += 1
-
-    def feed_punctuation(self, timestamp):
-        self._source.on_punctuation(Punctuation(timestamp))
-        return self._round_items()
-
-    def feed_flush(self):
-        self._source.on_flush()
-        return self._round_items()
-
-    def _round_items(self):
-        emitted = self._tap.take()
-        items = []
-        run = []
-        for element in emitted:
-            if is_punctuation(element):
-                if run:
-                    items.append(("elements", run))
-                    run = []
-                items.append(("punct", element.timestamp))
-            else:
-                run.append(element)
-        if run:
-            items.append(("elements", run))
-        return items
-
-    def stats(self):
-        sorter = self._sort.sorter
-        late = getattr(sorter, "late", None)
-        return {
-            "plan": "row",
-            "engine": "row",
-            "events_in": self.events_in,
-            "buffered_peak": getattr(
-                getattr(sorter, "stats", None), "max_buffered", 0
-            ),
-            "late_dropped": getattr(late, "dropped", 0),
-            "late_adjusted": getattr(late, "adjusted", 0),
-        }
 
 
 class CompiledShardPlan:
@@ -208,8 +129,6 @@ class CompiledShardPlan:
     """
 
     def __init__(self, plan, finalize=None, memory_budget=None):
-        from repro.engine.compiler import compile_plan
-
         self.query_plan = plan
         self.compiled = compile_plan(plan)
         self.finalize = finalize
@@ -231,7 +150,12 @@ class CompiledShardPlan:
         self.scalar_output = self.wire_mode == "int"
 
     def build_executor(self, shard):
-        return _CompiledShardExecutor(self, shard)
+        return _ShardExecutor(
+            self.compiled.open(self.memory_budget), self.wire_mode, {
+                "plan": "compiled", "engine": "columnar",
+                "kernels": self.compiled.describe(),
+            },
+        )
 
     def describe(self):
         return {
@@ -242,40 +166,49 @@ class CompiledShardPlan:
         }
 
 
-class _CompiledShardExecutor:
-    """Drive one shard's compiled executor with the push protocol.
+class _ShardExecutor:
+    """Drive one shard's executor — either engine's push face — with the
+    shard push protocol.
 
     Each round's ``(events, punctuations)`` leaves as wire items, events
     first, then the round's punctuation — the order the wire protocol
-    requires, which every terminal kernel guarantees within a round —
-    with the events packaged per the plan's wire mode.
+    requires, which both engines keep within a round — with the events
+    packaged per the wire ``mode`` (``"pickle"`` ships them as they
+    are).  ``info`` heads :meth:`stats`; its ``engine`` says which face
+    this is.
     """
 
-    def __init__(self, plan, shard):
-        self.plan = plan
-        self._executor = plan.compiled.open(plan.memory_budget)
-        self._mode = plan.wire_mode
+    def __init__(self, executor, mode, info):
+        self._executor = executor
+        self._mode = mode
+        self._info = info
+        self._compiled = info["engine"] == "columnar"
         self.events_in = 0
 
     def feed_batch(self, batch):
-        batch = batch.compact()
-        n = len(batch)
-        if n:
-            self._executor.feed(
-                batch.sync_times, batch.other_times, batch.keys,
-                list(batch.payload_columns),
-            )
+        if self._compiled:
+            batch = batch.compact()
+            n = len(batch)
+            if n:
+                self._executor.feed(
+                    batch.sync_times, batch.other_times, batch.keys,
+                    list(batch.payload_columns),
+                )
+        else:
+            # Row events carry the string columns as trailing fields.
+            events = list(batch.events())
+            n = len(events)
+            self._executor.feed_events(events)
         self.events_in += n
 
     def feed_elements(self, elements):
-        from repro.engine.compiler import UnsupportedPlanError, ingest_reason
-
-        # Per-event ingress the int64 columns cannot carry arrives here
-        # pickled; refuse it exactly as the single-process compiler does
-        # instead of truncating it.
-        reason = ingest_reason(elements)
-        if reason is not None:
-            raise UnsupportedPlanError(reason)
+        if self._compiled:
+            # Per-event ingress the int64 columns cannot carry arrives
+            # here pickled; refuse it exactly as the single-process
+            # compiler does instead of truncating it.
+            reason = ingest_reason(elements)
+            if reason is not None:
+                raise UnsupportedPlanError(reason)
         self._executor.feed_events(elements)
         self.events_in += len(elements)
 
@@ -312,9 +245,7 @@ class _CompiledShardExecutor:
 
     def stats(self):
         return {
-            "plan": "compiled",
-            "engine": "columnar",
-            "kernels": self.plan.compiled.describe(),
+            **self._info,
             "events_in": self.events_in,
             **self._executor.stats(),
         }

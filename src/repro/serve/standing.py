@@ -1,8 +1,10 @@
 """Standing queries: long-lived incremental pipelines over tenant streams.
 
 A :class:`StandingQuery` runs its spec's
-:class:`~repro.engine.planner.QueryPlan` on one of two engines and
-appends every emitted element to an in-order result log:
+:class:`~repro.engine.planner.QueryPlan` on one of two engines behind
+one push face (``feed_events``, ``punctuate``/``flush`` returning the
+round's ``(events, punctuations)``, ``buffered``) and appends every
+round, through one ``_deliver``, to an in-order result log:
 
 * **compiled** — when :func:`~repro.engine.compiler.compile_plan` lowers
   the plan (``window=``/``hop=``, then ``sort[=drop|adjust]``, then
@@ -14,7 +16,7 @@ appends every emitted element to an in-order result log:
 * **row** — otherwise.  ``where=`` and ``group-sum`` carry opaque Python
   callables, and ``sort=raise`` must raise at the late event's push,
   where a buffered chunk would raise only at the next punctuation.  The
-  plan is bound into a push :class:`~repro.engine.graph.Pipeline`.
+  executor is :class:`~repro.engine.compiler.RowExecution` over the plan.
 
 Results materialize at punctuation boundaries exactly as they would in a
 batch ``QueryPlan.run`` — the chaos soak asserts byte-identity between
@@ -29,7 +31,7 @@ promise its window derives from it.  The first element outside that
 runs slower than the row engine: fewer than 48 events per punctuation,
 on average, over the query's first 16 punctuations (each chunk pays a
 fixed numpy cost).  A demoting query replays its input into a fresh row
-pipeline — the tenant journal from the line the query subscribed at
+executor — the tenant journal from the line the query subscribed at
 through the current line, or its own input log when no tenant owns it —
 checks the regenerated results against the compiled prefix with
 :meth:`StandingQuery.verify_replay`, and stays on the row engine.  The
@@ -59,11 +61,12 @@ from repro.core.errors import (
     ReplayDivergenceError,
 )
 from repro.core.late import LatePolicy
-from repro.engine.compiler import UnsupportedPlanError, compile_plan
-from repro.engine.disordered import DisorderedStreamable
+from repro.engine.compiler import (
+    RowExecution,
+    UnsupportedPlanError,
+    compile_plan,
+)
 from repro.engine.event import Punctuation
-from repro.engine.graph import Pipeline, QueryNode
-from repro.engine.operators.sink import CallbackSink
 from repro.serve.journal import TenantJournal
 from repro.serve.protocol import parse_query_spec
 
@@ -112,9 +115,12 @@ def _lower(plan):
 
 class _Demotion(Exception):
     """The compiled engine gives the query up; the text says why.
-    ``row`` is the run row that demotes, when a run was pushed."""
+    ``row`` is the run row that demotes, when a run was pushed;
+    ``round`` is what the demoting punctuation released, delivered
+    before the query moves."""
 
     row = None
+    round = ((), ())
 
 
 def _unfit(field, value):
@@ -142,8 +148,9 @@ def _least(fits):
     return lo
 
 
-class _CompiledPipeline:
-    """The push-``Pipeline`` face of a lowered plan.
+class _PendingColumns:
+    """The compiled executor behind pending columns, with the row
+    engine's face (:class:`~repro.engine.compiler.RowExecution`).
 
     Events wait as pending sync (and key) lists and reach the compiled
     executor as one chunk when a punctuation, a flush or an exact census
@@ -152,12 +159,9 @@ class _CompiledPipeline:
     column, and the key column only when the count groups.
     """
 
-    def __init__(self, compiled, on_event, on_punctuation, on_flush):
+    def __init__(self, compiled):
         self._executor = compiled.open()
         self._keyed = compiled.reads is None or "key" in compiled.reads
-        self._on_event = on_event
-        self._on_punctuation = on_punctuation
-        self._on_flush = on_flush
         self._syncs, self._keys = [], []  # pending ingress columns
         #: The executor's census, ``None`` until recounted after it
         #: last changed.
@@ -192,14 +196,15 @@ class _CompiledPipeline:
             return _unfit("key", key)
         return None
 
-    def push_event(self, event):
-        why = self._misfit(event.sync_time, event.key)
-        if why is not None:
-            raise why
-        self._syncs.append(event.sync_time)
-        if self._keyed:
-            self._keys.append(event.key)
-        self._events += 1
+    def feed_events(self, events):
+        for event in events:
+            why = self._misfit(event.sync_time, event.key)
+            if why is not None:
+                raise why
+            self._syncs.append(event.sync_time)
+            if self._keyed:
+                self._keys.append(event.key)
+            self._events += 1
 
     def push_events(self, syncs, keys):
         """Append a run's rows.  At the first row the columns cannot
@@ -224,28 +229,33 @@ class _CompiledPipeline:
         if why is not None:
             raise why
 
-    def push_punctuation(self, timestamp):
+    def punctuate(self, timestamp):
+        """The round's ``(events, punctuations)``.  A query the density
+        trial demotes here raises its :class:`_Demotion` with the round
+        in ``round``."""
         if not (type(timestamp) is int
                 and self._low_punct <= timestamp < _INT64):
             raise _unfit("punctuation", timestamp)
         self._drain()
         self._census = None
-        self._deliver(*self._executor.punctuate(timestamp))
+        round_ = self._executor.punctuate(timestamp)
         self._rounds += 1
         if (self._rounds == _TRIAL_ROUNDS
                 and self._events < _TRIAL_ROUNDS * _MIN_CHUNK):
-            raise _Demotion(
+            why = _Demotion(
                 f"{self._events} events in the first {_TRIAL_ROUNDS} "
                 f"punctuations, fewer than {_MIN_CHUNK} per punctuation"
             )
+            why.round = round_
+            raise why
+        return round_
 
     def flush(self):
         self._drain()
         self._census = None
-        self._deliver(*self._executor.flush())
-        self._on_flush()
+        return self._executor.flush()
 
-    def buffered_events(self) -> int:
+    def buffered(self) -> int:
         self._drain()
         return self._settled()
 
@@ -267,16 +277,9 @@ class _CompiledPipeline:
             self._census = None
             self._executor.feed(np.array(syncs, np.int64), None, keys, [])
 
-    def _deliver(self, events, puncts):
-        # One round: its events, then its punctuation (the row order).
-        for event in events:
-            self._on_event(event)
-        for timestamp in puncts:
-            self._on_punctuation(timestamp)
-
 
 class StandingQuery:
-    """One tenant's registered query: plan, live pipeline, result log."""
+    """One tenant's registered query: plan, live executor, result log."""
 
     def __init__(self, qid, spec):
         self.qid = qid
@@ -301,22 +304,11 @@ class StandingQuery:
         compiled, self.row_reason = _lower(self.plan)
         if compiled is None:
             self.engine = "row"
-            self.pipeline = self._row_pipeline()
+            self.executor = RowExecution(self.plan._bind)
         else:
             self.engine = "compiled"
             self._log = []
-            self.pipeline = _CompiledPipeline(
-                compiled, self._on_event, self._on_punctuation,
-                self._on_flush,
-            )
-
-    def _row_pipeline(self) -> Pipeline:
-        stream = self.plan.bind(DisorderedStreamable.from_elements([]))
-        sink = CallbackSink(self._on_event, self._on_punctuation,
-                            self._on_flush)
-        node = QueryNode(lambda: sink, ((stream.node, None),),
-                         name=f"serve[{self.qid}]")
-        return Pipeline([node])
+            self.executor = _PendingColumns(compiled)
 
     def attach(self, journal) -> None:
         """Take this query's input history from ``journal``: its lines
@@ -332,16 +324,16 @@ class StandingQuery:
         self._digest.update(repr(element).encode())
         self._digest.update(b"\n")
 
-    def _on_event(self, event):
-        self._record(event)
-        if self._watermark is not None:
-            self.lags.append(max(0, self._watermark - (event.other_time - 1)))
-
-    def _on_punctuation(self, timestamp):
-        self._record(Punctuation(timestamp))
-
-    def _on_flush(self):
-        self.completed = True
+    def _deliver(self, events, puncts):
+        """One round, in the row order: its events, then its
+        punctuations."""
+        watermark = self._watermark
+        for event in events:
+            self._record(event)
+            if watermark is not None:
+                self.lags.append(max(0, watermark - (event.other_time - 1)))
+        for timestamp in puncts:
+            self._record(Punctuation(timestamp))
 
     # -- ingress -----------------------------------------------------------
 
@@ -349,7 +341,7 @@ class StandingQuery:
         if self._log is not None:
             self._log.append(("e", event))
         try:
-            self.pipeline.push_event(event)
+            self.executor.feed_events((event,))
         except _Demotion as why:
             self._demote(why)
 
@@ -367,7 +359,7 @@ class StandingQuery:
         start, raised = 0, []
         if self.engine == "compiled" and self._log is None:
             try:
-                self.pipeline.push_events(run.syncs, run.keys)
+                self.executor.push_events(run.syncs, run.keys)
                 return raised
             except _Demotion as why:
                 start = why.row + 1
@@ -387,14 +379,16 @@ class StandingQuery:
             self._log.append(("p", Punctuation(timestamp)))
         self._watermark = timestamp
         try:
-            self.pipeline.push_punctuation(timestamp)
+            self._deliver(*self.executor.punctuate(timestamp))
         except _Demotion as why:
+            self._deliver(*why.round)
             self._demote(why)
 
     def flush(self):
         if self._log is not None:
             self._log.append(("f", None))
-        self.pipeline.flush()
+        self._deliver(*self.executor.flush())
+        self.completed = True
 
     def apply(self, kind, element):
         """Push one journal record — the step of every replay."""
@@ -406,14 +400,14 @@ class StandingQuery:
             self.push_punctuation(element.timestamp)
 
     def buffered_events(self) -> int:
-        return self.pipeline.buffered_events()
+        return self.executor.buffered()
 
     def buffered_bound(self) -> int:
         """An upper bound on :meth:`buffered_events` that never drains
         the compiled executor (exact on the row engine)."""
         if self.engine == "row":
-            return self.pipeline.buffered_events()
-        return self.pipeline.buffered_bound()
+            return self.executor.buffered()
+        return self.executor.buffered_bound()
 
     def _demote(self, why, offset=None):
         """Move to the row engine by replaying this query's input, the
@@ -438,7 +432,7 @@ class StandingQuery:
         self._digest = hashlib.sha256()
         self._watermark = None
         self.engine = "row"
-        self.pipeline = self._row_pipeline()
+        self.executor = RowExecution(self.plan._bind)
         for kind, element in records:
             try:
                 self.apply(kind, element)

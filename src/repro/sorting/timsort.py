@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.merge import merge_two
 from repro.sorting.insertion import binary_insertion_sort
 
-__all__ = ["timsort", "count_natural_runs_with_reversals"]
+__all__ = ["timsort"]
 
 _MIN_MERGE = 32
 
@@ -121,27 +121,3 @@ def timsort(items, key=None):
     while len(stack) > 1:
         _merge_at(keys, parallel, stack, len(stack) - 2)
     return items
-
-
-def count_natural_runs_with_reversals(keys) -> int:
-    """Number of runs Timsort would detect (descending runs count as one).
-
-    Exposed for tests and the workload-analysis example; distinct from the
-    plain ascending-runs disorder measure in :mod:`repro.metrics.disorder`.
-    """
-    n = len(keys)
-    if n == 0:
-        return 0
-    runs = 1
-    i = 1
-    while i < n:
-        if keys[i] < keys[i - 1]:
-            while i < n and keys[i] < keys[i - 1]:
-                i += 1
-        else:
-            while i < n and keys[i] >= keys[i - 1]:
-                i += 1
-        if i < n:
-            runs += 1
-            i += 1
-    return runs

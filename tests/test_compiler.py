@@ -259,6 +259,52 @@ class TestExecution:
             with pytest.raises(QueryBuildError, match="does not fit int64"):
                 plan.run(events, 8, 0, engine="columnar")
 
+    def test_bool_fields_fall_back_and_match_the_row_engine(self):
+        """A column would box ``True`` back as ``1``; bool times, keys
+        and payload fields stay on the row engine, so ``auto`` prints
+        exactly what ``row`` prints."""
+        plans = (
+            QueryPlan().tumbling_window(8).sort().group_aggregate(Count()),
+            QueryPlan().tumbling_window(8).sort().distinct(field(0)),
+        )
+        for events in (
+            [Event(t, key=t % 3 == 0, payload=(t % 5,)) for t in range(40)],
+            [Event(t, key=t % 3, payload=(t % 2 == 0,)) for t in range(40)],
+            [Event(t % 2 == 0, payload=(t,)) for t in range(40)],
+        ):
+            for plan in plans:
+                auto = plan.run(events, 8, 0)
+                row = plan.run(events, 8, 0, engine="row")
+                assert auto.engine == "row"
+                assert "integer" in auto.reason
+                assert repr(auto.events) == repr(row.events)
+                assert auto.punctuations == row.punctuations
+        with pytest.raises(QueryBuildError, match="not integers"):
+            plans[0].run(
+                [Event(t, key=True) for t in range(8)], 8, 0,
+                engine="columnar",
+            )
+
+    @pytest.mark.parametrize("frequency, latency, message", [
+        (0, 0, "frequency must be >= 1 or None"),
+        (-5, 0, "frequency must be >= 1 or None"),
+        (8, -10, "reorder_latency must be non-negative"),
+        (None, -10, "reorder_latency must be non-negative"),
+    ])
+    def test_both_engines_refuse_a_bad_punctuation_policy(
+            self, frequency, latency, message):
+        from repro.workloads.base import Dataset
+
+        sources = (
+            _events(40), Dataset("t", [5, 3, 9, 1], keys=[0, 1, 0, 1]),
+            DisorderedStreamable.from_events(_events(40), frequency, latency),
+        )
+        for source in sources:
+            for engine in ("row", "columnar"):
+                with pytest.raises(ValueError) as info:
+                    _plan().run(source, frequency, latency, engine=engine)
+                assert str(info.value) == message
+
     def test_batch_size_does_not_change_results(self):
         events = _events(seed=23)
         baseline = _plan().run(events, 32, 40, batch_size=8192)

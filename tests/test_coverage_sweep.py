@@ -9,18 +9,10 @@ from repro.engine import DisorderedStreamable, Event, Punctuation, Streamable
 from repro.engine.operators import Collector, Count
 from repro.framework import make_query
 from repro.framework.audit import run_method
-from repro.framework.basic import build_basic_streamables
 from repro.workloads import generate_synthetic
 
 
 class TestFrameworkEdges:
-    def test_basic_builder_alias(self, synthetic_small):
-        disordered = DisorderedStreamable.from_dataset(
-            synthetic_small, punctuation_frequency=500
-        )
-        result = build_basic_streamables(disordered, [100, 1_000]).run()
-        assert len(result.collectors) == 2
-
     def test_advanced_with_single_latency_falls_back(self, synthetic_small):
         """run_method('advanced') with a one-rung ladder degenerates to a
         single sorted stream plus the full query body."""

@@ -14,7 +14,6 @@ from repro.sorting import (
     quicksort,
     timsort,
 )
-from repro.sorting.timsort import count_natural_runs_with_reversals
 
 ADVERSARIAL = {
     "empty": [],
@@ -111,14 +110,6 @@ class TestTimsortInternals:
         """A strictly descending prefix is reversed as one run."""
         data = [5, 4, 3, 2, 1] + list(range(100))
         assert timsort(data) == sorted(data)
-
-    def test_natural_run_counter(self):
-        assert count_natural_runs_with_reversals([]) == 0
-        assert count_natural_runs_with_reversals([1]) == 1
-        assert count_natural_runs_with_reversals([1, 2, 3]) == 1
-        assert count_natural_runs_with_reversals([3, 2, 1]) == 1
-        assert count_natural_runs_with_reversals([1, 2, 1, 2]) == 2
-        assert count_natural_runs_with_reversals([1, 2, 3, 2, 1, 4]) == 3
 
     @given(st.lists(st.integers(0, 100), min_size=32, max_size=2000))
     @settings(max_examples=60, deadline=None)
