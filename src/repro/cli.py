@@ -242,7 +242,6 @@ def _parallel_plan(query, window, engine="auto"):
 
 def _cmd_run(args):
     from repro.engine import DisorderedStreamable
-    from repro.engine.operators.aggregates import Count
     from repro.framework.memory import MemoryMeter
     from repro.observability import MetricsRegistry
     from repro.bench.reporting import format_metrics_summary
@@ -282,6 +281,7 @@ def _cmd_run(args):
     meter = MemoryMeter()
     resilience = None
     engine_line = None
+    plan = _single_plan(args.query, window)
     start = time.perf_counter()
     if args.supervised or args.chaos:
         if args.engine != "auto":
@@ -290,20 +290,8 @@ def _cmd_run(args):
             return 2
         from repro.resilience import run_supervised
 
-        queries = {
-            "windowed-count": lambda d: (
-                d.tumbling_window(window).to_streamable().count()
-            ),
-            "grouped-count": lambda d: (
-                d.tumbling_window(window).to_streamable()
-                .group_aggregate(Count())
-            ),
-            "top-k": lambda d: (
-                d.tumbling_window(window).to_streamable().top_k(3)
-            ),
-        }
         outcome = run_supervised(
-            queries[args.query](disordered), chaos=args.chaos,
+            plan.bind(disordered), chaos=args.chaos,
             seed=args.seed, quarantine=True,
             metrics=registry, memory=meter,
         )
@@ -312,7 +300,6 @@ def _cmd_run(args):
         resilience = outcome.resilience_doc()
         snapshot = None
     else:
-        plan = _single_plan(args.query, window)
         result = plan.run(disordered, engine=args.engine, metrics=registry,
                           memory_budget=memory_budget)
         elapsed = time.perf_counter() - start

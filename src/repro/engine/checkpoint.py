@@ -59,14 +59,12 @@ from repro.core.strings import StringColumn
 
 __all__ = ["checkpoint_sorter", "release_checkpoint", "restore_sorter"]
 
-#: Current checkpoint formats.  Format 1 (no ``pending`` field; the
-#: ingress batch was flushed into the runs before capture) restores
-#: transparently; format 3 is the bounded-memory external sorter's
-#: spill-referencing checkpoint.
+#: Checkpoint formats: 2 the in-memory sorter's, 3 the bounded-memory
+#: external sorter's spill-referencing one, 4 the columnar sorter's.
 _FORMAT = 2
 _FORMAT_EXTERNAL = 3
 _FORMAT_COLUMNAR = 4
-_ACCEPTED_FORMATS = (1, 2, 3, 4)
+_ACCEPTED_FORMATS = (2, 3, 4)
 
 _KEYED_MESSAGE = (
     "only keyless sorters are checkpointable; checkpoint raw "
@@ -158,15 +156,15 @@ def restore_sorter(state: dict, memory_budget=None):
         return _restore_columnar(state, memory_budget)
     if state["format"] == _FORMAT_EXTERNAL:
         return _restore_external(state)
-    # Pre-"merge" checkpoints only knew huffman/pairwise.
-    merge = state.get("merge")
-    if merge is not None and merge not in MERGE_STRATEGIES:
+    huffman_merge = _field(state, "huffman_merge")
+    merge = _field(state, "merge")
+    if merge not in MERGE_STRATEGIES:
         raise CheckpointError(
             f"checkpoint field 'merge' names no merge strategy: {merge!r}; "
             f"expected one of {sorted(MERGE_STRATEGIES)}"
         )
     sorter = ImpatienceSorter(
-        huffman_merge=_field(state, "huffman_merge"),
+        huffman_merge=huffman_merge,
         merge=merge,
         speculative=_field(state, "speculative"),
         late_policy=_late_policy(state),
@@ -206,8 +204,8 @@ def restore_sorter(state: dict, memory_budget=None):
         sorter._watermark = watermark
         sorter._has_watermark = True
     # The staged ingress batch re-enters as a staged batch, preserving
-    # the original's partition timing (format 1 checkpoints have none).
-    pending = state.get("pending") or []
+    # the original's partition timing.
+    pending = _field(state, "pending")
     if not isinstance(pending, list):
         raise CheckpointError(
             f"checkpoint field 'pending' is not a list of keys: {pending!r}"

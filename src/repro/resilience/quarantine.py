@@ -83,9 +83,10 @@ class QuarantineLedger:
     the export stays truthful on pathological feeds and a poison-flood
     tenant cannot OOM the process through the dead-letter path.
 
-    The supervisor clears the ledger before a recovery replay —
-    deterministic replay regenerates the same records, so clearing (not
-    deduplicating) is what keeps recovered runs byte-identical.
+    The supervisor rolls the ledger back to its checkpoint's
+    :meth:`mark` before a recovery replay — deterministic replay
+    regenerates the same records, so rolling back (not deduplicating) is
+    what keeps recovered runs byte-identical.
     """
 
     def __init__(self, max_entries=1_000, sidecar=None):
@@ -136,12 +137,20 @@ class QuarantineLedger:
         """Occurrences of one reason code."""
         return self.counts.get(reason, 0)
 
-    def clear(self):
-        """Reset for a deterministic recovery replay."""
-        self.entries.clear()
+    def mark(self):
+        """An opaque position for :meth:`rollback` (a checkpoint's)."""
+        return list(self.entries), dict(self.counts), self.rotated, self._seq
+
+    def rollback(self, mark=None):
+        """Return to a :meth:`mark` (``None``: empty) before a recovery
+        replay, which regenerates every later record."""
+        entries, counts, self.rotated, self._seq = mark or ([], {}, 0, 0)
+        self.entries[:] = entries
         self.counts.clear()
-        self.rotated = 0
-        self._seq = 0
+        self.counts.update(counts)
+
+    #: Reset to the empty ledger.
+    clear = rollback
 
     def as_dict(self) -> dict:
         """JSON-ready summary for the observability export."""

@@ -1,66 +1,53 @@
 """Supervised keyless sorting with true checkpoint/restore.
 
-:class:`~repro.resilience.supervisor.PipelineSupervisor` recovers
-arbitrary pipelines by replaying the full ingress journal — correct for
-any operator graph, but O(stream) recovery time.  For the keyless
-:class:`~repro.core.impatience.ImpatienceSorter` the engine has a
-compact structural checkpoint (:mod:`repro.engine.checkpoint`), and
-:class:`SorterSupervisor` exploits it: every ``checkpoint_every``
+:class:`SorterSupervisor` is a checkpointing client of the one
+supervision loop (:mod:`repro.resilience.supervisor`): retry, the
+ingress guard, the restart budget and exactly-once delivery are the
+loop's.  What is specific to sorters is the state: a keyless sorter
+(in memory or budgeted) has a compact structural checkpoint
+(:mod:`repro.engine.checkpoint`), so every ``checkpoint_every``
 punctuations the sorter state is snapshotted and the ingress journal is
-**truncated** to the delta since the snapshot, so recovery cost is
+**truncated** to the delta since the snapshot — recovery costs
 O(sorter state + delta) regardless of how much stream has flowed.
 
 The element protocol is the raw-pair form used by the micro-benchmarks:
-``("event", value)`` and ``("punct", timestamp)`` tuples, with the same
-ingress guard as the pipeline supervisor (transient-retry, malformed /
-regressing-punctuation quarantine, optional duplicate suppression) and
-the same exactly-once verified output delivery.
+``("event", value)`` and ``("punct", timestamp)`` tuples.  A corrupt
+spill file restarts from the checkpoint and leaves a ``spill:<path>@
+<offset>`` quarantine record.
 """
 
 from __future__ import annotations
 
-from repro.core.errors import (
-    MalformedEventError,
-    ReplayDivergenceError,
-    ReproError,
-    SpillCorruptionError,
-    SupervisionExhaustedError,
-)
+from repro.core.errors import SpillCorruptionError
 from repro.core.impatience import ImpatienceSorter
-from repro.engine.checkpoint import (
-    checkpoint_sorter,
-    release_checkpoint,
-    restore_sorter,
-)
-from repro.resilience.chaos import FaultInjector
-from repro.resilience.quarantine import QuarantineLedger, Reason
-from repro.resilience.supervisor import RetryPolicy
+from repro.engine.checkpoint import checkpoint_sorter, restore_sorter
+from repro.resilience.quarantine import Reason
+from repro.resilience.supervisor import _DeliveryChannel, _Supervisor
 
 __all__ = ["SorterSupervisor", "SorterResult"]
-
-_EXHAUSTED = object()
 
 
 class SorterResult:
     """Outcome of one supervised sort."""
 
     def __init__(self, supervisor, sorter):
+        channel = supervisor._channels[0]
         #: the totally ordered output, exactly once.
-        self.output = supervisor._delivered
+        self.output = channel.events
         #: the last attempt's live sorter.
         self.sorter = sorter
         self.restarts = supervisor.restarts
         self.retries = supervisor.retries
-        self.checkpoints = supervisor.checkpoints_taken
+        self.checkpoints = len(supervisor._checkpoints)
         self.restores = list(supervisor.restores)
-        self.outputs_deduplicated = supervisor.outputs_deduplicated
+        self.outputs_deduplicated = channel.suppressed
         self.duplicates_suppressed = supervisor.duplicates_suppressed
         self.punctuations_suppressed = supervisor.punctuations_suppressed
         self.ledger = supervisor.ledger
         self.injector = supervisor.injector
         #: journal elements still held at completion (the delta since the
         #: last checkpoint — the proof that truncation happened).
-        self.journal_len = len(supervisor._delta)
+        self.journal_len = len(supervisor._journal)
 
     def __repr__(self):
         return (
@@ -70,7 +57,7 @@ class SorterResult:
         )
 
 
-class SorterSupervisor:
+class SorterSupervisor(_Supervisor):
     """Crash-tolerant driver for a keyless :class:`ImpatienceSorter`.
 
     Parameters mirror :class:`~repro.resilience.supervisor
@@ -82,214 +69,30 @@ class SorterSupervisor:
     def __init__(self, sorter_factory=None, *, checkpoint_every=1,
                  retry=None, max_restarts=8, quarantine=None, dedupe=None,
                  chaos=None, seed=0, sleep=None):
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        super().__init__(
+            checkpoint_every=checkpoint_every, retry=retry,
+            max_restarts=max_restarts, quarantine=quarantine,
+            dedupe=dedupe, chaos=chaos, seed=seed, sleep=sleep,
+        )
         self._factory = sorter_factory or ImpatienceSorter
-        self.checkpoint_every = checkpoint_every
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_restarts = max_restarts
-        if quarantine is True:
-            quarantine = QuarantineLedger()
-        self.ledger = quarantine
-        if chaos is None or isinstance(chaos, FaultInjector):
-            self.injector = chaos
-        else:
-            self.injector = FaultInjector(chaos, seed)
-        if dedupe is None:
-            dedupe = bool(self.injector and self.injector.spec.dup_p > 0)
-        self.dedupe = dedupe
-        self._sleep = sleep
-
-        self._checkpoint = None
-        self._delta = []
-        self._delivered = []
-        self._delivered_at_checkpoint = 0
-        self._ledger_mark = ([], {}, 0)
-        self.checkpoints_taken = 0
-        self.restores = []
-        self.restarts = 0
-        self.retries = 0
-        self.outputs_deduplicated = 0
-        self.duplicates_suppressed = 0
-        self.punctuations_suppressed = 0
-
-    # -- public ------------------------------------------------------------
+        self._channels = [_DeliveryChannel()]
 
     def run(self, elements) -> SorterResult:
         """Sort the raw-pair element stream to completion."""
-        elements = iter(elements)
-        if self.injector is not None:
-            elements = self.injector.wrap(elements)
-        while True:
-            sorter = self._build_attempt()
-            try:
-                self._drive(sorter, elements)
-            except SpillCorruptionError as exc:
-                # Environmental, like a crash: a spilled run file turned
-                # out corrupt/truncated/unreadable.  The failed attempt's
-                # files are quarantined-by-deletion (close()) and the
-                # checkpoint — which owns its *own* pinned copies —
-                # rebuilds a clean twin.
-                self._fail_attempt(sorter, exc)
-                continue
-            except ReproError:
-                raise
-            except Exception as exc:  # noqa: BLE001 — supervision boundary
-                self._fail_attempt(sorter, exc)
-                continue
-            # The stream completed and every output was delivered: the
-            # checkpoint (and its pinned spill files) has nothing left
-            # to recover.
-            release_checkpoint(self._checkpoint)
-            self._checkpoint = None
-            return SorterResult(self, sorter)
+        return SorterResult(self, self._supervise(elements))
 
-    # -- internals ---------------------------------------------------------
-
-    def _fail_attempt(self, sorter, exc):
-        """Tear down a crashed attempt and account for the restart."""
-        close = getattr(sorter, "close", None)
-        if callable(close):
-            close()  # deletes the attempt's spilled run files, if any
-        self.restarts += 1
-        if self.restarts > self.max_restarts:
-            # Giving up: free the checkpoint's pinned spill files now
-            # rather than leaving them to the GC backstop.
-            release_checkpoint(self._checkpoint)
-            self._checkpoint = None
-            raise SupervisionExhaustedError(
-                f"gave up after {self.max_restarts} restarts "
-                f"(last failure: {exc!r})"
-            ) from exc
-        if self.ledger is not None and isinstance(
-            exc, SpillCorruptionError
-        ):
-            # Quarantine the poisoned file visibly.  Roll back to the
-            # checkpoint mark first (replay regenerates everything past
-            # it) and re-mark after, so the record survives rebuilds
-            # without ever being doubled.
-            self._rollback_ledger()
-            self.ledger.record(
-                Reason.MALFORMED,
-                f"spill:{exc.path}@{exc.offset}",
-                watermark=self._last_punct,
-            )
-            self._mark_ledger()
-        self.restores.append({
-            "restart": self.restarts,
-            "error": repr(exc),
-            "from_checkpoint": self._checkpoint is not None,
-            "replayed": len(self._delta),
-        })
-
-    def _build_attempt(self):
-        if self._checkpoint is not None:
-            sorter = restore_sorter(self._checkpoint)
-        else:
-            sorter = self._factory()
+    def _build(self, state):
+        sorter = self._factory() if state is None else restore_sorter(state)
         if self.injector is not None:
             attach = getattr(sorter, "attach_injector", None)
             if callable(attach):
                 attach(self.injector)
         if self.ledger is not None:
-            # Roll the ledger back to the checkpoint mark: the truncated
-            # journal can only regenerate records made since then.
-            self._rollback_ledger()
             sorter.late.quarantine = self.ledger
         return sorter
 
-    def _rollback_ledger(self):
-        entries, counts, seq = self._ledger_mark
-        self.ledger.entries[:] = entries
-        self.ledger.counts.clear()
-        self.ledger.counts.update(counts)
-        self.ledger._seq = seq
-
-    def _mark_ledger(self):
-        self._ledger_mark = (
-            list(self.ledger.entries),
-            dict(self.ledger.counts),
-            self.ledger._seq,
-        )
-
-    def _drive(self, sorter, elements):
-        self._seen = self._delivered_at_checkpoint
-        self._last_punct = None
-        self._last_event = None
-        for element in self._delta:
-            self._push(element, sorter, replaying=True)
-        punct_index = 0
-        while True:
-            element = self._pull(elements)
-            if element is _EXHAUSTED:
-                break
-            self._delta.append(element)
-            was_punct = self._push(element, sorter, replaying=False)
-            if was_punct:
-                punct_index += 1
-                if punct_index % self.checkpoint_every == 0:
-                    # The compact checkpoint supersedes the journal
-                    # prefix: truncate to keep recovery O(state + delta).
-                    superseded = self._checkpoint
-                    self._checkpoint = checkpoint_sorter(sorter)
-                    release_checkpoint(superseded)
-                    self._delivered_at_checkpoint = len(self._delivered)
-                    if self.ledger is not None:
-                        self._mark_ledger()
-                    self._delta.clear()
-                    self.checkpoints_taken += 1
-        self._deliver(sorter.flush())
-
-    def _pull(self, elements):
-        failures = 0
-        while True:
-            try:
-                return next(elements)
-            except StopIteration:
-                return _EXHAUSTED
-            except OSError as exc:
-                failures += 1
-                self.retries += 1
-                if failures > self.retry.max_retries:
-                    raise SupervisionExhaustedError(
-                        f"source failed {failures} consecutive times "
-                        f"(last: {exc!r})"
-                    ) from exc
-                if self._sleep is not None:
-                    self._sleep(self.retry.delay(failures - 1))
-
-    def _push(self, element, sorter, replaying) -> bool:
-        """Guard + apply one raw-pair element; True when a punctuation
-        was applied."""
-        kind, value = self._classify(element, replaying)
-        if kind == "skip":
-            return False
-        if kind == "punct":
-            if self._last_punct is not None and value < self._last_punct:
-                if not replaying:
-                    self.punctuations_suppressed += 1
-                if self.ledger is not None:
-                    self.ledger.record(
-                        Reason.PUNCTUATION_REGRESSION, value,
-                        previous=self._last_punct,
-                    )
-                return False
-            self._last_punct = value
-            self._deliver(sorter.on_punctuation(value))
-            return True
-        if self.dedupe and value == self._last_event:
-            if not replaying:
-                self.duplicates_suppressed += 1
-            if self.ledger is not None:
-                self.ledger.record(
-                    Reason.DUPLICATE, value, watermark=self._last_punct,
-                )
-            return False
-        self._last_event = value
-        sorter.insert(value)
-        return False
-
-    def _classify(self, element, replaying):
+    @staticmethod
+    def _classify(element):
         if (
             type(element) is tuple
             and len(element) == 2
@@ -298,24 +101,33 @@ class SorterSupervisor:
             and not isinstance(element[1], bool)
         ):
             return element
-        if self.ledger is not None:
-            self.ledger.record(
-                Reason.MALFORMED, element, watermark=self._last_punct,
-            )
-            return ("skip", None)
-        raise MalformedEventError(element)
+        return None, None
 
-    def _deliver(self, items):
-        for item in items:
-            index = self._seen
-            self._seen += 1
-            if index < len(self._delivered):
-                if item != self._delivered[index]:
-                    raise ReplayDivergenceError(
-                        f"replayed sort output #{index} diverged: "
-                        f"delivered {self._delivered[index]!r}, replay "
-                        f"produced {item!r}"
-                    )
-                self.outputs_deduplicated += 1
-                continue
-            self._delivered.append(item)
+    def _insert(self, sorter, value):
+        sorter.insert(value)
+
+    def _punctuate(self, sorter, element, timestamp):
+        for item in sorter.on_punctuation(timestamp):
+            self._channels[0].accept_event(item)
+
+    def _finish(self, sorter):
+        for item in sorter.flush():
+            self._channels[0].accept_event(item)
+
+    _snapshot = staticmethod(checkpoint_sorter)
+
+    def _on_failure(self, exc):
+        if self.ledger is None or not isinstance(exc, SpillCorruptionError):
+            return
+        # Quarantine the poisoned file visibly.  Roll back to the
+        # checkpoint mark first (replay regenerates everything past it)
+        # and re-mark after, so the record survives rebuilds without
+        # ever being doubled.
+        self.ledger.rollback(self._checkpoint.ledger)
+        self.ledger.record(
+            Reason.MALFORMED, f"spill:{exc.path}@{exc.offset}",
+            watermark=self._last_punct,
+        )
+        self._checkpoint = self._checkpoint._replace(
+            ledger=self.ledger.mark()
+        )

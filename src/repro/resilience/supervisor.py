@@ -1,45 +1,34 @@
-"""Supervised pipeline execution: restart, replay, deduplicate.
+"""Supervised execution: one loop for retry, restart, replay and
+exactly-once delivery.
 
-The supervisor turns a single-shot pipeline drive into a fault-tolerant
-run.  It owns the ingress loop of a materialized query graph:
+:class:`_Supervisor` is the one supervision loop.  A client supplies
+the *target* — a pipeline (:class:`PipelineSupervisor`) or a keyless
+sorter (:class:`~repro.resilience.sorter.SorterSupervisor`) — and how
+an element enters it.  The loop owns the rest:
 
-* every element consumed from the source is appended to an in-memory
-  **journal** (the stand-in for a durable ingress log — the
-  "checkpoint raw events at ingress" strategy that
-  :mod:`repro.engine.checkpoint`'s docstring prescribes for keyed/rich
-  event pipelines);
-* **transient source failures** (``OSError``, ``TimeoutError``,
-  ``asyncio.TimeoutError`` — the :class:`RetryPolicy`'s ``retry_on``
-  set) are retried in place with
-  deterministic exponential backoff + jitter — the element is never
-  lost because a well-behaved transient failure (and
-  :class:`~repro.resilience.chaos.FaultInjector`) raises before the
-  underlying element is consumed;
-* any other non-semantic exception (an operator crash, an injected
-  hard failure) triggers a **restart**: a fresh pipeline is
-  materialized from the same query nodes, the journal is replayed
-  through it to rebuild operator state deterministically, and
-  re-emitted outputs are **deduplicated** (and verified byte-identical)
-  against what was already delivered, so a recovered run's output is
-  indistinguishable from an uninterrupted one;
-* semantic errors (:class:`~repro.core.errors.ReproError` — bad
-  queries, strict late policies without quarantine, replay divergence)
-  fail fast: restarting cannot fix a deterministic error.
+* every element pulled from the source is appended to an in-memory
+  **journal**, the stand-in for a durable ingress log;
+* **transient source failures** (``RetryPolicy.handles``) are retried
+  in place with seeded exponential backoff through one injectable
+  sleeper; they raise before the element is consumed, so none is lost;
+* the **ingress guard** quarantines malformed elements, regressing
+  punctuations and (optionally) consecutive duplicates into a
+  :class:`~repro.resilience.quarantine.QuarantineLedger`;
+* any other non-semantic failure closes the attempt and **restarts**
+  from the last checkpoint within ``max_restarts``;
+  :class:`~repro.core.errors.ReproError` (bad queries, strict late
+  policies without quarantine, replay divergence) fails fast;
+* delivery is **exactly once**: a replay's re-emitted outputs are
+  verified against what was delivered and suppressed.
 
-Checkpoints are taken every ``checkpoint_every`` ingress punctuations;
-for generic pipelines they record the recovery position (journal
-offset, watermark, delivered-output counts) that restarts report
-against, while :class:`~repro.resilience.sorter.SorterSupervisor`
-additionally uses :func:`~repro.engine.checkpoint.checkpoint_sorter`
-to restore sorter state in O(state) and truncate the journal.
-
-The ingress guard between the source and the pipeline also quarantines
-poison elements (malformed events, regressing punctuations, optional
-consecutive duplicates) into a
-:class:`~repro.resilience.quarantine.QuarantineLedger` instead of
-letting them kill the run, and consults a
-:class:`~repro.resilience.degradation.LoadSheddingGuard` after every
-punctuation.
+A checkpoint is (journal offset, delivered counts, ledger mark, ingress
+guard position, target state or ``None``).  Recovery restores the state,
+or builds a fresh target when it is ``None``, and replays the journal
+from the offset.  Every ``checkpoint_every`` punctuations the loop
+records the position and asks the client for its state: a sorter has a
+compact one, so the checkpoint moves there and the journal is truncated
+(recovery in O(state + delta)).  Pipeline operator state has none, so a
+pipeline's checkpoint stays at offset 0: replay from zero.
 """
 
 from __future__ import annotations
@@ -47,13 +36,16 @@ from __future__ import annotations
 import asyncio as _asyncio
 import random
 import time
+from collections import namedtuple
 
 from repro.core.errors import (
     MalformedEventError,
     ReplayDivergenceError,
     ReproError,
+    SpillCorruptionError,
     SupervisionExhaustedError,
 )
+from repro.engine.checkpoint import release_checkpoint
 from repro.engine.event import Punctuation, is_punctuation
 from repro.engine.graph import Pipeline, QueryNode
 from repro.engine.operators.sink import Collector
@@ -68,7 +60,6 @@ __all__ = [
 ]
 
 _EXHAUSTED = object()
-_NEG_INF = float("-inf")
 
 
 #: Exception types a :class:`RetryPolicy` treats as transient by default.
@@ -129,13 +120,13 @@ class RetryPolicy:
 
 
 class _DeliveryChannel:
-    """Exactly-once output ledger for one pipeline sink.
+    """Exactly-once output ledger for one output of a supervised run.
 
     Holds everything delivered so far across restarts.  During a
-    recovery replay the re-emitted prefix is verified element-by-element
+    recovery replay the re-emitted outputs are verified element-by-element
     against the already-delivered record (catching non-deterministic
-    pipelines) and suppressed; only genuinely new output is appended
-    and forwarded to the user callback.
+    targets) and suppressed; only genuinely new output is appended and
+    forwarded to the user callback.
     """
 
     __slots__ = ("events", "punctuations", "completed", "suppressed",
@@ -151,9 +142,10 @@ class _DeliveryChannel:
         self._seen_events = 0
         self._seen_puncts = 0
 
-    def begin_attempt(self):
-        self._seen_events = 0
-        self._seen_puncts = 0
+    def begin_attempt(self, events=0, punctuations=0):
+        """Start an attempt at its checkpoint's delivered counts."""
+        self._seen_events = events
+        self._seen_puncts = punctuations
 
     def accept_event(self, event):
         index = self._seen_events
@@ -185,6 +177,228 @@ class _DeliveryChannel:
 
     def accept_flush(self):
         self.completed = True
+
+
+#: Where recovery restarts: ``delivered`` holds each channel's ``(events,
+#: punctuations)``, ``ledger`` a ledger mark and ``ingress`` the guard's
+#: ``(last punctuation, last event, punctuation count)``.
+_Checkpoint = namedtuple(
+    "_Checkpoint", "offset delivered ledger ingress state"
+)
+_START = _Checkpoint(0, (), None, (None, None, 0), None)
+
+
+class _Supervisor:
+    """The one supervision loop (see the module docstring).
+
+    A client creates ``_channels`` (by its first ``_build``) and supplies
+    the target: ``_build(state)`` (fresh for ``None``), ``_classify`` →
+    ``("event", value)``, ``("punct", timestamp)`` or ``(None, None)``
+    (malformed), ``_insert``, ``_punctuate``, ``_finish`` and optionally
+    ``_snapshot`` (a :mod:`repro.engine.checkpoint` state) and
+    ``_on_failure``.
+    """
+
+    def __init__(self, *, checkpoint_every, retry, max_restarts,
+                 quarantine, dedupe, chaos, seed, sleep):
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
+        self.checkpoint_every = checkpoint_every
+        self.retry = retry if retry is not None else RetryPolicy()
+        self.max_restarts = max_restarts
+        if quarantine is True:
+            quarantine = QuarantineLedger()
+        self.ledger = quarantine
+        if chaos is None or isinstance(chaos, FaultInjector):
+            self.injector = chaos
+        else:
+            self.injector = FaultInjector(chaos, seed)
+        if dedupe is None:
+            dedupe = bool(self.injector and self.injector.spec.dup_p > 0)
+        self.dedupe = dedupe
+        self._sleep = time.sleep if sleep is None else sleep
+
+        #: ingress elements from ``_checkpoint.offset`` on.
+        self._journal = []
+        self._checkpoint = _START
+        self._channels = None
+        #: recovery positions, one per ``checkpoint_every`` punctuations.
+        self._checkpoints = []
+        self.restores = []
+        self.restarts = 0
+        self.retries = 0
+        self.duplicates_suppressed = 0
+        self.punctuations_suppressed = 0
+
+    def _snapshot(self, target):
+        return None
+
+    def _on_failure(self, exc):
+        pass
+
+    def _supervise(self, elements):
+        """Drive ``elements`` to completion, surviving crashes; returns
+        the last attempt's (fully caught up) target."""
+        elements = iter(elements)
+        if self.injector is not None:
+            elements = self.injector.wrap(elements)
+        while True:
+            target = self._recover()
+            try:
+                self._drive(target, elements)
+            except SpillCorruptionError as exc:
+                # Environmental, like a crash: the checkpoint owns its
+                # own pinned spill files and rebuilds a clean twin.
+                self._fail(target, exc)
+            except ReproError:
+                raise  # deterministic semantic failure: restarting can't help
+            except Exception as exc:  # noqa: BLE001 — supervision boundary
+                self._fail(target, exc)
+            else:
+                # Every output was delivered: the checkpoint has nothing
+                # left to recover.
+                release_checkpoint(self._checkpoint.state)
+                return target
+
+    def _recover(self):
+        """A target at the checkpoint, with the ledger, delivery channels
+        and ingress guard rewound to it; ``_drive`` replays the rest."""
+        checkpoint = self._checkpoint
+        target = self._build(checkpoint.state)
+        if self.ledger is not None:
+            # Deterministic replay regenerates every later record.
+            self.ledger.rollback(checkpoint.ledger)
+        delivered = checkpoint.delivered or [(0, 0)] * len(self._channels)
+        for channel, counts in zip(self._channels, delivered):
+            channel.begin_attempt(*counts)
+        # The ingress guard's position.
+        self._last_punct, self._last_event, self._punct_count = \
+            checkpoint.ingress
+        return target
+
+    def _fail(self, target, exc):
+        """Close the failed attempt and charge the restart budget."""
+        close = getattr(target, "close", None)
+        if callable(close):
+            close()  # e.g. deletes the attempt's spilled run files
+        self.restarts += 1
+        if self.restarts > self.max_restarts:
+            # Giving up: free the checkpoint's resources (pinned spill
+            # files) now rather than leaving them to the GC backstop.
+            release_checkpoint(self._checkpoint.state)
+            raise SupervisionExhaustedError(
+                f"gave up after {self.max_restarts} restarts "
+                f"(last failure: {exc!r})"
+            ) from exc
+        self._on_failure(exc)
+        last = self._checkpoints[-1] if self._checkpoints else None
+        offset = last["offset"] if last else 0
+        self.restores.append({
+            "restart": self.restarts,
+            "error": repr(exc),
+            "from_checkpoint": self._checkpoint.state is not None,
+            "checkpoint_offset": offset,
+            "checkpoint_watermark": last["watermark"] if last else None,
+            "replayed": len(self._journal),
+            "delta": self._checkpoint.offset + len(self._journal) - offset,
+        })
+
+    def _drive(self, target, elements):
+        for index, element in enumerate(
+            self._journal, self._checkpoint.offset
+        ):
+            self._push(target, element, index, replaying=True)
+        while True:
+            element = self._pull(elements)
+            if element is _EXHAUSTED:
+                break
+            index = self._checkpoint.offset + len(self._journal)
+            self._journal.append(element)
+            self._push(target, element, index, replaying=False)
+        self._finish(target)
+
+    def _pull(self, elements):
+        failures = 0
+        while True:
+            try:
+                return next(elements)
+            except StopIteration:
+                return _EXHAUSTED
+            except Exception as exc:
+                if not self.retry.handles(exc):
+                    raise
+                failures += 1
+                self.retries += 1
+                if failures > self.retry.max_retries:
+                    raise SupervisionExhaustedError(
+                        f"source failed {failures} consecutive times "
+                        f"(last: {exc!r})"
+                    ) from exc
+                self._sleep(self.retry.delay(failures - 1))
+
+    def _push(self, target, element, index, replaying):
+        """Guard and apply the element at journal index ``index``."""
+        kind, value = self._classify(element)
+        if kind is None:
+            if self.ledger is None:
+                raise MalformedEventError(element)
+            self.ledger.record(
+                Reason.MALFORMED, element,
+                offset=index, watermark=self._last_punct,
+            )
+            return
+        if kind == "punct":
+            if self._last_punct is not None and value < self._last_punct:
+                if not replaying:
+                    self.punctuations_suppressed += 1
+                if self.ledger is not None:
+                    self.ledger.record(
+                        Reason.PUNCTUATION_REGRESSION, value,
+                        previous=self._last_punct,
+                    )
+                return
+            self._last_punct = value
+            self._punct_count += 1
+            self._punctuate(target, element, value)
+            if (
+                not replaying
+                and self._punct_count % self.checkpoint_every == 0
+            ):
+                self._take_checkpoint(target, index + 1)
+            return
+        if self.dedupe and value == self._last_event:
+            if not replaying:
+                self.duplicates_suppressed += 1
+            if self.ledger is not None:
+                self.ledger.record(
+                    Reason.DUPLICATE, value, watermark=self._last_punct,
+                )
+            return
+        self._last_event = value
+        self._insert(target, value)
+
+    def _take_checkpoint(self, target, offset):
+        """Record the position ``offset``; with target state, move the
+        checkpoint there and truncate the journal it supersedes."""
+        self._checkpoints.append({
+            "offset": offset,
+            "punct_index": self._punct_count,
+            "watermark": self._last_punct,
+            "delivered": [len(channel.events) for channel in self._channels],
+        })
+        state = self._snapshot(target)
+        if state is None:
+            return
+        release_checkpoint(self._checkpoint.state)
+        self._checkpoint = _Checkpoint(
+            offset,
+            [(len(channel.events), len(channel.punctuations))
+             for channel in self._channels],
+            None if self.ledger is None else self.ledger.mark(),
+            (self._last_punct, self._last_event, self._punct_count),
+            state,
+        )
+        self._journal.clear()
 
 
 class SupervisedResult:
@@ -268,8 +482,11 @@ class SupervisedResult:
         )
 
 
-class PipelineSupervisor:
+class PipelineSupervisor(_Supervisor):
     """Drives ``build()``-materialized pipelines until the stream completes.
+
+    Every recovery materializes a fresh pipeline and replays the whole
+    journal through it (operator state has no snapshot).
 
     Parameters
     ----------
@@ -328,83 +545,29 @@ class PipelineSupervisor:
                  max_restarts=8, quarantine=None, guard=None, dedupe=None,
                  chaos=None, seed=0, metrics=None, memory=None,
                  on_event=None, on_build=None, sleep=None):
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        self._build = build
+        super().__init__(
+            checkpoint_every=checkpoint_every, retry=retry,
+            max_restarts=max_restarts, quarantine=quarantine,
+            dedupe=dedupe, chaos=chaos, seed=seed, sleep=sleep,
+        )
+        self._build_pipeline = build
         self._elements = elements
-        self.checkpoint_every = checkpoint_every
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.max_restarts = max_restarts
-        if quarantine is True:
-            quarantine = QuarantineLedger()
-        self.ledger = quarantine
         self.guard = guard
-        if chaos is None or isinstance(chaos, FaultInjector):
-            self.injector = chaos
-        else:
-            self.injector = FaultInjector(chaos, seed)
-        if dedupe is None:
-            dedupe = bool(self.injector and self.injector.spec.dup_p > 0)
-        self.dedupe = dedupe
         self.metrics = metrics
         self.memory = memory
         self._on_event = on_event
         self._on_build = on_build
-        self._sleep = time.sleep if sleep is None else sleep
-
-        self._journal = []
-        self._channels = None
-        self._checkpoints = []
-        self.restores = []
-        self.restarts = 0
-        self.retries = 0
-        self.duplicates_suppressed = 0
-        self.punctuations_suppressed = 0
-        # Per-attempt ingress-guard state (rebuilt by every replay).
-        self._last_punct = None
-        self._last_event = None
-        self._high_watermark = _NEG_INF
-        self._punct_count = 0
-
-    # -- lifecycle ---------------------------------------------------------
 
     def run(self) -> SupervisedResult:
         """Drive the stream to completion, surviving crashes; returns the
         exactly-once result."""
-        elements = iter(self._elements)
-        if self.injector is not None:
-            elements = self.injector.wrap(elements)
-        while True:
-            pipeline, sinks = self._build_attempt()
-            try:
-                self._drive(pipeline, elements)
-            except ReproError:
-                raise  # deterministic semantic failure: restarting can't help
-            except Exception as exc:  # noqa: BLE001 — supervision boundary
-                self.restarts += 1
-                if self.restarts > self.max_restarts:
-                    raise SupervisionExhaustedError(
-                        f"gave up after {self.max_restarts} restarts "
-                        f"(last failure: {exc!r})"
-                    ) from exc
-                last = self._checkpoints[-1] if self._checkpoints else None
-                offset = last["offset"] if last else 0
-                self.restores.append({
-                    "restart": self.restarts,
-                    "error": repr(exc),
-                    "checkpoint_offset": offset,
-                    "checkpoint_watermark": last["watermark"] if last
-                    else None,
-                    "replayed": len(self._journal),
-                    "delta": len(self._journal) - offset,
-                })
-                continue
-            return SupervisedResult(self, pipeline, sinks)
+        pipeline = self._supervise(self._elements)
+        return SupervisedResult(self, pipeline, self._sinks)
 
     # -- per-attempt setup -------------------------------------------------
 
-    def _build_attempt(self):
-        pipeline, sinks = self._build()
+    def _build(self, state):
+        pipeline, sinks = self._build_pipeline()
         sinks = list(sinks)
         if self._channels is None:
             self._channels = [
@@ -416,11 +579,9 @@ class PipelineSupervisor:
                 "build() returned a different number of sinks across "
                 "attempts"
             )
-        # Deterministic replay regenerates ledger entries, guard
-        # decisions, and observability counters identically — reset
-        # instead of deduplicating.
-        if self.ledger is not None:
-            self.ledger.clear()
+        # Deterministic replay regenerates guard decisions and
+        # observability counters identically — reset instead of
+        # deduplicating.
         if self.guard is not None:
             self.guard.reset()
         if self.metrics is not None:
@@ -428,123 +589,54 @@ class PipelineSupervisor:
             self.metrics.attach(pipeline)
         if self.memory is not None:
             self.memory.reset()
-        self._wire_quarantine(pipeline)
+        if self.ledger is not None:
+            for op in pipeline.operators:
+                late = getattr(getattr(op, "sorter", None), "late", None)
+                if late is not None:
+                    late.quarantine = self.ledger
         for channel, sink in zip(self._channels, sinks):
-            channel.begin_attempt()
             self._wire_delivery(sink, channel)
         if self._on_build is not None:
             self._on_build(pipeline)
-        return pipeline, sinks
-
-    def _wire_quarantine(self, pipeline):
-        if self.ledger is None:
-            return
-        for op in pipeline.operators:
-            late = getattr(getattr(op, "sorter", None), "late", None)
-            if late is not None:
-                late.quarantine = self.ledger
+        self._sinks = sinks
+        self._source = pipeline.sources[0]
+        # Load-guard state, rebuilt by the replay from zero.
+        self._high_watermark = float("-inf")
+        self._events_pushed = 0
+        return pipeline
 
     @staticmethod
     def _wire_delivery(sink, channel):
-        def wrap_event(bound):
-            def on_event(event):
-                bound(event)
-                channel.accept_event(event)
-            return on_event
-
-        def wrap_punctuation(bound):
-            def on_punctuation(punctuation):
-                bound(punctuation)
-                channel.accept_punctuation(punctuation)
-            return on_punctuation
-
-        def wrap_flush(bound):
-            def on_flush():
-                bound()
-                channel.accept_flush()
-            return on_flush
+        def after(accept):
+            def wrap(bound):
+                def hook(*args):
+                    bound(*args)
+                    accept(*args)
+                return hook
+            return wrap
 
         sink.instrument({
-            "on_event": wrap_event,
-            "on_punctuation": wrap_punctuation,
-            "on_flush": wrap_flush,
+            "on_event": after(channel.accept_event),
+            "on_punctuation": after(channel.accept_punctuation),
+            "on_flush": after(channel.accept_flush),
         })
 
-    # -- driving -----------------------------------------------------------
+    # -- pushing -----------------------------------------------------------
 
-    def _drive(self, pipeline, elements):
-        source = pipeline.sources[0]
-        self._last_punct = None
-        self._last_event = None
-        self._high_watermark = _NEG_INF
-        self._punct_count = 0
-        self._events_pushed = 0
-        for element in self._journal:
-            self._push(element, source, pipeline, replaying=True)
-        while True:
-            element = self._pull(elements)
-            if element is _EXHAUSTED:
-                break
-            self._journal.append(element)
-            self._push(element, source, pipeline, replaying=False)
-        source.on_flush()
-
-    def _pull(self, elements):
-        failures = 0
-        while True:
-            try:
-                return next(elements)
-            except StopIteration:
-                return _EXHAUSTED
-            except Exception as exc:
-                if not self.retry.handles(exc):
-                    raise
-                failures += 1
-                self.retries += 1
-                if failures > self.retry.max_retries:
-                    raise SupervisionExhaustedError(
-                        f"source failed {failures} consecutive times "
-                        f"(last: {exc!r})"
-                    ) from exc
-                self._sleep(self.retry.delay(failures - 1))
-
-    def _push(self, element, source, pipeline, replaying):
+    @staticmethod
+    def _classify(element):
         if is_punctuation(element):
-            timestamp = element.timestamp
-            if self._last_punct is not None and timestamp < self._last_punct:
-                if not replaying:
-                    self.punctuations_suppressed += 1
-                if self.ledger is not None:
-                    self.ledger.record(
-                        Reason.PUNCTUATION_REGRESSION, timestamp,
-                        previous=self._last_punct,
-                    )
-                return
-            self._last_punct = timestamp
-            self._punct_count += 1
-            source.on_punctuation(element)
-            self._after_punctuation(pipeline, source, replaying)
-            return
-        if not self._valid_event(element):
-            if self.ledger is not None:
-                self.ledger.record(
-                    Reason.MALFORMED, element,
-                    offset=len(self._journal), watermark=self._last_punct,
-                )
-                return
-            raise MalformedEventError(element)
-        if self.dedupe and element == self._last_event:
-            if not replaying:
-                self.duplicates_suppressed += 1
-            if self.ledger is not None:
-                self.ledger.record(
-                    Reason.DUPLICATE, element, watermark=self._last_punct,
-                )
-            return
-        self._last_event = element
-        if element.sync_time > self._high_watermark:
-            self._high_watermark = element.sync_time
-        source.on_event(element)
+            return "punct", element.timestamp
+        sync_time = getattr(element, "sync_time", None)
+        if isinstance(sync_time, (int, float)) and \
+                not isinstance(sync_time, bool):
+            return "event", element
+        return None, None
+
+    def _insert(self, pipeline, event):
+        if event.sync_time > self._high_watermark:
+            self._high_watermark = event.sync_time
+        self._source.on_event(event)
         self._events_pushed += 1
         if (
             self.guard is not None
@@ -552,15 +644,19 @@ class PipelineSupervisor:
         ):
             # Event-interval check: catches punctuation starvation, where
             # no punctuation ever arrives to trigger the guard.
-            self._guard_check(pipeline, source)
+            self._guard_check(pipeline)
 
-    @staticmethod
-    def _valid_event(element) -> bool:
-        return isinstance(
-            getattr(element, "sync_time", None), (int, float)
-        ) and not isinstance(getattr(element, "sync_time", None), bool)
+    def _punctuate(self, pipeline, punctuation, timestamp):
+        self._source.on_punctuation(punctuation)
+        if self.memory is not None:
+            self.memory.sample(pipeline)
+        if self.guard is not None:
+            self._guard_check(pipeline)
 
-    def _guard_check(self, pipeline, source):
+    def _finish(self, pipeline):
+        self._source.on_flush()
+
+    def _guard_check(self, pipeline):
         forced = self.guard.check(pipeline, self._high_watermark)
         if forced is not None and (
             self._last_punct is None or forced >= self._last_punct
@@ -568,27 +664,9 @@ class PipelineSupervisor:
             # Forced punctuations are NOT journaled: the guard is
             # deterministic, so replay re-forces them identically.
             self._last_punct = forced
-            source.on_punctuation(Punctuation(forced))
+            self._source.on_punctuation(Punctuation(forced))
             if self.memory is not None:
                 self.memory.sample(pipeline)
-
-    def _after_punctuation(self, pipeline, source, replaying):
-        if self.memory is not None:
-            self.memory.sample(pipeline)
-        if self.guard is not None:
-            self._guard_check(pipeline, source)
-        if (
-            not replaying
-            and self._punct_count % self.checkpoint_every == 0
-        ):
-            self._checkpoints.append({
-                "offset": len(self._journal),
-                "punct_index": self._punct_count,
-                "watermark": self._last_punct,
-                "delivered": [
-                    len(channel.events) for channel in self._channels
-                ],
-            })
 
 
 def run_supervised(stream, **kwargs) -> SupervisedResult:

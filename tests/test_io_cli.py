@@ -181,13 +181,18 @@ class TestCliChaos:
         assert "supervised: restarts=1" in out
         assert "chaos (seed 1)" in out
 
-    def test_chaos_output_matches_plain_run(self, capsys):
+    @pytest.mark.parametrize(
+        "query", ["windowed-count", "grouped-count", "top-k"]
+    )
+    def test_chaos_output_matches_plain_run(self, query, capsys):
         assert main([
             "run", "--dataset", "synthetic", "--n", "3000",
+            "--query", query,
         ]) == 0
         plain = capsys.readouterr().out.splitlines()[0]
         assert main([
             "run", "--dataset", "synthetic", "--n", "3000",
+            "--query", query,
             "--chaos", "crash:punct=3", "--seed", "0",
         ]) == 0
         chaotic = capsys.readouterr().out.splitlines()[0]

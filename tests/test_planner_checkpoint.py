@@ -240,11 +240,22 @@ class TestCheckpoint:
         # And the restored twin still behaves identically.
         assert restore_sorter(state).flush() == sorter.flush()
 
-    def test_restore_accepts_format1_without_pending(self):
+    def test_restore_refuses_format1(self):
+        # No writer produces format 1 (no "pending" field) any more.
         state = checkpoint_sorter(self._loaded([2, 1, 3], punct=0))
         del state["pending"]
         state["format"] = 1
-        assert restore_sorter(state).flush() == [1, 2, 3]
+        with pytest.raises(CheckpointError, match="format 1"):
+            restore_sorter(state)
+
+    @pytest.mark.parametrize("field", ["pending", "merge"])
+    def test_restore_refuses_format2_without_field(self, field):
+        # Every format-2 writer emits both fields; a document lacking
+        # one is refused, not completed with a guessed default.
+        state = checkpoint_sorter(self._loaded([2, 1]))
+        del state[field]
+        with pytest.raises(CheckpointError, match=f"'{field}' field"):
+            restore_sorter(state)
 
     @pytest.mark.parametrize("merge", ["pairwise", "huffman", "kway"])
     def test_checkpoint_every_punctuation_boundary(self, merge, rng):
@@ -286,24 +297,6 @@ class TestCheckpoint:
         sorter = ImpatienceSorter(merge="kway")
         sorter.extend([3, 1, 2])
         assert restore_sorter(checkpoint_sorter(sorter)).merge == "kway"
-
-    def test_restore_accepts_pre_merge_checkpoints(self):
-        # Checkpoints written before the "merge" key existed carry only
-        # the huffman_merge bool.
-        state = checkpoint_sorter(self._loaded([2, 1]))
-        del state["merge"]
-        restored = restore_sorter(state)
-        assert restored.merge == "huffman"
-        assert restored.flush() == [1, 2]
-
-    def test_restore_accepts_pre_merge_pairwise_checkpoints(self):
-        state = checkpoint_sorter(
-            ImpatienceSorter(huffman_merge=False)
-        )
-        del state["merge"]
-        state["huffman_merge"] = False
-        restored = restore_sorter(state)
-        assert restored.merge == "pairwise"
 
     @pytest.mark.parametrize("shard", [None, {"index": 1, "count": 2}])
     def test_columnar_format4_roundtrip(self, shard):

@@ -471,6 +471,94 @@ class TestLoadSheddingGuard:
             [d.as_dict() for d in plain_guard.decisions]
 
 
+#: One raw-pair stream with a malformed element at input index 1.
+RAW = [
+    ("event", 0), "garbage", ("event", 1), ("punct", 1),
+    ("event", 2), ("punct", 2), ("event", 3), ("punct", 3),
+]
+
+
+def supervise_pipeline(raw, wrap=iter, **kwargs):
+    """``PipelineSupervisor`` over ``raw`` as events and punctuations;
+    returns ``(result, delivered output)``."""
+    rich = [
+        MalformedEvent(e) if e == "garbage"
+        else Punctuation(e[1]) if e[0] == "punct" else Event(e[1])
+        for e in raw
+    ]
+    stream = stream_of([]).to_streamable()
+    sink_node = QueryNode(Collector, ((stream.node, None),), name="collect")
+
+    def build():
+        pipeline = Pipeline([sink_node])
+        return pipeline, [pipeline.operator_for(sink_node)]
+
+    result = PipelineSupervisor(build, wrap(rich), **kwargs).run()
+    return result, result.events
+
+
+def supervise_sorter(raw, wrap=iter, **kwargs):
+    """``SorterSupervisor`` over ``raw``; returns ``(result, output)``."""
+    result = SorterSupervisor(**kwargs).run(wrap(raw))
+    return result, result.output
+
+
+class FailingSecondPull:
+    """Iterates ``elements``, raising ``exc`` (before consuming anything)
+    on the second pull only."""
+
+    def __init__(self, elements, exc):
+        self._it = iter(elements)
+        self._exc = exc
+        self._calls = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self._calls += 1
+        if self._calls == 2:
+            raise self._exc
+        return next(self._it)
+
+
+@pytest.mark.parametrize("supervise", [supervise_pipeline, supervise_sorter],
+                         ids=["pipeline", "sorter"])
+class TestOneSupervisionLoop:
+    """Both supervisors run the same loop, so they agree on retry and
+    on what the quarantine ledger records."""
+
+    @pytest.mark.parametrize("exc, retry_on", [
+        (ValueError("flaky parse"), (OSError, ValueError)),
+        (asyncio.TimeoutError(), None),
+    ], ids=["custom-retry-on", "asyncio-timeout"])
+    def test_retry_policy_classifies_source_failures(self, supervise, exc,
+                                                     retry_on):
+        _, expected = supervise(RAW, quarantine=True)
+        slept = []
+        result, output = supervise(
+            RAW, wrap=lambda elements: FailingSecondPull(elements, exc),
+            quarantine=True, sleep=slept.append,
+            retry=RetryPolicy(seed=5, retry_on=retry_on),
+        )
+        assert (result.retries, result.restarts) == (1, 0)
+        assert slept == [RetryPolicy(seed=5).delay(0)]
+        assert output == expected
+
+    def test_recovered_ledger_matches_uninterrupted(self, supervise):
+        plain, expected = supervise(RAW, quarantine=True)
+        recovered, output = supervise(
+            RAW, quarantine=True, chaos="crash:punct=2", seed=0,
+        )
+        assert recovered.restarts == 1
+        assert output == expected
+        doc = recovered.ledger.as_dict()
+        assert doc == plain.ledger.as_dict()
+        # The malformed element is recorded at its own journal index.
+        [entry] = doc["entries"]
+        assert entry["context"]["offset"] == 1
+
+
 class TestExactlyOnceDelivery:
     def test_supervised_matches_plain_collect(self):
         stream = stream_of(range(100))
