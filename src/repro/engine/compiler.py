@@ -955,7 +955,8 @@ class _Execution:
         else:
             closed, puncts = kernel.punctuate(timestamp)
         seconds = perf_counter() - t0
-        # Closed windows box into events here, outside the kernel's time.
+        # Lazily returned events (window aggregates, sessions, coalesce)
+        # box here, outside the kernel's time.
         out.extend(closed)
         kernel.note(
             self.kernel_metrics, n_in, len(out), timestamp is not None,
