@@ -28,7 +28,6 @@ from benchmarks import (
     bench_fig7_offline_sorting,
     bench_fig8_online_sorting,
     bench_columnar_compiler,
-    bench_compiled_parallel,
     bench_external_sort,
     bench_fig9_sort_as_needed,
     bench_fig10_framework,
@@ -60,8 +59,6 @@ SECTIONS = (
     ("Ablation — sorter ingress batching", bench_ablation_ingress.report),
     ("Fused columnar compiler vs row engine",
      bench_columnar_compiler.report),
-    ("Compiled shard workers vs row pipeline",
-     bench_compiled_parallel.report),
     ("Bounded-memory external sort", bench_external_sort.report),
     ("Operator microbenchmarks", bench_operator_micro.report),
 )

@@ -170,76 +170,6 @@ def _single_plan(query, window):
     return plan.count()
 
 
-def _parallel_plan(query, window, engine="auto"):
-    """Per-shard plan + coordinator finalize for a ``run`` query.
-
-    Under ``--engine auto`` (default) and ``--engine columnar`` every
-    shard worker runs the fused compiled kernel pipeline
-    (:class:`~repro.parallel.CompiledShardPlan`); ``--engine row``
-    forces the row-operator shard plans.  ``grouped-count`` is
-    key-local, so the whole query runs inside the shard workers.  The
-    other two decompose: each shard computes its partial per-window
-    answer and a coordinator ``finalize`` query combines the partials —
-    summed counts for the global ``windowed-count``,
-    top-k-of-shard-top-ks for ``top-k``.  All plans keep the windowing
-    stage *before* the per-shard sort (the §IV push-down), matching the
-    single-process plans byte-for-byte — including which events count
-    as late.
-
-    Returns ``(plan, engine_name, engine_reason)``; ``engine_reason``
-    is the compiler's fallback reason when ``auto`` lands on the row
-    path.  Raises
-    :class:`~repro.engine.compiler.UnsupportedPlanError` when
-    ``columnar`` is forced on a shape the compiler cannot lower.
-    """
-    from repro.engine import QueryPlan
-    from repro.engine.compiler import UnsupportedPlanError
-    from repro.engine.operators.aggregates import Count, Sum
-    from repro.parallel import CompiledShardPlan, RowPlan
-
-    if query == "grouped-count":
-        qplan = (QueryPlan().tumbling_window(window).sort()
-                 .group_aggregate(Count()))
-        finalize = None
-    elif query == "windowed-count":
-        qplan = QueryPlan().tumbling_window(window).sort().count()
-        finalize = (
-            lambda s: s.tumbling_window(window).aggregate(Sum())
-        )
-    else:
-        qplan = QueryPlan().tumbling_window(window).sort().top_k(3)
-        finalize = lambda s: s.top_k(3)
-
-    reason = None
-    if engine in ("auto", "columnar"):
-        try:
-            plan = CompiledShardPlan(qplan, finalize=finalize)
-            return plan, "columnar", None
-        except UnsupportedPlanError as exc:
-            if engine == "columnar":
-                raise
-            reason = exc.reason
-
-    if query == "grouped-count":
-        plan = RowPlan(
-            lambda s: s.group_aggregate(Count()),
-            pre=lambda d: d.tumbling_window(window),
-        )
-    elif query == "windowed-count":
-        plan = RowPlan(
-            lambda s: s.count(),
-            pre=lambda d: d.tumbling_window(window),
-            finalize=finalize,
-        )
-    else:
-        plan = RowPlan(
-            lambda s: s.top_k(3),
-            pre=lambda d: d.tumbling_window(window),
-            finalize=finalize,
-        )
-    return plan, "row", reason
-
-
 def _cmd_run(args):
     from repro.engine import DisorderedStreamable
     from repro.framework.memory import MemoryMeter
@@ -256,11 +186,6 @@ def _cmd_run(args):
                   "--supervised/--chaos (checkpoint budgeted sorters via "
                   "resilience.SorterSupervisor)", file=sys.stderr)
             return 2
-        if args.parallel is not None:
-            print("error: QueryBuildError: --memory-budget bounds the "
-                  "single-process sorter; with --parallel each shard "
-                  "buffers independently", file=sys.stderr)
-            return 2
         try:
             memory_budget = parse_memory_budget(args.memory_budget)
         except ValueError as exc:
@@ -272,8 +197,6 @@ def _cmd_run(args):
         else suggest_reorder_latency(dataset.timestamps, 0.99)
     )
     window = args.window or max(len(dataset) // 100, 1)
-    if args.parallel is not None:
-        return _parallel_cli(args, dataset, latency, window)
     disordered = DisorderedStreamable.from_dataset(
         dataset, args.punctuation_frequency, latency
     )
@@ -375,106 +298,6 @@ def _cmd_run(args):
     return 0
 
 
-def _parallel_cli(args, dataset, latency, window):
-    """The ``run --parallel N`` path: shard workers + columnar exchange."""
-    from repro.engine.ingress import ingress_dataset
-    from repro.engine.stream import Streamable
-    from repro.observability import MetricsRegistry
-
-    if args.chaos:
-        print("error: QueryBuildError: --chaos is single-process fault "
-              "injection; with --parallel use --supervised (worker-crash "
-              "recovery)", file=sys.stderr)
-        return 2
-    workers = args.parallel
-    if workers < 1:
-        print("error: QueryBuildError: workers must be >= 1",
-              file=sys.stderr)
-        return 2
-
-    from repro.engine.compiler import UnsupportedPlanError
-
-    try:
-        plan, engine_name, engine_reason = _parallel_plan(
-            args.query, window, args.engine
-        )
-    except UnsupportedPlanError as exc:
-        print("error: QueryBuildError: --engine columnar forced, but the "
-              f"'{args.query}' shard plan cannot be compiled: {exc.reason}",
-              file=sys.stderr)
-        return 2
-    ingress = ingress_dataset(dataset, args.punctuation_frequency, latency)
-    resilience = None
-    start = time.perf_counter()
-    if args.supervised:
-        from repro.resilience.parallel import run_parallel_supervised
-
-        outcome = run_parallel_supervised(ingress, plan, workers)
-        parallel_doc = outcome.parallel
-        resilience = outcome.resilience_doc()
-        if plan.finalize is not None:
-            finalized = plan.finalize(
-                Streamable.from_elements(outcome.elements)
-            ).collect()
-            n_results = len(finalized.events)
-        else:
-            n_results = len(outcome.events)
-    else:
-        from repro.parallel import run_parallel
-
-        result = run_parallel(ingress, plan, workers)
-        parallel_doc = result.parallel
-        n_results = len(result.events)
-    elapsed = time.perf_counter() - start
-
-    snapshot = MetricsRegistry(trace=False).snapshot(
-        resilience=resilience, parallel=parallel_doc, meta={
-            "query": args.query,
-            "dataset": dataset.name,
-            "n": len(dataset),
-            "window": window,
-            "punctuation_frequency": args.punctuation_frequency,
-            "reorder_latency": latency,
-            "workers": workers,
-            "engine": engine_name,
-            "engine_reason": engine_reason,
-            "elapsed_s": elapsed,
-            "throughput_meps": len(dataset) / elapsed / 1e6,
-        },
-    )
-
-    print(
-        f"{args.query} over {dataset.name} (n={len(dataset):,}, "
-        f"reorder latency {latency}, {workers} workers): "
-        f"{n_results} result events in {elapsed:.3f}s "
-        f"({len(dataset) / elapsed / 1e6:.3f} M events/s)"
-    )
-    if engine_name == "columnar":
-        print("engine: columnar (compiled shard kernels)")
-    elif engine_reason is not None:
-        print(f"engine: row ({engine_reason})")
-    else:
-        print("engine: row (forced)")
-    print()
-    print(format_parallel_summary(parallel_doc))
-    if resilience is not None:
-        print()
-        print(
-            f"supervised: restarts={resilience['restarts']} "
-            f"deduplicated={resilience['duplicates_suppressed']} "
-            f"crashes={len(resilience['crashes'])}"
-        )
-    if args.metrics_out:
-        try:
-            snapshot.save(args.metrics_out)
-        except OSError as exc:
-            print(f"error: cannot write {args.metrics_out}: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"\nwrote {args.metrics_out}")
-    return 0
-
-
 def _cmd_serve(args):
     import asyncio
 
@@ -498,35 +321,6 @@ def _cmd_serve(args):
 
     asyncio.run(_run())
     return 0
-
-
-def format_parallel_summary(doc) -> str:
-    """Console table for a parallel run's coordinator accounting."""
-    lines = [
-        f"parallel: {doc['workers']} workers, batch {doc['batch_size']}, "
-        f"{doc['rounds']} rounds ({doc['fast_merge_rounds']} huffman / "
-        f"{doc['tree_merge_rounds']} tree merges), "
-        f"{doc['frames_sent']} frames out / {doc['frames_received']} in",
-    ]
-    rows = []
-    for shard, stats in enumerate(doc["shards"]):
-        stats = stats or {}
-        rows.append([
-            shard,
-            stats.get("plan", "?"),
-            stats.get("engine", "row"),
-            stats.get("events_in", 0),
-            stats.get("buffered_peak", 0),
-            stats.get("runs_peak", "-"),
-            stats.get("late_dropped", 0),
-            stats.get("late_adjusted", 0),
-        ])
-    lines.append(format_table(
-        ["shard", "plan", "engine", "ev in", "peak buf", "peak runs",
-         "late drop", "late adj"],
-        rows, title="Per-shard workers",
-    ))
-    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -590,10 +384,6 @@ def main(argv=None) -> int:
                         "output stays byte-identical")
     p.add_argument("--metrics-out", default=None, metavar="PATH",
                    help="write the metrics JSON export here")
-    p.add_argument("--parallel", type=int, default=None, metavar="N",
-                   help="execute on N shard worker processes with "
-                        "shared-memory columnar exchange (output stays "
-                        "byte-identical)")
     p.add_argument("--supervised", action="store_true",
                    help="run under the fault-tolerant supervisor")
     p.add_argument("--chaos", default=None, metavar="SPEC",

@@ -148,13 +148,13 @@ class SpillCorruptionError(ReproError, OSError):
 class WorkerCrashError(ReproError):
     """A parallel shard worker process died mid-stream.
 
-    Carries everything a supervised rerun needs: the shard index, the
-    worker's last *acknowledged* ingress journal offset (every journal
-    element up to it was provably processed and its output delivered),
-    and the process exit code.  Unlike the semantic :class:`ReproError`
-    family this failure is environmental — the parallel supervisor
-    (:func:`repro.resilience.parallel.run_parallel_supervised`) treats
-    it as restartable and replays the journal through a fresh pool.
+    Carries the shard index, the worker's last *acknowledged* ingress
+    journal offset (every journal element up to it was processed by
+    that worker; ``-1`` before its first acknowledged round), and the
+    process exit code (negative for a signal).  Unlike the semantic
+    :class:`ReproError` family this failure is environmental, but
+    :func:`repro.parallel.run_parallel` does not restart the run: it
+    terminates the surviving workers and raises.
     """
 
     def __init__(self, shard, journal_offset, exitcode=None, detail=""):

@@ -29,10 +29,12 @@ class EventBatch:
     columns, a batch may carry *string* payload columns
     (:class:`~repro.core.strings.StringColumn`, arena + offsets).  They
     ride through bitmap selection for free, are gathered on
-    :meth:`compact`, and travel the parallel exchange as SDATA frames —
-    never pickled.  Sort/group semantics on strings lower to int64
-    dictionary codes (see :mod:`repro.core.strings`), so string columns
-    here are payload data, not a fourth key column.
+    :meth:`compact`, and spill inside the external sorter's blocks —
+    never pickled.  The parallel shard workers carry only int64
+    columns and refuse a batch with string columns.  Sort/group
+    semantics on strings lower to int64 dictionary codes (see
+    :mod:`repro.core.strings`), so string columns here are payload
+    data, not a fourth key column.
     """
 
     __slots__ = ("sync_times", "other_times", "keys", "payload_columns",
@@ -205,9 +207,8 @@ class EventBatch:
         """Yield valid rows as :class:`Event` objects, arrival order.
 
         String payload columns materialize as ``bytes`` fields appended
-        after the int payload fields — the same row shape SDATA frames
-        decode to on the coordinator, so the row engine and the parallel
-        runtime see identical events.
+        after the int payload fields, so the row engine sees every
+        column the batch carries.
         """
         n_cols = len(self.payload_columns)
         s_cols = self.string_columns

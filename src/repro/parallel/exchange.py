@@ -9,13 +9,14 @@ fixed structs; the escape hatches (``PICKLE``, ``STATS``, ``ERROR``)
 carry pickled python objects for row-shaped outputs, metrics
 dictionaries, and forwarded exceptions.
 
-Coordinator -> worker:   DATA* (PUNCT | FLUSH)  …  DONE
-Worker -> coordinator:   (DATA | PICKLE | OUTPUNCT)* ACK  …  STATS DONE
+Coordinator -> worker:   (DATA | PICKLE)* PUNCT  …  FLUSH
+Worker -> coordinator:   (DATA | FDATA | PICKLE | OUTPUNCT)* ACK  …
+                         FLUSH STATS DONE
                          ERROR at any point (fatal, pickled exception)
 
 The ``ACK`` after each input punctuation round carries the ingress
-journal offset the round closed at — the coordinator's crash-recovery
-watermark (see :class:`~repro.core.errors.WorkerCrashError`).
+journal offset the round closed at, which a
+:class:`~repro.core.errors.WorkerCrashError` reports for a dead worker.
 """
 
 from __future__ import annotations
@@ -25,15 +26,13 @@ import struct
 
 import numpy as np
 
-from repro.core.strings import StringColumn
 from repro.engine.batch import EventBatch
 
 __all__ = [
     "DATA", "PUNCT", "OUTPUNCT", "ACK", "FLUSH", "PICKLE", "STATS",
-    "DONE", "ERROR", "FDATA", "SDATA", "KIND_NAMES",
+    "DONE", "ERROR", "FDATA", "KIND_NAMES",
     "write_batch", "read_batch", "write_pickled", "read_pickled",
     "write_float_batch", "read_float_batch",
-    "write_string_batch", "read_string_batch",
 ]
 
 DATA = 1        # packed EventBatch:  u32 n | u32 n_payload_cols | columns
@@ -47,21 +46,14 @@ DONE = 8        # clean worker shutdown (no payload)
 ERROR = 9       # pickled exception (fatal)
 FDATA = 10      # float-valued rows: u32 n | sync i64[n] | other i64[n]
                 #                    | key i64[n] | value f64[n]
-SDATA = 11      # EventBatch with string columns:
-                #   u32 n | u32 n_payload_cols | u32 n_string_cols
-                #   | int columns (DATA layout)
-                #   | per string column: u64 arena_len
-                #                        | offsets u32[n+1] | arena bytes
-                # Arena + offsets travel as raw bytes — no pickling.
 
 KIND_NAMES = {
     DATA: "DATA", PUNCT: "PUNCT", OUTPUNCT: "OUTPUNCT", ACK: "ACK",
     FLUSH: "FLUSH", PICKLE: "PICKLE", STATS: "STATS", DONE: "DONE",
-    ERROR: "ERROR", FDATA: "FDATA", SDATA: "SDATA",
+    ERROR: "ERROR", FDATA: "FDATA",
 }
 
 _BATCH_HEAD = struct.Struct("<II")
-_SBATCH_HEAD = struct.Struct("<III")
 _FBATCH_HEAD = struct.Struct("<I")
 PUNCT_STRUCT = struct.Struct("<qqq")
 ACK_STRUCT = struct.Struct("<qq")
@@ -88,48 +80,6 @@ def read_batch(payload, copy=False) -> EventBatch:
     return EventBatch.unpack_from(
         payload, n, n_cols, offset=_BATCH_HEAD.size, copy=copy
     )
-
-
-def write_string_batch(ring, batch, pump=None, alive=None) -> None:
-    """Enqueue an :class:`EventBatch` with string columns as one SDATA
-    frame: the int columns in DATA layout followed by each string
-    column's arena + offsets as raw bytes (single copy, no pickling)."""
-    n = len(batch)
-    n_cols = len(batch.payload_columns)
-    scols = batch.string_columns
-    size = (
-        _SBATCH_HEAD.size
-        + EventBatch.packed_size(n, n_cols)
-        + sum(col.packed_size() for col in scols)
-    )
-
-    def fill(view):
-        _SBATCH_HEAD.pack_into(view, 0, n, n_cols, len(scols))
-        offset = _SBATCH_HEAD.size
-        offset += batch.pack_into(view, offset)
-        for col in scols:
-            offset = col.pack_into(view, offset)
-
-    ring.write(SDATA, reserve=(size, fill), pump=pump, alive=alive)
-
-
-def read_string_batch(payload, copy=False) -> EventBatch:
-    """Decode an SDATA frame back into an :class:`EventBatch`.
-
-    The int columns honor ``copy`` exactly like :func:`read_batch`;
-    string arenas are always copied out of the ring slot (``bytes``
-    objects cannot alias mapped ring memory safely)."""
-    n, n_cols, n_scols = _SBATCH_HEAD.unpack_from(payload, 0)
-    offset = _SBATCH_HEAD.size
-    batch = EventBatch.unpack_from(payload, n, n_cols, offset=offset,
-                                   copy=copy)
-    offset += EventBatch.packed_size(n, n_cols)
-    scols = []
-    for _ in range(n_scols):
-        col, offset = StringColumn.unpack_from(payload, n, offset)
-        scols.append(col)
-    batch.string_columns = scols
-    return batch
 
 
 def write_float_batch(ring, sync, other, keys, values, pump=None,

@@ -1,42 +1,15 @@
-"""Per-shard execution plans for the parallel runtime.
+"""The per-shard execution plan of the parallel runtime.
 
-A *plan* describes what one shard worker does with its routed substream.
-Every plan builds the same executor over its engine's push face
-(:meth:`~repro.engine.compiler.CompiledPlan.open` or
-:class:`~repro.engine.compiler.RowExecution`), obeying one push
-protocol —
-``feed_batch`` / ``feed_elements`` (buffer disordered ingress),
-``feed_punctuation`` (advance the shard pipeline, return the round's
-output items), ``feed_flush`` (end of stream) — which is exactly the
-``sort → query`` stage a shard runs in
+:class:`CompiledShardPlan` lowers a :class:`~repro.engine.planner.QueryPlan`
+through :func:`~repro.engine.compiler.compile_plan`, and every shard
+worker drives its own compiled executor
+(:meth:`~repro.engine.compiler.CompiledPlan.open`) with one push
+protocol — ``feed_batch`` / ``feed_elements`` (buffer disordered
+ingress), ``feed_punctuation`` (advance the shard pipeline, return the
+round's output items), ``feed_flush`` (end of stream) — which is
+exactly the ``sort → query`` stage a shard runs in
 :func:`repro.engine.sharded.shard_disordered`; equivalence between the
 two is the runtime's core invariant.
-
-Two plan families:
-
-:class:`CompiledShardPlan`
-    Vectorized: lowers a :class:`~repro.engine.planner.QueryPlan`
-    through :func:`~repro.engine.compiler.compile_plan` and runs the
-    fused kernel pipeline (columnar sort + terminal kernel) inside each
-    shard worker — every shape the single-process compiler lowers
-    (grouped aggregates, sessions, coalesce, joins, patterns,
-    group-apply, distinct, top-k) runs compiled *and* parallel.
-    Per-shard byte-equivalence with the row operators is the compiler's
-    proven invariant, so the merged stream is byte-identical to the
-    same plan on :class:`RowPlan` shards.  An optional coordinator-side
-    ``finalize`` handles non-key-local tails (global counts, top-k of
-    shard top-ks).
-
-:class:`RowPlan`
-    Generic fallback: the row engine's face boxes the routed columns
-    back into :class:`~repro.engine.event.Event` rows and drives the
-    *actual* engine operators (``Sort`` + whatever ``query_fn``
-    composes).  Runs
-    whatever the compiler rejects — opaque Python callables, custom
-    sorters, and a window *above* the sort (``Sort →
-    TumblingWindow → aggregate``; the compiler only lowers the §IV
-    push-down, window below the sort) — because the fork start method
-    ships the closure to the worker as-is.
 
 Output items a round may produce (worker ships them as frames in this
 order): ``("batch", EventBatch)`` for columnar rows,
@@ -52,51 +25,12 @@ import numpy as np
 
 from repro.engine.batch import EventBatch
 from repro.engine.compiler import (
-    RowExecution,
     UnsupportedPlanError,
     compile_plan,
     ingest_reason,
 )
 
-__all__ = ["RowPlan", "CompiledShardPlan"]
-
-
-class RowPlan:
-    """Run an arbitrary key-local ``query_fn`` on each shard's rows.
-
-    ``sorter`` is an optional zero-argument factory for the per-shard
-    online sorter (default: an ``ImpatienceSorter`` keyed on
-    ``sync_time``); ``finalize`` is an optional non-key-local query
-    applied by the *coordinator* to the merged stream (e.g. a
-    ``WindowTopK`` over per-group aggregates); ``pre`` is an optional
-    order-insensitive query (``DisorderedStreamable ->
-    DisorderedStreamable``, e.g. ``lambda d: d.tumbling_window(w)``)
-    run *before* the per-shard sort — the paper's §IV push-down, which
-    reduces disorder inside each worker and changes which events count
-    as late exactly like it does in the single-process plan.
-    """
-
-    def __init__(self, query_fn, sorter=None, finalize=None, pre=None):
-        self.query_fn = query_fn
-        self.sorter = sorter
-        self.finalize = finalize
-        self.pre = pre
-
-    def build_executor(self, shard):
-        return _ShardExecutor(
-            RowExecution(self._bind), "pickle",
-            {"plan": "row", "engine": "row"},
-        )
-
-    def _bind(self, disordered, memory_budget):
-        if self.pre is not None:
-            disordered = self.pre(disordered)
-        return self.query_fn(disordered.to_streamable(sorter=self.sorter))
-
-    def describe(self):
-        return {"plan": "row", "query": getattr(
-            self.query_fn, "__name__", "query_fn"
-        )}
+__all__ = ["CompiledShardPlan"]
 
 
 class CompiledShardPlan:
@@ -106,18 +40,15 @@ class CompiledShardPlan:
     compiler lowers (:func:`~repro.engine.compiler.compile_plan` runs at
     construction time and raises
     :class:`~repro.engine.compiler.UnsupportedPlanError` for shapes it
-    cannot — callers fall back to :class:`RowPlan` with that reason).
-    Each worker drives its own compiled executor
+    cannot).  Each worker drives its own compiled executor
     (:meth:`~repro.engine.compiler.CompiledPlan.open`) — columnar sort
     plus the plan's terminal kernel — over the routed columns, so the
-    per-shard pipeline is byte-identical to the same plan on a
-    :class:`RowPlan` shard, and therefore so is the merged stream.  The
-    output wire mode is the terminal kernel's ``wire``.
-
-    ``finalize`` is the coordinator-side tail for non-key-local stages
-    (e.g. summing per-shard window counts, top-k of shard top-ks),
-    identical to :class:`RowPlan`'s hook.  ``memory_budget`` bounds each
-    shard sorter's resident bytes via the spill-to-disk external sorter.
+    per-shard pipeline is byte-identical to the plan's row operators
+    on that shard, and therefore the merged stream is byte-identical
+    to :func:`~repro.engine.sharded.shard_disordered`.  The output wire
+    mode is the terminal kernel's ``wire``.  ``memory_budget`` bounds
+    each shard sorter's resident bytes via the spill-to-disk external
+    sorter.
 
     The coordinator's deterministic RAISE guard engages when the shard
     pipeline applies no sync transform before the sorter (``window=1``,
@@ -128,10 +59,8 @@ class CompiledShardPlan:
     ``LateEventError`` frames instead.
     """
 
-    def __init__(self, plan, finalize=None, memory_budget=None):
-        self.query_plan = plan
+    def __init__(self, plan, memory_budget=None):
         self.compiled = compile_plan(plan)
-        self.finalize = finalize
         self.memory_budget = memory_budget
         self.late_policy = self.compiled.late_policy
         stages = self.compiled.stages
@@ -151,10 +80,8 @@ class CompiledShardPlan:
 
     def build_executor(self, shard):
         return _ShardExecutor(
-            self.compiled.open(self.memory_budget), self.wire_mode, {
-                "plan": "compiled", "engine": "columnar",
-                "kernels": self.compiled.describe(),
-            },
+            self.compiled.open(self.memory_budget), self.wire_mode,
+            self.compiled.describe(),
         )
 
     def describe(self):
@@ -166,49 +93,47 @@ class CompiledShardPlan:
         }
 
 
+def refuse_string_columns(batch):
+    """Refuse a batch whose string columns the int64 shard columns
+    cannot carry, with the single-process compiler's non-int reason,
+    instead of dropping them."""
+    if batch.string_columns:
+        raise UnsupportedPlanError("event payloads are not integer columns")
+
+
 class _ShardExecutor:
-    """Drive one shard's executor — either engine's push face — with the
-    shard push protocol.
+    """Drive one shard's compiled executor with the shard push protocol.
 
     Each round's ``(events, punctuations)`` leaves as wire items, events
     first, then the round's punctuation — the order the wire protocol
-    requires, which both engines keep within a round — with the events
-    packaged per the wire ``mode`` (``"pickle"`` ships them as they
-    are).  ``info`` heads :meth:`stats`; its ``engine`` says which face
-    this is.
+    requires — with the events packaged per the wire ``mode``
+    (``"pickle"`` ships them as they are).
     """
 
-    def __init__(self, executor, mode, info):
+    def __init__(self, executor, mode, kernels):
         self._executor = executor
         self._mode = mode
-        self._info = info
-        self._compiled = info["engine"] == "columnar"
+        self._kernels = kernels
         self.events_in = 0
 
     def feed_batch(self, batch):
-        if self._compiled:
-            batch = batch.compact()
-            n = len(batch)
-            if n:
-                self._executor.feed(
-                    batch.sync_times, batch.other_times, batch.keys,
-                    list(batch.payload_columns),
-                )
-        else:
-            # Row events carry the string columns as trailing fields.
-            events = list(batch.events())
-            n = len(events)
-            self._executor.feed_events(events)
+        refuse_string_columns(batch)
+        batch = batch.compact()
+        n = len(batch)
+        if n:
+            self._executor.feed(
+                batch.sync_times, batch.other_times, batch.keys,
+                list(batch.payload_columns),
+            )
         self.events_in += n
 
     def feed_elements(self, elements):
-        if self._compiled:
-            # Per-event ingress the int64 columns cannot carry arrives
-            # here pickled; refuse it exactly as the single-process
-            # compiler does instead of truncating it.
-            reason = ingest_reason(elements)
-            if reason is not None:
-                raise UnsupportedPlanError(reason)
+        # Per-event ingress the int64 columns cannot carry arrives here
+        # pickled; refuse it exactly as the single-process compiler
+        # does instead of truncating it.
+        reason = ingest_reason(elements)
+        if reason is not None:
+            raise UnsupportedPlanError(reason)
         self._executor.feed_events(elements)
         self.events_in += len(elements)
 
@@ -245,7 +170,8 @@ class _ShardExecutor:
 
     def stats(self):
         return {
-            **self._info,
+            "plan": "compiled",
+            "kernels": self._kernels,
             "events_in": self.events_in,
             **self._executor.stats(),
         }

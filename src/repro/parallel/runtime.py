@@ -25,13 +25,13 @@ back to the operator tree, whose state the fast path keeps in sync.
 
 Crash handling: every blocking ring operation watches the peer process;
 a dead worker surfaces as :class:`~repro.core.errors.WorkerCrashError`
-carrying the shard and the last *acknowledged* ingress-journal offset,
-which :mod:`repro.resilience.parallel` uses for supervised replay.
+carrying the shard and the last *acknowledged* ingress-journal offset.
+The run is not restarted: whatever ends it, every worker still running
+is terminated and joined before ``run_parallel`` returns or raises.
 """
 
 from __future__ import annotations
 
-import signal
 import time
 from multiprocessing import get_context
 
@@ -52,8 +52,8 @@ from repro.engine.sharded import (
     stable_key_hash,
     stable_key_hash_array,
 )
-from repro.engine.stream import Streamable
 from repro.parallel import exchange, shm
+from repro.parallel.plans import refuse_string_columns
 from repro.parallel.shm import RingClosedError, ShmRing
 from repro.parallel.worker import worker_main
 
@@ -71,18 +71,15 @@ class ParallelResult:
     Mirrors the :class:`~repro.engine.operators.sink.Collector` surface
     (``events``, ``punctuations``, ``completed``, ``sync_times``,
     ``payloads``) so equivalence tests compare it directly against
-    ``.collect()`` results, and adds ``elements`` (the exact interleaved
-    output stream) and the ``parallel`` accounting dict the
-    observability snapshot embeds.
+    ``.collect()`` results, and adds the ``parallel`` accounting dict
+    the observability snapshot embeds.
     """
 
-    def __init__(self, events, punctuations, completed, parallel,
-                 elements=None):
+    def __init__(self, events, punctuations, completed, parallel):
         self.events = events
         self.punctuations = punctuations
         self.completed = completed
         self.parallel = parallel
-        self.elements = elements
 
     @property
     def sync_times(self):
@@ -98,28 +95,18 @@ class ParallelResult:
 
 class _OutputSink:
     """Terminal sink: splits the merged stream into ``events`` /
-    ``punctuations`` (Collector-compatible), keeps the exact
-    interleaving in ``elements``, and forwards every element to an
-    optional ``deliver`` callback (the supervised exactly-once hook)."""
+    ``punctuations`` (Collector-compatible)."""
 
-    def __init__(self, deliver=None):
+    def __init__(self):
         self.events = []
         self.punctuations = []
-        self.elements = []
         self.completed = False
-        self._deliver = deliver
 
     def on_event(self, event):
         self.events.append(event)
-        self.elements.append(event)
-        if self._deliver is not None:
-            self._deliver(event)
 
     def on_punctuation(self, punctuation):
         self.punctuations.append(punctuation.timestamp)
-        self.elements.append(punctuation)
-        if self._deliver is not None:
-            self._deliver(punctuation)
 
     def on_flush(self):
         self.completed = True
@@ -128,10 +115,10 @@ class _OutputSink:
 class _MergeTree:
     """Balanced tree of live Union operators + symmetric-round fast path."""
 
-    def __init__(self, shards, deliver=None):
+    def __init__(self, shards):
         self.shards = shards
         self.leaves = [PassThrough() for _ in range(shards)]
-        self.sink = _OutputSink(deliver)
+        self.sink = _OutputSink()
         self.unions = []
         if shards == 1:
             self.leaves[0].add_downstream(self.sink)
@@ -249,16 +236,13 @@ class _MergeTree:
 
 
 class _WorkerHandle:
-    def __init__(self, ctx, shard, plan, ring_capacity, fault):
+    def __init__(self, ctx, shard, plan, ring_capacity):
         self.shard = shard
         self.in_ring = ShmRing(ring_capacity)
         self.out_ring = ShmRing(ring_capacity)
-        worker_fault = None
-        if fault is not None and fault[0] == shard:
-            worker_fault = (fault[2], fault[1])
         self.process = ctx.Process(
             target=worker_main,
-            args=(shard, plan, self.in_ring, self.out_ring, worker_fault),
+            args=(shard, plan, self.in_ring, self.out_ring),
             daemon=True,
         )
         self.acked_offset = -1
@@ -269,16 +253,6 @@ class _WorkerHandle:
         self.stats = None
         self.done = False
 
-    def start(self) -> None:
-        """Fork the worker with SIGTERM blocked; ``worker_main`` unblocks
-        it once its drain handler is installed, so a ``terminate()``
-        racing start-up drains instead of killing the worker."""
-        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-        try:
-            self.process.start()
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-
     def crash_error(self) -> WorkerCrashError:
         return WorkerCrashError(
             self.shard, self.acked_offset, self.process.exitcode
@@ -286,8 +260,7 @@ class _WorkerHandle:
 
 
 class _Coordinator:
-    def __init__(self, plan, workers, batch_size, ring_capacity, fault,
-                 merge, deliver):
+    def __init__(self, plan, workers, batch_size, ring_capacity, merge):
         if workers < 1:
             raise QueryBuildError("workers must be >= 1")
         if merge not in ("auto", "tree"):
@@ -298,27 +271,26 @@ class _Coordinator:
         self.allow_fast = merge == "auto"
         ctx = get_context("fork")
         self.handles = [
-            _WorkerHandle(ctx, shard, plan, ring_capacity, fault)
+            _WorkerHandle(ctx, shard, plan, ring_capacity)
             for shard in range(workers)
         ]
-        self.tree = _MergeTree(workers, deliver)
+        self.tree = _MergeTree(workers)
         self.rounds_sent = 0
         self.offset = 0          # ingress journal offset (elements seen)
         self._buffers = [[] for _ in range(workers)]
-        self._scalar_payload = getattr(plan, "scalar_output", False)
+        self._scalar_payload = plan.scalar_output
         # RAISE determinism: which worker's LateEventError reaches the
         # coordinator first is a scheduling race, but lateness itself is
         # a global property of the journal order plus the broadcast
-        # punctuations — so for plans that expose their late policy the
-        # coordinator detects the *first* late element at route time,
-        # before any worker sees it, and raises exactly what the
-        # single-process path would.
+        # punctuations — so the coordinator detects the *first* late
+        # element at route time, before any worker sees it, and raises
+        # exactly what the single-process path would.
         self._guard = (
-            getattr(plan, "late_policy", None) is LatePolicy.RAISE
-            and isinstance(getattr(plan, "window", None), int)
+            plan.late_policy is LatePolicy.RAISE
+            and isinstance(plan.window, int)
         )
-        self._guard_pre = getattr(plan, "align", "post") == "pre"
-        self._guard_window = getattr(plan, "window", 1)
+        self._guard_pre = plan.align == "pre"
+        self._guard_window = plan.window
         self._guard_wm = None
         self.frames_sent = 0
         self.frames_received = 0
@@ -357,16 +329,6 @@ class _Coordinator:
                 payloads = (
                     list(zip(*cols)) if cols else [()] * len(sync)
                 )
-            handle.pending.extend(map(
-                Event, sync, batch.other_times.tolist(),
-                batch.keys.tolist(), payloads,
-            ))
-        elif kind == exchange.SDATA:
-            batch = exchange.read_string_batch(payload, copy=True)
-            sync = batch.sync_times.tolist()
-            cols = [col.tolist() for col in batch.payload_columns]
-            cols.extend(col.tolist() for col in batch.string_columns)
-            payloads = list(zip(*cols)) if cols else [()] * len(sync)
             handle.pending.extend(map(
                 Event, sync, batch.other_times.tolist(),
                 batch.keys.tolist(), payloads,
@@ -422,10 +384,6 @@ class _Coordinator:
                 if not handle.done and crashed is None:
                     crashed = handle
         if crashed is not None:
-            # Deliver every round all shards acked before surfacing the
-            # crash — supervised replay then verifies (and suppresses)
-            # exactly this prefix instead of re-delivering it.
-            self.merge_ready_rounds()
             raise crashed.crash_error()
         return drained
 
@@ -433,13 +391,6 @@ class _Coordinator:
 
     def _send_batch(self, shard, batch) -> None:
         handle = self.handles[shard]
-        if batch.string_columns:
-            exchange.write_string_batch(
-                handle.in_ring, batch, pump=self.pump,
-                alive=handle.process.is_alive,
-            )
-            self._note_sent(exchange.SDATA)
-            return
         exchange.write_batch(
             handle.in_ring, batch, pump=self.pump,
             alive=handle.process.is_alive,
@@ -515,6 +466,7 @@ class _Coordinator:
 
     def route_batch(self, batch) -> None:
         """Vectorized routing of a whole columnar ingress block."""
+        refuse_string_columns(batch)
         batch = batch.compact()
         n = len(batch)
         if n == 0:
@@ -545,10 +497,6 @@ class _Coordinator:
             other = batch.other_times[order]
             keys = batch.keys[order]
             cols = [col[order] for col in batch.payload_columns]
-            # String columns gather through the same permutation; each
-            # shard then ships a contiguous slice (rebased offsets, no
-            # per-row copies).
-            scols = [col.take(order) for col in batch.string_columns]
             for shard in range(self.workers):
                 lo, hi = int(bounds[shard]), int(bounds[shard + 1])
                 if lo == hi:
@@ -557,7 +505,6 @@ class _Coordinator:
                 self._send_batch(shard, EventBatch(
                     sync[lo:hi], other[lo:hi], keys[lo:hi],
                     [col[lo:hi] for col in cols],
-                    string_columns=[col.slice(lo, hi) for col in scols],
                 ))
         self.offset += n
 
@@ -662,30 +609,24 @@ class _Coordinator:
 
 
 def run_parallel(ingress, plan, workers, *, batch_size=8192,
-                 ring_capacity=1 << 20, merge="auto", fault=None,
-                 deliver=None) -> ParallelResult:
+                 ring_capacity=1 << 20, merge="auto") -> ParallelResult:
     """Execute ``plan`` over ``ingress`` on ``workers`` shard processes.
 
+    ``plan`` is a :class:`~repro.parallel.plans.CompiledShardPlan`.
     ``ingress`` yields :class:`Event` / :class:`Punctuation` elements
     and/or whole :class:`EventBatch` blocks (columnar ingress routes
     vectorized).  Returns a :class:`ParallelResult` whose output stream
     is byte-identical to the single-process
     ``shard_disordered(stream, query, workers)`` plan over the same
-    elements.
-
-    ``merge="tree"`` disables the symmetric-round Huffman fast path
-    (differential-testing hook).  ``fault=(shard, after_rounds, flag)``
-    injects a one-shot worker crash (tests).  ``deliver(element)``, when
-    given, receives every merged output element as soon as its round
-    merges — the hook supervised execution uses for exactly-once
-    delivery.
+    elements.  ``merge="tree"`` disables the symmetric-round Huffman
+    fast path (differential-testing hook).
     """
     coordinator = _Coordinator(
-        plan, workers, batch_size, ring_capacity, fault, merge, deliver,
+        plan, workers, batch_size, ring_capacity, merge,
     )
     try:
         for handle in coordinator.handles:
-            handle.start()
+            handle.process.start()
         for element in ingress:
             if isinstance(element, EventBatch):
                 coordinator.route_batch(element)
@@ -702,32 +643,11 @@ def run_parallel(ingress, plan, workers, *, batch_size=8192,
              if not h.process.is_alive() and not h.done), None
         )
         if dead is not None:
-            coordinator.merge_ready_rounds()
             raise dead.crash_error() from exc
         raise
     finally:
         coordinator.shutdown()
-
-    result = ParallelResult(
-        sink.events, sink.punctuations, sink.completed,
-        coordinator.accounting(), sink.elements,
-    )
-    if plan.finalize is not None:
-        result = _apply_finalize(result, plan.finalize)
-    return result
-
-
-def _apply_finalize(result, finalize_fn) -> ParallelResult:
-    """Run a non-key-local finalize query over the merged stream.
-
-    Non-key-local stages (e.g. a global ``WindowTopK`` over per-group
-    aggregates) cannot run inside shard workers; they execute here, on
-    the coordinator, over the exact merged element interleaving — the
-    same stream they would consume in the single-process plan."""
-    finalized = finalize_fn(
-        Streamable.from_elements(result.elements)
-    ).collect()
     return ParallelResult(
-        finalized.events, finalized.punctuations, finalized.completed,
-        result.parallel,
+        sink.events, sink.punctuations, sink.completed,
+        coordinator.accounting(),
     )

@@ -1,50 +1,31 @@
 """Shard worker process: drain the input ring, run the plan, ship output.
 
-The worker is a frame-driven loop around a plan executor
-(:mod:`repro.parallel.plans`).  DATA frames buffer routed ingress rows
-into the per-shard sorter; each PUNCT frame advances the shard pipeline
-one round and the round's emissions go back out — columnar batches for
-kernel plans, pickled element runs for row plans — followed by an ACK
-echoing the round number and the ingress-journal offset the coordinator
+The worker is a frame-driven loop around the compiled shard executor
+(:mod:`repro.parallel.plans`).  DATA frames buffer routed ingress
+columns (PICKLE frames, per-event rows) into the per-shard sorter; each
+PUNCT frame advances the shard pipeline one round and the round's
+emissions go back out as columnar batches, followed by an ACK echoing
+the round number and the ingress-journal offset the coordinator
 stamped on the punctuation.  Any exception is pickled into an ERROR
 frame so the coordinator can re-raise it with full fidelity (semantic
 errors like ``LateEventError`` must surface identically to the
 single-process path).
 
-Workers are forked, so the plan object (including arbitrary query
-closures) arrives by inheritance, not pickling.
-
-``SIGTERM`` is a *drain* request, not a kill: the coordinator's
-``shutdown()`` (and any orchestrator supervising a ``repro serve``
-deployment) terminates workers with SIGTERM, and a worker that dies
-mid-frame would surface as a :class:`~repro.core.errors.WorkerCrashError`
-on the next supervised run.  Instead the handler finishes the frame in
-flight, flushes the executor (shipping its final emissions and
-punctuation), writes the FLUSH/STATS/DONE epilogue, and exits 0 — the
-same wire epilogue as stream completion, so the coordinator cannot tell
-a drained worker from a finished one.
+Workers are forked, so the plan object arrives by inheritance, not
+pickling.  The coordinator ends a worker that is still running when
+the run stops early (an error elsewhere) with ``terminate()``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
 import time
 
 from repro.parallel import exchange
 from repro.parallel.shm import RingClosedError
 
 __all__ = ["worker_main"]
-
-
-class _DrainRequested(BaseException):
-    """Raised by the SIGTERM handler to pop a blocking ring read.
-
-    A ``BaseException`` so no intervening ``except Exception`` can
-    swallow the drain request; it is only ever raised while the worker
-    is parked between frames (``_interruptible``), never mid-write.
-    """
 
 
 def _parent_alive():
@@ -55,12 +36,7 @@ def _parent_alive():
 def _ship(out_ring, items):
     for kind, value in items:
         if kind == "batch":
-            if value.string_columns:
-                exchange.write_string_batch(
-                    out_ring, value, alive=_parent_alive
-                )
-            else:
-                exchange.write_batch(out_ring, value, alive=_parent_alive)
+            exchange.write_batch(out_ring, value, alive=_parent_alive)
         elif kind == "fbatch":
             sync, other, keys, values = value
             exchange.write_float_batch(
@@ -99,69 +75,17 @@ def _worker_stats(executor, in_ring, out_ring, t0, cpu0) -> dict:
     return stats
 
 
-def _drain(executor, out_ring, stats) -> None:
-    """Graceful-shutdown epilogue: flush and emit the completion frames.
-
-    Best-effort by design — the coordinator that sent SIGTERM may have
-    already stopped pumping our output ring, so a full ring or a closed
-    peer must not turn a clean drain into a non-zero exit.
-    """
-    try:
-        _ship(out_ring, executor.feed_flush())
-        out_ring.write(exchange.FLUSH, alive=_parent_alive, timeout=5.0)
-        exchange.write_pickled(
-            out_ring, exchange.STATS, stats(), alive=_parent_alive,
-        )
-        out_ring.write(exchange.DONE, alive=_parent_alive, timeout=5.0)
-    except (RingClosedError, TimeoutError, OSError):
-        pass
-
-
-def worker_main(shard, plan, in_ring, out_ring, fault=None) -> None:
-    """Process entry point; returns (exits) after DONE or a fatal error.
-
-    ``fault`` is a test-only ``(crash_flag, after_rounds)`` pair: when
-    the shared flag is still set after processing ``after_rounds``
-    punctuation rounds, the worker clears it and dies abruptly via
-    ``os._exit`` — simulating a hard crash exactly once across restarts.
-    """
-    state = {"drain": False, "interruptible": False}
-
-    def _on_sigterm(signum, frame):
-        state["drain"] = True
-        if state["interruptible"]:
-            raise _DrainRequested
-
-    # Installed before the executor builds: a terminate() racing worker
-    # startup must still drain, not die with the default action.  The
-    # coordinator forks with SIGTERM blocked, so one sent before this
-    # point waits and is delivered to the handler on unblocking.
-    signal.signal(signal.SIGTERM, _on_sigterm)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
+def worker_main(shard, plan, in_ring, out_ring) -> None:
+    """Process entry point; returns (exits) after DONE or a fatal error."""
     executor = plan.build_executor(shard)
     t0, cpu0 = time.monotonic(), time.process_time()
-
-    def stats():
-        return _worker_stats(executor, in_ring, out_ring, t0, cpu0)
-
-    rounds = 0
     try:
         while True:
-            try:
-                state["interruptible"] = True
-                if state["drain"]:
-                    raise _DrainRequested
-                kind, payload = in_ring.read(alive=_parent_alive)
-            finally:
-                state["interruptible"] = False
+            kind, payload = in_ring.read(alive=_parent_alive)
             if kind == exchange.DATA:
                 # Copy out of the ring: the sorter retains the columns
                 # past this frame's slot lifetime.
                 executor.feed_batch(exchange.read_batch(payload, copy=True))
-            elif kind == exchange.SDATA:
-                executor.feed_batch(
-                    exchange.read_string_batch(payload, copy=True)
-                )
             elif kind == exchange.PICKLE:
                 executor.feed_elements(exchange.read_pickled(payload))
             elif kind == exchange.PUNCT:
@@ -169,14 +93,6 @@ def worker_main(shard, plan, in_ring, out_ring, fault=None) -> None:
                     payload[:exchange.PUNCT_STRUCT.size]
                 )
                 _ship(out_ring, executor.feed_punctuation(ts))
-                rounds += 1
-                if fault is not None:
-                    flag, after_rounds = fault
-                    if rounds >= after_rounds and flag.value:
-                        with flag.get_lock():
-                            if flag.value:
-                                flag.value = 0
-                                os._exit(43)
                 out_ring.write(
                     exchange.ACK,
                     exchange.ACK_STRUCT.pack(round_no, offset),
@@ -186,20 +102,14 @@ def worker_main(shard, plan, in_ring, out_ring, fault=None) -> None:
                 _ship(out_ring, executor.feed_flush())
                 out_ring.write(exchange.FLUSH, alive=_parent_alive)
                 exchange.write_pickled(
-                    out_ring, exchange.STATS, stats(),
+                    out_ring, exchange.STATS,
+                    _worker_stats(executor, in_ring, out_ring, t0, cpu0),
                     alive=_parent_alive,
                 )
                 out_ring.write(exchange.DONE, alive=_parent_alive)
                 return
-            elif kind == exchange.DONE:
-                # Coordinator-initiated early shutdown (error elsewhere).
-                return
             else:  # pragma: no cover - protocol violation
                 raise RuntimeError(f"unexpected input frame kind {kind}")
-    except _DrainRequested:
-        # Graceful SIGTERM: finish as if the stream ended here.
-        _drain(executor, out_ring, stats)
-        return
     except RingClosedError:
         # Coordinator died; nothing to report to.
         return

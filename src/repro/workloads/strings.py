@@ -17,7 +17,8 @@ string stack expects:
   :class:`~repro.core.strings.StringColumn` payload columns (service
   name, then log level), which
   :meth:`~repro.engine.batch.EventBatch.from_dataset` attaches so the
-  columnar/parallel paths carry the actual bytes end-to-end.
+  columnar sorter and its spill blocks carry the actual bytes
+  end-to-end (the parallel shard workers refuse them).
 
 The service-name shape is deliberately prefix-heavy: a handful of
 cluster/zone prefixes fan out into hundreds of hosts, so byte-wise key

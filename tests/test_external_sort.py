@@ -799,12 +799,11 @@ class TestEngineWiring:
     def test_cli_memory_budget_rejections(self, capsys):
         from repro.cli import main
 
-        for extra in (["--supervised"], ["--parallel", "2"]):
-            code = main([
-                "run", "--n", "500", "--memory-budget", "1KB", *extra,
-            ])
-            assert code == 2
-            assert "error: QueryBuildError" in capsys.readouterr().err
+        code = main([
+            "run", "--n", "500", "--memory-budget", "1KB", "--supervised",
+        ])
+        assert code == 2
+        assert "error: QueryBuildError" in capsys.readouterr().err
         code = main(["run", "--n", "500", "--memory-budget", "nope"])
         assert code == 2
         assert "error: ValueError" in capsys.readouterr().err

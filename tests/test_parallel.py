@@ -3,17 +3,18 @@
 The runtime's core invariant — ``run_parallel(ingress, plan, N)`` is
 byte-identical to the single-process
 ``shard_disordered(stream, query, N)`` plan over the same element
-sequence — is asserted here across plan families, merge strategies,
-late policies, and worker counts, alongside unit tests for the
-shared-memory ring transport, crash recovery, the framework/CLI entry
-points, and the observability snapshot's ``parallel`` section.
+sequence — is asserted here across compiled shapes, merge strategies,
+late policies, memory budgets and worker counts, alongside unit tests
+for the shared-memory ring transport, crash and failure handling, and
+the observability snapshot's ``parallel`` section.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
-import re
+import signal
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ import pytest
 from repro.core.errors import (
     LateEventError,
     QueryBuildError,
-    SupervisionExhaustedError,
     WorkerCrashError,
 )
 from repro.core.impatience import ImpatienceSorter
@@ -38,16 +38,9 @@ from repro.engine.compiler import UnsupportedPlanError
 from repro.engine.kernels import field
 from repro.engine.operators.aggregates import Avg, Count, Max, Min, Sum
 from repro.engine.sharded import shard_disordered
-from repro.parallel import (
-    CompiledShardPlan,
-    RowPlan,
-    ShmRing,
-    crash_once,
-    run_parallel,
-)
+from repro.parallel import CompiledShardPlan, ShmRing, run_parallel
 from repro.parallel import exchange
 from repro.parallel.shm import RingClosedError
-from repro.resilience.parallel import run_parallel_supervised
 from tests import item_events
 
 
@@ -115,14 +108,12 @@ def _aggregate(agg):
     return Count() if agg == "count" else AGGREGATES[agg](field(0))
 
 
-def compiled_grouped(window=10, agg="count", policy=LatePolicy.DROP,
-                     finalize=None):
+def compiled_grouped(window=10, agg="count", policy=LatePolicy.DROP):
     """The §IV push-down grouped aggregate as a compiled shard plan:
     ``TumblingWindow → Sort → GroupedWindowAggregate``."""
     return CompiledShardPlan(
         QueryPlan().tumbling_window(window).sort(late_policy=policy)
-        .group_aggregate(_aggregate(agg)),
-        finalize=finalize,
+        .group_aggregate(_aggregate(agg))
     )
 
 
@@ -276,12 +267,7 @@ class TestExchange:
 # Equivalence with the single-process sharded plan
 # ---------------------------------------------------------------------------
 
-# Extra worker counts can be exercised from CI via
-# ``REPRO_PARALLEL_WORKERS=<n>`` (mirrors the chaos-matrix knob).
 WORKER_SWEEP = [1, 2, 3, 4]
-_env_workers = os.environ.get("REPRO_PARALLEL_WORKERS")
-if _env_workers is not None and int(_env_workers) not in WORKER_SWEEP:
-    WORKER_SWEEP.append(int(_env_workers))
 
 
 class TestEquivalence:
@@ -314,12 +300,16 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_row_plan_matches_sharded(self, workers):
+        """The compiled shards equal the row plan sharded in one
+        process over the disordered stream."""
         elements = disordered_elements(seed=2, lag=30)
         reference = shard_disordered(
-            Streamable.from_elements(list(elements)), grouped_count, workers
+            DisorderedStreamable.from_elements(list(elements))
+            .tumbling_window(10),
+            lambda s: s.group_aggregate(Count()), workers,
         ).collect()
         result = run_parallel(
-            list(elements), RowPlan(grouped_count), workers, batch_size=64
+            list(elements), compiled_grouped(), workers, batch_size=64
         )
         _assert_identical(result, reference, f"row w={workers}")
 
@@ -354,62 +344,19 @@ class TestEquivalence:
         assert result.events
         assert all(isinstance(e.payload, float) for e in result.events)
 
-    def test_top_k_plan_finalizes_on_coordinator(self):
-        """A compiled grouped count with a coordinator-side top-k
-        ``finalize`` matches the unsharded single-process plan."""
-        elements = disordered_elements(seed=4, n=600, lag=40)
-        # Tie-free scores (see test_finalize_runs_on_coordinator).
-        score = lambda e: (e.payload, e.key)  # noqa: E731
-        single = (
-            Streamable.from_elements(
-                sorted(
-                    (e for e in elements if isinstance(e, Event)),
-                    key=_sync,
-                )
-            )
-            .tumbling_window(10).group_aggregate(Count()).top_k(3, score)
-            .collect()
-        )
-        plan = compiled_grouped(finalize=lambda s: s.top_k(3, score))
-        result = run_parallel(list(elements), plan, 3, batch_size=64)
-        assert sorted(map(_key, result.events)) == \
-            sorted(map(_key, single.events))
-
     def test_session_window_row_plan(self):
         query = lambda s: s.session_window(15)  # noqa: E731
         elements = disordered_elements(seed=9, n=500, lag=40)
         reference = shard_disordered(
-            Streamable.from_elements(list(elements)), query, 3
+            DisorderedStreamable.from_elements(list(elements)), query, 3
         ).collect()
         result = run_parallel(
-            list(elements), RowPlan(query), 3, batch_size=64
+            list(elements),
+            CompiledShardPlan(QueryPlan().sort().session_window(15)), 3,
+            batch_size=64,
         )
         _assert_identical(result, reference, "sessions")
         assert len(result.events) > 0
-
-    def test_finalize_runs_on_coordinator(self):
-        """A non-key-local top-k stage executes over the exact merged
-        interleaving of row-plan shards, matching the unsharded
-        single-process plan."""
-        elements = disordered_elements(seed=4, n=600, lag=40)
-        # Scores must be tie-free: WindowTopK breaks score ties by
-        # arrival order, which legitimately differs between the merged
-        # parallel interleaving and the fully sorted reference.
-        score = lambda e: (e.payload, e.key)  # noqa: E731
-        single = (
-            Streamable.from_elements(
-                sorted(
-                    (e for e in elements if isinstance(e, Event)),
-                    key=_sync,
-                )
-            )
-            .tumbling_window(10).group_aggregate(Count()).top_k(3, score)
-            .collect()
-        )
-        plan = RowPlan(grouped_count, finalize=lambda s: s.top_k(3, score))
-        result = run_parallel(list(elements), plan, 3, batch_size=64)
-        assert sorted(map(_key, result.events)) == \
-            sorted(map(_key, single.events))
 
     def test_columnar_ingress_matches_row_ingress(self):
         """Whole EventBatch blocks route vectorized to the same result
@@ -446,10 +393,7 @@ class TestEquivalence:
     def test_pre_alignment_matches_pushdown_plan(self):
         """The compiled plan aligns windows before the sort (§IV):
         identical to the single-process push-down query, and distinct
-        from the post-sort alignment a ``RowPlan`` runs, under
-        aggressive lateness."""
-        from repro.engine import DisorderedStreamable
-
+        from the post-sort alignment, under aggressive lateness."""
         elements = disordered_elements(seed=13, n=700, lag=3)
         reference = (
             DisorderedStreamable.from_elements(list(elements))
@@ -462,9 +406,10 @@ class TestEquivalence:
             list(elements), compiled_grouped(), 1, batch_size=64,
         )
         _assert_identical(result, reference, "push-down")
-        post = run_parallel(
-            list(elements), RowPlan(grouped_count), 1, batch_size=64
-        )
+        post = shard_disordered(
+            DisorderedStreamable.from_elements(list(elements)),
+            grouped_count, 1,
+        ).collect()
         assert sorted(map(_key, post.events)) != \
             sorted(map(_key, result.events))
 
@@ -489,215 +434,63 @@ class TestEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Crash handling and supervised recovery
+# Crash and failure handling
 # ---------------------------------------------------------------------------
+
+def _kill_a_worker_after_first_punctuation(elements, workers):
+    """Yield ``elements``; once the first punctuation has been routed,
+    SIGKILL one of the run's forked workers."""
+    killed = False
+    for element in elements:
+        yield element
+        if not killed and isinstance(element, Punctuation):
+            children = multiprocessing.active_children()
+            assert len(children) == workers
+            os.kill(children[0].pid, signal.SIGKILL)
+            killed = True
+
 
 class TestCrashRecovery:
     def test_worker_crash_carries_journal_offset(self):
         elements = disordered_elements(seed=5, n=600, lag=8, punct_every=30)
+        first_punct = next(
+            i for i, e in enumerate(elements) if isinstance(e, Punctuation)
+        )
         with pytest.raises(WorkerCrashError) as err:
             run_parallel(
-                list(elements), compiled_grouped(20), 3,
-                fault=crash_once(1, 2), batch_size=64,
+                _kill_a_worker_after_first_punctuation(elements, 3),
+                compiled_grouped(20), 3, batch_size=64,
             )
         crash = err.value
-        assert crash.shard == 1
-        assert crash.exitcode == 43
-        assert crash.journal_offset >= 0
+        assert crash.shard in range(3)
+        assert crash.exitcode == -signal.SIGKILL
+        # Acknowledged through the first round, or not at all yet.
+        assert crash.journal_offset in (-1, first_punct + 1)
 
-    def test_supervised_rerun_byte_identical(self):
-        elements = disordered_elements(seed=5, n=600, lag=8, punct_every=30)
-        baseline = run_parallel(
-            list(elements), compiled_grouped(20), 3, batch_size=64
-        )
-        delivered = []
-        supervised = run_parallel_supervised(
-            list(elements), compiled_grouped(20), 3,
-            fault=crash_once(2, 12), on_event=delivered.append,
-            batch_size=64,
-        )
-        assert supervised.restarts == 1
-        assert supervised.crashes[0].shard == 2
-        assert supervised.completed
-        # Exactly-once reaches on_event whether or not a round was
-        # delivered before the coordinator noticed the crash (a race, so
-        # ``duplicates_suppressed`` may be 0 here; suppression itself is
-        # pinned by TestDeliveryChannel in test_resilience.py).
-        assert list(map(_key, supervised.events)) == \
-            list(map(_key, baseline.events))
-        assert supervised.punctuations == baseline.punctuations
-        assert list(map(_key, delivered)) == \
-            list(map(_key, baseline.events))
-        doc = supervised.resilience_doc()
-        assert doc["mode"] == "parallel"
-        assert doc["restarts"] == 1
-        assert doc["crashes"][0]["shard"] == 2
-
-    def test_supervision_budget_exhausts(self):
-        # The supervisor forwards the fault on the first attempt only, so
-        # a zero budget turns that first crash into exhaustion.
-        elements = disordered_elements(seed=5, n=300, lag=8, punct_every=30)
-        with pytest.raises(SupervisionExhaustedError) as err:
-            run_parallel_supervised(
-                list(elements), compiled_grouped(20), 2,
-                fault=crash_once(0, 2), max_restarts=0,
-                batch_size=64,
+    @pytest.mark.parametrize("failure", ["crash", "late"])
+    def test_failed_run_leaves_no_live_child(self, failure):
+        """Whether a worker dies or raises, the surviving workers are
+        terminated and joined before ``run_parallel`` raises."""
+        if failure == "crash":
+            elements = disordered_elements(
+                seed=5, n=600, lag=8, punct_every=30
             )
-        assert isinstance(err.value.__cause__, WorkerCrashError)
-
-
-class TestGracefulWorkerShutdown:
-    """SIGTERM is a drain request: workers flush and exit 0, never crash."""
-
-    def _start_worker(self, plan):
-        from multiprocessing import get_context
-
-        from repro.parallel.worker import worker_main
-
-        in_ring = ShmRing(1 << 16)
-        out_ring = ShmRing(1 << 16)
-        process = get_context("fork").Process(
-            target=worker_main, args=(0, plan, in_ring, out_ring, None),
-            daemon=True,
-        )
-        process.start()
-        return process, in_ring, out_ring
-
-    def _read_until(self, ring, process, kinds, limit=200):
-        frames = []
-        for _ in range(limit):
-            frame = ring.read(timeout=10.0, alive=process.is_alive)
-            decoded = (
-                frame[0],
-                exchange.read_pickled(frame[1])
-                if frame[0] in (exchange.PICKLE, exchange.STATS)
-                else bytes(frame[1]),
+            with pytest.raises(WorkerCrashError):
+                run_parallel(
+                    _kill_a_worker_after_first_punctuation(elements, 2),
+                    compiled_grouped(20), 2, batch_size=64,
+                )
+        else:
+            plan = (
+                QueryPlan().where(field(0) >= 0).tumbling_window(10)
+                .sort(late_policy=LatePolicy.RAISE).distinct()
             )
-            frames.append(decoded)
-            if frame[0] in kinds:
-                return frames
-        raise AssertionError(f"never saw {kinds}; got {frames}")
-
-    def test_sigterm_drains_and_exits_zero(self):
-        import signal as _signal
-
-        process, in_ring, out_ring = self._start_worker(
-            compiled_grouped()
-        )
-        try:
-            batch = EventBatch(
-                [3, 7, 14, 21], [4, 8, 15, 22], [1, 2, 1, 2],
-                [[1, 1, 1, 1]],
-            )
-            exchange.write_batch(in_ring, batch, alive=process.is_alive)
-            in_ring.write(
-                exchange.PUNCT, exchange.PUNCT_STRUCT.pack(9, 0, 5),
-                alive=process.is_alive,
-            )
-            pre = self._read_until(out_ring, process, {exchange.ACK})
-            assert pre[-1][0] == exchange.ACK
-            # Worker is now parked on an empty input ring: drain it.
-            os.kill(process.pid, _signal.SIGTERM)
-            post = self._read_until(out_ring, process, {exchange.DONE})
-            kinds = [kind for kind, _ in post]
-            # The drain epilogue is indistinguishable from completion:
-            # the remaining windows (a DATA batch), FLUSH, STATS, DONE —
-            # the final merged punctuation is the coordinator tree's job
-            # in both cases.
-            assert exchange.DATA in kinds
-            assert exchange.FLUSH in kinds
-            assert exchange.STATS in kinds
-            assert kinds[-1] == exchange.DONE
-            assert exchange.ERROR not in kinds
-            process.join(timeout=10)
-            assert process.exitcode == 0
-        finally:
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-            in_ring.unlink()
-            out_ring.unlink()
-
-    def test_sigterm_mid_round_defers_to_frame_boundary(self):
-        import signal as _signal
-
-        process, in_ring, out_ring = self._start_worker(
-            compiled_grouped()
-        )
-        try:
-            batch = EventBatch([3, 7], [4, 8], [1, 2], [[1, 1]])
-            exchange.write_batch(in_ring, batch, alive=process.is_alive)
-            in_ring.write(
-                exchange.PUNCT, exchange.PUNCT_STRUCT.pack(5, 0, 3),
-                alive=process.is_alive,
-            )
-            self._read_until(out_ring, process, {exchange.ACK})
-            # Deliver the signal while the worker holds buffered data
-            # above the watermark — the drain must still flush it.
-            batch = EventBatch([14, 21], [15, 22], [1, 2], [[1, 1]])
-            exchange.write_batch(in_ring, batch, alive=process.is_alive)
-            os.kill(process.pid, _signal.SIGTERM)
-            post = self._read_until(out_ring, process, {exchange.DONE})
-            kinds = [kind for kind, _ in post]
-            assert kinds[-1] == exchange.DONE
-            assert exchange.ERROR not in kinds
-            process.join(timeout=10)
-            assert process.exitcode == 0
-        finally:
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-            in_ring.unlink()
-            out_ring.unlink()
-
-    def test_coordinator_shutdown_leaves_no_crash_exitcodes(self):
-        from repro.parallel.runtime import _Coordinator
-
-        elements = disordered_elements(seed=9, n=300, lag=8, punct_every=30)
-        coordinator = _Coordinator(
-            compiled_grouped(), 2, 64, 1 << 20, None, "auto", None
-        )
-        try:
-            for handle in coordinator.handles:
-                handle.start()
-            for element in elements[:120]:
-                if isinstance(element, Punctuation):
-                    coordinator.broadcast_punctuation(element.timestamp)
-                    coordinator.merge_ready_rounds()
-                else:
-                    coordinator.route_event(element)
-        finally:
-            # Mid-stream teardown — the path that used to kill workers
-            # wherever they stood.  No WorkerCrashError may surface and
-            # every worker must exit 0 (graceful drain), not -SIGTERM.
-            coordinator.shutdown()
-        for handle in coordinator.handles:
-            assert not handle.process.is_alive()
-            assert handle.process.exitcode == 0, handle.shard
-
-    def test_terminate_before_the_drain_handler_drains(self, monkeypatch):
-        """A ``terminate()`` that lands before the worker installs its
-        drain handler waits, blocked, and then drains: exit 0."""
-        import time
-
-        from repro.parallel import runtime
-        from repro.parallel.worker import worker_main
-
-        def slow_start(*args):
-            time.sleep(0.5)
-            worker_main(*args)
-
-        monkeypatch.setattr(runtime, "worker_main", slow_start)
-        coordinator = runtime._Coordinator(
-            compiled_grouped(), 2, 64, 1 << 20, None, "auto", None
-        )
-        try:
-            for handle in coordinator.handles:
-                handle.start()
-        finally:
-            coordinator.shutdown()      # terminates during the delay
-        for handle in coordinator.handles:
-            assert handle.process.exitcode == 0, handle.shard
+            with pytest.raises(LateEventError):
+                run_parallel(
+                    _HEAD + _TAIL, CompiledShardPlan(plan), 2,
+                    batch_size=8,
+                )
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +535,26 @@ class TestObservabilitySection:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("plan_kind", ["compiled", "row"])
     def test_accounting_surface_of_fixed_pools(self, plan_kind, workers):
-        # The accounting keys the end-to-end benchmark reads.
-        elements = disordered_elements(seed=3, n=300, lag=30)
-        plan = compiled_grouped() if plan_kind == "compiled" \
-            else RowPlan(grouped_count)
-        doc = run_parallel(list(elements), plan, workers).parallel
+        # The accounting keys the end-to-end benchmark reads, for a
+        # columnar plan and one whose rounds leave as row-shaped
+        # PICKLE frames (the self-join), which must equal the row
+        # plan sharded in one process.
+        elements = disordered_elements(
+            seed=3, n=300, lag=30, payload=_tuple_payload
+        )
+        if plan_kind == "compiled":
+            plan = compiled_grouped()
+        else:
+            plan = CompiledShardPlan(QueryPlan().sort().self_join())
+            assert plan.wire_mode == "pickle"
+        result = run_parallel(list(elements), plan, workers)
+        doc = result.parallel
+        if plan_kind == "row":
+            assert doc["frames_received_by_kind"]["PICKLE"] > 0
+            _assert_identical(result, shard_disordered(
+                DisorderedStreamable.from_elements(list(elements)),
+                lambda s: s.self_join(), workers,
+            ).collect())
         assert len(doc["shards"]) == workers
         for stats in doc["shards"]:
             assert set(stats["ring_wait"]) == {
@@ -756,61 +564,9 @@ class TestObservabilitySection:
         rounds = sum(isinstance(e, Punctuation) for e in elements)
         assert doc["rounds"] == rounds == \
             doc["fast_merge_rounds"] + doc["tree_merge_rounds"]
-        known = {name for kind, name in exchange.KIND_NAMES.items()
-                 if kind <= exchange.SDATA}
+        known = set(exchange.KIND_NAMES.values())
         assert set(doc["frames_sent_by_kind"]) <= known
         assert set(doc["frames_received_by_kind"]) <= known
-
-
-class TestCliParallel:
-    def test_run_parallel_flag(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "run", "--dataset", "cloudlog", "--n", "2000",
-            "--query", "grouped-count", "--parallel", "2",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "workers" in out
-
-    def test_parallel_matches_single_process_output(self, capsys):
-        from repro.cli import main
-
-        assert main([
-            "run", "--dataset", "cloudlog", "--n", "2000",
-            "--query", "grouped-count",
-        ]) == 0
-        single = capsys.readouterr().out
-        assert main([
-            "run", "--dataset", "cloudlog", "--n", "2000",
-            "--query", "grouped-count", "--parallel", "2",
-        ]) == 0
-        parallel = capsys.readouterr().out
-        pick = lambda text: re.search(  # noqa: E731
-            r"(\d+) result events", text
-        ).group(1)
-        assert pick(single) == pick(parallel)
-
-    def test_chaos_rejected_with_parallel(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "run", "--dataset", "cloudlog", "--n", "2000",
-            "--query", "grouped-count", "--parallel", "2",
-            "--chaos", "0.5",
-        ])
-        assert code == 2
-
-    @pytest.mark.parametrize("spec", ["0", "auto"])
-    def test_bad_worker_count_exits_2(self, spec):
-        from repro.cli import main
-
-        try:
-            code = main(["run", "--n", "2000", "--parallel", spec])
-        except SystemExit as exc:  # argparse rejects a non-integer
-            code = exc.code
-        assert code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +580,9 @@ def _tuple_payload(t, k):
 def _compiled_shapes():
     """(name, plan_builder(policy), row query_fn, row pre) covering every
     lowered kernel family.  The row leg replicates the compiled plan's
-    per-shard pipeline with row operators; byte-identity through
-    ``run_parallel`` then follows from the shared merge tree."""
+    per-shard pipeline with row operators, sharded in one process by
+    ``shard_disordered`` — the byte-identity target of
+    ``run_parallel``."""
     return [
         ("grouped-count",
          lambda p: QueryPlan().tumbling_window(10).sort(late_policy=p)
@@ -901,23 +658,28 @@ COMPILED_SHAPES = _compiled_shapes()
 _SHAPE_IDS = [shape[0] for shape in COMPILED_SHAPES]
 
 
+def _row_reference(elements, row_q, row_pre, policy, workers):
+    """The row-operator twin of a compiled shape, sharded in one
+    process over the same disordered stream."""
+    stream = DisorderedStreamable.from_elements(list(elements))
+    if row_pre is not None:
+        stream = row_pre(stream)
+    sorter = lambda: ImpatienceSorter(  # noqa: E731
+        key=_sync, late_policy=policy
+    )
+    return shard_disordered(stream, row_q, workers, sorter=sorter).collect()
+
+
 def _run_compiled_pair(shape, policy, workers, n=450, memory_budget=None):
-    """run_parallel the compiled plan and its row-operator twin over the
-    same disordered stream; return both results."""
+    """run_parallel the compiled plan over a disordered stream; return
+    it with its row-operator twin's result."""
     name, build, row_q, row_pre = shape
     elements = disordered_elements(
         seed=17, n=n, lag=12, payload=_tuple_payload
     )
     compiled = CompiledShardPlan(build(policy), memory_budget=memory_budget)
     result = run_parallel(list(elements), compiled, workers, batch_size=64)
-    sorter = lambda: ImpatienceSorter(  # noqa: E731
-        key=_sync, late_policy=policy
-    )
-    reference = run_parallel(
-        list(elements), RowPlan(row_q, sorter=sorter, pre=row_pre),
-        workers, batch_size=64,
-    )
-    return result, reference
+    return result, _row_reference(elements, row_q, row_pre, policy, workers)
 
 
 #: Key 0's events, then a punctuation that reaches the other shard of
@@ -962,17 +724,13 @@ class TestCompiledShardPlan:
         assert item_events(items, shard_plan.wire_mode) == (
             row.events, row.punctuations
         )
-        sorter = lambda: ImpatienceSorter(  # noqa: E731
-            key=_sync, late_policy=policy
-        )
         for workers in (1, 2):
             result = run_parallel(
                 _HEAD + _TAIL, CompiledShardPlan(plan), workers,
                 batch_size=8,
             )
-            reference = run_parallel(
-                _HEAD + _TAIL, RowPlan(row_q, sorter=sorter, pre=row_pre),
-                workers, batch_size=8,
+            reference = _row_reference(
+                _HEAD + _TAIL, row_q, row_pre, policy, workers
             )
             _assert_identical(result, reference, f"w={workers}")
 
@@ -1007,7 +765,6 @@ class TestCompiledShardPlan:
         _assert_identical(result, reference, f"{shape[0]} {policy.name}")
         for stats in result.parallel["shards"]:
             assert stats["plan"] == "compiled"
-            assert stats["engine"] == "columnar"
 
     @pytest.mark.parametrize("workers", WORKER_SWEEP)
     @pytest.mark.parametrize(
@@ -1166,22 +923,3 @@ class TestCompiledShardPlan:
         assert doc["plan"] == "compiled"
         assert doc["wire"] == "float"
         assert doc["kernels"]
-
-    def test_supervised_recovery_byte_identical(self):
-        """A shard worker dying mid-run and being replayed under
-        supervision reproduces the exact compiled-plan output."""
-        shape = COMPILED_SHAPES[_SHAPE_IDS.index("grouped-count")]
-        elements = disordered_elements(
-            seed=23, n=450, lag=12, payload=_tuple_payload
-        )
-        reference = run_parallel(
-            list(elements),
-            CompiledShardPlan(shape[1](LatePolicy.DROP)), 2,
-            batch_size=64,
-        )
-        recovered = run_parallel_supervised(
-            list(elements),
-            CompiledShardPlan(shape[1](LatePolicy.DROP)), 2,
-            batch_size=64, fault=crash_once(1, after_rounds=1),
-        )
-        _assert_identical(recovered, reference, "supervised compiled")

@@ -2,11 +2,11 @@
 
 Covers the string stack layer by layer — :class:`StringColumn` /
 :class:`StringDictionary` foundations, the column decoder on damaged
-bytes (directly and through both of its callers), the SDATA wire frame
-and the multi-worker parallel round-trip, budgeted spilling with
-byte-identity and corruption detection, the string-keyed workload
-generators, and the dictionary-coded string predicates on both the row
-and compiled engines.
+bytes (directly and through the spill block), the parallel runtime's
+refusal of string columns and its dictionary-coded keys, budgeted
+spilling with byte-identity and corruption detection, the string-keyed
+workload generators, and the dictionary-coded string predicates on both
+the row and compiled engines.
 """
 
 from __future__ import annotations
@@ -168,21 +168,6 @@ class TestStringColumnDecoder:
         assert end <= len(buf)
 
     @pytest.mark.parametrize("kind", DAMAGE)
-    def test_damaged_sdata_payload_fails_typed(self, kind):
-        from repro.parallel import exchange
-
-        batch = _string_batch(40, seed=3)
-        ring = _FakeRing()
-        exchange.write_string_batch(ring, batch)
-        n, n_cols, _ = exchange._SBATCH_HEAD.unpack_from(ring.payload, 0)
-        base = exchange._SBATCH_HEAD.size + EventBatch.packed_size(
-            n, n_cols
-        )
-        damaged = _damage(ring.payload, base, n, kind)
-        with pytest.raises(ValueError):
-            exchange.read_string_batch(damaged, copy=True)
-
-    @pytest.mark.parametrize("kind", DAMAGE)
     def test_damaged_spill_block_fails_typed(self, kind):
         from repro.sorting import external as ext
 
@@ -268,7 +253,7 @@ class TestStringDictionary:
         assert got == expected
 
 
-# -- SDATA wire frames and the parallel runtime -----------------------------
+# -- string columns and the parallel runtime --------------------------------
 
 
 def _string_batch(n, seed=0):
@@ -287,73 +272,43 @@ def _string_batch(n, seed=0):
     )
 
 
-class _FakeRing:
-    """Captures the reserve-and-fill write exactly as a ring slot would."""
-
-    def write(self, kind, reserve=None, pump=None, alive=None):
-        size, fill = reserve
-        buffer = bytearray(size)
-        fill(buffer)
-        self.kind = kind
-        self.payload = bytes(buffer)
-
-
-class TestSdataWire:
-    def test_roundtrip(self):
-        from repro.parallel import exchange
-
-        batch = _string_batch(200, seed=5)
-        ring = _FakeRing()
-        exchange.write_string_batch(ring, batch)
-        assert ring.kind == exchange.SDATA
-        clone = exchange.read_string_batch(ring.payload, copy=True)
-        assert np.array_equal(clone.sync_times, batch.sync_times)
-        assert np.array_equal(clone.keys, batch.keys)
-        for got, want in zip(clone.string_columns, batch.string_columns):
-            assert got.tolist() == want.tolist()
-        assert list(clone.events()) == list(batch.events())
-
-    def test_sdata_kind_is_named(self):
-        from repro.parallel import exchange
-
-        assert exchange.KIND_NAMES[exchange.SDATA] == "SDATA"
-
+class TestParallelStrings:
     def test_events_append_string_fields(self):
         batch = _string_batch(4, seed=9)
         for i, event in enumerate(batch.events()):
             assert event.payload[-2] == batch.string_columns[0][i]
             assert event.payload[-1] == batch.string_columns[1][i]
 
-
-class TestParallelStrings:
-    """String columns ship to shard workers as SDATA (no pickling) and
-    come back identical to the single-worker run."""
-
-    def _blocks(self, n=900, seed=2):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compiled_shards_refuse_string_columns(self, workers):
+        """The int64 shard columns cannot carry string columns, which
+        the row engine sees as trailing payload fields: a batch with
+        them is refused like the single-process compiler's non-int
+        ingress, never answered without them."""
+        from repro.engine import DisorderedStreamable, QueryPlan
+        from repro.engine.compiler import UnsupportedPlanError
         from repro.engine.event import Punctuation
+        from repro.parallel import CompiledShardPlan, run_parallel
 
-        blocks = []
-        high = 0
-        for start in range(0, n, 150):
-            batch = _string_batch(150, seed=seed + start)
-            high = max(high, int(batch.sync_times.max()))
-            blocks.append(batch)
-            blocks.append(Punctuation(high))
-        return blocks
-
-    def test_row_plan_multi_worker_matches_single(self):
-        from repro.parallel import RowPlan, run_parallel
-
-        blocks = self._blocks()
-        single = run_parallel(list(blocks), RowPlan(lambda s: s), 1)
-        multi = run_parallel(list(blocks), RowPlan(lambda s: s), 3)
-        key = lambda e: (e.sync_time, e.key, e.payload)
-        assert sorted(map(key, multi.events)) == \
-            sorted(map(key, single.events))
-        assert any(
-            isinstance(p[-1], bytes) and p[-1] in LOG_LEVELS
-            for p in (e.payload for e in multi.events)
+        plan = QueryPlan().sort().distinct()
+        batch = EventBatch(
+            [5, 5], [6, 6], [1, 1], [[7, 7]],
+            string_columns=[[b"a", b"b"]],
         )
+        row = plan.bind(DisorderedStreamable.from_elements(
+            [*batch.events(), Punctuation(10)]
+        )).collect()
+        assert [e.payload for e in row.events] == [(7, b"a"), (7, b"b")]
+        reason = "event payloads are not integer columns"
+        with pytest.raises(UnsupportedPlanError) as err:
+            run_parallel(
+                [batch, Punctuation(10)], CompiledShardPlan(plan), workers
+            )
+        assert err.value.reason == reason
+        executor = CompiledShardPlan(plan).build_executor(0)
+        with pytest.raises(UnsupportedPlanError) as err:
+            executor.feed_batch(batch)
+        assert err.value.reason == reason
 
     def test_grouped_plan_decodes_string_keys(self):
         """Shards aggregate dictionary codes; the caller decodes the
