@@ -412,11 +412,11 @@ def main(argv=None) -> int:
                         "grows the tenant's budget (up to N x quota) "
                         "before any shedding; slots retire as buffers "
                         "drain (default 1 = shed immediately)")
-    p.add_argument("--queue", type=int, default=256, metavar="READS",
+    p.add_argument("--queue", type=int, default=16, metavar="READS",
                    help="per-tenant bounded ingress queue capacity; an "
-                        "item is one socket read's lines (at most 4 KiB) "
+                        "item is one socket read's lines (at most 64 KiB) "
                         "or one HTTP body, so TCP ingress buffers at most "
-                        "READS x 4 KiB per tenant")
+                        "READS x 64 KiB per tenant (1 MiB by default)")
     p.add_argument("--deadline", type=float, default=2.0, metavar="SECONDS",
                    help="read/drain deadline before evicting a stalled "
                         "peer (slowloris defense)")

@@ -36,8 +36,10 @@ Appends are group-committed: :meth:`TenantJournal.append_event` and
 friends only buffer, and :meth:`TenantJournal.commit` moves every
 buffered line into the OS page cache with one ``flush()``, which
 survives ``kill -9`` of the process (the chaos soak relies on exactly
-this).  The server commits once per socket read, and three invariants
-keep every promise made to a client on disk first:
+this).  The server commits at each ``PUNCT``/``END``, before each result
+pump, and in the one state save that ends a socket read holding a
+``PUNCT`` or ``END``; three invariants keep every promise made to a
+client on disk first:
 
 1. ``TenantRuntime.accept_punctuation``/``accept_end`` commit before
    returning, so no ``IOFF`` is acked before its line is durable.

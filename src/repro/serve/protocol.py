@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import json
 from itertools import islice, repeat
-from operator import itemgetter
+from operator import indexOf, itemgetter
 
 from repro.core.errors import ServeProtocolError
 from repro.core.late import LatePolicy
@@ -270,12 +270,18 @@ def decode_event_run(lines, start=0) -> EventRun:
     Fields are converted a column at a time; a column that fails is
     decoded again a row at a time to find where the run ends.
     """
-    rows = []
-    for line in islice(lines, start, None):
-        parts = line.split(" ", 5)
-        if len(parts) != 6 or parts[0] != "EVENT":
-            break
-        rows.append(parts)
+    # A line splits to "EVENT" and more fields exactly when it starts
+    # "EVENT ": find the first that does not, then split only the lines
+    # before it, and end the run at the first with under six fields.
+    try:
+        end = start + indexOf(map(str.startswith, islice(lines, start, None),
+                                  repeat("EVENT ")), False)
+    except ValueError:
+        end = len(lines)
+    rows = list(map(str.split, islice(lines, start, end), repeat(" "),
+                    repeat(5)))
+    if rows and min(map(len, rows)) < 6:
+        del rows[indexOf(map(_SHORT, map(len, rows)), True):]
     if not rows:
         return EventRun([], [], [], [], [], [], [])
     _, offsets, syncs, others, key_texts, payload_texts = zip(*rows)
@@ -298,6 +304,7 @@ class _Misread(Exception):
 
 
 _VALUE, _END = itemgetter(0), itemgetter(1)
+_SHORT = (6).__gt__  # a split line with fewer than six fields
 
 
 def _scan_column(texts):
@@ -328,13 +335,21 @@ def _decode_rows(rows) -> EventRun:
 
 
 def result_line(qid, position, element) -> str:
-    """Server->client line for one delivered result element."""
+    """Server->client line for one delivered result element.
+
+    An ``int`` key or payload (not a ``bool``) is written with ``str()``,
+    the text its JSON is; anything else goes through the JSON encoder.
+    """
     if is_punctuation(element):
         return f"RPUNCT {qid} {position} {element.timestamp}"
+    key, payload = element.key, element.payload
+    if type(key) is not int:
+        key = _key_json(_jsoned(key))
+    if type(payload) is not int:
+        payload = _dumps(_jsoned(payload))
     return (
         f"RESULT {qid} {position} {element.sync_time} "
-        f"{element.other_time} {_key_json(_jsoned(element.key))} "
-        f"{_dumps(_jsoned(element.payload))}"
+        f"{element.other_time} {key} {payload}"
     )
 
 
