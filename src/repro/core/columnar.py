@@ -4,9 +4,10 @@ Trill ingests columnar batches (§I-A); the natural evolution of
 Impatience sort in that setting sorts *batches* instead of single
 events.  Each incoming batch is a bounded reorder buffer: after the late
 policy has seen it in arrival order it is stable-sorted once (skipped
-when already ascending) and kept as one sorted chunk.  A punctuation cut
-takes every chunk wholly at or below the timestamp, keeps every chunk
-wholly above it, and splits only a straddling chunk via
+when already ascending, or folded instead by the caller's ``combine``)
+and kept as one sorted chunk.  A punctuation cut takes every chunk
+wholly at or below the timestamp, keeps every chunk wholly above it,
+and splits only a straddling chunk via
 ``searchsorted``; the taken pieces go to one stable ``argsort`` — a
 C-speed adaptive merge (timsort) that finds the sorted pieces by itself.
 
@@ -47,15 +48,20 @@ _NEG_INF = float("-inf")
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def admit_batch(sorter, values, columns, string_columns):
+def admit_batch(sorter, values, columns, string_columns, combine=None):
     """Validate, lateness-filter and stable-sort one arrival-order batch.
 
     The ingress half of ``insert_batch`` (``sorter`` supplies
     ``columns``, ``string_columns``, ``late`` and ``watermark``).
     Returns the admitted rows as ascending ``(arr, cols, scols)`` —
-    empty when nothing is admitted.  The late policy sees arrival order;
-    only the survivors are reordered, through one stable argsort, so
-    equal timestamps keep their arrival order.
+    empty when nothing is admitted — and how many values were admitted.
+    The late policy sees arrival order; only the survivors are
+    reordered, through one stable argsort, so equal timestamps keep
+    their arrival order.
+
+    ``combine(arr, cols)`` may take the argsort's place on a batch
+    without string columns that ADJUST did not rewrite: it returns the
+    survivors folded into ascending ``(arr, cols)``, or ``None``.
     """
     arr = np.asarray(values, dtype=np.int64)
     if arr.ndim != 1:
@@ -87,17 +93,23 @@ def admit_batch(sorter, values, columns, string_columns):
         if sorter.late.policy is LatePolicy.ADJUST:
             arr = arr.copy()
             arr[late_mask] = watermark
+            combine = None
         else:
             keep = ~late_mask
             arr = arr[keep]
             cols = tuple(col[keep] for col in cols)
             scols = tuple(col.filter(keep) for col in scols)
+    admitted = int(arr.size)
+    if combine is not None and admitted and not scols:
+        folded = combine(arr, cols)
+        if folded is not None:
+            return (*folded, scols, admitted)
     if (arr[1:] < arr[:-1]).any():
         order = np.argsort(arr, kind="stable")
         arr = arr[order]
         cols = tuple(col[order] for col in cols)
         scols = tuple(col.take(order) for col in scols)
-    return arr, cols, scols
+    return arr, cols, scols, admitted
 
 
 def merge_sorted_parts(parts, ncols, nscols, has_objects=False):
@@ -218,16 +230,20 @@ class ColumnarImpatienceSorter:
     def spill_doc(self):
         return self.pool.metrics.as_dict()
 
-    def insert_batch(self, values, columns=(), string_columns=()):
-        """Ingest one arrival-order batch of timestamps (+ columns)."""
-        arr, cols, scols = admit_batch(self, values, columns, string_columns)
-        if arr.size == 0:
-            return 0
-        self.pool.insert_sorted(arr, cols, scols=scols)
-        self.stats.inserted += int(arr.size)
-        self.stats.runs_created += 1
-        self.stats.note_buffered()
-        return int(arr.size)
+    def insert_batch(self, values, columns=(), string_columns=(),
+                     combine=None):
+        """Ingest one arrival-order batch of timestamps (+ columns);
+        returns how many the late policy admitted, which ``combine``
+        may fold into fewer rows (:func:`admit_batch`)."""
+        arr, cols, scols, admitted = admit_batch(
+            self, values, columns, string_columns, combine
+        )
+        if arr.size:
+            self.pool.insert_sorted(arr, cols, scols=scols)
+            self.stats.inserted += int(arr.size)
+            self.stats.runs_created += 1
+            self.stats.note_buffered()
+        return admitted
 
     def on_punctuation(self, timestamp):
         """Cut and return every buffered value <= ``timestamp``, sorted."""

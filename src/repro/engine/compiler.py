@@ -20,10 +20,11 @@ a fused pipeline of :mod:`repro.engine.kernels` stages around a
   ``field_str_prefix``), so string-keyed plans compile to the exact
   same fused int masks — no byte comparisons, no row-path fallback;
 * the columnar sorter itself, carrying the post-stage sync time plus
-  exactly the columns the terminal kernel ``reads`` as parallel
-  ``int64`` columns (the original sync rides as column 0 so the ADJUST
-  late policy keeps row-engine semantics: adjusted sort position,
-  original window);
+  the columns the terminal kernel ``reads`` — a windowed aggregate's
+  partial state, each chunk folded per (window, key) where it pays — as
+  parallel ``int64`` columns (the original sync rides as column 0 so
+  ADJUST keeps row-engine semantics: adjusted sort position, original
+  window);
 * post-sort: one :class:`~repro.engine.kernels.TerminalKernel` — the
   grouped/ungrouped windowed aggregate
   (``count``/``sum``/``avg``/``min``/``max``, reading the key and the
@@ -463,7 +464,7 @@ def compile_plan(plan) -> "CompiledPlan":
     late_policy = sort_kwargs.get("late_policy") or LatePolicy.DROP
 
     stages = []
-    window_size = None
+    window_size = window_hop = None
     for step in pre:
         method = step.method
         if method == "where":
@@ -503,7 +504,7 @@ def compile_plan(plan) -> "CompiledPlan":
                     "window size/hop must be positive ints"
                 )
             stages.append(_WindowStage(size, hop))
-            window_size = size
+            window_size, window_hop = size, hop
         elif method == "select":
             raise UnsupportedPlanError(
                 "select() projector is an opaque Python callable"
@@ -548,7 +549,7 @@ def compile_plan(plan) -> "CompiledPlan":
             )
         kernel_factory = (  # noqa: E731
             lambda: WindowAggregateKernel(
-                method, window_size, spec, value_index, top_k
+                method, window_size, spec, value_index, top_k, window_hop
             )
         )
     elif method == "distinct":
@@ -808,6 +809,9 @@ class _Execution:
     terminal kernel ``reads`` (the full ``(sync, other, key, payload…)``
     row for ``None``); each punctuation or the flush releases one
     sorted round into the kernel and returns what it emitted.
+    A windowed aggregate's sorter carries the kernel's partial rows,
+    each chunk folded in the presort's place where it pays; ``_held``
+    counts the events they stand for.
     """
 
     def __init__(self, compiled, memory_budget=None):
@@ -820,13 +824,16 @@ class _Execution:
         self._slots = [] if self._full else sorted(
             i for i in reads if i != "key"
         )
+        self._partial = isinstance(kernel, WindowAggregateKernel)
+        self._held = self._held_peak = 0
         ingress = compiled.reads
         self._ingress_keys = ingress is None or "key" in ingress
         self._ingress_payload = ingress is None or ingress - {"key"}
         # A full row's width is the payload arity, known at the first
         # chunk (``_widen``); until then the row has no payload.
         self.sorter = self._make_sorter(
-            3 if self._full else 1 + self._keyed + len(self._slots)
+            3 if self._full else kernel.width if self._partial
+            else 1 + self._keyed + len(self._slots)
         )
         self.ingress = _KernelMetrics("ingress")
         # One snapshot entry per row operator: a fused where run gets
@@ -904,7 +911,11 @@ class _Execution:
             sync, other, keys, cols = stage.apply(sync, other, keys, cols)
             metrics[0].note_batch(n_in, sync.size, perf_counter() - t0)
         t0 = perf_counter()
-        if self._full:
+        combine = None
+        if self._partial:
+            columns = self.kernel.partials(sync, keys, cols)
+            combine = self.kernel.combine
+        elif self._full:
             columns = (sync, other, keys, *cols)
         else:
             columns = (sync, *((keys,) if self._keyed else ()),
@@ -912,8 +923,15 @@ class _Execution:
         sorter = self.sorter
         if sorter.columns != len(columns) and not sorter.stats.inserted:
             sorter = self._widen(len(columns))
-        sorter.insert_batch(sync, columns)
-        self.sort_metrics.note_batch(sync.size, 0, perf_counter() - t0)
+        rows = sorter.stats.inserted
+        admitted = sorter.insert_batch(sync, columns, combine=combine)
+        rows = sorter.stats.inserted - rows
+        self._held += admitted
+        self._held_peak = max(self._held_peak, self._held)
+        # The sort stage counts rows: a folded chunk's partial rows.
+        self.sort_metrics.note_batch(
+            sync.size - admitted + rows, 0, perf_counter() - t0
+        )
         self.sort_metrics.peak = sorter.stats.max_buffered
 
     def punctuate(self, timestamp):
@@ -949,6 +967,8 @@ class _Execution:
         kernel = self.kernel
         t0 = perf_counter()
         n_in = int(columns[0].size)
+        if self._partial:
+            self._held -= int(columns[kernel.weight_at].sum())
         out = kernel.ingest(*self._unpack(columns)) if n_in else []
         if timestamp is None:
             closed, puncts = kernel.flush()
@@ -969,6 +989,9 @@ class _Execution:
         unread columns are ``None``, payload columns keep their index."""
         if self._full:
             return columns[0], columns[1], columns[2], list(columns[3:])
+        if self._partial:
+            keys = columns[1] if self._keyed else None
+            return columns[0], None, keys, columns[1 + self._keyed:]
         slots = self._slots
         cols = [None] * (slots[-1] + 1 if slots else 0)
         for slot, column in zip(slots, columns[1 + self._keyed:]):
@@ -977,14 +1000,16 @@ class _Execution:
 
     def buffered(self) -> int:
         """Events held in the sorter plus the kernel's open state."""
-        return self.sorter.buffered + self.kernel.buffered()
+        held = self._held if self._partial else self.sorter.buffered
+        return held + self.kernel.buffered()
 
     def stats(self) -> dict:
         """The sorter's high-water marks and late-event accounting."""
         sorter = self.sorter
         history = sorter.stats.run_count_history
         return {
-            "buffered_peak": sorter.stats.max_buffered,
+            "buffered_peak": self._held_peak if self._partial
+            else sorter.stats.max_buffered,
             "runs_peak": max((runs for _, runs in history), default=0),
             "late_dropped": sorter.late.dropped,
             "late_adjusted": sorter.late.adjusted,

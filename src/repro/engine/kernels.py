@@ -19,8 +19,8 @@ that substrate:
   ``reduceat`` folds rows into groups and the same ufunc merges
   partial states, replicating the row aggregates' fold interface
   (``initial``/``accumulate``/``result``) batch-wise.  Folds are exact
-  like the row aggregates' Python ints: a sum whose float64 shadow
-  reaches 2**62 is redone in ``dtype=object``.
+  like the row aggregates' Python ints: a sum not bounded below 2**62
+  whose float64 shadow reaches it is redone in ``dtype=object``.
 * the **windowed kernel state machines**
   (:class:`GroupedWindowKernel`, :class:`WindowTopKKernel`) that
   replicate ``TumblingWindow -> (Grouped)WindowAggregate [-> WindowTopK]``
@@ -444,6 +444,16 @@ _EXACT_LIMIT = 2.0 ** 62
 #: The Python operation each fold ufunc applies to one pair of states.
 _SCALAR = {np.add: _op.add, np.minimum: min, np.maximum: max}
 
+#: Each fold ufunc's identity on int64, an empty grid cell's start.
+_IDENTITY = {np.add: 0, np.minimum: _INT64_MAX, np.maximum: -_INT64_MAX - 1}
+
+
+def _bounded(column):
+    """Whether no sum of ``column``'s int64 values reaches 2**62 in
+    magnitude (largest magnitude times rows, on Python ints)."""
+    return not column.size or 2 ** 62 > column.size * max(
+        -int(column.min()), int(column.max()))
+
 
 def _narrow(column):
     """An object state column back as int64 once every value fits."""
@@ -467,15 +477,19 @@ class AggregateSpec:
     aggregate's ``result`` exactly (ints for count/sum/min/max, a Python
     float for avg).
 
-    The row aggregates add in Python ints, so folds are exact: a sum
-    whose float64 shadow reaches 2**62 is redone in ``dtype=object``,
-    and its state column stays object until every value fits int64
-    again.
+    The row aggregates add in Python ints, so folds are exact: an int64
+    sum that :func:`_bounded` cannot prove exact and whose float64
+    shadow reaches 2**62 is redone in ``dtype=object``, and its state
+    column stays object until every value fits int64 again.
+
+    ``counted`` indexes the state column that counts rows, if one does:
+    a partial row's weight, the events it stands for.
     """
 
     name = None
     needs_value = False
     ufuncs = ()
+    counted = None
 
     def lift(self, values, n):
         """State columns for ``n`` released rows (``values`` or None)."""
@@ -487,7 +501,8 @@ class AggregateSpec:
         out = []
         for ufunc, column in zip(self.ufuncs, columns):
             folded = ufunc.reduceat(column, heads)
-            if ufunc is np.add and column.dtype != object:
+            if ufunc is np.add and column.dtype != object \
+                    and not _bounded(column):
                 shadow = np.add.reduceat(column.astype(np.float64), heads)
                 if np.abs(shadow).max() >= _EXACT_LIMIT:
                     folded = _narrow(
@@ -495,6 +510,29 @@ class AggregateSpec:
                     )
             out.append(folded)
         return tuple(out)
+
+    def combine(self, cells, size, columns):
+        """Fold lifted int64 state ``columns`` into a dense grid of
+        ``size`` cells, row ``i`` into ``cells[i]``: ``(occupied cells
+        ascending, their row counts, folded state)``, or ``None`` when a
+        sum cannot be proven exact in int64."""
+        if any(ufunc is np.add and index != self.counted
+               and not _bounded(column)
+               for index, (ufunc, column)
+               in enumerate(zip(self.ufuncs, columns))):
+            return None
+        counts = np.bincount(cells, minlength=size)
+        occupied = np.flatnonzero(counts)
+        weights = counts[occupied]
+        state = []
+        for index, (ufunc, column) in enumerate(zip(self.ufuncs, columns)):
+            if index == self.counted:
+                state.append(weights)
+                continue
+            grid = np.full(size, _IDENTITY[ufunc], dtype=np.int64)
+            ufunc.at(grid, cells, column)
+            state.append(grid[occupied])
+        return occupied, weights, tuple(state)
 
     def merge(self, state, other):
         """Combine two states of one group (tuples of Python values)."""
@@ -511,6 +549,7 @@ class AggregateSpec:
 class _CountSpec(AggregateSpec):
     name = "count"
     ufuncs = (np.add,)
+    counted = 0
 
     def lift(self, values, n):
         return (np.ones(n, dtype=np.int64),)
@@ -542,6 +581,7 @@ class _AvgSpec(AggregateSpec):
     name = "avg"
     needs_value = True
     ufuncs = (np.add, np.add)
+    counted = 1
 
     def lift(self, values, n):
         return (values, np.ones(n, dtype=np.int64))
@@ -659,11 +699,12 @@ class GroupedWindowKernel(_WindowedKernelBase):
     """Vectorized ``(Grouped)WindowAggregate`` over window-aligned rows.
 
     Open windows live as parallel arrays sorted by ``(start, key)``:
-    ``starts``, ``keys`` and the spec's ``state`` columns.
-    ``accumulate`` concatenates them with one released batch's lifted
-    rows (``starts`` already floored to window starts, in any order —
-    ADJUST may re-open an emitted window), sorts once and folds each
-    state column with one ``reduceat``.  ``close`` is one
+    ``starts``, ``keys`` and the spec's ``state`` columns.  ``merge``
+    concatenates them with one released batch's partial rows (``starts``
+    already floored to window starts, in any order — ADJUST may re-open
+    an emitted window), sorts once and folds each state column with one
+    ``reduceat``; ``accumulate`` lifts raw values into such rows
+    first.  ``close`` is one
     ``searchsorted`` cut returning the due rows as columns, ascending by
     start then key — exactly the row operators' emission order.  With
     ``grouped=False`` (or ``keys=None``) every row folds into group key
@@ -682,12 +723,15 @@ class GroupedWindowKernel(_WindowedKernelBase):
         return int(self.starts[0]) if self.starts.size else None
 
     def accumulate(self, starts, keys=None, values=None):
+        self.merge(starts, keys, self.spec.lift(values, starts.size))
+
+    def merge(self, starts, keys, state):
+        """Fold partial rows: ``state`` holds the spec's state columns."""
         n = starts.size
         if n == 0:
             return
         if not self.grouped or keys is None:
             keys = np.zeros(n, dtype=np.int64)
-        state = self.spec.lift(values, n)
         if self.starts.size:
             starts = np.concatenate((self.starts, starts))
             keys = np.concatenate((self.keys, keys))
@@ -1401,6 +1445,11 @@ class GroupApplyKernel(TerminalKernel):
         return f"group_apply[{' -> '.join(inner)}]"
 
 
+#: A chunk folds when its dense (window, key) grid has at most this many
+#: cells per row; a sparser grid costs more than the rows it saves.
+_GRID_CELLS_PER_ROW = 2
+
+
 class WindowAggregateKernel(TerminalKernel):
     """``(Grouped)WindowAggregate [-> WindowTopK]`` over aligned rows.
 
@@ -1410,11 +1459,19 @@ class WindowAggregateKernel(TerminalKernel):
     promise pass a chained :class:`WindowTopKKernel` when ``top_k`` is
     set, and leave as one lazy boxing pass.  The chain reports one
     snapshot entry per row operator, the fold and ``top_k``.
+
+    It reads *partial rows* ``(sync, [key], *state, [weight])``: the
+    weight (events stood for) is dropped where the spec's ``counted``
+    column gives it.  :meth:`partials` lifts ingress rows at weight 1,
+    :meth:`combine` folds them below the sort, and ``ingest`` merges
+    released rows (``cols`` holds their state columns).
     """
 
-    def __init__(self, name, window, spec, value_index=None, top_k=None):
+    def __init__(self, name, window, spec, value_index=None, top_k=None,
+                 hop=None):
         self.name = name
         self.window = window
+        self.hop = window if hop is None else hop
         self.spec = spec
         self.value_index = value_index
         grouped = name == "group_aggregate"
@@ -1425,13 +1482,60 @@ class WindowAggregateKernel(TerminalKernel):
             | ({value_index} if spec.needs_value else set())
         )
         self.wire = "float" if spec.name == "avg" else "int"
+        state_at = 1 + grouped
+        #: Sorter column of a partial row's weight.
+        self.weight_at = state_at + (
+            len(spec.ufuncs) if spec.counted is None else spec.counted
+        )
+        self.width = state_at + len(spec.ufuncs) + (spec.counted is None)
         # The last round through top-k, for note: (rows the fold closed,
         # the fold's forwarded bound, seconds spent in top-k).
         self._round = None
 
+    def partials(self, sync, keys, cols):
+        """An aligned ingress chunk as partial rows of weight 1."""
+        spec, n = self.spec, sync.size
+        state = spec.lift(cols[self.value_index] if spec.needs_value
+                          else None, n)
+        weight = () if spec.counted is not None else (np.ones(n, np.int64),)
+        return (sync, *((keys,) if self.fold.grouped else ()), *state,
+                *weight)
+
+    def combine(self, ts, columns):
+        """One admitted chunk of weight-1 rows (``ts`` their aligned
+        syncs) as one row per (sync, key), ascending: cell ``(sync -
+        low) // hop * key_span + key - key_low`` of a dense grid.
+        ``None`` (sort the rows) when the grid has over
+        :data:`_GRID_CELLS_PER_ROW` cells per row or a sum may wrap."""
+        low, high = int(ts.min()), int(ts.max())
+        hop, span, keys = self.hop, 1, None
+        if self.fold.grouped:
+            keys = columns[1]
+            key_low = int(keys.min())
+            span = int(keys.max()) - key_low + 1
+        size = ((high - low) // hop + 1) * span
+        if size > _GRID_CELLS_PER_ROW * ts.size or high - low > _INT64_MAX:
+            return None
+        cells = (ts - low) // hop
+        if keys is not None:
+            cells *= span
+            cells += keys - key_low
+        state_at = 1 + (keys is not None)
+        folded = self.spec.combine(
+            cells, size, columns[state_at:state_at + len(self.spec.ufuncs)]
+        )
+        if folded is None:
+            return None
+        occupied, weights, state = folded
+        if keys is not None:
+            occupied, slots = np.divmod(occupied, span)
+            keys = (slots + key_low,)
+        sync = occupied * hop + low
+        weight = (weights,) if self.spec.counted is None else ()
+        return sync, (sync, *(keys or ()), *state, *weight)
+
     def ingest(self, sync, other, keys, cols):
-        values = cols[self.value_index] if self.spec.needs_value else None
-        self.fold.accumulate(sync, keys, values)
+        self.fold.merge(sync, keys, cols[:len(self.spec.ufuncs)])
         return []
 
     def punctuate(self, timestamp):

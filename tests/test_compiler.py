@@ -344,12 +344,19 @@ class TestSnapshot:
 
     def test_predicate_push_down_shrinks_sorted_volume(self):
         """The where() bitmap runs below the sort: the sort kernel must
-        see only the surviving rows, not the raw stream."""
+        see only the surviving rows, not the raw stream.  It counts
+        rows: the late events it dropped plus the partial rows the
+        sorter took in, at most one per surviving event."""
         events = _events(n=600)
         result = _plan().run(events, 32, 40)
         survivors = sum(1 for e in events if e.payload[0] > 5)
-        sort_doc = result.snapshot().operator("sort")
-        assert sort_doc["events"]["in"] == survivors < len(events)
+        snapshot = result.snapshot()
+        assert snapshot.operator("window")["events"]["out"] == survivors
+        sort_doc = snapshot.operator("sort")
+        assert sort_doc["events"]["in"] == (
+            sort_doc["late"]["dropped"] + sort_doc["sorter"]["inserted"]
+        )
+        assert sort_doc["events"]["in"] <= survivors < len(events)
 
     def test_row_fallback_snapshot_keeps_reason(self):
         from repro.observability.registry import MetricsRegistry
