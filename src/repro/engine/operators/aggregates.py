@@ -19,6 +19,15 @@ from repro.engine.operators.base import Operator
 
 _NEG_INF = float("-inf")
 
+
+def _mixed_key_order(key):
+    """A sort key for group keys of mixed types: numbers by value
+    first, then the rest by type name and ``repr``."""
+    if isinstance(key, (int, float)):
+        return (0, "", key, "")
+    return (1, type(key).__name__, 0, repr(key))
+
+
 __all__ = [
     "Aggregate",
     "Count",
@@ -220,7 +229,11 @@ class GroupedWindowAggregate(_WindowedBase):
         groups[key] = self.aggregate.accumulate(state, event)
 
     def _emit_window(self, start, end, groups):
-        for key in sorted(groups):
+        try:
+            keys = sorted(groups)
+        except TypeError:  # keys of types that do not compare
+            keys = sorted(groups, key=_mixed_key_order)
+        for key in keys:
             payload = self.aggregate.result(groups[key])
             self.emit_event(Event(start, end, key, payload))
 

@@ -200,6 +200,19 @@ class TestGroupedWindowAggregate:
         feed(op, [Event(0, 10, key=k) for k in (5, 3, 9)])
         assert [e.key for e in sink.events] == [3, 5, 9]
 
+    def test_mixed_key_types_close_in_a_total_order(self):
+        # Keys decoded from JSON may not compare with each other; the
+        # window still closes, numbers first by value, then by type.
+        op = GroupedWindowAggregate(Count())
+        sink = wire(op)
+        keys = ("b", (), 10, None, 2, "a", 2, True)
+        feed(op, [Event(0, 10, key=k) for k in keys], punctuation=9,
+             flush=False)
+        assert [(e.key, e.payload) for e in sink.events] == [
+            (True, 1), (2, 2), (10, 1), (None, 1), ("a", 1), ("b", 1),
+            ((), 1),
+        ]
+
     def test_buffered_counts_group_states(self):
         op = GroupedWindowAggregate(Count())
         wire(op)
