@@ -17,6 +17,9 @@ batches onto runs only adds Python-level work: the sorter keeps no run
 structure of its own.  Its buffer is the spill pool
 (:class:`~repro.sorting.external.ExternalRunPool`); with a
 ``memory_budget`` cold rows spill to disk, without one nothing does.
+:meth:`ColumnarImpatienceSorter.release` hands a cut out as the pool's
+stream of merged steps (one step when nothing has spilled), so a
+consumer that takes it step by step never holds the whole cut.
 
 The emission at a punctuation is the stable sort by timestamp of the
 admitted arrivals at any budget: chunks sit in arrival order, so the
@@ -247,24 +250,41 @@ class ColumnarImpatienceSorter:
 
     def on_punctuation(self, timestamp):
         """Cut and return every buffered value <= ``timestamp``, sorted."""
-        if self._has_watermark and timestamp < self._watermark:
-            raise PunctuationOrderError(timestamp, self._watermark)
-        self._watermark = timestamp
-        self._has_watermark = True
-        return self._emit(self.pool.cut(timestamp))
+        return self._shape(self.pool.concat(self.release(timestamp)))
 
     def flush(self):
         """Return everything still buffered, sorted (end-of-stream)."""
-        return self._emit(self.pool.cut(None))
+        return self._shape(self.pool.concat(self.release(None)))
 
-    def _emit(self, cut):
-        merged, cols, _, scols = cut
-        if merged.size:
+    def release(self, timestamp):
+        """Advance to punctuation ``timestamp`` (``None``: end of
+        stream) and return what it releases as a stream of ascending,
+        disjoint ``(ts, cols, objs, scols)`` steps
+        (:meth:`~repro.sorting.external.ExternalRunPool.steps`), whose
+        concatenation :meth:`on_punctuation` and :meth:`flush` return.
+        Drain it before the next call."""
+        if timestamp is not None:
+            if self._has_watermark and timestamp < self._watermark:
+                raise PunctuationOrderError(timestamp, self._watermark)
+            self._watermark = timestamp
+            self._has_watermark = True
+        return self._counted(self.pool.steps(timestamp))
+
+    def _counted(self, steps):
+        emitted = 0
+        for step in steps:
+            emitted += int(step[0].size)
+            yield step
+            del step
+        if emitted:
             self.stats.merges += 1
-            self.stats.merge_events += int(merged.size)
-        self.stats.emitted += int(merged.size)
+            self.stats.merge_events += emitted
+        self.stats.emitted += emitted
         self.stats.binary_searches = self.pool.splits
         self.stats.sample_runs(self.pool.run_count)
+
+    def _shape(self, cut):
+        merged, cols, _, scols = cut
         if self.string_columns:
             return merged, cols, scols
         if self.columns:

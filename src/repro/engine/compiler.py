@@ -808,7 +808,8 @@ class _Execution:
     which carries the post-stage sync plus exactly the columns the
     terminal kernel ``reads`` (the full ``(sync, other, key, payload…)``
     row for ``None``); each punctuation or the flush releases one
-    sorted round into the kernel and returns what it emitted.
+    sorted round into the kernel, as the sorter's stream of steps, and
+    returns what it emitted.
     A windowed aggregate's sorter carries the kernel's partial rows,
     each chunk folded in the presort's place where it pays; ``_held``
     counts the events they stand for.
@@ -943,44 +944,52 @@ class _Execution:
             timestamp = stage.transform_punct(timestamp)
             for metric in metrics:
                 metric.note_punct(True)
-        t0 = perf_counter()
-        released = self.sorter.on_punctuation(timestamp)
-        self.sort_metrics.note_punct(True, perf_counter() - t0)
-        self.sort_metrics.events_out += int(released[0].size)
-        self.sort_metrics.peak = self.sorter.stats.max_buffered
-        return self._downstream(released[1], timestamp)
+        return self._downstream(timestamp)
 
     def flush(self):
         """End of stream: the last round's ``(events, punctuations)``;
         spill files are released."""
-        t0 = perf_counter()
-        released = self.sorter.flush()
-        self.sort_metrics.busy_s += perf_counter() - t0
-        self.sort_metrics.events_out += int(released[0].size)
-        out = self._downstream(released[1], None)
+        out = self._downstream(None)
         self.close()
         return out
 
-    def _downstream(self, columns, timestamp):
-        """Feed one released round's sorter columns to the terminal
-        kernel; every terminal takes this one path."""
-        kernel = self.kernel
+    def _downstream(self, timestamp):
+        """Release the round of punctuation ``timestamp`` (``None``: the
+        flush) and feed it to the terminal kernel a sorter step at a
+        time, then punctuate (or flush) the kernel once; every terminal
+        takes this one path.  Pulling a step is the sort stage's time."""
+        kernel, sort = self.kernel, self.sort_metrics
+        n_in, kernel_s, out = 0, 0.0, []
         t0 = perf_counter()
-        n_in = int(columns[0].size)
-        if self._partial:
-            self._held -= int(columns[kernel.weight_at].sum())
-        out = kernel.ingest(*self._unpack(columns)) if n_in else []
+        for step in self.sorter.release(timestamp):
+            t1 = perf_counter()
+            sort.busy_s += t1 - t0
+            columns = step[1]
+            n_in += int(columns[0].size)
+            if self._partial:
+                self._held -= int(columns[kernel.weight_at].sum())
+            out += kernel.ingest(*self._unpack(columns))
+            # Drop the step before the sorter reads and merges the next.
+            del step, columns
+            t0 = perf_counter()
+            kernel_s += t0 - t1
+        t1 = perf_counter()
+        sort.busy_s += t1 - t0
+        sort.events_out += n_in
+        if timestamp is not None:
+            sort.note_punct(True)
+        sort.peak = self.sorter.stats.max_buffered
         if timestamp is None:
             closed, puncts = kernel.flush()
         else:
             closed, puncts = kernel.punctuate(timestamp)
-        seconds = perf_counter() - t0
+        kernel_s += perf_counter() - t1
         # Lazily returned events (window aggregates, sessions, coalesce)
         # box here, outside the kernel's time.
         out.extend(closed)
         kernel.note(
             self.kernel_metrics, n_in, len(out), timestamp is not None,
-            bool(puncts), seconds,
+            bool(puncts), kernel_s,
         )
         return out, puncts
 

@@ -4,9 +4,12 @@ The in-memory sorters cap stream size at machine RAM.  This module adds
 a memory-budgeted run pool in the spirit of TPIE-style external-memory
 pipelining: buffered bytes are tracked against a configurable budget,
 cold sorted runs spill to disk as compact framed columnar blocks, and a
-punctuation cut reads back, sequentially, the blocks it covers and
-merges them with the resident rows in one concatenate + stable argsort
-— :func:`~repro.core.columnar.merge_sorted_parts`.  The pool is the
+punctuation cut streams back as *steps*: each reads on, sequentially,
+only as far as the smallest last key among the runs' current blocks,
+and merges those rows with the resident ones in one concatenate +
+stable argsort — :func:`~repro.core.columnar.merge_sorted_parts`.  So a
+cut holds at most one decoded block per run plus one step, and every
+block is read once.  The pool is the
 buffer of :class:`~repro.core.columnar.ColumnarImpatienceSorter`; with
 no budget it never spills and makes no spill directory.
 
@@ -222,13 +225,15 @@ class _RunFile:
     A single read/write handle serves both roles; writes always land at
     ``self.length`` (the logical end), reads stream sequentially from
     ``read_offset`` with ``row_skip`` marking the rows of the current
-    block already emitted by an earlier punctuation cut.
+    block already emitted by an earlier punctuation cut.  Those two are
+    the checkpointed read position; the decoded current block is a
+    cache of it that a checkpoint never carries.
     """
 
     __slots__ = (
         "path", "name", "ncols", "nscols", "objects", "metrics", "length",
         "read_offset", "row_skip", "tail_key", "closed", "rows",
-        "string_bytes", "_fh",
+        "string_bytes", "_fh", "_block", "_block_end",
     )
 
     def __init__(self, path, ncols, objects, metrics, nscols=0):
@@ -246,6 +251,8 @@ class _RunFile:
         self.rows = 0
         self.string_bytes = 0
         self._fh = None
+        self._block = None      # the block at read_offset, once decoded
+        self._block_end = None  # and the file offset after it
 
     @classmethod
     def create(cls, path, ncols, objects, metrics, nscols=0):
@@ -296,65 +303,73 @@ class _RunFile:
 
     def _write_block(self, keys, cols, objs, injector, scols=()):
         keys = np.ascontiguousarray(keys, dtype=np.int64)
-        payload = keys.tobytes()
-        for col in cols:
-            payload += np.ascontiguousarray(col, dtype=np.int64).tobytes()
-        for col in scols:
-            framed = bytearray(col.packed_size())
-            col.pack_into(framed)
-            payload += bytes(framed)
-            self.string_bytes += len(framed)
+        nrows = int(keys.size)
+        pickled = b""
         if self.objects:
-            payload += pickle.dumps(
+            pickled = pickle.dumps(
                 list(objs), protocol=pickle.HIGHEST_PROTOCOL
             )
-        payload_n = len(payload)
-        header = _BLOCK_HEADER.pack(
-            _BLOCK_MAGIC, keys.size, int(keys[0]), int(keys[-1]),
+        sizes = [col.packed_size() for col in scols]
+        payload_n = 8 * nrows * (1 + len(cols)) + sum(sizes) + len(pickled)
+        # One buffer, header first: every column is copied into it once.
+        head = _BLOCK_HEADER.size
+        block = bytearray(head + payload_n)
+        for index, col in enumerate((keys, *cols)):
+            np.frombuffer(
+                block, dtype=np.int64, count=nrows,
+                offset=head + 8 * nrows * index,
+            )[:] = col
+        cursor = head + 8 * nrows * (1 + len(cols))
+        for col, size in zip(scols, sizes):
+            cursor = col.pack_into(block, cursor)
+            self.string_bytes += size
+        block[cursor:] = pickled
+        payload = memoryview(block)[head:]
+        _BLOCK_HEADER.pack_into(
+            block, 0, _BLOCK_MAGIC, nrows, int(keys[0]), int(keys[-1]),
             payload_n, zlib.crc32(payload),
         )
+        payload.release()
         mode = None
         if injector is not None:
             mode = injector.spill_write_fault(self.path)  # may raise
         if mode == "corrupt":
-            mutated = bytearray(payload)
-            mutated[len(mutated) // 2] ^= 0xFF
-            payload = bytes(mutated)
+            block[head + payload_n // 2] ^= 0xFF
         elif mode == "truncate":
-            payload = payload[: payload_n // 2]
+            del block[head + payload_n // 2:]
         fh = self._fh
         fh.seek(self.length)
-        fh.write(header + payload)
+        fh.write(block)
         fh.flush()
         # Logical framing always advances by the declared size, so a
         # torn (injected-truncate) write is caught by the CRC on read.
-        self.length += _BLOCK_HEADER.size + payload_n
+        self.length += head + payload_n
         self.metrics.blocks_written += 1
-        self.metrics.bytes_written += len(header) + len(payload)
+        self.metrics.bytes_written += len(block)
 
-    def read_upto(self, ts, injector):
-        """Sequentially read and return parts with keys <= ``ts``.
-
-        ``ts=None`` reads everything remaining.  Returns a list of
-        ``(keys, cols, objs, scols)`` tuples (consecutive, jointly
-        ascending).
-        """
-        parts = []
-        while self.read_offset < self.length:
+    def front(self, bound, injector):
+        """The current block ``(keys, cols, objs, scols)`` while its
+        first untaken row (``row_skip``) is ``<= bound`` (``None``: any
+        row), else ``None``.  A block is read, checked and decoded once,
+        and stays decoded until :meth:`take` has taken its last row."""
+        if self.read_offset >= self.length:
+            return None
+        block = self._block
+        if block is None:
             offset = self.read_offset
             header = self._read_bytes(offset, _BLOCK_HEADER.size, None)
             if len(header) < _BLOCK_HEADER.size:
                 raise SpillCorruptionError(
                     self.path, offset, "truncated block header"
                 )
-            magic, nrows, first_key, last_key, payload_n, crc = \
+            magic, nrows, first_key, _, payload_n, crc = \
                 _BLOCK_HEADER.unpack(header)
             if magic != _BLOCK_MAGIC:
                 raise SpillCorruptionError(
                     self.path, offset, "bad block magic"
                 )
-            if ts is not None and first_key > ts:
-                break
+            if bound is not None and first_key > bound:
+                return None
             payload = self._read_bytes(
                 offset + _BLOCK_HEADER.size, payload_n, injector
             )
@@ -368,36 +383,33 @@ class _RunFile:
                 raise SpillCorruptionError(
                     self.path, offset, "block checksum mismatch"
                 )
-            keys, cols, objs, scols = self._decode(payload, nrows, offset)
+            block = self._block = self._decode(payload, nrows, offset)
+            self._block_end = offset + _BLOCK_HEADER.size + payload_n
             self.metrics.blocks_read += 1
             self.metrics.bytes_read += _BLOCK_HEADER.size + payload_n
-            if ts is None or last_key <= ts:
-                skip = self.row_skip
-                if skip < nrows:
-                    parts.append((
-                        keys[skip:],
-                        tuple(col[skip:] for col in cols),
-                        objs[skip:] if objs is not None else None,
-                        tuple(col.slice(skip, nrows) for col in scols),
-                    ))
-                self.read_offset = offset + _BLOCK_HEADER.size + payload_n
-                self.row_skip = 0
-                continue
-            # This block straddles the cut: emit the covered prefix and
-            # remember how far we got; the suffix is re-read next cut.
-            split = int(np.searchsorted(keys, ts, side="right"))
-            if split > self.row_skip:
-                parts.append((
-                    keys[self.row_skip:split],
-                    tuple(col[self.row_skip:split] for col in cols),
-                    objs[self.row_skip:split] if objs is not None else None,
-                    tuple(
-                        col.slice(self.row_skip, split) for col in scols
-                    ),
-                ))
-                self.row_skip = split
-            break
-        return parts
+        if bound is not None and int(block[0][self.row_skip]) > bound:
+            return None
+        return block
+
+    def take(self, bound, parts, injector):
+        """Append to ``parts`` every untaken row ``<= bound`` (``None``:
+        all), reading on while the next block starts at or below it."""
+        while (block := self.front(bound, injector)) is not None:
+            keys, cols, objs, scols = block
+            skip, nrows = self.row_skip, int(keys.size)
+            stop = nrows if bound is None or int(keys[-1]) <= bound \
+                else int(np.searchsorted(keys, bound, side="right"))
+            parts.append((
+                keys[skip:stop],
+                tuple(col[skip:stop] for col in cols),
+                objs[skip:stop] if objs is not None else None,
+                tuple(col.slice(skip, stop) for col in scols),
+            ))
+            if stop < nrows:
+                self.row_skip = stop
+                return
+            self.read_offset, self.row_skip = self._block_end, 0
+            self._block = None
 
     def _read_bytes(self, offset, nbytes, injector):
         fh = self._fh
@@ -617,49 +629,91 @@ class ExternalRunPool:
         return run
 
     def cut(self, ts):
-        """Emit everything with key <= ``ts`` (None = everything), sorted.
+        """Emit everything with key <= ``ts`` (None = everything), sorted:
+        the :meth:`steps` of ``ts``, concatenated, as one
+        ``(keys, cols, objs, scols)``."""
+        return self.concat(self.steps(ts))
 
-        Returns ``(keys, cols, objs, scols)``.  Spilled runs stream back
-        with sequential block reads in creation order; exhausted run
-        files are deleted on the spot.  Every sorted piece — each run's
-        blocks, then the resident chunks' prefixes — goes to one stable
-        merge, so the part order here *is* the tie order.
+    def steps(self, ts):
+        """Stream everything with key <= ``ts`` (None = everything) as
+        merged *steps*: ascending, disjoint ``(keys, cols, objs, scols)``
+        parts whose concatenation is the sorted cut.
+
+        Each step takes, from every source in source order (runs in
+        creation order, then the resident chunks in arrival order),
+        every row at or below the *frontier*: the smallest last key
+        among the current blocks of the runs that still hold rows
+        ``<= ts`` (``ts`` itself once none does).  Rows equal to the
+        frontier all land in one step, so its stable merge breaks their
+        ties by (source, row) as one merge of the whole cut would.  A
+        run holds at most its current block decoded; run files the cut
+        exhausts are deleted at its end.
         """
-        parts = []
-        sources = 0
-        survivors = []
-        for run in self._runs:
-            blocks = run.read_upto(ts, self.injector)
-            if blocks:
-                sources += 1
-                parts.extend(blocks)
-            if ts is None or run.exhausted:
-                run.delete()
-            else:
-                survivors.append(run)
-        self._runs = survivors
-        spilled_parts = len(parts)
-        if ts is None:
-            parts.extend(self._chunks)
-            self._chunks, self._rows, self._sbytes = [], 0, 0
-        else:
-            self._cut_resident(ts, parts)
-        if len(parts) > spilled_parts:
-            sources += 1  # fan-in counts sources: the resident buffer is one
-        if parts:
+        runs = [run for run in self._runs
+                if run.front(ts, self.injector) is not None]
+        # Fan-in counts sources: the resident buffer is one.
+        sources = len(runs) + any(
+            ts is None or int(chunk[0][0]) <= ts for chunk in self._chunks
+        )
+        if sources:
             self.metrics.merges += 1
             self.metrics.note_fan_in(sources)
-        self.metrics.note_buffered(self.buffered_bytes)
+        return self._stream(ts, runs, self.injector, True)
+
+    def _stream(self, ts, runs, injector, consume):
+        while True:
+            runs = [run for run in runs
+                    if run.front(ts, injector) is not None]
+            frontier = ts
+            for run in runs:
+                last = int(run.front(ts, injector)[0][-1])
+                if frontier is None or last < frontier:
+                    frontier = last
+            step = self._step(runs, frontier, injector)
+            if step is not None:
+                yield step
+                # Drop the step before the next one is read and merged.
+                del step
+            if not runs:    # that step took every resident row <= ts
+                break
+        if consume:
+            for run in self._runs:
+                if run.exhausted:
+                    run.delete()
+            self._runs = [run for run in self._runs if not run.exhausted]
+
+    def _step(self, runs, frontier, injector):
+        """One merged step of every row ``<= frontier`` (None: all), or
+        ``None`` when no source holds one."""
+        parts = []
+        for run in runs:
+            run.take(frontier, parts, injector)
+        self._cut_resident(frontier, parts)
+        if not parts:
+            return None
         return merge_sorted_parts(
             parts, self.columns, self.string_columns, self.objects
         )
 
+    def concat(self, steps):
+        """:meth:`steps` as one ``(keys, cols, objs, scols)``: they are
+        ascending and disjoint, so their stable merge is their
+        concatenation (one step comes back as is)."""
+        return merge_sorted_parts(
+            list(steps), self.columns, self.string_columns, self.objects
+        )
+
     def _cut_resident(self, ts, parts):
-        """Move the resident rows with key <= ``ts`` into ``parts``.
+        """Move the resident rows with key <= ``ts`` (None: all) into
+        ``parts``.
 
         A chunk wholly at or below ``ts`` is taken whole and one wholly
         above it is kept whole; only a straddling chunk is split.
         """
+        if ts is None:
+            parts.extend(self._chunks)
+            self._chunks, self._rows, self._sbytes = [], 0, 0
+            return
         kept = []
         for chunk in self._chunks:
             keys, cols, objs, scols = chunk
@@ -694,19 +748,24 @@ class ExternalRunPool:
 
     def peek(self):
         """Everything buffered, sorted as ``cut(None)`` would return it,
-        leaving the pool, its run files and its metrics untouched."""
-        metrics = self.metrics
-        read = metrics.blocks_read, metrics.bytes_read
-        parts = []
-        for run in self._runs:
-            mark = run.read_offset, run.row_skip
-            parts.extend(run.read_upto(None, None))
-            run.read_offset, run.row_skip = mark
-        metrics.blocks_read, metrics.bytes_read = read
-        parts.extend(self._chunks)
-        return merge_sorted_parts(
-            parts, self.columns, self.string_columns, self.objects
-        )
+        leaving the pool, its run files and its metrics untouched: the
+        same stream, run without fault injection, then rewound."""
+        marks = [
+            (run.read_offset, run.row_skip, run._block, run._block_end)
+            for run in self._runs
+        ]
+        resident = self._chunks, self._rows, self._sbytes, self.splits
+        read = self.metrics.blocks_read, self.metrics.bytes_read
+        try:
+            return self.concat(
+                self._stream(None, list(self._runs), None, False)
+            )
+        finally:
+            for run, mark in zip(self._runs, marks):
+                (run.read_offset, run.row_skip, run._block,
+                 run._block_end) = mark
+            self._chunks, self._rows, self._sbytes, self.splits = resident
+            self.metrics.blocks_read, self.metrics.bytes_read = read
 
     def close(self):
         """Delete every remaining run file and release the directory."""

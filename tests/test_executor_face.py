@@ -20,6 +20,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarImpatienceSorter
 from repro.core.errors import LateEventError
 from repro.core.late import LatePolicy
 from repro.engine import QueryPlan, compile_plan
@@ -165,6 +166,67 @@ def test_faces_return_identical_rounds(row_plan, compiled_plan, census,
     assert row_stats.keys() == compiled_stats.keys()
     for name in ("late_dropped", "late_adjusted"):
         assert row_stats[name] == compiled_stats[name]
+
+
+def _in_pieces(steps, rng, taken):
+    """Each released step re-cut at random sort-key boundaries — the
+    only places a spilling sorter's stream cuts a round; ``taken``
+    counts the pieces of every round."""
+    count = 0
+    for keys, cols, objs, scols in steps:
+        bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        cuts = sorted(rng.sample(
+            bounds.tolist(), min(bounds.size, rng.randrange(5))
+        ))
+        for start, stop in zip([0, *cuts], [*cuts, keys.size]):
+            count += 1
+            yield keys[start:stop], tuple(
+                col[start:stop] for col in cols
+            ), objs, scols
+    taken.append(count)
+
+
+@pytest.mark.parametrize(
+    "plan", [compiled or row for _, row, compiled in CORPUS],
+    ids=[name for name, _, _ in CORPUS],
+)
+@pytest.mark.parametrize("seed, frequency, latency, sizes", [
+    (1, 16, 6, [5, 16]),
+    (3, 9, 20, [3]),
+])
+def test_every_terminal_takes_a_round_in_pieces(monkeypatch, plan, seed,
+                                                frequency, latency, sizes):
+    """A budgeted sorter releases a round as several steps, so every
+    terminal kernel must take several ingests before one punctuation:
+    the same rounds cut into pieces at sort-key boundaries give the
+    same events, punctuations and ``buffered()`` after every call as
+    one ingest per round."""
+    steps = _script(_stream(seed), frequency, latency, sizes)
+    whole = _play(compile_plan(plan).open(), steps, census=True)
+    rng, taken = random.Random(seed), []
+    release = ColumnarImpatienceSorter.release
+    monkeypatch.setattr(
+        ColumnarImpatienceSorter, "release",
+        lambda self, timestamp: _in_pieces(
+            release(self, timestamp), rng, taken
+        ),
+    )
+    assert _play(compile_plan(plan).open(), steps, census=True) == whole
+    assert max(taken) > 1
+
+
+@pytest.mark.parametrize(
+    "plan", [compiled or row for _, row, compiled in CORPUS],
+    ids=[name for name, _, _ in CORPUS],
+)
+def test_budgeted_compiled_rounds_match_unbudgeted(plan):
+    """At a budget of a few rows the sorter spills and streams every
+    round back in steps; each round prints as the unbudgeted one."""
+    steps = _script(_stream(5), 30, 10, [30])
+    spilling = compile_plan(plan).open(memory_budget=64)
+    assert _play(spilling, steps) == _play(compile_plan(plan).open(), steps)
+    doc = spilling.result([], [], None).spill
+    assert doc["spills"] > 0 and doc["blocks_read"] == doc["blocks_written"]
 
 
 def test_the_opaque_twin_does_not_compile():

@@ -19,6 +19,7 @@ import os
 import pickle
 import random
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -42,9 +43,13 @@ from repro.engine.checkpoint import (
     restore_sorter,
 )
 from repro.resilience import FaultInjector, SorterSupervisor
+from repro.sorting import external as ext
 from repro.sorting.external import (
     ExternalImpatienceSorter,
+    ExternalRunPool,
     SpillDirectory,
+    SpillMetrics,
+    _is_ascending,
     parse_memory_budget,
 )
 
@@ -133,7 +138,7 @@ class TestMergeBack:
 
     def test_cut_merges_blocks_straddle_and_resident_rows(self):
         """Two runs and the resident buffer meet in one cut: run 0
-        contributes the re-read suffix of a straddled block
+        contributes the kept suffix of a straddled block
         (``row_skip > 0``), whole blocks and a new straddling prefix;
         the resident rows sit inside the runs' key range and tie with
         them.  The serial column proves the tie order."""
@@ -166,8 +171,9 @@ class TestMergeBack:
                 [reference.on_punctuation(38)], 1,
             )
             doc = external.spill_doc()
-            # Each run: straddled suffix, a whole block, the next block.
-            assert doc["blocks_read"] - blocks_before == 6
+            # Each run: a whole block and the next one; the straddled
+            # block stayed decoded, so it is not read again.
+            assert doc["blocks_read"] - blocks_before == 4
             assert run0.row_skip > 0 and external.buffered == 2
             assert external.run_count == 1          # run 1 is exhausted
             assert doc["max_merge_fan_in"] == 3   # run 0, run 1, resident
@@ -176,6 +182,87 @@ class TestMergeBack:
             )
         finally:
             external.close()
+
+    @given(
+        rounds=st.lists(st.tuples(
+            st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=9)
+                     .map(sorted), max_size=4),
+            st.integers(0, 4),
+        ), min_size=1, max_size=8),
+        layout=st.sampled_from(["columns", "objects"]),
+        block_rows=st.integers(1, 4),
+        budget_rows=st.integers(1, 12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pool_steps_match_heapq_reference(self, rounds, layout,
+                                              block_rows, budget_rows):
+        """Every cut streamed through :meth:`ExternalRunPool.steps`, at
+        tiny blocks and budgets over heavily tied keys, against
+        ``heapq.merge`` over ``(key, chunk, row)``: the steps
+        concatenate to the reference, each is ascending, each lies
+        wholly above the one before (so no run of equal keys is split),
+        and a drained pool has read each block it wrote once.  The
+        ``objects`` layout is the keyed scalar sorter's pool."""
+        objects = layout == "objects"
+        pool = ExternalRunPool(
+            1, columns=0 if objects else 1, objects=objects,
+            string_columns=0 if objects else 1,
+        )
+        pool.budget = budget_rows * pool.bytes_per_row
+        pool.block_rows = block_rows
+        pending, floor = [], -1
+        try:
+            for index, (chunks, advance) in enumerate(rounds):
+                for offsets in chunks:
+                    source = len(pending)
+                    keys = [floor + 1 + offset for offset in offsets]
+                    pending.append([
+                        (key, source, row) for row, key in enumerate(keys)
+                    ])
+                    tags = [(source, row) for row in range(len(keys))]
+                    pool.insert_sorted(
+                        np.asarray(keys, dtype=np.int64),
+                        () if objects else (np.asarray(
+                            [s * 100 + r for s, r in tags], dtype=np.int64
+                        ),),
+                        tags if objects else None,
+                        () if objects else (StringColumn.from_values(
+                            [b"%d.%d" % tag for tag in tags]
+                        ),),
+                    )
+                last = index == len(rounds) - 1
+                ts = None if last else floor + advance
+                due = list(heapq.merge(*(
+                    [t for t in chunk if ts is None or t[0] <= ts]
+                    for chunk in pending
+                )))
+                pending = [
+                    [t for t in chunk if ts is not None and t[0] > ts]
+                    for chunk in pending
+                ]
+                steps = list(pool.steps(ts))
+                for step in steps:
+                    assert _is_ascending(step[0])
+                for before, after in zip(steps, steps[1:]):
+                    assert int(before[0][-1]) < int(after[0][0])
+                keys = [k for step in steps for k in step[0].tolist()]
+                assert keys == [key for key, _, _ in due]
+                tags = [(s, r) for _, s, r in due]
+                if objects:
+                    assert [o for step in steps for o in step[2]] == tags
+                else:
+                    assert [v for step in steps
+                            for v in step[1][0].tolist()] == \
+                        [s * 100 + r for s, r in tags]
+                    assert [v for step in steps
+                            for v in step[3][0].tolist()] == \
+                        [b"%d.%d" % tag for tag in tags]
+                floor = ts
+            doc = pool.metrics.as_dict()
+            assert pool.run_count == 0 and pool.buffered_rows == 0
+            assert doc["blocks_read"] == doc["blocks_written"]
+        finally:
+            pool.close()
 
 
 # -- columnar differential --------------------------------------------------
@@ -498,6 +585,53 @@ class TestTempFileHygiene:
 # -- disk-fault injection ---------------------------------------------------
 
 
+class TestBlockFormat:
+    @pytest.mark.parametrize("ncols, nscols, objects", [
+        (0, 0, False), (2, 1, True),
+    ])
+    def test_blocks_are_the_concatenated_encoding(self, tmp_path, ncols,
+                                                  nscols, objects):
+        """A block is built in one buffer; its bytes are still the
+        header, the keys, each int column, each framed string column
+        and the pickled objects, one after the other."""
+        keys = np.array([3, 3, 5, 9, 12], dtype=np.int64)
+        cols = (np.array([1, -2, 3, 4, 5]), np.array([7, 7, 7, 7, 2**40]))
+        scols = (StringColumn.from_values([b"a", b"", b"ccc", b"dd", b"e"]),)
+        objs = [("x", 1), None, 3.5, "s", b"b"]
+        cols, scols = cols[:ncols], scols[:nscols]
+        objs = objs if objects else None
+        path = str(tmp_path / "run.spill")
+        run = ext._RunFile.create(
+            path, ncols, objects, SpillMetrics(None), nscols=nscols
+        )
+        run.append(keys, cols, objs, 2, None, scols)
+        run.close_handle()
+        flags = (ext._FLAG_OBJECTS if objects else 0) | (
+            nscols << ext._FLAG_NSCOLS_SHIFT
+        )
+        expected = ext._FILE_HEADER.pack(ext._FILE_MAGIC, ncols, flags)
+        for start in range(0, keys.size, 2):
+            stop = min(start + 2, keys.size)
+            payload = keys[start:stop].tobytes() + b"".join(
+                col[start:stop].astype(np.int64).tobytes() for col in cols
+            )
+            for col in scols:
+                piece = col.slice(start, stop)
+                framed = bytearray(piece.packed_size())
+                piece.pack_into(framed)
+                payload += bytes(framed)
+            if objects:
+                payload += pickle.dumps(
+                    objs[start:stop], protocol=pickle.HIGHEST_PROTOCOL
+                )
+            expected += ext._BLOCK_HEADER.pack(
+                ext._BLOCK_MAGIC, stop - start, int(keys[start]),
+                int(keys[stop - 1]), len(payload), zlib.crc32(payload),
+            ) + payload
+        with open(path, "rb") as fh:
+            assert fh.read() == expected
+
+
 class TestSpillFaultInjection:
     def stream_through(self, injector):
         external = ExternalImpatienceSorter(256, injector=injector)
@@ -559,6 +693,20 @@ class TestSpillFaultInjection:
 # -- checkpoint / restore ---------------------------------------------------
 
 
+def _blocks_left(run):
+    """Blocks of ``run``'s file from its read position to its end."""
+    count, offset = 0, run.read_offset
+    with open(run.path, "rb") as fh:
+        while offset < run.length:
+            fh.seek(offset)
+            header = ext._BLOCK_HEADER.unpack(
+                fh.read(ext._BLOCK_HEADER.size)
+            )
+            offset += ext._BLOCK_HEADER.size + header[4]
+            count += 1
+    return count
+
+
 class TestExternalCheckpoint:
     def split_stream(self, seed=9):
         # A punctuation lag deeper than the spill cadence keeps sorted
@@ -613,6 +761,35 @@ class TestExternalCheckpoint:
         release_checkpoint(state)
         assert got1 == expected
         assert got2 == expected
+
+    def test_restore_after_a_straddling_cut_reads_that_block_once(self):
+        """The checkpoint falls right after a cut that straddled a block,
+        so that block is decoded and half taken.  The restored twin
+        finishes byte-identical and reads every block left on disk —
+        the straddled one included — once, as it does each block it
+        writes itself."""
+        head, tail = self.split_stream()
+        cut = max(i for i, (kind, _) in enumerate(head) if kind == "punct")
+        head, tail = head[:cut + 1], head[cut + 1:] + tail
+        expected = self.reference(head, tail)
+        original = ExternalImpatienceSorter(512)
+        try:
+            prefix_out = self.run_prefix(original, head)
+            assert any(run.row_skip for run in original.pool.runs)
+            state = checkpoint_sorter(original)
+        finally:
+            original.close()
+        twin = restore_sorter(state)
+        try:
+            assert any(run.row_skip for run in twin.pool.runs)
+            on_disk = sum(_blocks_left(run) for run in twin.pool.runs)
+            got = self.finish(twin, prefix_out, tail)
+            doc = twin.spill_doc()
+        finally:
+            twin.close()
+            release_checkpoint(state)
+        assert got == expected
+        assert doc["blocks_read"] == on_disk + doc["blocks_written"]
 
     def test_release_checkpoint_removes_pinned_files(self):
         head, _ = self.split_stream()
@@ -807,3 +984,42 @@ class TestEngineWiring:
         code = main(["run", "--n", "500", "--memory-budget", "nope"])
         assert code == 2
         assert "error: ValueError" in capsys.readouterr().err
+
+
+class TestCallMemory:
+    def test_spilling_call_streams_its_cuts(self):
+        """A session fold over 60k AndroidLog events at a 256 KiB
+        budget: the call's traced peak above what its result retains
+        stays under 1.5 MiB, because each cut reaches the kernel as a
+        stream of steps.  Merging each cut whole, and re-reading every
+        straddled block, peaked ≈4.9 MiB above it."""
+        import gc
+        import tracemalloc
+
+        from repro.engine import QueryPlan, field
+        from repro.engine.operators.aggregates import Sum
+        from repro.metrics.profile import suggest_reorder_latency
+        from repro.workloads import generate_androidlog
+
+        dataset = generate_androidlog(60_000, seed=31)
+        latency = suggest_reorder_latency(dataset.timestamps, 0.99)
+        plan = QueryPlan().sort().session_window(150, Sum(field(0)))
+
+        def call():
+            return plan.run(
+                dataset, punctuation_frequency=8192,
+                reorder_latency=latency, engine="columnar",
+                memory_budget=256 * 1024,
+            )
+
+        call()      # first-call imports and caches stay out of the peak
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = call()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.spill["spills"] > 0
+        assert result.spill["blocks_read"] == result.spill["blocks_written"]
+        assert peak - retained <= 1.5 * 2 ** 20
