@@ -15,8 +15,10 @@ A second sweep compares the vectorized
 per numpy batch, kept as one sorted chunk; one stable merge per cut)
 against the scalar sorter across disorder levels.  Expected: the
 columnar sorter wins at every level — its Python-level work is per
-batch, not per descent — with the margin narrowing as the per-batch
-sort has more disorder to undo.
+batch, not per descent — at a throughput about flat in disorder: the
+per-batch sort is one packed-key sort
+(:func:`~repro.core.columnar.stable_order`), whose cost does not
+depend on how much disorder it undoes.
 """
 
 from __future__ import annotations

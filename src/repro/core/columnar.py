@@ -3,13 +3,14 @@
 Trill ingests columnar batches (§I-A); the natural evolution of
 Impatience sort in that setting sorts *batches* instead of single
 events.  Each incoming batch is a bounded reorder buffer: after the late
-policy has seen it in arrival order it is stable-sorted once (skipped
-when already ascending, or folded instead by the caller's ``combine``)
-and kept as one sorted chunk.  A punctuation cut takes every chunk
-wholly at or below the timestamp, keeps every chunk wholly above it,
-and splits only a straddling chunk via
-``searchsorted``; the taken pieces go to one stable ``argsort`` — a
-C-speed adaptive merge (timsort) that finds the sorted pieces by itself.
+policy has seen it in arrival order it is stable-sorted once by
+:func:`stable_order` (skipped when already ascending, or folded instead
+by the caller's ``combine``) and kept as one sorted chunk.  A
+punctuation cut takes every chunk wholly at or below the timestamp,
+keeps every chunk wholly above it, and splits only a straddling chunk
+via ``searchsorted``; the taken pieces go to one stable ``argsort`` — a
+C-speed adaptive merge (timsort) that finds the sorted pieces by itself,
+which a packed-key sort cannot (packing the cut merge measured slower).
 
 The scalar sorter's run placement exists so the merge has few, long
 runs.  Here the merge already exploits every presorted batch, so dealing
@@ -51,6 +52,35 @@ _NEG_INF = float("-inf")
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def stable_order(values):
+    """``(order, sorted_values)``: ``np.argsort(values, kind="stable")``
+    of a 1-D int64 array and ``values[order]``, exactly.
+
+    When the span ``max - min`` leaves room for ``bits`` row-index bits
+    below it in an int64, each row becomes one unique normalized key
+    ``(value - min) << bits | row`` — the row breaks ties, as a stable
+    sort does — so numpy's vectorised unstable ``sort`` yields the same
+    permutation several times faster, and the values decode from the
+    keys without a gather.  Wider spans take the stable argsort.
+    """
+    n = int(values.size)
+    if n:
+        low = int(values.min())
+        bits = (n - 1).bit_length()
+        # The span in Python ints: ``max - min`` may not fit int64.
+        if int(values.max()) - low < 1 << (63 - bits):
+            key = values - low
+            key <<= bits
+            key |= np.arange(n, dtype=np.int64)
+            key.sort()
+            order = key & ((1 << bits) - 1)
+            key >>= bits
+            key += low
+            return order, key
+    order = np.argsort(values, kind="stable")
+    return order, values[order]
+
+
 def admit_batch(sorter, values, columns, string_columns, combine=None):
     """Validate, lateness-filter and stable-sort one arrival-order batch.
 
@@ -59,10 +89,10 @@ def admit_batch(sorter, values, columns, string_columns, combine=None):
     Returns the admitted rows as ascending ``(arr, cols, scols)`` —
     empty when nothing is admitted — and how many values were admitted.
     The late policy sees arrival order; only the survivors are
-    reordered, through one stable argsort, so equal timestamps keep
-    their arrival order.
+    reordered, through one :func:`stable_order` permutation, so equal
+    timestamps keep their arrival order.
 
-    ``combine(arr, cols)`` may take the argsort's place on a batch
+    ``combine(arr, cols)`` may take the sort's place on a batch
     without string columns that ADJUST did not rewrite: it returns the
     survivors folded into ascending ``(arr, cols)``, or ``None``.
     """
@@ -108,8 +138,7 @@ def admit_batch(sorter, values, columns, string_columns, combine=None):
         if folded is not None:
             return (*folded, scols, admitted)
     if (arr[1:] < arr[:-1]).any():
-        order = np.argsort(arr, kind="stable")
-        arr = arr[order]
+        order, arr = stable_order(arr)
         cols = tuple(col[order] for col in cols)
         scols = tuple(col.take(order) for col in scols)
     return arr, cols, scols, admitted

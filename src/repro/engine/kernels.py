@@ -49,6 +49,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core.columnar import stable_order
 from repro.engine.event import Event
 
 __all__ = [
@@ -687,10 +688,12 @@ def _group_runs(starts, keys):
 def _key_order(keys):
     """``(order, ordered)``: a stable ``argsort`` of int64 ``keys`` and
     the keys in that order.  Below a 2**16 key span both are of their
-    16-bit offsets, which numpy radix sorts (the same order)."""
+    16-bit offsets, which numpy radix sorts (the same order); wider
+    spans take :func:`~repro.core.columnar.stable_order`."""
     low = int(keys.min())
-    if int(keys.max()) - low < 2 ** 16:
-        keys = (keys - low).astype(np.uint16)
+    if int(keys.max()) - low >= 2 ** 16:
+        return stable_order(keys)
+    keys = (keys - low).astype(np.uint16)
     order = keys.argsort(kind="stable")
     return order, keys[order]
 

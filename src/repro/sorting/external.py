@@ -54,7 +54,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.columnar import merge_sorted_parts
+from repro.core.columnar import merge_sorted_parts, stable_order
 from repro.core.errors import PunctuationOrderError, SpillCorruptionError
 from repro.core.late import LateEventTracker, LatePolicy
 from repro.core.stats import SorterStats
@@ -868,10 +868,9 @@ class ExternalImpatienceSorter:
             self._pending_items.clear()
         self._pending_keys.clear()
         if not _is_ascending(keys):
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
+            order, keys = stable_order(keys)
             if objs is not None:
-                objs = [objs[i] for i in order]
+                objs = [objs[i] for i in order.tolist()]
         self.pool.insert_sorted(keys, (), objs)
         self.stats.runs_created = self.pool.metrics.runs_spilled
 

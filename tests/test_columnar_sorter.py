@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarImpatienceSorter
+from repro.core.columnar import ColumnarImpatienceSorter, stable_order
 from repro.core.errors import LateEventError, PunctuationOrderError
 from repro.core.impatience import ImpatienceSorter
 from repro.core.late import LatePolicy
@@ -78,6 +78,64 @@ class TestLateHandling:
         sorter.on_punctuation(5)
         with pytest.raises(LateEventError):
             sorter.insert_batch([3])
+
+
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+@st.composite
+def _order_batches(draw):
+    """int64 batches for :func:`stable_order`: 0-3 rows or up to a few
+    thousand; few distinct values (heavy ties) or many; any offset,
+    negative included; ascending, descending or shuffled; and on request
+    a planted minimum and maximum whose span sits one below, at or one
+    past the packed-key fit boundary ``2**(63 - bits)``."""
+    n = draw(st.integers(0, 3) | st.integers(4, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    distinct = draw(st.sampled_from([1, 2, 5, 100, 2 ** 40]))
+    values = rng.integers(0, distinct, n, dtype=np.int64)
+    shape = draw(st.sampled_from(["shuffled", "ascending", "descending"]))
+    if shape != "shuffled":
+        values.sort()
+        if shape == "descending":
+            values = values[::-1].copy()
+    if n >= 2 and draw(st.booleans()):
+        span = 2 ** (63 - (n - 1).bit_length()) + draw(st.integers(-1, 1))
+        low_at, high_at = draw(st.permutations(range(n)))[:2]
+        values[low_at], values[high_at] = 0, span
+        offset = draw(st.integers(_INT64_MIN, _INT64_MAX - span))
+    else:
+        offset = draw(st.integers(_INT64_MIN, _INT64_MAX - distinct))
+    return values + offset
+
+
+def _assert_stable_order(values):
+    order, ordered = stable_order(values)
+    expected = np.argsort(values, kind="stable")
+    assert order.tolist() == expected.tolist()
+    assert ordered.dtype == np.int64
+    assert ordered.tolist() == values[expected].tolist()
+
+
+class TestStableOrder:
+    """``stable_order`` is the stable argsort, on either of its paths."""
+
+    @given(_order_batches())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort(self, values):
+        _assert_stable_order(values)
+
+    @given(st.lists(
+        st.integers(-3, 3)
+        | st.integers(_INT64_MIN, _INT64_MIN + 3)
+        | st.integers(_INT64_MAX - 3, _INT64_MAX),
+        max_size=40,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_at_int64_extremes(self, values):
+        """Values near both int64 ends in one batch: ``v - min`` would
+        wrap, so the span must be judged in Python ints."""
+        _assert_stable_order(np.asarray(values, dtype=np.int64))
 
 
 class TestEquivalence:
@@ -284,15 +342,20 @@ class TestBatchSortIsInvisible:
             st.integers(0, 6),                          # watermark advance
         ),
         max_size=8,
-    ))
+    ), st.sampled_from([1, 7, 2 ** 57]),
+        st.integers(_INT64_MIN, _INT64_MAX - 48 * 2 ** 57))
     @settings(max_examples=60, deadline=None)
     def test_cuts_are_stable_sorts_of_admitted_arrivals(self, kind, policy,
-                                                        rounds):
+                                                        rounds, scale,
+                                                        offset):
+        """Times are ``offset + scale * t``: at scale 2**57 a batch's
+        span rarely fits the packed sort key, so its presort and cuts
+        also run through the stable-argsort fallback."""
         with _sorter(kind, policy) as sorter:
-            self._check_cuts(sorter, policy, rounds)
+            self._check_cuts(sorter, policy, rounds, scale, offset)
 
     @staticmethod
-    def _check_cuts(sorter, policy, rounds):
+    def _check_cuts(sorter, policy, rounds, scale, offset):
         pending = []  # admitted (ts, serial) rows in arrival order
         serial = 0
         watermark = None
@@ -310,6 +373,8 @@ class TestBatchSortIsInvisible:
             assert col.tolist() == rows[:, 1].tolist()  # tie order too
 
         for batch, advance in rounds:
+            batch = [offset + scale * t for t in batch]
+            advance *= scale
             ident = list(range(serial, serial + len(batch)))
             serial += len(batch)
             late = [
@@ -329,7 +394,9 @@ class TestBatchSortIsInvisible:
                         pending.append((t, i))
                     elif policy is LatePolicy.ADJUST:
                         pending.append((watermark, i))
-            watermark = advance if watermark is None else watermark + advance
+            watermark = (
+                offset + advance if watermark is None else watermark + advance
+            )
             expect_cut(sorter.on_punctuation(watermark), watermark)
         expect_cut(sorter.flush(), None)
         assert sorter.stats.emitted == sorter.stats.inserted
