@@ -34,8 +34,7 @@ from repro.engine.event import is_punctuation
 from repro.resilience.supervisor import RetryPolicy
 from repro.serve.protocol import (
     ServeProtocolError,
-    _dumps,
-    _jsoned,
+    _fields,
     parse_result_line,
 )
 
@@ -248,7 +247,7 @@ class ServeClient:
             return f"PUNCT {offset} {element.timestamp}"
         return (
             f"EVENT {offset} {element.sync_time} {element.other_time} "
-            f"{_dumps(_jsoned(element.key))} {_dumps(_jsoned(element.payload))}"
+            f"{_fields(element.key, element.payload)}"
         )
 
     def _send_step(self, n):

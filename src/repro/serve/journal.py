@@ -1,38 +1,30 @@
 """Durable per-tenant ingress journal and service state for ``repro serve``.
 
 The service's crash-recovery contract is *replay, then verify*: every
-accepted ingress element (event, punctuation, or guard-forced
-punctuation) is appended to a per-tenant JSONL journal **before** it is
-pushed into any standing-query pipeline.  A killed server restarts by
-replaying each journal through freshly bound pipelines, which
-regenerates every standing query's result stream from offset 0 — and the
-regenerated prefix is checked against the running digest persisted in
-the state file, so recovery is *verified* exactly-once rather than
-assumed.
+accepted ingress element is appended to a per-tenant journal **before**
+it is pushed into any standing-query pipeline.  A killed server restarts
+by replaying each journal through freshly bound pipelines, each from the
+line its query subscribed at, and checks the regenerated result prefix
+against the running digest persisted in the state file, so recovery is
+*verified* exactly-once rather than assumed.
 
-Journal line grammar (one JSON array per line)::
+The journal is the wire: line ``n`` is the protocol line accepted at
+offset ``n``::
 
-    ["e", offset, sync, other, key, payload]   accepted event
-    ["p", offset, ts]                          client punctuation
-    ["g", offset, ts]                          guard-forced punctuation
-                                               (load shedding; replayed
-                                               as a plain push — the
-                                               guard is NOT re-consulted
-                                               during replay)
-    ["f", offset]                              END flush marker
+    EVENT <n> <sync> <other> <key-json> <payload-json>
+    PUNCT <n> <ts>      client punctuation
+    SHED <n> <ts>       guard-forced punctuation, replayed as a plain one
+    END <n>             flush marker
 
-Lines are written compact (``["e",0,1,2,0,[1]]``); the loader reads any
-JSON spacing, so journals written with spaced ``json.dumps`` lines
-recover unchanged.  An event line built from a wire frame embeds the
-frame's key and payload JSON text as received (it was just validated by
-the decoder), so the event is never re-encoded — unless that text is not
-ASCII, in which case the fragments are rendered with non-ASCII escaped.
-Every journal line is ASCII.  A run of events (one read's consecutive
-``EVENT`` frames, see :class:`~repro.serve.protocol.EventRun`) is
-buffered by :meth:`TenantJournal.append_events` with one write, in the
-bytes one :meth:`TenantJournal.append_event` per row would give.
+An ``EVENT`` line is written as received when it is ASCII and carries
+its journal offset, and is otherwise rendered from the row's values as
+a client writes it, non-ASCII escaped: every journal line is ASCII.
+:meth:`TenantJournal.load` decodes with the live decoders —
+:func:`~repro.serve.protocol.decode_event_run` for runs of ``EVENT``
+lines, :func:`~repro.serve.protocol.decode_data_frame` for any other
+line — so replay pushes the values, as event runs, that live ingest did.
 
-Appends are group-committed: :meth:`TenantJournal.append_event` and
+Appends are group-committed: :meth:`TenantJournal.append_events` and
 friends only buffer, and :meth:`TenantJournal.commit` moves every
 buffered line into the OS page cache with one ``flush()``, which
 survives ``kill -9`` of the process (the chaos soak relies on exactly
@@ -52,14 +44,14 @@ client on disk first:
 Anything appended after the last commit was neither acked nor answered,
 so losing it to a crash is indistinguishable from losing it on the wire:
 the client resumes from the ``HELLO journal=`` length.  A crash
-mid-write can leave one torn trailing line; the loader tolerates — and
-truncates, at its byte offset — a torn *final* line, but a torn line
-mid-file means real corruption and raises.
+mid-write can leave an unterminated trailing fragment, which the loader
+truncates; a complete line that does not decode, or whose offset is not
+its position, is damage and raises.
 
 The state file (``state.json``) is written atomically (tmp + rename) and
-holds what replay cannot reconstruct: per-tenant counters and the
-standing-query registry with each query's spec, delivered-element count,
-and running SHA-256 digest over ``repr(element)`` lines.
+holds what replay cannot reconstruct: per-tenant counters and, per
+standing query, its spec, origin line, delivered-element count, and
+running SHA-256 digest over ``repr(element)`` lines.
 """
 
 from __future__ import annotations
@@ -68,14 +60,21 @@ import json
 import os
 
 from repro.core.errors import ServeProtocolError
-from repro.engine.event import Event, Punctuation
-from repro.serve.protocol import _dumps, _jsoned, _tupled
+from repro.serve.protocol import (
+    EventRun,
+    _fields,
+    decode_data_frame,
+    decode_event_run,
+)
 
 __all__ = ["TenantJournal", "load_state", "save_state"]
 
+#: Lines per decoded run at most: a long stretch replays in pieces.
+_RUN_LINES = 4096
+
 
 class TenantJournal:
-    """Append-only JSONL journal for one tenant's accepted ingress.
+    """Append-only line journal for one tenant's accepted ingress.
 
     ``length`` is the journal's element count and doubles as the
     tenant's next expected ingress offset — the dedup line for
@@ -93,101 +92,112 @@ class TenantJournal:
     # -- recovery ----------------------------------------------------------
 
     def load(self, start=0):
-        """Replay generator: yields ``(kind, element_or_None)`` tuples.
-
-        ``kind`` is the journal line tag (``e``/``p``/``g``/``f``).  A
-        torn final line (the only kind of damage a crashed append can
-        cause) is truncated away; earlier damage raises
-        :class:`ServeProtocolError`.  Lines before ``start`` are skipped
-        undecoded.
+        """Replay generator: yields ``(offset, record)`` from line
+        ``start`` on, a record being an event run (``offset`` is its
+        first line), a punctuation (``PUNCT`` or ``SHED``) or ``None``
+        (``END``).  Truncates an unterminated trailing fragment; raises
+        :class:`ServeProtocolError` at a complete line that does not
+        decode or whose offset is not its position.  Lines before
+        ``start`` are skipped undecoded.
         """
         if not os.path.exists(self.path):
             return
-        # Bytes, not text: the truncation offset below is a byte count,
-        # and a torn line may end inside a multi-byte character.
+        # Bytes, not text: the truncation offset is a byte count, and a
+        # torn line may end inside a multi-byte character.
         with open(self.path, "r+b") as fh:
-            lines = fh.read().split(b"\n")
-            if lines and lines[-1] == b"":
-                lines.pop()
-            for index in range(start, len(lines)):
-                line = lines[index]
-                try:
-                    doc = json.loads(line)
-                    kind = doc[0]
-                    if kind == "e":
-                        element = Event(doc[2], doc[3], _tupled(doc[4]),
-                                        _tupled(doc[5]))
-                    elif kind in ("p", "g"):
-                        element = Punctuation(doc[2])
-                    elif kind == "f":
-                        element = None
-                    else:
-                        raise ValueError(f"unknown tag {kind!r}")
-                except (ValueError, IndexError, json.JSONDecodeError) as exc:
-                    if index == len(lines) - 1:
-                        # Torn trailing append from the crash: truncate.
-                        fh.seek(0)
-                        fh.truncate(sum(len(l) + 1 for l in lines[:index]))
-                        break
-                    raise ServeProtocolError(
-                        f"{self.path}:{index + 1}: corrupt journal line "
-                        f"({exc})"
-                    ) from None
-                self.length = doc[1] + 1
-                yield kind, element
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                fh.truncate(end)  # a torn append from a crash
+        bad = None  # the first line that is not ASCII
+        try:
+            text = data[:end].decode("ascii")
+        except UnicodeDecodeError as exc:
+            text = data[:exc.start].decode("ascii")
+            bad = text.count("\n")
+        lines = text.split("\n")[:-1]  # each ends in a newline
+        index = start
+        while index < len(lines):
+            record = decode_event_run(lines[index:index + _RUN_LINES])
+            good = len(record)
+            if not good:
+                record, good = self._decode(lines[index], index), 1
+            elif record.offsets != list(range(index, index + good)):
+                good = next(row for row, offset in enumerate(record.offsets)
+                            if offset != index + row)
+                if good:
+                    self.length = index + good
+                    yield index, record[:good]
+                raise self._damage(index + good, "its offset is not its line")
+            self.length = index + good
+            yield index, record
+            index += good
+        if bad is not None:
+            raise self._damage(bad, "not ASCII")
+
+    def _decode(self, line, index):
+        """The record of a journal line the run decoder did not take."""
+        parts = line.split(" ", 5)
+        word = parts[0]
+        fields = {"EVENT": 6, "PUNCT": 3, "SHED": 3, "END": 2}.get(word)
+        if len(parts) != fields:
+            raise self._damage(index, "not a journal line")
+        try:
+            offset = int(parts[1])
+            element = None if word == "END" else decode_data_frame(parts[2:])
+        except (ValueError, RecursionError) as exc:
+            raise self._damage(index, exc) from None
+        if offset != index:
+            raise self._damage(index, "its offset is not its line")
+        if word == "EVENT":
+            return EventRun.of(index, element, line)
+        return element
+
+    def _damage(self, index, why):
+        return ServeProtocolError(
+            f"{self.path}:{index + 1}: corrupt journal line ({why})"
+        )
 
     # -- append ------------------------------------------------------------
 
     def append_event(self, event, wire=None) -> int:
-        """Buffer one event line; returns its offset.
-
-        ``wire`` is the ``(key_json, payload_json)`` text of the ``EVENT``
-        frame ``event`` was decoded from.  Without it the same fragments
-        are rendered from the event.
-        """
-        if wire is None:
-            fields = _rendered(event.key, event.payload)
-        else:
-            fields = _fields(wire[0], wire[1], event.key, event.payload)
-        return self._append(
-            f'["e",{self.length},{event.sync_time},{event.other_time},'
-            f"{fields}]\n"
-        )
+        """Buffer one event line; returns its offset.  ``wire`` is the
+        ``EVENT`` line ``event`` was decoded from, at this offset."""
+        return self.append_events(EventRun.of(self.length, event, wire))
 
     def append_events(self, run) -> int:
         """Buffer the event lines of an
         :class:`~repro.serve.protocol.EventRun` with one write; returns
-        the first offset.  The bytes are those of one
-        :meth:`append_event` per row, given the row's wire text."""
-        offsets = range(self.length, self.length + len(run))
-        if run.key_texts is not None:
-            text = "".join([
-                f'["e",{o},{s},{t},{k},{p}]\n' for o, s, t, k, p in zip(
-                    offsets, run.syncs, run.others, run.key_texts,
-                    run.payload_texts)
-            ])
+        the first offset.  A row's ``wire`` line is written as received
+        when it is ASCII; any other row is rendered from its values, so
+        the bytes are those of one :meth:`append_event` per row."""
+        wire = run.wire
+        if wire is not None and None not in wire:
+            text = "\n".join([*wire, ""])
             if text.isascii():
                 return self._append(text, len(run))
-            fields = map(_fields, run.key_texts, run.payload_texts,
-                         run.keys, run.payloads)
-        else:
-            fields = map(_rendered, run.keys, run.payloads)
-        text = "".join([
-            f'["e",{o},{s},{t},{f}]\n' for o, s, t, f in zip(
-                offsets, run.syncs, run.others, fields)
-        ])
-        return self._append(text, len(run))
+        if not set(map(type, run.syncs + run.others)) <= {int}:
+            raise ServeProtocolError("journaled times must be ints")
+        lines = [
+            f"EVENT {o} {s} {t} {_fields(k, p)}\n" for o, s, t, k, p in zip(
+                range(self.length, self.length + len(run)), run.syncs,
+                run.others, run.keys, run.payloads)
+        ]
+        if wire is not None:
+            lines = [line + "\n" if line is not None and line.isascii()
+                     else own for line, own in zip(wire, lines)]
+        return self._append("".join(lines), len(run))
 
     def append_punctuation(self, timestamp, forced=False) -> int:
-        tag = "g" if forced else "p"
-        return self._append(f'["{tag}",{self.length},{timestamp}]\n')
+        word = "SHED" if forced else "PUNCT"
+        return self._append(f"{word} {self.length} {timestamp}\n")
 
     def append_flush(self) -> int:
-        return self._append(f'["f",{self.length}]\n')
+        return self._append(f"END {self.length}\n")
 
     def _append(self, text, lines=1) -> int:
         if self._fh is None:
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open(self.path, "a", encoding="ascii")
         self._fh.write(text)
         self._pending += lines
         offset = self.length
@@ -206,19 +216,6 @@ class TenantJournal:
             self._fh.close()  # writes any lines not yet committed
             self._fh = None
             self._pending = 0
-
-
-def _rendered(key, payload) -> str:
-    """``<key-json>,<payload-json>`` from one encoder call; it escapes
-    non-ASCII, so every journal line is ASCII."""
-    return _dumps([_jsoned(key), _jsoned(payload)])[1:-1]
-
-
-def _fields(key_text, payload_text, key, payload) -> str:
-    """The wire text of a row's key and payload, or, when it is not
-    ASCII, the same fragments rendered."""
-    fields = f"{key_text},{payload_text}"
-    return fields if fields.isascii() else _rendered(key, payload)
 
 
 def save_state(data_dir, doc):

@@ -68,7 +68,6 @@ from repro.engine.planner import QueryPlan
 __all__ = [
     "EventRun",
     "decode_payload",
-    "encode_element",
     "decode_data_frame",
     "decode_event_run",
     "parse_query_spec",
@@ -90,12 +89,6 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"))
 def _dumps(value) -> str:
     """Compact JSON — no spaces, so frames stay space-splittable."""
     return _COMPACT.encode(value)
-
-
-def _key_json(key) -> str:
-    """Wire JSON for a key field: compact, and a space inside a string is
-    written ``\\u0020``, so the field never splits the line."""
-    return _dumps(key).replace(" ", "\\u0020")
 
 
 #: The C scanner ``json.loads`` runs underneath its Python wrapper.
@@ -140,26 +133,6 @@ def _jsoned(value):
     return value
 
 
-def encode_element(element) -> str:
-    """One journal/wire text fragment for an event or punctuation."""
-    if is_punctuation(element):
-        return _dumps(["p", element.timestamp])
-    return _dumps([
-        "e", element.sync_time, element.other_time, _jsoned(element.key),
-        _jsoned(element.payload),
-    ])
-
-
-def decode_element(text):
-    """Inverse of :func:`encode_element`."""
-    doc = json.loads(text)
-    if doc[0] == "p":
-        return Punctuation(doc[1])
-    if doc[0] == "e":
-        return Event(doc[1], doc[2], _tupled(doc[3]), _tupled(doc[4]))
-    raise ServeProtocolError(f"unknown journal element kind {doc[0]!r}")
-
-
 def decode_data_frame(parts):
     """Decode the tail of an ``EVENT``/``PUNCT`` line.
 
@@ -196,43 +169,40 @@ class EventRun:
     offsets (``-1`` is append) until a tenant accepts the run and
     replaces them with journal offsets.  ``payloads`` are decoded JSON,
     whose lists become tuples only when :meth:`events` boxes the rows
-    (no compiled query reads a payload).  ``key_texts`` and
-    ``payload_texts`` are the fields' wire JSON, or ``None`` when the
-    run was not decoded from frames.
+    (no compiled query reads a payload).  ``wire`` holds each row's
+    received ``EVENT`` line (``None`` where it lacks the journal offset),
+    or is ``None`` when the run was not decoded from lines.
     """
 
-    __slots__ = ("offsets", "syncs", "others", "keys", "payloads",
-                 "key_texts", "payload_texts", "_events")
+    __slots__ = ("offsets", "syncs", "others", "keys", "payloads", "wire",
+                 "_events")
 
-    def __init__(self, offsets, syncs, others, keys, payloads,
-                 key_texts=None, payload_texts=None):
+    def __init__(self, offsets, syncs, others, keys, payloads, wire=None):
         self.offsets = offsets
         self.syncs = syncs
         self.others = others
         self.keys = keys
         self.payloads = payloads
-        self.key_texts = key_texts
-        self.payload_texts = payload_texts
+        self.wire = wire
         self._events = None
 
     @classmethod
     def of(cls, offset, event, wire=None):
-        """The one-row run of ``event``; ``wire`` is its frame's
-        ``(key_json, payload_json)`` text."""
-        texts = (None, None) if wire is None else ([wire[0]], [wire[1]])
+        """The one-row run of ``event``; ``wire`` is the ``EVENT`` line
+        it was decoded from."""
         return cls([offset], [event.sync_time], [event.other_time],
-                   [event.key], [event.payload], *texts)
+                   [event.key], [event.payload],
+                   None if wire is None else [wire])
 
     def __len__(self):
         return len(self.syncs)
 
     def __getitem__(self, rows):
         """The run of the rows in slice ``rows``."""
-        texts = (None, None) if self.key_texts is None else (
-            self.key_texts[rows], self.payload_texts[rows])
         return EventRun(
             self.offsets[rows], self.syncs[rows], self.others[rows],
-            self.keys[rows], self.payloads[rows], *texts,
+            self.keys[rows], self.payloads[rows],
+            None if self.wire is None else self.wire[rows],
         )
 
     def without(self, offsets):
@@ -244,7 +214,7 @@ class EventRun:
             return None if column is None else [column[i] for i in keep]
         return EventRun(*map(pick, (
             self.offsets, self.syncs, self.others, self.keys, self.payloads,
-            self.key_texts, self.payload_texts,
+            self.wire,
         )))
 
     def events(self):
@@ -268,7 +238,8 @@ def decode_event_run(lines, start=0) -> EventRun:
     and every line that path refuses, or parses only through
     ``json.loads``' fallback, ends the run, so it alone answers them.
     Fields are converted a column at a time; a column that fails is
-    decoded again a row at a time to find where the run ends.
+    decoded again a row at a time to find where the run ends.  The
+    run's ``wire`` is its lines.
     """
     # A line splits to "EVENT" and more fields exactly when it starts
     # "EVENT ": find the first that does not, then split only the lines
@@ -283,7 +254,7 @@ def decode_event_run(lines, start=0) -> EventRun:
     if rows and min(map(len, rows)) < 6:
         del rows[indexOf(map(_SHORT, map(len, rows)), True):]
     if not rows:
-        return EventRun([], [], [], [], [], [], [])
+        return EventRun([], [], [], [], [], [])
     _, offsets, syncs, others, key_texts, payload_texts = zip(*rows)
     try:
         offsets, syncs, others = (
@@ -292,11 +263,14 @@ def decode_event_run(lines, start=0) -> EventRun:
         keys = _scan_column(key_texts)
         payloads = _scan_column(payload_texts)
     except (ValueError, RecursionError, _Misread):
-        return _decode_rows(rows)
-    if list in set(map(type, keys)):
-        keys = [_tupled(key) if type(key) is list else key for key in keys]
-    return EventRun(offsets, syncs, others, keys, payloads, key_texts,
-                    payload_texts)
+        run = _decode_rows(rows)
+    else:
+        if list in set(map(type, keys)):
+            keys = [_tupled(key) if type(key) is list else key
+                    for key in keys]
+        run = EventRun(offsets, syncs, others, keys, payloads)
+    run.wire = lines[start:start + len(run)]
+    return run
 
 
 class _Misread(Exception):
@@ -319,7 +293,7 @@ def _scan_column(texts):
 
 def _decode_rows(rows) -> EventRun:
     """:func:`decode_event_run` over split ``rows``, a row at a time."""
-    columns = [], [], [], [], [], [], []
+    columns = [], [], [], [], []
     for parts in rows:
         try:
             offset, sync, other = int(parts[1]), int(parts[2]), int(parts[3])
@@ -327,29 +301,34 @@ def _decode_rows(rows) -> EventRun:
         except (ValueError, RecursionError, _Misread):
             break
         row = (offset, sync, other,
-               _tupled(key) if type(key) is list else key, payload,
-               parts[4], parts[5])
+               _tupled(key) if type(key) is list else key, payload)
         for column, value in zip(columns, row):
             column.append(value)
     return EventRun(*columns)
 
 
-def result_line(qid, position, element) -> str:
-    """Server->client line for one delivered result element.
+def _fields(key, payload) -> str:
+    """``<key-json> <payload-json>`` as frames carry them, in ASCII.
 
     An ``int`` key or payload (not a ``bool``) is written with ``str()``,
-    the text its JSON is; anything else goes through the JSON encoder.
+    the text its JSON is; anything else goes through the JSON encoder,
+    and a space inside a key's string is written ``\\u0020``, so the key
+    never splits the line.
     """
-    if is_punctuation(element):
-        return f"RPUNCT {qid} {position} {element.timestamp}"
-    key, payload = element.key, element.payload
     if type(key) is not int:
-        key = _key_json(_jsoned(key))
+        key = _dumps(_jsoned(key)).replace(" ", "\\u0020")
     if type(payload) is not int:
         payload = _dumps(_jsoned(payload))
+    return f"{key} {payload}"
+
+
+def result_line(qid, position, element) -> str:
+    """Server->client line for one delivered result element."""
+    if is_punctuation(element):
+        return f"RPUNCT {qid} {position} {element.timestamp}"
     return (
         f"RESULT {qid} {position} {element.sync_time} "
-        f"{element.other_time} {key} {payload}"
+        f"{element.other_time} {_fields(element.key, element.payload)}"
     )
 
 

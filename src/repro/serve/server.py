@@ -61,8 +61,7 @@ from repro.observability.snapshot import PipelineSnapshot
 from repro.resilience.quarantine import QuarantineLedger
 from repro.serve.journal import load_state, save_state
 from repro.serve.protocol import (
-    _dumps,
-    _key_json,
+    _fields,
     decode_data_frame,
     decode_event_run,
     result_line,
@@ -496,8 +495,10 @@ class ReproServer:
             except (ServeProtocolError, IndexError) as exc:
                 runtime.quarantine(runtime.journal.length, line, str(exc))
                 return False
+            # An append frame's line does not carry the offset it gets.
+            wire = None if offset != int(parts[1]) else line
             try:
-                return runtime.accept_event(offset, event, parts[4:])
+                return runtime.accept_event(offset, event, wire)
             except ServeProtocolError as exc:
                 await self._pump_guarded(name)
                 self._reply(writer, f"ERR gap {exc}")
@@ -723,11 +724,9 @@ class ReproServer:
         sync = doc.get("sync")
         if not isinstance(sync, int):
             return raw
-        key = _key_json(doc.get("key", 0))
-        payload = _dumps(doc.get("payload"))
         return (
             f"EVENT {offset} {sync} {doc.get('other', sync + 1)} "
-            f"{key} {payload}"
+            f"{_fields(doc.get('key', 0), doc.get('payload'))}"
         )
 
     def __repr__(self):

@@ -31,19 +31,19 @@ promise its window derives from it.  The first element outside that
 runs slower than the row engine: fewer than 48 events per punctuation,
 on average, over the query's first 16 punctuations (each chunk pays a
 fixed numpy cost).  A demoting query replays its input into a fresh row
-executor — the tenant journal from the line the query subscribed at
-through the current line, or its own input log when no tenant owns it —
-checks the regenerated results against the compiled prefix with
-:meth:`StandingQuery.verify_replay`, and stays on the row engine.  The
-replay costs the row engine's time for that whole input, so a late
-demotion on a long history stalls the tenant.  Crash-recovery replay
-meets the same element and demotes at the same point, so neither the
-journal nor the state file records the engine.
+executor — the tenant journal's event runs from the line the query
+subscribed at (its origin) through the demoting line, or its own input
+log when no tenant owns it — checks the regenerated results against the
+compiled prefix with :meth:`StandingQuery.verify_replay`, and stays on
+the row engine.  The replay costs the row engine's time for that whole
+input, so a late demotion on a long history stalls the tenant.
+Crash-recovery replay pushes the same runs from the same origin and
+demotes at the same element, so no file records the engine.
 
 Each query keeps a running SHA-256 digest over ``repr(element)`` lines
-of its result log.  The digest is persisted in the service state file
-and re-checked after crash-recovery replay: if the journal replay does
-not regenerate the exact delivered prefix, recovery raises
+of its result log.  The digest and origin are persisted in the service
+state file, and if crash-recovery replay does not regenerate the exact
+delivered prefix, recovery raises
 :class:`~repro.core.errors.ReplayDivergenceError` instead of silently
 serving a forked result stream.
 """
@@ -51,7 +51,7 @@ serving a forked result stream.
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
+from itertools import takewhile
 
 import numpy as np
 
@@ -66,9 +66,9 @@ from repro.engine.compiler import (
     UnsupportedPlanError,
     compile_plan,
 )
-from repro.engine.event import Punctuation
+from repro.engine.event import Punctuation, is_punctuation
 from repro.serve.journal import TenantJournal
-from repro.serve.protocol import parse_query_spec
+from repro.serve.protocol import EventRun, parse_query_spec
 
 __all__ = ["StandingQuery"]
 
@@ -295,9 +295,10 @@ class StandingQuery:
         self.lags = []
         self._digest = hashlib.sha256()
         self._watermark = None
-        #: Demotion replays this journal from line ``_origin`` on (see
+        #: Replays take this journal from line ``_origin`` on (see
         #: :meth:`attach`), or, while no tenant owns a compiled query,
-        #: ``_log``: its input as ``(tag, element)`` journal records.
+        #: ``_log``: its input as events, punctuations and ``None`` for
+        #: a flush.
         self._journal = None
         self._origin = 0
         self._log = None
@@ -339,7 +340,7 @@ class StandingQuery:
 
     def push_event(self, event):
         if self._log is not None:
-            self._log.append(("e", event))
+            self._log.append(event)
         try:
             self.executor.feed_events((event,))
         except _Demotion as why:
@@ -376,7 +377,7 @@ class StandingQuery:
 
     def push_punctuation(self, timestamp):
         if self._log is not None:
-            self._log.append(("p", Punctuation(timestamp)))
+            self._log.append(Punctuation(timestamp))
         self._watermark = timestamp
         try:
             self._deliver(*self.executor.punctuate(timestamp))
@@ -386,18 +387,25 @@ class StandingQuery:
 
     def flush(self):
         if self._log is not None:
-            self._log.append(("f", None))
+            self._log.append(None)
         self._deliver(*self.executor.flush())
         self.completed = True
 
-    def apply(self, kind, element):
-        """Push one journal record — the step of every replay."""
-        if kind == "e":
-            self.push_event(element)
-        elif kind == "f":
-            self.flush()
-        else:  # "p" or "g"
-            self.push_punctuation(element.timestamp)
+    def _replay(self, records):
+        """Push ``records`` — event runs, events, punctuations, and
+        ``None`` for a flush — as live ingress pushed them."""
+        for record in records:
+            try:
+                if record is None:
+                    self.flush()
+                elif is_punctuation(record):
+                    self.push_punctuation(record.timestamp)
+                elif isinstance(record, EventRun):
+                    self.push_events(record)  # returns what it raised on
+                else:
+                    self.push_event(record)
+            except REFUSALS:
+                pass  # refused live too, and it changed nothing
 
     def buffered_events(self) -> int:
         return self.executor.buffered()
@@ -422,10 +430,11 @@ class StandingQuery:
             if offset is None:
                 offset = journal.length - 1
             # A reader of its own: loading moves a journal's length.
-            records = islice(
-                TenantJournal(journal.path).load(start=self._origin),
-                offset + 1 - self._origin,
-            )
+            loaded = TenantJournal(journal.path).load(start=self._origin)
+            records = (  # through the demoting line
+                record[:offset + 1 - at] if isinstance(record, EventRun)
+                else record
+                for at, record in takewhile(lambda r: r[0] <= offset, loaded))
         self.row_reason = f"offset {offset}: {why}"
         expected = self.as_state()
         self.results, self.lags, self.completed = [], [], False
@@ -433,11 +442,7 @@ class StandingQuery:
         self._watermark = None
         self.engine = "row"
         self.executor = RowExecution(self.plan._bind)
-        for kind, element in records:
-            try:
-                self.apply(kind, element)
-            except REFUSALS:
-                pass  # it raised on arrival too, and changed nothing
+        self._replay(records)
         self.verify_replay(expected)
 
     # -- durability --------------------------------------------------------
@@ -453,6 +458,7 @@ class StandingQuery:
         """The portion persisted in ``state.json``."""
         return {
             "spec": self.spec,
+            "origin": self._origin,
             "delivered": self.delivered,
             "digest": self.digest(),
             "completed": self.completed,

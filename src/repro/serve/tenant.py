@@ -14,11 +14,11 @@ do to a tenant lands here as an explicit, counted decision:
   :class:`~repro.resilience.degradation.LoadSheddingGuard`.  With
   ``max_slots > 1`` the tenant is *elastic*: a breach first grows the
   quota by one slot (``counters["scale_ups"]``) — capacity before data
-  loss — and only sheds once every slot is consumed.  A forced early punctuation is
-  journaled as a ``"g"`` line so crash-recovery replay reproduces the
-  shed deterministically — ``counters["shed"]``.  Slots retire
-  (``counters["scale_downs"]``) once occupancy drains back under the
-  next-lower tier's half mark.  Slot changes are *not* journaled:
+  loss — and only sheds once every slot is consumed.  A forced early
+  punctuation is journaled as a ``SHED`` line so crash-recovery replay
+  reproduces the shed deterministically — ``counters["shed"]``.  Slots
+  retire (``counters["scale_downs"]``) once occupancy drains back under
+  the next-lower tier's half mark.  Slot changes are *not* journaled:
   replay never consults the guard, so elasticity cannot perturb
   recovery.
 * **Slow/stalled writers** are evicted by the server's read deadline —
@@ -43,6 +43,7 @@ of it that no guard check could act inside.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 
 from repro.core.errors import LateEventError, ServeProtocolError
 from repro.engine.event import Punctuation
@@ -128,8 +129,8 @@ class TenantRuntime:
         """Journal + push one event; False when it was a duplicate.
 
         The one-row case of :meth:`accept_events`.  ``wire`` is the
-        ``(key_json, payload_json)`` text of the frame ``event`` was
-        decoded from.
+        ``EVENT`` line ``event`` was decoded from, if it carries
+        ``offset``.
         """
         if self._dedup(offset):
             return False
@@ -158,6 +159,9 @@ class TenantRuntime:
             if not taken:
                 return 0
             run = run[:taken]
+            if run.wire is not None:  # an append line carries no offset
+                run.wire = [None if offset == -1 else line
+                            for offset, line in zip(run.offsets, run.wire)]
             run.offsets = offsets[:taken]
         if self._guard is None:
             self._push_events(run)
@@ -183,16 +187,17 @@ class TenantRuntime:
                 break  # a shed line moved the offsets the rest must have
         return start
 
-    def _push_events(self, run) -> bool:
-        """Journal ``run`` with one write and push it into every query;
-        False when a query raised on its last row.
+    def _push_events(self, run, live=True) -> bool:
+        """Journal ``run`` with one write, when ``live``, and push it
+        into every query that subscribed before it; False when a query
+        raised on its last row.  A refusal is recorded when ``live``.
 
         A query that raises on a row other than by refusing it fails
-        that row alone, as the server's one-frame-at-a-time containment
-        did: the queries after it do not see the row, and no guard check
-        follows it.
+        that row alone: the queries after it do not see the row, and no
+        guard check follows it.
         """
-        self.journal.append_events(run)
+        if live:
+            self.journal.append_events(run)
         high = max(run.syncs)
         if high > self._high:
             self._high = high
@@ -200,6 +205,9 @@ class TenantRuntime:
         refused = []
         for order, query in enumerate(self.queries.values()):
             part = run.without(failed) if failed else run
+            if part.offsets and part.offsets[0] < query._origin:
+                # Recovery: the rows before the query subscribed.
+                part = part[bisect_left(part.offsets, query._origin):]
             for row, exc in query.push_events(part):
                 offset = part.offsets[row]
                 if isinstance(exc, REFUSALS):
@@ -208,7 +216,7 @@ class TenantRuntime:
                     )
                 else:
                     failed.add(offset)
-        if refused:
+        if refused and live:
             refused.sort(key=lambda refusal: refusal[:2])
             for offset, _, query, exc, event in refused:
                 self._refused(offset, event, query, exc)
@@ -221,17 +229,22 @@ class TenantRuntime:
             return False
         self.journal.append_punctuation(timestamp)
         self.journal.commit()
-        self.watermark = timestamp
         self._push_punctuation(offset, timestamp)
         self._maybe_scale_down()
         return True
 
-    def _push_punctuation(self, offset, timestamp) -> None:
+    def _push_punctuation(self, offset, timestamp, live=True) -> None:
+        """Push the punctuation at ``offset`` into every query that
+        subscribed before it; a refusal is recorded when ``live``."""
+        self.watermark = timestamp
         for query in self.queries.values():
+            if query._origin > offset:
+                continue  # recovery: it subscribed later
             try:
                 query.push_punctuation(timestamp)
             except REFUSALS as exc:
-                self._refused(offset, Punctuation(timestamp), query, exc)
+                if live:
+                    self._refused(offset, Punctuation(timestamp), query, exc)
 
     def _refused(self, offset, element, query, exc) -> None:
         """Record that ``query`` refused the element at ``offset``."""
@@ -269,7 +282,7 @@ class TenantRuntime:
         recorded decision) for a fresh one at the larger bound — so
         bursts ride on capacity, not data loss.  Only a breach with
         every slot consumed sheds: one forced early punctuation for the
-        whole tenant, journaled as a ``"g"`` line first so replay
+        whole tenant, journaled as a ``SHED`` line first so replay
         re-applies the shed without re-consulting the guard
         (deterministic recovery).
         """
@@ -292,7 +305,6 @@ class TenantRuntime:
                 offset = self.journal.append_punctuation(
                     forced, forced=True
                 )
-                self.watermark = forced
                 self._push_punctuation(offset, forced)
                 self.counters["shed"] += 1
                 return
@@ -322,9 +334,10 @@ class TenantRuntime:
     def recover(self, state) -> None:
         """Rebuild from the persisted state doc + journal replay.
 
-        Re-registers every standing query, replays the journal through
-        the fresh pipelines (guard *not* consulted — ``"g"`` lines are
-        replayed as plain punctuations), then verifies each query's
+        Re-registers every standing query at its origin line, pushes the
+        journal's event runs, punctuations and ``END`` into each query
+        from that line on (the guard *not* consulted — ``SHED`` lines
+        are replayed as plain punctuations), then verifies each query's
         regenerated result prefix against its pre-crash digest.
         """
         self.counters.update(state.get("counters", {}))
@@ -338,18 +351,18 @@ class TenantRuntime:
         self.had_ingest = True
         expected = state.get("queries", {})
         for qid, qstate in expected.items():
-            self.subscribe(qid, qstate["spec"])
-        for kind, element in self.journal.load():
-            if kind == "e":
-                if element.sync_time > self._high:
-                    self._high = element.sync_time
-            elif kind != "f":
-                self.watermark = element.timestamp
-            for query in self.queries.values():
-                try:
-                    query.apply(kind, element)
-                except REFUSALS:
-                    pass  # refused live too, and recorded then
+            self.subscribe(qid, qstate["spec"])._origin = \
+                qstate.get("origin", 0)
+        for offset, record in self.journal.load():
+            # Refusals meet the element again, and were recorded live.
+            if isinstance(record, EventRun):
+                self._push_events(record, live=False)
+            elif record is not None:
+                self._push_punctuation(offset, record.timestamp, live=False)
+            else:
+                for query in self.queries.values():
+                    if query._origin <= offset:
+                        query.flush()
         for qid, qstate in expected.items():
             self.queries[qid].verify_replay(qstate)
 

@@ -63,16 +63,14 @@ from repro.serve import (
     parse_query_spec,
     save_state,
 )
+from repro.serve import journal as journal_module
 from repro.serve import standing
 from repro.serve.protocol import (
     EventRun,
     _dumps,
     _jsoned,
-    _key_json,
     decode_data_frame,
-    decode_element,
     decode_event_run,
-    encode_element,
     parse_result_line,
     result_line,
 )
@@ -174,11 +172,6 @@ class TestProtocol:
     def test_reof_round_trip(self):
         assert parse_result_line("REOF q3 12") == ("q3", 12, None)
 
-    def test_encode_decode_element_round_trip(self):
-        for element in (Event(1, 2, 0, (1, (2, 3))), Punctuation(5)):
-            assert repr(decode_element(encode_element(element))) == \
-                repr(element)
-
     @pytest.mark.parametrize("parts", [
         ["not-an-int"],
         ["1", "2", "3"],
@@ -207,7 +200,8 @@ class TestProtocol:
         path gave, and every other value still takes that path."""
         event = Event(3, 7, key, payload)
         line = result_line("q1", 9, event)
-        assert line == (f"RESULT q1 9 3 7 {_key_json(_jsoned(key))} "
+        key_json = _dumps(_jsoned(key)).replace(" ", "\\u0020")
+        assert line == (f"RESULT q1 9 3 7 {key_json} "
                         f"{_dumps(_jsoned(payload))}")
         assert repr(parse_result_line(line)) == repr(("q1", 9, event))
 
@@ -332,6 +326,20 @@ def _read_line(draw):
     return " ".join(["EVENT", draw(_INT_TEXT), *tail])
 
 
+def _loaded(journal):
+    """What ``journal.load()`` yields, one ``(offset, repr)`` per line:
+    ``None`` stands for ``END``."""
+    out = []
+    for offset, record in journal.load():
+        if isinstance(record, EventRun):
+            assert record.offsets == list(
+                range(offset, offset + len(record)))
+            out += zip(record.offsets, map(repr, record.events()))
+        else:
+            out.append((offset, None if record is None else repr(record)))
+    return out
+
+
 def _journal_bytes(journal):
     """What ``journal`` wrote; a journal that wrote nothing may have no
     file."""
@@ -372,14 +380,16 @@ class TestDecodeJournalDifferential:
             if isinstance(element, Punctuation):
                 journal.append_punctuation(element.timestamp)
             else:
-                journal.append_event(element, list(parts[2:]))  # wire text
-                journal.append_event(element)                   # rendered
+                line = " ".join(["EVENT", "0", *parts])
+                if line.split(" ", 5)[2:] == list(parts):  # a line's fields
+                    journal.append_event(element, line)    # as received
+                journal.append_event(element)              # rendered
             journal.commit()
-            loaded = [repr(e) for _, e in TenantJournal(journal.path).load()]
+            loaded = _loaded(TenantJournal(journal.path))
             journal.close()
             with open(journal.path, "rb") as fh:
                 assert fh.read().isascii()
-        assert loaded and loaded == [want[0]] * len(loaded)
+        assert loaded and loaded == list(enumerate([want[0]] * len(loaded)))
 
     @settings(max_examples=400, deadline=None)
     @given(lines=st.lists(_read_line(), min_size=1, max_size=8),
@@ -398,7 +408,7 @@ class TestDecodeJournalDifferential:
             event = _oracle_run_row(split)
             if event is None:
                 break
-            want.append((int(split[1]), event, split[4:]))
+            want.append((int(split[1]), event, line))
         assert run.offsets == [offset for offset, _, _ in want]
         assert [repr(e) for e in run.events()] == \
             [repr(event) for _, event, _ in want]
@@ -406,37 +416,21 @@ class TestDecodeJournalDifferential:
             runs = TenantJournal(os.path.join(tmp, "journal-r.jsonl"))
             one = TenantJournal(os.path.join(tmp, "journal-l.jsonl"))
             assert runs.append_events(run) == 0
-            for _, event, wire in want:
-                one.append_event(event, wire)
+            for _, event, line in want:
+                one.append_event(event, line)
             for journal in (runs, one):
                 journal.close()
             assert _journal_bytes(runs) == _journal_bytes(one)
 
-    def test_spaced_journal_lines_still_recover(self, tmp_path):
-        """A journal written one spaced ``json.dumps`` line per element
-        replays byte-identically, and compact appends continue it."""
-        spec = "window=10|sort|group-sum=0"
-        elements = make_stream(n=30, payload=lambda i: (i, (i % 2, i)))
-        with open(tmp_path / "journal-t1.jsonl", "w") as fh:
-            for offset, element in enumerate(elements):
-                if isinstance(element, Punctuation):
-                    doc = ["p", offset, element.timestamp]
-                else:
-                    doc = ["e", offset, element.sync_time,
-                           element.other_time, element.key, element.payload]
-                fh.write(json.dumps(doc) + "\n")
-        before = StandingQuery("q", spec)
-        drive(before, elements, flush=False)
-
+    def test_a_json_array_journal_is_refused(self, tmp_path):
+        """A journal in the JSON-array grammar of earlier releases, even
+        of one line, is refused at line 1 rather than truncated."""
+        path = tmp_path / "journal-t1.jsonl"
+        path.write_text('["e",0,1,2,0,[1]]\n')
         runtime = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
-        runtime.recover({"queries": {"q": before.as_state()}})
-        assert runtime.journal.length == len(elements)
-        assert runtime.accept_end(len(elements))
-        runtime.close()
-        assert_byte_identical(spec, elements, runtime.queries["q"].results)
-        kinds = [kind for kind, _ in
-                 TenantJournal(tmp_path / "journal-t1.jsonl").load()]
-        assert kinds[-1] == "f" and len(kinds) == len(elements) + 1
+        with pytest.raises(ServeProtocolError, match=f"{path}:1: "):
+            runtime.recover({})
+        assert path.read_text() == '["e",0,1,2,0,[1]]\n'
 
 
 # -- run vs line differential ------------------------------------------------
@@ -458,9 +452,9 @@ class _Wire:
 
 
 def _line_accept_event(runtime, offset, event, wire=None):
-    """``TenantRuntime.accept_event`` as it was before runs, kept
-    verbatim as the reference :meth:`TenantRuntime.accept_events` must
-    agree with."""
+    """``TenantRuntime.accept_event`` as it was before runs, kept as the
+    reference :meth:`TenantRuntime.accept_events` must agree with;
+    ``wire`` is the received line."""
     if runtime._dedup(offset):
         return False
     runtime.journal.append_event(event, wire)
@@ -474,7 +468,7 @@ def _line_accept_event(runtime, offset, event, wire=None):
 
 class _LineServer(ReproServer):
     """The server applying a read one line at a time, with the ``EVENT``
-    branch of ``_process`` kept verbatim from before runs, and saving
+    branch of ``_process`` kept from before runs, and saving
     and acking at every ``PUNCT``/``END`` as it did before reads were
     saved once."""
 
@@ -507,8 +501,9 @@ class _LineServer(ReproServer):
         except (ServeProtocolError, IndexError) as exc:
             runtime.quarantine(runtime.journal.length, line, str(exc))
             return False
+        wire = line if offset == int(parts[1]) else None  # not an append
         try:
-            return _line_accept_event(runtime, offset, event, parts[4:])
+            return _line_accept_event(runtime, offset, event, wire)
         except ServeProtocolError as exc:
             await self._pump_guarded(name)
             self._reply(writer, f"ERR gap {exc}")
@@ -710,6 +705,126 @@ class TestDurabilityPoint:
         assert replies == ["IOFF 3"]
 
 
+#: Journaled keys and payloads: ints, spaced and non-ASCII strings, and
+#: lists of them.
+_J_TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=3)
+_J_VALUE = st.one_of(
+    st.integers(-3, 3), st.integers(), st.booleans(), st.none(), _J_TEXT,
+    st.sampled_from(["a b", "\u00e9", "\u6f22 x"]),
+    st.lists(st.one_of(st.integers(0, 9), _J_TEXT), max_size=3),
+)
+
+
+def _wire_line(offset, sync, key, payload, ascii_only, spaced):
+    """An ``EVENT`` line as a client might write it."""
+    key_text = json.dumps(key, separators=(",", ":"),
+                          ensure_ascii=ascii_only).replace(" ", "\\u0020")
+    separators = (", ", ": ") if spaced else (",", ":")
+    payload_text = json.dumps(payload, ensure_ascii=ascii_only,
+                              separators=separators)
+    return f"EVENT {offset} {sync} {sync + 1} {key_text} {payload_text}"
+
+
+@st.composite
+def _journal_writes(draw):
+    """Appends through the public journal API: ``[(kind, args)]``."""
+    writes = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(
+            ["run", "run", "wired run", "event", "wired event", "punct",
+             "shed", "end"]))
+        if kind.endswith("run") or kind.endswith("event"):
+            rows = draw(st.lists(st.tuples(st.integers(-50, 50), _J_VALUE,
+                                           _J_VALUE),
+                                 min_size=1,
+                                 max_size=1 if "event" in kind else 5))
+            writes.append((kind, rows, draw(st.booleans()),
+                           draw(st.booleans())))
+        else:
+            writes.append((kind, draw(st.integers(-50, 50))))
+    return writes
+
+
+def _write_journal(path, writes):
+    """Apply ``writes``; returns each line's ``(offset, repr)``."""
+    journal = TenantJournal(path)
+    expected = []
+    for kind, *args in writes:
+        offset = journal.length
+        if kind in ("punct", "shed"):
+            journal.append_punctuation(args[0], forced=kind == "shed")
+            expected.append((offset, repr(Punctuation(args[0]))))
+            continue
+        if kind == "end":
+            journal.append_flush()
+            expected.append((offset, None))
+            continue
+        rows, ascii_only, spaced = args
+        events = [Event(sync, sync + 1, _oracle_tupled(key),
+                        _oracle_tupled(payload))
+                  for sync, key, payload in rows]
+        expected += enumerate(map(repr, events), offset)
+        lines = [_wire_line(offset + row, sync, key, payload, ascii_only,
+                            spaced)
+                 for row, (sync, key, payload) in enumerate(rows)]
+        if kind == "wired event":
+            journal.append_event(events[0], lines[0])
+        elif kind == "event":
+            journal.append_event(events[0])
+        elif kind == "wired run":
+            run = decode_event_run(lines)
+            assert len(run) == len(rows)
+            journal.append_events(run)
+        else:
+            journal.append_events(EventRun(
+                list(range(offset, offset + len(rows))),
+                *map(list, zip(*[(e.sync_time, e.other_time, e.key, e.payload)
+                                 for e in events]))))
+    journal.close()
+    return expected
+
+
+def _load_outcome(path):
+    """``(records, error)``: what ``load()`` yields of the journal at
+    ``path``, one ``(offset, repr)`` per line, and the message of the
+    :class:`ServeProtocolError` it raised, or ``None``."""
+    journal, records = TenantJournal(path), []
+    try:
+        for offset, record in journal.load():
+            if isinstance(record, EventRun):
+                assert record.offsets == list(
+                    range(offset, offset + len(record)))
+                records += zip(record.offsets, map(repr, record.events()))
+            else:
+                records.append(
+                    (offset, None if record is None else repr(record)))
+    except ServeProtocolError as exc:
+        return records, str(exc)
+    return records, None
+
+
+def _line_reference(data):
+    """``(records, bad line)`` a line-at-a-time reading of journal bytes
+    gives: each complete line decoded alone by the live line decoder,
+    up to the first that is not ASCII, not a journal line, or not at
+    its own offset."""
+    records = []
+    lines = data[:data.rfind(b"\n") + 1].split(b"\n")[:-1]
+    for index, raw in enumerate(lines):
+        try:
+            parts = raw.decode("ascii").split(" ", 5)
+            word = parts[0]
+            if (len(parts) != {"EVENT": 6, "PUNCT": 3, "SHED": 3,
+                               "END": 2}.get(word)
+                    or int(parts[1]) != index):
+                return records, index + 1
+            element = None if word == "END" else decode_data_frame(parts[2:])
+        except (ValueError, RecursionError):
+            return records, index + 1
+        records.append((index, None if element is None else repr(element)))
+    return records, None
+
+
 class TestJournal:
     def test_append_and_load_round_trip(self, tmp_path):
         journal = TenantJournal(tmp_path / "journal-t.jsonl")
@@ -718,21 +833,23 @@ class TestJournal:
         journal.append_punctuation(3, forced=True)
         journal.append_flush()
         journal.close()
+        assert (tmp_path / "journal-t.jsonl").read_text() == (
+            "EVENT 0 1 2 0 [5]\nPUNCT 1 1\nSHED 2 3\nEND 3\n")
 
         fresh = TenantJournal(tmp_path / "journal-t.jsonl")
-        replay = list(fresh.load())
-        assert [kind for kind, _ in replay] == ["e", "p", "g", "f"]
-        assert repr(replay[0][1]) == repr(Event(1, 2, 0, (5,)))
-        assert replay[2][1].timestamp == 3
+        assert _loaded(fresh) == [
+            (0, repr(Event(1, 2, 0, (5,)))), (1, repr(Punctuation(1))),
+            (2, repr(Punctuation(3))), (3, None),
+        ]
         assert fresh.length == 4
 
     def test_load_from_a_start_line_skips_earlier_lines_undecoded(
             self, tmp_path):
         path = tmp_path / "journal-t.jsonl"
-        with open(path, "w") as fh:
-            fh.write('not json\n["p",1,5]\n["f",2]\n')
+        path.write_text("not a line\nPUNCT 1 5\nEND 2\n")
         journal = TenantJournal(path)
-        assert [kind for kind, _ in journal.load(start=1)] == ["p", "f"]
+        assert [(offset, repr(record)) for offset, record in
+                journal.load(start=1)] == [(1, "Punctuation(5)"), (2, "None")]
         assert journal.length == 3
 
     def test_torn_trailing_line_is_truncated(self, tmp_path):
@@ -742,29 +859,29 @@ class TestJournal:
         journal.append_punctuation(1)
         journal.close()
         with open(path, "a") as fh:
-            fh.write('["e", 2, 9, 10')  # torn mid-append by the crash
+            fh.write("EVENT 2 9 10 0 [9")  # torn mid-append by the crash
 
         fresh = TenantJournal(path)
-        assert [kind for kind, _ in fresh.load()] == ["e", "p"]
+        assert [offset for offset, _ in _loaded(fresh)] == [0, 1]
         assert fresh.length == 2
         # The torn bytes are gone: appends continue from a clean tail.
         fresh.append_event(Event(9, 10, 0, (9,)))
         fresh.close()
-        again = TenantJournal(path)
-        assert [kind for kind, _ in again.load()] == ["e", "p", "e"]
+        assert _loaded(TenantJournal(path))[-1] == \
+            (2, repr(Event(9, 10, 0, (9,))))
 
     @pytest.mark.parametrize("torn", [
-        b'["e", 2, 9, 10',
-        '["e",2,9,10,"é'.encode()[:-1],  # cut inside the character
+        b"EVENT 2 9 10",
+        'EVENT 2 9 10 "\u00e9'.encode()[:-1],  # cut inside the character
     ], ids=["ascii", "mid-character"])
     def test_non_ascii_wire_text_and_a_torn_tail(self, tmp_path, torn):
-        """Wire text carrying raw UTF-8 is journaled as ASCII, and a torn
-        tail — even one cut inside a UTF-8 sequence — is truncated at
-        its byte offset, leaving every committed line intact."""
+        """A received line carrying raw UTF-8 is journaled as ASCII, and
+        a torn tail — even one cut inside a UTF-8 sequence — is truncated
+        at its byte offset, leaving every committed line intact."""
         path = tmp_path / "journal-t.jsonl"
         journal = TenantJournal(path)
-        journal.append_event(Event(1, 2, "é", ("è",)),
-                             ['"é"', '["è"]'])
+        journal.append_event(Event(1, 2, "\u00e9", ("\u00e8",)),
+                             'EVENT 0 1 2 "\u00e9" ["\u00e8"]')
         journal.append_punctuation(1)
         journal.close()
         with open(path, "rb") as fh:
@@ -773,24 +890,107 @@ class TestJournal:
             fh.write(torn)
 
         fresh = TenantJournal(path)
-        assert [kind for kind, _ in fresh.load()] == ["e", "p"]
-        fresh.append_event(Event(9, 10, "é", (9,)), ['"é"', "[9]"])
+        assert [offset for offset, _ in _loaded(fresh)] == [0, 1]
+        fresh.append_event(Event(9, 10, "\u00e9", (9,)),
+                           'EVENT 2 9 10 "\u00e9" [9]')
         fresh.close()
-        replay = [element for _, element in TenantJournal(path).load()]
-        assert [repr(e) for e in replay] == [
-            repr(Event(1, 2, "é", ("è",))),
-            repr(Punctuation(1)),
-            repr(Event(9, 10, "é", (9,))),
+        assert _loaded(TenantJournal(path)) == [
+            (0, repr(Event(1, 2, "\u00e9", ("\u00e8",)))),
+            (1, repr(Punctuation(1))),
+            (2, repr(Event(9, 10, "\u00e9", (9,)))),
         ]
 
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "journal-t.jsonl"
-        with open(path, "w") as fh:
-            fh.write('["e", 0, 1, 2, 0, [1]]\n')
-            fh.write("garbage\n")
-            fh.write('["p", 2, 5]\n')
-        with pytest.raises(ServeProtocolError):
+        path.write_text("EVENT 0 1 2 0 [1]\ngarbage\nPUNCT 2 5\n")
+        with pytest.raises(ServeProtocolError, match=f"{path}:2: "):
             list(TenantJournal(path).load())
+
+    def test_a_damaged_complete_last_line_raises(self, tmp_path):
+        """Only an unterminated fragment is a torn append: a complete
+        last line that does not decode is damage, not truncated."""
+        path = tmp_path / "journal-t.jsonl"
+        journal = TenantJournal(path)
+        journal.append_event(Event(1, 2, 0, (1,)))
+        journal.append_punctuation(1)
+        journal.append_punctuation(2)
+        journal.close()
+        data = path.read_bytes()
+        third = data.rindex(b"\n", 0, len(data) - 1) + 1
+        damaged = data[:third] + b"#" + data[third + 1:]
+        path.write_bytes(damaged)
+        with pytest.raises(ServeProtocolError, match=f"{path}:3: "):
+            list(TenantJournal(path).load())
+        assert path.read_bytes() == damaged
+
+    @settings(max_examples=300, deadline=None)
+    @given(writes=_journal_writes(), data=st.data())
+    def test_a_damaged_journal_loads_its_prefix_or_raises(self, writes,
+                                                          data):
+        """Written through the public appends and then truncated at any
+        byte, a byte flipped, or a line dropped or duplicated, a journal
+        loads exactly its complete lines up to the damage — what the
+        line decoder gives each one alone — truncating an unterminated
+        tail, or raises :class:`ServeProtocolError` naming the damaged
+        line; and a second load agrees."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "journal-t.jsonl")
+            expected = _write_journal(path, writes)
+            with open(path, "rb") as fh:
+                original = fh.read()
+            assert original.isascii()
+            lines = original.split(b"\n")[:-1]
+            assert len(lines) == len(expected)
+            mode = data.draw(st.sampled_from(
+                ["none", "truncate", "flip", "drop", "dup"]))
+            damaged = original
+            if mode == "truncate":
+                damaged = original[:data.draw(st.integers(0, len(original)))]
+            elif mode == "flip":
+                at = data.draw(st.integers(0, len(original) - 1))
+                damaged = bytearray(original)
+                damaged[at] ^= data.draw(st.integers(1, 255))
+                damaged = bytes(damaged)
+            elif mode in ("drop", "dup"):
+                at = data.draw(st.integers(0, len(lines) - 1))
+                copies = [lines[at]] * (0 if mode == "drop" else 2)
+                damaged = b"".join(
+                    line + b"\n" for line in lines[:at] + copies
+                    + lines[at + 1:])
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+
+            # Runs decode in pieces of at most _RUN_LINES lines.
+            with mock.patch.object(journal_module, "_RUN_LINES",
+                                   data.draw(st.sampled_from([2, 4096]))):
+                records, error = _load_outcome(path)
+            want, bad = _line_reference(damaged)
+            assert records == want
+            if bad is None:
+                assert error is None
+            else:
+                assert error.startswith(f"{path}:{bad}: ")
+            # Every line still as written loads as written.
+            same = 0
+            while (same < min(len(lines), len(want))
+                   and damaged.split(b"\n")[same] == lines[same]):
+                same += 1
+            assert want[:same] == expected[:same]
+            if mode == "truncate":
+                complete = damaged.count(b"\n")
+                assert (records, error) == (expected[:complete], None)
+            elif mode == "drop":
+                assert records == expected[:at]
+                assert (error is None) == (at == len(lines) - 1)
+            elif mode == "dup":
+                assert records == expected[:at + 1]
+                assert error.startswith(f"{path}:{at + 2}: ")
+            elif mode == "none":
+                assert (records, error) == (expected, None)
+            # The unterminated tail is gone, and nothing else.
+            with open(path, "rb") as fh:
+                assert fh.read() == damaged[:damaged.rfind(b"\n") + 1]
+            assert _load_outcome(path) == (records, error)
 
     def test_state_round_trip_and_first_boot(self, tmp_path):
         assert load_state(tmp_path) == {}
@@ -914,11 +1114,10 @@ class TestTenantRuntime:
             runtime.accept_event(offset, Event(i, i + 1, 0, (i,)))
             offset += 1
         assert runtime.counters["shed"] > 0
-        # Forced punctuations are journaled as "g" lines...
+        # Forced punctuations are journaled as SHED lines...
         runtime.journal.close()
-        tags = [json.loads(line)[0]
-                for line in open(runtime.journal.path)]
-        assert "g" in tags
+        words = [line.split(" ")[0] for line in open(runtime.journal.path)]
+        assert "SHED" in words
         # ...and the shed produced early results.
         assert runtime.queries["q"].results
 
@@ -935,7 +1134,7 @@ class TestTenantRuntime:
 
         # Fresh runtime, same dir: journal replay must regenerate the
         # exact result prefix — guard decisions included, replayed from
-        # "g" lines rather than re-decided.
+        # SHED lines rather than re-decided.
         recovered = TenantRuntime(
             "t1", str(tmp_path), QuarantineLedger(), quota=8
         )
@@ -943,6 +1142,26 @@ class TestTenantRuntime:
         after = [repr(e) for e in recovered.queries["q"].results]
         assert after == before
         assert recovered.journal.length == runtime.journal.length
+
+    def test_a_query_subscribed_mid_stream_recovers(self, tmp_path):
+        """A restart replays a query from the line it subscribed at, not
+        from the journal's first line."""
+        runtime = self._runtime(tmp_path)
+        for i in range(50):
+            assert runtime.accept_event(i, Event(i, i + 1, i % 3, (i,)))
+        assert runtime.accept_punctuation(50, 49)
+        query = runtime.subscribe("q", "window=100|sort|group-count")
+        for i in range(50, 120):
+            assert runtime.accept_event(i + 1, Event(i, i + 1, i % 3, (i,)))
+        assert runtime.accept_punctuation(121, 119)
+        state = runtime.as_state()
+        live = [repr(e) for e in query.results]
+        runtime.close()
+        assert live
+
+        recovered = self._runtime(tmp_path)
+        recovered.recover(state)
+        assert [repr(e) for e in recovered.queries["q"].results] == live
 
     def test_recovery_detects_forked_journal(self, tmp_path):
         runtime = self._runtime(tmp_path)
@@ -960,9 +1179,8 @@ class TestTenantRuntime:
         # Tamper with a journaled payload: replay must refuse to serve
         # the forked result stream.
         lines = open(runtime.journal.path).read().splitlines()
-        doc = json.loads(lines[3])
-        doc[5] = [12345]
-        lines[3] = json.dumps(doc)
+        assert lines[3].startswith("EVENT 3 ")
+        lines[3] = lines[3].rpartition(" ")[0] + " [12345]"
         with open(runtime.journal.path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -1688,6 +1906,14 @@ class TestServeEndToEnd:
         assert repr(event) == repr(Event(5, 6, _oracle_tupled(key), None))
         if key == 4:
             assert line == "EVENT -1 5 6 4 null"
+
+    @pytest.mark.parametrize("key", ["a b", ("a b", 1), 4])
+    def test_client_frame_keeps_a_spaced_key_one_field(self, key):
+        client = ServeClient("127.0.0.1", 0, "t")
+        client.feed([Event(5, 6, key, (1, "x y"))])
+        line = client._frame_for(0)
+        event = decode_data_frame(line.split(" ", 5)[2:])
+        assert repr(event) == repr(Event(5, 6, key, (1, "x y")))
 
     def test_http_non_integer_sync_is_quarantined(self, tmp_path):
         proc, host, port, http_port = start_server(tmp_path)
