@@ -28,18 +28,19 @@ Appends are group-committed: :meth:`TenantJournal.append_events` and
 friends only buffer, and :meth:`TenantJournal.commit` moves every
 buffered line into the OS page cache with one ``flush()``, which
 survives ``kill -9`` of the process (the chaos soak relies on exactly
-this).  The server commits at each ``PUNCT``/``END``, before each result
-pump, and in the one state save that ends a socket read holding a
-``PUNCT`` or ``END``; three invariants keep every promise made to a
-client on disk first:
+this) but not power loss.  The server commits at each ``PUNCT``/``END``,
+before each result pump, and in each state save; the commit is the only
+durability point an ack waits for.  Three invariants keep every promise
+made to a client on disk first:
 
 1. ``TenantRuntime.accept_punctuation``/``accept_end`` commit before
    returning, so no ``IOFF`` is acked before its line is durable.
 2. The server's result pump commits before any ``RESULT`` leaves, so no
    result is derived from an element a restart could lose.
-3. The server's state save commits every journal before ``state.json``
-   is written, so a persisted journal length or result digest never
-   runs ahead of the journal.
+3. The server's state save, a checkpoint that acks nothing, commits
+   every journal before ``state.json`` is written, so a persisted
+   journal length or result digest never runs ahead of the journal
+   after ``kill -9``.
 
 Anything appended after the last commit was neither acked nor answered,
 so losing it to a crash is indistinguishable from losing it on the wire:
@@ -48,10 +49,10 @@ mid-write can leave an unterminated trailing fragment, which the loader
 truncates; a complete line that does not decode, or whose offset is not
 its position, is damage and raises.
 
-The state file (``state.json``) is written atomically (tmp + rename) and
-holds what replay cannot reconstruct: per-tenant counters and, per
-standing query, its spec, origin line, delivered-element count, and
-running SHA-256 digest over ``repr(element)`` lines.
+The state file (``state.json``) is written atomically (``fsync``, then
+rename) and holds what replay cannot reconstruct: per-tenant counters
+and, per standing query, its spec, origin line, delivered-element
+count, and running SHA-256 digest over ``repr(element)`` lines.
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ path.
   every connection (TCP and HTTP) touching that tenant; it applies an
   item's lines in order — each run of ``EVENT`` lines as one decode,
   one journal write and one push per standing query — group-commits the
-  journal and pumps results once per item, and saves state once per
-  item however many ``PUNCT``/``END`` lines it holds.
+  journal and pumps results once per item, and saves state once, after
+  its last line, when it applied any line but an accepted ``EVENT``.
 * **Slow-writer eviction** — reads are chunked through a per-connection
   buffer with a deadline; a peer that stalls mid-frame (slowloris) is
   evicted and counted, while an idle connection with *no* partial frame
@@ -37,13 +37,14 @@ path.
   verifies the regenerated result prefix against the persisted digests
   (:class:`~repro.core.errors.ReplayDivergenceError` on divergence).
 
-State is saved once per queue item that holds a ``PUNCT`` or ``END``,
-after every line of the item is applied, and on evictions.  Each such
-line is applied and pumped at its own position, but its ``IOFF`` waits
-for the next save; an owed ``IOFF`` is written before anything else on
-its connection, so an acked round is always durable and each
-connection's replies keep their order.  The journal commit invariants
-are listed in :mod:`repro.serve.journal`.
+Each ``PUNCT``/``END`` is applied, committed to the journal and pumped
+at its own position in the item, and its ``IOFF`` is written there: the
+journal commit is the only durability point an ack waits for.  State is
+saved once per queue item that applied a ``PUNCT``, ``END``, ``SUB``,
+``UNSUB``, duplicate, gap or quarantined line, after its last line, and
+on evictions and drain; it is a checkpoint of what replay cannot
+rebuild, not an ack.  The journal commit invariants are listed in
+:mod:`repro.serve.journal`.
 """
 
 from __future__ import annotations
@@ -114,7 +115,6 @@ class ReproServer:
         self.subs = {}         # name -> [_Subscriber]
         self._consumers = {}   # name -> Task
         self._writers = set()  # every open StreamWriter (for drain BYE)
-        self._owed = {}        # writer -> IOFF lines awaiting a save
         self._servers = []
         self._stopped = None
         self.draining = False
@@ -211,9 +211,7 @@ class ReproServer:
         self._stopped.set()
 
     def _save(self):
-        """Persist every tenant's state, then write the ``IOFF`` lines owed
-        since the last save.  A failed save acks none of them."""
-        owed, self._owed = self._owed, {}
+        """Persist every tenant's state."""
         for runtime in self.tenants.values():
             runtime.journal.commit()
         save_state(self.data_dir, {
@@ -223,13 +221,11 @@ class ReproServer:
             },
             "quarantine": dict(self.ledger.counts),
         })
-        for writer, acks in owed.items():
-            if acks:
-                self._reply(writer, "\n".join(acks))
 
     def _settle(self):
-        """:meth:`_save` for the acks owed so far.  A failed save drops
-        them, as it dropped a line's ack, and the tenant runs on."""
+        """:meth:`_save` at the end of a queue item.  The journal holds
+        every line acked so far, so a failed save loses no ack, and the
+        tenant runs on."""
         try:
             self._save()
         except Exception:
@@ -405,8 +401,6 @@ class ReproServer:
     def _reply(self, writer, line) -> None:
         if writer is None:  # HTTP-originated frames have no line channel
             return
-        if writer in self._owed:  # acks owed here go out first
-            self._settle()
         try:
             writer.write((line + "\n").encode())
         except (ConnectionError, RuntimeError):
@@ -433,11 +427,12 @@ class ReproServer:
         tenant takes of a run, go through :meth:`_process` alone.
         Results of the events accepted so far are pumped before any
         other command runs, so every connection sees its lines in the
-        same order as a pump after every event would give.  ``PUNCT``
-        and ``END`` owe their save and ``IOFF`` to one save at the end.
+        same order as a pump after every event would give.  State is
+        saved once at the end if any line was not an accepted event.
         """
         runtime = self.tenants[name]
         pending = False  # events accepted since the last pump
+        dirty = False    # a line other than an accepted event applied
         index = 0
         while index < len(lines):
             run = decode_event_run(lines, index)
@@ -447,8 +442,10 @@ class ReproServer:
                 except Exception:
                     taken = len(run)  # survive anything, as a line does
                 pending = pending or taken > 0
-                if taken < len(run):  # a duplicate or a gap
-                    await self._apply_line(name, lines[index + taken], writer)
+                if taken < len(run):  # a duplicate, a gap or a shed
+                    line = lines[index + taken]
+                    if not await self._apply_line(name, line, writer):
+                        dirty = True
                     taken += 1
                 run = run[taken:]
                 index += taken
@@ -460,10 +457,12 @@ class ReproServer:
                 await self._pump_guarded(name)
             if await self._apply_line(name, line, writer):
                 pending = True
+            else:
+                dirty = True
             index += 1
         if pending:
             await self._pump_guarded(name)
-        if self._owed:
+        if dirty:
             self._settle()
 
     async def _apply_line(self, name, line, writer):
@@ -484,59 +483,37 @@ class ReproServer:
     async def _process(self, name, line, writer):
         """Apply one tenant-scoped line; True when it accepted an event
         whose results the caller still has to pump.  A ``PUNCT``/``END``
-        leaves its save and ``IOFF`` to the next :meth:`_save`."""
+        is acked once its journal commit and pump are done."""
         runtime = self.tenants[name]
         parts = line.split(" ", 5)
         cmd = parts[0]
-        if cmd == "EVENT":
+        if cmd in ("EVENT", "PUNCT", "END"):
             try:
                 offset = self._offset(runtime, parts[1])
-                event = decode_data_frame(parts[2:])
+                element = (None if cmd == "END"
+                           else decode_data_frame(parts[2:]))
+                if (cmd == "PUNCT") != hasattr(element, "timestamp"):
+                    raise ServeProtocolError(
+                        f"{cmd} frame has the wrong number of fields")
             except (ServeProtocolError, IndexError) as exc:
                 runtime.quarantine(runtime.journal.length, line, str(exc))
                 return False
-            # An append frame's line does not carry the offset it gets.
-            wire = None if offset != int(parts[1]) else line
             try:
-                return runtime.accept_event(offset, event, wire)
+                if cmd == "EVENT":
+                    # An append frame's line does not carry the offset it gets.
+                    wire = None if offset != int(parts[1]) else line
+                    return runtime.accept_event(offset, element, wire)
+                accepted = (runtime.accept_end(offset) if element is None
+                            else runtime.accept_punctuation(
+                                offset, element.timestamp))
             except ServeProtocolError as exc:
                 await self._pump_guarded(name)
                 self._reply(writer, f"ERR gap {exc}")
                 return False
-        elif cmd == "PUNCT":
-            try:
-                offset = self._offset(runtime, parts[1])
-                punct = decode_data_frame(parts[2:])
-                if not hasattr(punct, "timestamp"):
-                    raise ServeProtocolError("PUNCT frame carries an event")
-            except (ServeProtocolError, IndexError) as exc:
-                runtime.quarantine(runtime.journal.length, line, str(exc))
-                return
-            try:
-                accepted = runtime.accept_punctuation(offset, punct.timestamp)
-            except ServeProtocolError as exc:
-                self._reply(writer, f"ERR gap {exc}")
-                return
-            if not accepted:
-                return  # chaos duplicate: no ack, or IOFFs would desync
-            await self._pump(name)
-            self._owed.setdefault(writer, []).append(
-                f"IOFF {runtime.journal.length}")
-        elif cmd == "END":
-            try:
-                offset = self._offset(runtime, parts[1])
-            except (ServeProtocolError, IndexError) as exc:
-                runtime.quarantine(runtime.journal.length, line, str(exc))
-                return
-            try:
-                accepted = runtime.accept_end(offset)
-            except ServeProtocolError as exc:
-                self._reply(writer, f"ERR gap {exc}")
-                return
-            await self._pump(name)
-            owed = self._owed.setdefault(writer, [])  # a save, acked or not
+            # A duplicate gets no ack, or IOFFs would desync.
             if accepted:
-                owed.append(f"IOFF {runtime.journal.length}")
+                await self._pump(name)
+                self._reply(writer, f"IOFF {runtime.journal.length}")
         elif cmd == "SUB":
             await self._subscribe(runtime, line, writer)
         elif cmd == "UNSUB" and len(parts) >= 2:
@@ -694,7 +671,7 @@ class ReproServer:
             if frames:
                 await queue.put((frames, None))
             await queue.join()
-            self._save()
+            runtime.journal.commit()  # a 200 promises what an IOFF does
             return "200 OK", {
                 "accepted": len(frames),
                 "journal": runtime.journal.length,

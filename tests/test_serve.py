@@ -468,9 +468,7 @@ def _line_accept_event(runtime, offset, event, wire=None):
 
 class _LineServer(ReproServer):
     """The server applying a read one line at a time, with the ``EVENT``
-    branch of ``_process`` kept from before runs, and saving
-    and acking at every ``PUNCT``/``END`` as it did before reads were
-    saved once."""
+    branch of ``_process`` kept from before runs."""
 
     async def _apply(self, name, lines, writer):
         pending = False  # events accepted since the last pump
@@ -490,14 +488,14 @@ class _LineServer(ReproServer):
     async def _process(self, name, line, writer):
         parts = line.split(" ", 5)
         if parts[0] != "EVENT":
-            accepted = await super()._process(name, line, writer)
-            if self._owed:
-                self._save()
-            return accepted
+            return await super()._process(name, line, writer)
         runtime = self.tenants[name]
         try:
             offset = self._offset(runtime, parts[1])
             event = _oracle_decode(parts[2:])
+            if isinstance(event, Punctuation):
+                raise ServeProtocolError(
+                    "EVENT frame has the wrong number of fields")
         except (ServeProtocolError, IndexError) as exc:
             runtime.quarantine(runtime.journal.length, line, str(exc))
             return False
@@ -633,17 +631,45 @@ class TestRunLineDifferential:
         assert got == want
 
 
+def _bare_server(data_dir):
+    """A server with tenant ``t`` whose queue nobody consumes: the test
+    calls ``_apply`` itself.  Needs a running event loop."""
+    server = ReproServer(data_dir)
+    server._tenant("t")
+    server._consumers["t"].cancel()
+    return server
+
+
+def _events(first, k):
+    """``k`` in-order ``EVENT`` lines from offset ``first``."""
+    return [f"EVENT {o} {o} {o + 1} 0 [{o}]" for o in range(first, first + k)]
+
+
+def _killed(server):
+    """What ``kill -9`` leaves of ``server``: its committed journal
+    lines.  Nothing is buffered, so closing the file writes nothing."""
+    journal = server.tenants["t"].journal
+    assert journal._pending == 0
+    journal.close()
+
+
+def _served(query):
+    """What a standing query delivered, as comparable values."""
+    return [repr(e) for e in query.results], query.delivered, query.digest()
+
+
 class TestDurabilityPoint:
-    """A queue item saves state once, after its last line, and then
-    writes the ``IOFF`` of each ``PUNCT``/``END`` in it, in line order;
-    an owed ``IOFF`` goes out before any later reply on its
-    connection."""
+    """Each ``PUNCT``/``END`` is acked at its own line, once its journal
+    commit and pump are done; a queue item then saves state once, after
+    its last line, if it applied any line other than an accepted event.
+    The journal, not ``state.json``, holds what an ``IOFF`` promises."""
 
     def _apply(self, tmp_path, *items, failing=0):
-        """``[(replies written before the save), ...]`` per save, and
-        every reply, after each of ``items`` (lists of lines) in turn;
-        the first ``failing`` saves raise."""
-        saves = []
+        """``(saves, accepts, replies)`` after each of ``items`` (lists
+        of lines) in turn: the replies written before each save, those
+        written when each ``PUNCT``/``END`` was accepted, and every
+        reply.  The first ``failing`` saves raise."""
+        saves, accepts = [], []
         wire = _Wire()
 
         def record(data_dir, doc):
@@ -652,57 +678,144 @@ class TestDurabilityPoint:
                 raise OSError("disk full")
             save_state(data_dir, doc)
 
+        def spy(accept):
+            def spied(runtime, *args):
+                accepts.append(list(wire.lines))
+                return accept(runtime, *args)
+            return spied
+
         async def go():
-            server = ReproServer(tmp_path)
-            runtime = server._tenant("t")
-            server._consumers["t"].cancel()
+            server = _bare_server(tmp_path)
+            runtime = server.tenants["t"]
             runtime.subscribe("q", "window=4|sort|count")
-            with mock.patch("repro.serve.server.save_state", record):
+            with mock.patch("repro.serve.server.save_state", record), \
+                    mock.patch.multiple(
+                        TenantRuntime,
+                        accept_punctuation=spy(
+                            TenantRuntime.accept_punctuation),
+                        accept_end=spy(TenantRuntime.accept_end)):
                 for lines in items:
                     await server._apply("t", lines, wire)
             runtime.close()
 
         asyncio.run(go())
-        return saves, wire.lines
+        return saves, accepts, wire.lines
 
-    @staticmethod
-    def _events(first, k):
-        return [f"EVENT {o} {o} {o + 1} 0 [{o}]"
-                for o in range(first, first + k)]
-
-    def test_one_save_then_every_ioff_in_order(self, tmp_path):
+    def test_each_ioff_leaves_at_its_line_before_the_one_save(
+            self, tmp_path):
         k = 5
-        lines = [*self._events(0, k), f"PUNCT {k} {k}",
-                 *self._events(k + 1, k), f"PUNCT {2 * k + 1} {2 * k + 1}",
+        lines = [*_events(0, k), f"PUNCT {k} {k}",
+                 *_events(k + 1, k), f"PUNCT {2 * k + 1} {2 * k + 1}",
                  f"END {2 * k + 2}"]
-        saves, replies = self._apply(tmp_path, lines)
-        assert saves == [[]]
-        assert replies == [f"IOFF {k + 1}", f"IOFF {2 * k + 2}",
-                           f"IOFF {2 * k + 3}"]
+        saves, accepts, replies = self._apply(tmp_path, lines)
+        acks = [f"IOFF {k + 1}", f"IOFF {2 * k + 2}", f"IOFF {2 * k + 3}"]
+        assert accepts == [[], acks[:1], acks[:2]]
+        assert saves == [acks]
+        assert replies == acks
         state = load_state(tmp_path)["tenants"]["t"]
         assert state["journal"] == 2 * k + 3
 
-    def test_an_owed_ioff_goes_out_before_err_gap(self, tmp_path):
-        saves, replies = self._apply(
+    def test_an_ioff_goes_out_before_a_later_err_gap(self, tmp_path):
+        saves, _, replies = self._apply(
             tmp_path, ["PUNCT 0 5", "EVENT 7 6 7 0 [1]"])
-        assert saves == [[]]
         assert replies[0] == "IOFF 1"
         assert replies[1].startswith("ERR gap ")
         assert len(replies) == 2
+        assert saves == [replies]
 
-    def test_an_owed_ioff_goes_out_before_ok_sub(self, tmp_path):
-        saves, replies = self._apply(
+    def test_an_ioff_goes_out_before_a_later_ok_sub(self, tmp_path):
+        saves, _, replies = self._apply(
             tmp_path, ["PUNCT 0 5", "SUB q2 window=4|sort|count"])
-        assert saves == [[]]
         assert replies == ["IOFF 1", "OK sub q2"]
+        assert saves == [replies]
 
-    def test_a_failed_save_acks_nothing_and_the_tenant_runs_on(
+    def test_a_failed_save_still_acks_and_the_next_item_runs(
             self, tmp_path):
-        saves, replies = self._apply(
+        saves, _, replies = self._apply(
             tmp_path, ["PUNCT 0 5", "EVENT 1 6 7 0 [1]"], ["PUNCT 2 7"],
             failing=1)
-        assert saves == [[], []]
-        assert replies == ["IOFF 3"]
+        assert saves == [["IOFF 1"], ["IOFF 1", "IOFF 3"]]
+        assert replies == ["IOFF 1", "IOFF 3"]
+        assert load_state(tmp_path)["tenants"]["t"]["journal"] == 3
+
+    def test_a_failed_journal_commit_acks_nothing(self, tmp_path):
+        def commit(journal):
+            raise OSError("disk full")
+
+        with mock.patch.object(TenantJournal, "commit", commit):
+            saves, accepts, replies = self._apply(tmp_path, ["PUNCT 0 5"])
+        assert accepts == [[]]
+        assert replies == []
+        assert saves == []  # the save commits the journals first
+
+    def test_ok_sub_is_durable_before_any_punct(self, tmp_path):
+        """A ``SUB`` item saves state, so a crash after it and three
+        events, before any ``PUNCT``, recovers the query at origin 0,
+        and its results equal a no-crash run's."""
+        sub = ["SUB q window=4|sort|count"]
+        tail = ["PUNCT 3 3", "END 4"]
+
+        async def go(data_dir, crash):
+            server = _bare_server(data_dir)
+            for lines in (sub, _events(0, 3)):
+                await server._apply("t", lines, _Wire())
+            if crash:
+                _killed(server)
+                server = ReproServer(data_dir)
+                server._recover()
+                server._consumers["t"].cancel()
+                query = server.tenants["t"].queries.get("q")
+                assert query is not None, "the subscription was lost"
+                assert query._origin == 0
+            await server._apply("t", tail, _Wire())
+            server.tenants["t"].close()
+            return _served(server.tenants["t"].queries["q"])
+
+        crashed = asyncio.run(go(tmp_path / "crashed", True))
+        assert crashed == asyncio.run(go(tmp_path / "clean", False))
+
+    def test_a_crash_between_an_ioff_and_the_next_save(self, tmp_path):
+        """The item that acks ``PUNCT`` 11 and 15 fails its save and the
+        server dies: a fresh one resumes at the last ``IOFF``, verifies
+        the replay against the earlier save, and finishes with the
+        results and digest of a run that never crashed."""
+        items = [
+            ["SUB q window=4|sort|count"],
+            [*_events(0, 5), "PUNCT 5 5"],
+            [*_events(6, 5), "PUNCT 11 11", *_events(12, 3), "PUNCT 15 14"],
+        ]
+        rest = [*_events(16, 4), "PUNCT 20 19", "END 21"]
+
+        def failing(data_dir, doc):
+            raise OSError("disk full")
+
+        async def go(data_dir, crash):
+            server, wire = _bare_server(data_dir), _Wire()
+            for lines in items[:-1]:
+                await server._apply("t", lines, wire)
+            with mock.patch("repro.serve.server.save_state",
+                            failing if crash else save_state):
+                await server._apply("t", items[-1], wire)
+            if crash:
+                assert [line for line in wire.lines
+                        if line.startswith("IOFF ")] == [
+                    "IOFF 6", "IOFF 12", "IOFF 16"]
+                saved = load_state(data_dir)["tenants"]["t"]
+                assert saved["journal"] == 6
+                assert saved["queries"]["q"]["delivered"] > 0
+                _killed(server)
+                server = ReproServer(data_dir)
+                server._recover()  # raises if the replay diverges
+                server._consumers["t"].cancel()
+                hello = _Wire()
+                await server._hello(["HELLO", "t"], hello)
+                assert hello.lines == ["OK tenant=t journal=16"]
+            await server._apply("t", rest, _Wire())
+            server.tenants["t"].close()
+            return _served(server.tenants["t"].queries["q"])
+
+        crashed = asyncio.run(go(tmp_path / "crashed", True))
+        assert crashed == asyncio.run(go(tmp_path / "clean", False))
 
 
 #: Journaled keys and payloads: ints, spaced and non-ASCII strings, and
@@ -1332,9 +1445,8 @@ class TestRefusals:
         wire = _Wire()
 
         async def live():
-            server = ReproServer(tmp_path)
-            runtime = server._tenant("t")
-            server._consumers["t"].cancel()
+            server = _bare_server(tmp_path)
+            runtime = server.tenants["t"]
             for index, spec in enumerate(self.REGRESSING[0]):
                 runtime.subscribe(f"q{index}", spec)
             await server._apply("t", [
@@ -1982,9 +2094,8 @@ class TestServeEndToEnd:
             raise OSError("no space left on device")
 
         async def scenario():
-            server = ReproServer(tmp_path)
-            runtime = server._tenant("t")
-            server._consumers["t"].cancel()
+            server = _bare_server(tmp_path)
+            runtime = server.tenants["t"]
             server._pump = failing_pump
             await server._apply("t", [
                 "EVENT 0 1 2 0 [1]", "EVENT 1 2 3 0 [2]", "PUNCT 2 2",
@@ -1998,6 +2109,23 @@ class TestServeEndToEnd:
         assert runtime.watermark == 2
         # Owed before PUNCT, PUNCT's own, owed at the end of the item.
         assert len(pumps) == 3
+
+    def test_a_three_field_event_line_is_quarantined(self, tmp_path):
+        """``EVENT 0 5`` decodes as a punctuation's tail; it is refused
+        as an event and quarantined, and the line after it applies."""
+        async def scenario():
+            server, wire = _bare_server(tmp_path), _Wire()
+            await server._apply("t", ["EVENT 0 5", "PUNCT 0 3"], wire)
+            server.tenants["t"].close()
+            return server, wire.lines
+
+        server, replies = asyncio.run(scenario())
+        assert server.tenants["t"].counters["quarantined"] == 1
+        assert server.ledger.counts == {"malformed": 1}
+        assert [(entry.element, entry.context["source"])
+                for entry in server.ledger.entries] == [("EVENT 0 5",
+                                                         "net:t@0")]
+        assert replies == ["IOFF 1"]
 
     def test_kill9_after_an_event_burst_resumes_at_the_hello_offset(
             self, tmp_path):
