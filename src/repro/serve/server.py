@@ -428,11 +428,13 @@ class ReproServer:
         Results of the events accepted so far are pumped before any
         other command runs, so every connection sees its lines in the
         same order as a pump after every event would give.  State is
-        saved once at the end if any line was not an accepted event.
+        saved once at the end if any line was not an accepted event, or
+        if a tenant counter or the ledger moved.
         """
         runtime = self.tenants[name]
         pending = False  # events accepted since the last pump
         dirty = False    # a line other than an accepted event applied
+        moved = sum(runtime.counters.values()), self.ledger.total
         index = 0
         while index < len(lines):
             run = decode_event_run(lines, index)
@@ -462,7 +464,9 @@ class ReproServer:
             index += 1
         if pending:
             await self._pump_guarded(name)
-        if dirty:
+        # Counters only grow: a shed, a scale-up or a refusal moves one.
+        if dirty or moved != (sum(runtime.counters.values()),
+                              self.ledger.total):
             self._settle()
 
     async def _apply_line(self, name, line, writer):
