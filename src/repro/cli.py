@@ -303,13 +303,17 @@ def _cmd_serve(args):
 
     from repro.serve.server import ReproServer
 
-    async def _run():
+    try:
         server = ReproServer(
             args.data_dir, host=args.host, port=args.port,
             http_port=args.http_port, quota=args.quota,
-            tenant_slots=args.tenant_slots,
             queue_capacity=args.queue, read_deadline=args.deadline,
         )
+    except ValueError as exc:
+        print(f"error: ValueError: {exc}", file=sys.stderr)
+        return 2
+
+    async def _run():
         await server.start()
         # Parseable readiness line: harnesses scrape the bound ports.
         print(
@@ -405,13 +409,9 @@ def main(argv=None) -> int:
     p.add_argument("--http-port", type=int, default=0,
                    help="HTTP/JSON-log port (0 = ephemeral)")
     p.add_argument("--quota", type=int, default=None, metavar="EVENTS",
-                   help="per-tenant buffered-event quota; breaches force "
-                        "an early punctuation (load shedding)")
-    p.add_argument("--tenant-slots", type=int, default=1, metavar="N",
-                   help="elastic quota slots per tenant: a quota breach "
-                        "grows the tenant's budget (up to N x quota) "
-                        "before any shedding; slots retire as buffers "
-                        "drain (default 1 = shed immediately)")
+                   help="per-query buffered-event quota (>= 1); a breach "
+                        "forces an early punctuation for the tenant "
+                        "(load shedding)")
     p.add_argument("--queue", type=int, default=16, metavar="READS",
                    help="per-tenant bounded ingress queue capacity; an "
                         "item is one socket read's lines (at most 64 KiB) "

@@ -13,7 +13,7 @@ offset ``n``::
 
     EVENT <n> <sync> <other> <key-json> <payload-json>
     PUNCT <n> <ts>      client punctuation
-    SHED <n> <ts>       guard-forced punctuation, replayed as a plain one
+    SHED <n> <ts>       quota-forced punctuation, replayed as a plain one
     END <n>             flush marker
 
 An ``EVENT`` line is written as received when it is ASCII and carries
@@ -279,10 +279,50 @@ def save_state(data_dir, doc):
     os.replace(tmp, path)
 
 
+#: The JSON types ``load_state`` checks, as its errors name them.
+_KINDS = {dict: "an object", int: "an integer", str: "a string"}
+
+
 def load_state(data_dir) -> dict:
-    """Load the persisted state document, or ``{}`` on first boot."""
+    """Load the persisted state document, or ``{}`` on first boot.
+
+    A document that is not JSON, or whose fields replay reads are not of
+    the types :func:`save_state` wrote, raises
+    :class:`~repro.core.errors.ServeProtocolError` naming the file and
+    the field.
+    """
     path = os.path.join(data_dir, "state.json")
     if not os.path.exists(path):
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ServeProtocolError(f"{path}: not JSON: {exc}") from None
+
+    def typed(field, value, kind):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ServeProtocolError(
+                f"{path}: {field} is not {_KINDS[kind]}: {value!r:.60}"
+            )
+        return value
+
+    def counts(field, value):
+        for name, count in typed(field, value, dict).items():
+            typed(f"{field}.{name}", count, int)
+
+    typed("the document", doc, dict)
+    counts("quarantine", doc.get("quarantine", {}))
+    for name, state in typed("tenants", doc.get("tenants", {}),
+                             dict).items():
+        field = f"tenants.{name}"
+        typed(field, state, dict)
+        counts(f"{field}.counters", state.get("counters", {}))
+        for qid, query in typed(f"{field}.queries",
+                                state.get("queries", {}), dict).items():
+            at = f"{field}.queries.{qid}"
+            typed(at, query, dict)
+            typed(f"{at}.spec", query.get("spec"), str)
+            typed(f"{at}.origin", query.get("origin", 0), int)
+            typed(f"{at}.delivered", query.get("delivered", 0), int)
+    return doc

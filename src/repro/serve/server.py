@@ -26,6 +26,9 @@ path.
 * **Slow-consumer eviction** — result delivery drains with the same
   deadline; a subscriber that stops reading is evicted rather than
   allowed to wedge the tenant.
+* **Load shedding** — with a ``quota``, a tenant whose standing query
+  buffers more than ``quota`` events forces one journaled early
+  punctuation (:meth:`~repro.serve.tenant.TenantRuntime._check_quota`).
 * **Quarantine, not crash** — malformed frames are dead-lettered through
   the shared :class:`~repro.resilience.quarantine.QuarantineLedger`
   (``net:<tenant>@<offset>`` source records) and ingress continues.
@@ -95,15 +98,16 @@ class ReproServer:
     """Multi-tenant standing-query service over TCP + HTTP listeners."""
 
     def __init__(self, data_dir, host="127.0.0.1", port=0, http_port=0,
-                 quota=None, tenant_slots=1, queue_capacity=16,
+                 quota=None, queue_capacity=16,
                  read_deadline=2.0, ledger_max_entries=1_000):
+        if quota is not None and quota < 1:
+            raise ValueError(f"quota must be >= 1 event, got {quota}")
         self.data_dir = str(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.host = host
         self.port = port
         self.http_port = http_port
         self.quota = quota
-        self.tenant_slots = tenant_slots
         self.queue_capacity = queue_capacity
         self.read_deadline = read_deadline
         self.ledger = QuarantineLedger(
@@ -170,8 +174,7 @@ class ReproServer:
         runtime = self.tenants.get(name)
         if runtime is None:
             runtime = TenantRuntime(
-                name, self.data_dir, self.ledger, quota=self.quota,
-                max_slots=self.tenant_slots,
+                name, self.data_dir, self.ledger, quota=self.quota
             )
             self.tenants[name] = runtime
             self.queues[name] = asyncio.Queue(maxsize=self.queue_capacity)
@@ -243,8 +246,6 @@ class ReproServer:
                 "journal": runtime.journal.length,
                 "journal_commits": runtime.journal.commits,
                 "watermark": runtime.watermark,
-                "slots": runtime.slots,
-                "max_slots": runtime.max_slots,
                 "counters": dict(runtime.counters),
                 "subscribers": len(self.subs[name]),
                 "queries": {
@@ -464,7 +465,7 @@ class ReproServer:
             index += 1
         if pending:
             await self._pump_guarded(name)
-        # Counters only grow: a shed, a scale-up or a refusal moves one.
+        # Counters only grow: a shed or a refusal moves one.
         if dirty or moved != (sum(runtime.counters.values()),
                               self.ledger.total):
             self._settle()

@@ -10,17 +10,12 @@ do to a tenant lands here as an explicit, counted decision:
   dead-lettered through the shared
   :class:`~repro.resilience.quarantine.QuarantineLedger` with a
   ``net:<tenant>@<offset>`` source record — ``counters["quarantined"]``.
-* **Buffer-quota breaches** consult a per-tenant
-  :class:`~repro.resilience.degradation.LoadSheddingGuard`.  With
-  ``max_slots > 1`` the tenant is *elastic*: a breach first grows the
-  quota by one slot (``counters["scale_ups"]``) — capacity before data
-  loss — and only sheds once every slot is consumed.  A forced early
-  punctuation is journaled as a ``SHED`` line so crash-recovery replay
-  reproduces the shed deterministically — ``counters["shed"]``.  Slots
-  retire (``counters["scale_downs"]``) once occupancy drains back under
-  the next-lower tier's half mark.  Slot changes are *not* journaled:
-  replay never consults the guard, so elasticity cannot perturb
-  recovery.
+* **Buffer-quota breaches** — a query buffering more than ``quota``
+  events after an event is pushed — force one early punctuation for
+  the whole tenant at the highest sync time seen, the paper's
+  completeness-for-memory trade.  It is journaled as a ``SHED`` line
+  first, so crash-recovery replay reproduces the shed without deciding
+  it again — ``counters["shed"]``.
 * **Slow/stalled writers** are evicted by the server's read deadline —
   ``counters["evictions"]`` — and **reconnects** (including
   post-eviction and post-crash) increment ``counters["reconnects"]``.
@@ -37,7 +32,7 @@ which is the whole recovery story: replaying the journal through freshly
 bound pipelines regenerates every result stream byte-for-byte.  Events
 arrive as runs (:meth:`TenantRuntime.accept_events`): one journal write
 and one push per query for each run, or, under a quota, for each slice
-of it that no guard check could act inside.
+of it that no quota check could act inside.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from bisect import bisect_left
 
 from repro.core.errors import LateEventError, ServeProtocolError
 from repro.engine.event import Punctuation
-from repro.resilience.degradation import LoadSheddingGuard
 from repro.resilience.quarantine import Reason
 from repro.serve.journal import TenantJournal
 from repro.serve.protocol import EventRun
@@ -58,38 +52,26 @@ __all__ = ["TenantRuntime"]
 _NEG_INF = float("-inf")
 
 _COUNTERS = ("quarantined", "duplicates", "reconnects", "evictions",
-             "shed", "scale_ups", "scale_downs")
+             "shed")
 
 
 class TenantRuntime:
     """One tenant's durable ingress state and standing-query registry."""
 
-    def __init__(self, name, data_dir, ledger, quota=None, max_slots=1):
+    def __init__(self, name, data_dir, ledger, quota=None):
         self.name = name
         self.journal = TenantJournal(
             os.path.join(data_dir, f"journal-{name}.jsonl")
         )
         self.ledger = ledger
-        self.quota = quota
-        if max_slots < 1:
-            raise ValueError("max_slots must be >= 1")
-        self.max_slots = int(max_slots)
-        self.slots = 1             # current quota multiplier
+        self.quota = quota         # buffered events a query may hold
         self.queries = {}          # qid -> StandingQuery
         self.counters = {c: 0 for c in _COUNTERS}
         #: Whether an ingest-role connection ever bound this tenant —
         #: the next ingest HELLO after that is a counted reconnect.
         self.had_ingest = False
         self.watermark = None      # last ingress punctuation timestamp
-        self._high = _NEG_INF      # max sync_time seen (guard fallback ts)
-        self._guard = None
-        if quota is not None:
-            self._guard = self._make_guard()
-
-    def _make_guard(self) -> LoadSheddingGuard:
-        return LoadSheddingGuard(
-            max_buffered_events=self.quota * self.slots, check_interval=1
-        )
+        self._high = _NEG_INF      # max sync_time seen (the shed's ts)
 
     # -- standing queries --------------------------------------------------
 
@@ -163,11 +145,11 @@ class TenantRuntime:
                 run.wire = [None if offset == -1 else line
                             for offset, line in zip(run.offsets, run.wire)]
             run.offsets = offsets[:taken]
-        if self._guard is None:
+        if self.quota is None:
             self._push_events(run)
             return taken
         # Each pushed row grows a query's census by at most one, so no
-        # guard check inside a slice no longer than the least headroom
+        # quota check inside a slice no longer than the least headroom
         # could act: one check per slice decides what one per row would.
         start = 0
         while start < taken:
@@ -175,7 +157,7 @@ class TenantRuntime:
                 (query.buffered_bound() for query in self.queries.values()),
                 default=0,
             )
-            room = max(1, self._guard.max_buffered_events - bound)
+            room = max(1, self.quota - bound)
             stop = min(taken, start + room)
             if self._push_events(run[start:stop]):
                 try:
@@ -194,7 +176,7 @@ class TenantRuntime:
 
         A query that raises on a row other than by refusing it fails
         that row alone: the queries after it do not see the row, and no
-        guard check follows it.
+        quota check follows it.
         """
         if live:
             self.journal.append_events(run)
@@ -229,7 +211,6 @@ class TenantRuntime:
             return False
         self._commit(self.journal.append_punctuation(timestamp))
         self._push_punctuation(offset, timestamp)
-        self._maybe_scale_down()
         return True
 
     def _push_punctuation(self, offset, timestamp, live=True) -> None:
@@ -284,59 +265,23 @@ class TenantRuntime:
         self.counters["quarantined"] += 1
 
     def _check_quota(self) -> None:
-        """Consult the shedding guard against every standing pipeline.
-
-        An elastic tenant (``max_slots > 1``) answers a breach by
-        growing the quota one slot — discarding the guard (and its
-        recorded decision) for a fresh one at the larger bound — so
-        bursts ride on capacity, not data loss.  Only a breach with
-        every slot consumed sheds: one forced early punctuation for the
+        """Shed when a query buffers more than ``quota`` events: one
+        forced early punctuation at the highest sync time seen, for the
         whole tenant, journaled as a ``SHED`` line first so replay
-        re-applies the shed without re-consulting the guard
-        (deterministic recovery).
-        """
-        guard = self._guard
-        if guard is None:
+        re-applies it without deciding it again."""
+        if self.quota is None:
             return
         for query in self.queries.values():
-            # The bound never undercounts, so skipping the guard while it
-            # is within the guard's bound decides exactly what the guard
-            # would, without draining a compiled query per event.
-            if query.buffered_bound() <= guard.max_buffered_events:
-                continue
-            forced = guard.check(query, self._high)
-            if forced is not None:
-                if self.slots < self.max_slots:
-                    self.slots += 1
-                    self._guard = self._make_guard()
-                    self.counters["scale_ups"] += 1
-                    return
+            # The bound never undercounts, so the exact census, which
+            # drains a compiled query, is taken only above the quota.
+            if (query.buffered_bound() > self.quota
+                    and query.buffered_events() > self.quota):
                 offset = self.journal.append_punctuation(
-                    forced, forced=True
+                    self._high, forced=True
                 )
-                self._push_punctuation(offset, forced)
+                self._push_punctuation(offset, self._high)
                 self.counters["shed"] += 1
                 return
-
-    def _maybe_scale_down(self) -> None:
-        """Retire a slot once occupancy drains below half the
-        next-lower tier (hysteresis: the grow trigger is the full
-        current tier, so draining jitter cannot thrash)."""
-        if self._guard is None or self.slots <= 1:
-            return
-        buffered = sum(
-            query.buffered_events() for query in self.queries.values()
-        )
-        changed = False
-        while (
-            self.slots > 1
-            and buffered <= (self.quota * (self.slots - 1)) // 2
-        ):
-            self.slots -= 1
-            self.counters["scale_downs"] += 1
-            changed = True
-        if changed:
-            self._guard = self._make_guard()
 
     # -- recovery ----------------------------------------------------------
 
@@ -345,16 +290,12 @@ class TenantRuntime:
 
         Re-registers every standing query at its origin line, pushes the
         journal's event runs, punctuations and ``END`` into each query
-        from that line on (the guard *not* consulted — ``SHED`` lines
-        are replayed as plain punctuations), then verifies each query's
+        from that line on (the quota *not* checked — ``SHED`` lines are
+        replayed as plain punctuations), then verifies each query's
         regenerated result prefix against its pre-crash digest.
         """
-        self.counters.update(state.get("counters", {}))
-        # Resume at the pre-crash slot tier (clamped: the server may
-        # have restarted with a smaller --tenant-slots).
-        self.slots = min(int(state.get("slots", 1)), self.max_slots)
-        if self._guard is not None:
-            self._guard = self._make_guard()
+        saved = state.get("counters", {})
+        self.counters.update({c: saved[c] for c in _COUNTERS if c in saved})
         # A recovered tenant was fed before the crash, so its next
         # ingest HELLO is a reconnect.
         self.had_ingest = True
@@ -383,7 +324,6 @@ class TenantRuntime:
             "counters": dict(self.counters),
             "journal": self.journal.length,
             "watermark": self.watermark,
-            "slots": self.slots,
             "queries": {
                 qid: query.as_state()
                 for qid, query in self.queries.items()

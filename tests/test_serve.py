@@ -624,7 +624,6 @@ def _observed(server, wire):
         "journal": _journal_bytes(runtime.journal),
         "length": runtime.journal.length,
         "counters": dict(runtime.counters),
-        "slots": runtime.slots,
         "watermark": runtime.watermark,
         "ledger": [(e.reason, repr(e.element), e.context)
                    for e in server.ledger.entries],
@@ -699,7 +698,7 @@ class TestRunLineDifferential:
     @given(data=st.data(),
            specs=st.lists(st.sampled_from(_RUN_SPECS), min_size=1,
                           max_size=3, unique=True),
-           quota=st.sampled_from([None, (6, 1), (6, 2)]),
+           quota=st.sampled_from([None, 6, 12]),
            trial=st.sampled_from([None, (3, 3)]),
            subscribed=st.booleans())
     def test_runs_apply_as_lines_do(self, data, specs, quota, trial,
@@ -711,11 +710,9 @@ class TestRunLineDifferential:
                                            subscribed))
 
     async def _differential(self, data, tmp, specs, quota, subscribed):
-        limit, slots = quota or (None, 1)
         servers = []
         for kind in (_LineServer, ReproServer):
-            server = kind(os.path.join(tmp, kind.__name__), quota=limit,
-                          tenant_slots=slots)
+            server = kind(os.path.join(tmp, kind.__name__), quota=quota)
             runtime = server._tenant("t")
             server._consumers["t"].cancel()
             for index, spec in enumerate(specs):
@@ -1322,6 +1319,43 @@ class TestJournal:
         save_state(tmp_path, {"tenants": {"a": {"journal": 3}}})
         assert load_state(tmp_path)["tenants"]["a"]["journal"] == 3
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"tenants": {"a": {"jour', "not JSON"),
+        ("[1]", "the document"),
+        ('{"quarantine": 5}', "quarantine"),
+        ('{"tenants": {"a": {"queries": 7}}}', "tenants.a.queries"),
+        ('{"tenants": {"a": {"queries": {"q": {"spec": 3}}}}}',
+         "tenants.a.queries.q.spec"),
+    ], ids=["truncated", "list", "quarantine-int", "queries-int",
+            "spec-int"])
+    def test_a_mistyped_state_file_is_refused(self, tmp_path, text, field):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        with pytest.raises(ServeProtocolError) as raised:
+            load_state(tmp_path)
+        assert str(raised.value).startswith(f"{path}: {field}")
+
+    def test_a_state_file_with_quota_slots_recovers(self, tmp_path):
+        """A state file written when quotas had elastic slots carries
+        ``slots`` and two slot counters; recovery reads past them."""
+        runtime = TenantRuntime("t", str(tmp_path), QuarantineLedger())
+        runtime.subscribe("q", "window=10|sort|count")
+        _feed(runtime, make_stream(n=20))
+        state = runtime.as_state()
+        runtime.close()
+        state["slots"] = 2
+        state["counters"].update(shed=3, scale_ups=4, scale_downs=2)
+        save_state(tmp_path, {"tenants": {"t": state}})
+
+        recovered = TenantRuntime("t", str(tmp_path), QuarantineLedger())
+        recovered.recover(load_state(tmp_path)["tenants"]["t"])
+        assert recovered.counters == {
+            "quarantined": 0, "duplicates": 0, "reconnects": 0,
+            "evictions": 0, "shed": 3,
+        }
+        assert "slots" not in recovered.as_state()
+        recovered.close()
+
 
 class TestStandingQuery:
     @pytest.mark.parametrize("spec", [
@@ -1392,6 +1426,11 @@ class TestTenantRuntime:
             sidecar=os.path.join(tmp_path, "quarantine.jsonl")
         )
         return TenantRuntime("t1", str(tmp_path), ledger, quota=quota)
+
+    def test_a_quota_below_one_is_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="quota must be >= 1"):
+            ReproServer(tmp_path / "data", quota=0)
+        assert not (tmp_path / "data").exists()
 
     def test_duplicate_offsets_are_dropped_and_counted(self, tmp_path):
         runtime = self._runtime(tmp_path)
@@ -1512,76 +1551,6 @@ class TestTenantRuntime:
         recovered = TenantRuntime("t1", str(tmp_path), QuarantineLedger())
         with pytest.raises(ReplayDivergenceError):
             recovered.recover(state)
-
-
-class TestServeElasticity:
-    def _runtime(self, tmp_path, **kwargs):
-        from repro.resilience.quarantine import QuarantineLedger
-        from repro.serve.tenant import TenantRuntime
-
-        ledger = QuarantineLedger(
-            sidecar=os.path.join(tmp_path, "quarantine.jsonl")
-        )
-        return TenantRuntime("t1", str(tmp_path), ledger, **kwargs)
-
-    def _flood(self, runtime, n, start=0):
-        for i in range(start, start + n):
-            runtime.accept_event(
-                runtime.journal.length, Event(i, i + 1, 0, (i,))
-            )
-
-    def test_breach_scales_up_before_shedding(self, tmp_path):
-        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
-        runtime.subscribe("q", "window=100|sort|count")
-        self._flood(runtime, 20)
-        assert runtime.counters["scale_ups"] >= 1
-        assert runtime.counters["shed"] == 0
-        assert runtime.slots > 1
-
-    def test_sheds_only_after_every_slot_is_consumed(self, tmp_path):
-        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
-        runtime.subscribe("q", "window=100|sort|count")
-        self._flood(runtime, 200)
-        assert runtime.slots == 3
-        assert runtime.counters["scale_ups"] == 2
-        assert runtime.counters["shed"] >= 1
-
-    def test_elastic_tenant_sheds_less_than_rigid(self, tmp_path):
-        elastic = self._runtime(
-            os.path.join(tmp_path, "a"), quota=8, max_slots=3
-        )
-        rigid = self._runtime(os.path.join(tmp_path, "b"), quota=8)
-        for runtime in (elastic, rigid):
-            os.makedirs(os.path.dirname(runtime.journal.path),
-                        exist_ok=True)
-            runtime.subscribe("q", "window=100|sort|count")
-            self._flood(runtime, 200)
-        assert elastic.counters["shed"] < rigid.counters["shed"]
-
-    def test_slots_retire_as_buffers_drain(self, tmp_path):
-        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
-        runtime.subscribe("q", "window=100|sort|count")
-        self._flood(runtime, 200)
-        assert runtime.slots == 3
-        runtime.accept_punctuation(runtime.journal.length, 500)
-        assert runtime.slots == 1
-        assert runtime.counters["scale_downs"] == 2
-
-    def test_state_roundtrips_slots(self, tmp_path):
-        runtime = self._runtime(tmp_path, quota=8, max_slots=3)
-        runtime.subscribe("q", "window=100|sort|count")
-        self._flood(runtime, 20)
-        assert runtime.slots > 1
-        state = runtime.as_state()
-        assert state["slots"] == runtime.slots
-        runtime.close()
-        recovered = self._runtime(tmp_path, quota=8, max_slots=3)
-        recovered.recover(state)
-        assert recovered.slots == runtime.slots
-
-    def test_max_slots_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            self._runtime(tmp_path, quota=8, max_slots=0)
 
 
 class TestRefusals:
@@ -2004,11 +1973,11 @@ class TestDensityTrial:
 class TestCompiledQuota:
     SPEC = "window=100|sort|count"
 
-    def _run(self, path, quota, slots, n):
-        """The quota and elasticity floods, then a draining punctuation."""
+    def _run(self, path, quota, n):
+        """The quota flood, then a draining punctuation."""
         os.makedirs(path)
         runtime = TenantRuntime("t1", str(path), QuarantineLedger(),
-                                quota=quota, max_slots=slots)
+                                quota=quota)
         query = runtime.subscribe("q", self.SPEC)
         for i in range(n):
             runtime.accept_event(runtime.journal.length,
@@ -2021,25 +1990,23 @@ class TestCompiledQuota:
         return query.engine, (journal, runtime.counters,
                               [repr(e) for e in query.results])
 
-    @pytest.mark.parametrize("quota, slots, n", [(8, 1, 40), (8, 3, 20),
-                                                 (8, 3, 200)])
-    def test_sheds_and_scales_exactly_as_the_row_engine(
-            self, tmp_path, monkeypatch, quota, slots, n):
+    @pytest.mark.parametrize("quota, n", [(8, 40), (24, 60), (24, 200)])
+    def test_sheds_exactly_as_the_row_engine(
+            self, tmp_path, monkeypatch, quota, n):
         # The floods shed at nearly every event; the density trial is off
         # so that every decision is the compiled query's.
         monkeypatch.setattr(standing, "_MIN_CHUNK", 0)
-        engine, compiled = self._run(tmp_path / "c", quota, slots, n)
+        engine, compiled = self._run(tmp_path / "c", quota, n)
         assert engine == "compiled"
 
         def no_lowering(plan):
             raise UnsupportedPlanError("row engine forced")
 
         monkeypatch.setattr(standing, "compile_plan", no_lowering)
-        engine, row = self._run(tmp_path / "r", quota, slots, n)
+        engine, row = self._run(tmp_path / "r", quota, n)
         assert engine == "row"
         assert compiled == row
-        counters = row[1]
-        assert counters["shed"] + counters["scale_ups"] > 0
+        assert row[1]["shed"] > 0
 
     def test_no_drain_between_punctuations_under_the_bound(
             self, tmp_path, monkeypatch):
@@ -2146,7 +2113,7 @@ class TestServeEndToEnd:
             assert 4 <= tenant["journal_commits"] <= tenant["journal"] == 34
             assert set(tenant["counters"]) == {
                 "quarantined", "duplicates", "reconnects", "evictions",
-                "shed", "scale_ups", "scale_downs",
+                "shed",
             }
             query = tenant["queries"]["q1"]
             assert query["spec"] == spec
@@ -2471,6 +2438,79 @@ class TestServeEndToEnd:
             client.close()
         finally:
             assert stop_server(proc) == 0
+
+    def test_a_quota_below_one_exits_2(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH="src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve",
+             "--data-dir", str(tmp_path), "--quota", "0"],
+            capture_output=True, text=True, env=env, timeout=30,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        )
+        assert done.returncode == 2
+        assert done.stderr == ("error: ValueError: quota must be >= 1 "
+                               "event, got 0\n")
+
+    def test_quota_sheds_survive_kill9(self, tmp_path):
+        """A ``--quota 8`` tenant flooded past its quota, killed and
+        restarted, recovers the sheds from its journal: the query's
+        digest and ``shed`` are those of the same flood in-process."""
+        spec, n = "window=1000|sort|count", 40
+        events = [Event(i, i + 1, 0, (i,)) for i in range(n)]
+        reference = TenantRuntime("t", str(tmp_path), QuarantineLedger(),
+                                  quota=8)
+        query = reference.subscribe("q1", spec)
+        for event in events:
+            reference.accept_event(reference.journal.length, event)
+        reference.close()
+        want = (query.digest(), reference.counters["shed"])
+        assert want[1] > 0
+
+        data = tmp_path / "data"
+
+        def saved():
+            if not (data / "state.json").exists():
+                return None
+            with open(data / "state.json", encoding="utf-8") as fh:
+                state = json.load(fh)["tenants"]["t"]
+            return state["queries"]["q1"]["digest"], state["counters"]["shed"]
+
+        proc, host, port, _ = start_server(data, "--quota", "8")
+        try:
+            with socket.create_connection((host, port), timeout=10) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(f"HELLO t\nSUB q1 {spec}\n".encode())
+                assert replies.readline().startswith(b"OK tenant=t")
+                assert replies.readline().startswith(b"OK sub")
+                # Appends (offset -1): the SHED lines take journal
+                # offsets a client counting its own events would reuse.
+                sock.sendall("".join(
+                    f"EVENT -1 {e.sync_time} {e.other_time} 0 [{i}]\n"
+                    for i, e in enumerate(events)).encode())
+                client = ServeClient(host, port, "t")
+                deadline = time.monotonic() + 20
+                while True:
+                    tenant = client.snapshot()["serve"]["tenants"]["t"]
+                    shed = tenant["counters"]["shed"]
+                    if (tenant["journal"] == n + shed
+                            and saved() == (want[0], shed)):
+                        break
+                    assert time.monotonic() < deadline
+                    time.sleep(0.05)
+                assert shed == want[1]
+        finally:
+            proc.kill()
+            proc.wait()
+
+        proc, client.host, client.port, _ = start_server(
+            data, "--quota", "8")
+        try:
+            tenant = client.snapshot()["serve"]["tenants"]["t"]
+            assert tenant["counters"]["shed"] == want[1]
+            assert tenant["journal"] == n + want[1]
+        finally:
+            assert stop_server(proc) == 0
+        assert saved() == want
 
     def test_sigterm_drains_and_restart_resumes(self, tmp_path):
         spec = "window=10|sort|group-count"
